@@ -35,8 +35,8 @@ from .models import (
     scaled_family,
 )
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
-from .poisson import DomainMask, exit_functionals, exit_laplace, exit_mean
-from .spectral import bounds_report, dirichlet_pair
+from .poisson import DomainMask, DomainSystem
+from .spectral import bounds_ledger
 from .variational import exp_moment_inf, saddle_value, symmetric_inf
 
 MONOTONE_TOL = 1e-10
@@ -203,8 +203,8 @@ def _emit(out_dir: Path, name: str, doc: dict, formats, csv_text: str | None = N
         (out_dir / f"{name}.csv").write_text(csv_text)
 
 
-def _cmd_validate(chain, mask, cfg, digest, out_dir):
-    report = validate_assumption_a(chain, beta_probe=max(cfg.betas))
+def _cmd_validate(system, cfg, digest, out_dir):
+    report = validate_assumption_a(system.chain, beta_probe=max(cfg.betas))
     ok = bool(
         report.primal_markov_ok
         and report.dual_markov_ok
@@ -215,12 +215,13 @@ def _cmd_validate(chain, mask, cfg, digest, out_dir):
     return ok
 
 
-def _cmd_exit(chain, mask, cfg, digest, out_dir):
-    lam0 = dirichlet_pair(chain, mask)[0] if chain.is_reversible() else None
+def _cmd_exit(system, cfg, digest, out_dir):
+    chain = system.chain
+    lam0 = system.dirichlet.lambda0 if system.reversible else None
     blocks = {}
     csv_parts = []
     for beta in cfg.betas:
-        fns = exit_functionals(chain, mask, beta, xi=None, lambda0=lam0)
+        fns = system.functionals(beta, xi=None, lambda0=lam0)
         blocks[repr(beta)] = fns.to_dict(labels=chain.state_labels())
         csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=chain.state_labels()))
     doc = _stamp({"exit_functionals": blocks, "lambda0": lam0}, digest)
@@ -228,7 +229,8 @@ def _cmd_exit(chain, mask, cfg, digest, out_dir):
     return True
 
 
-def _cmd_variational(chain, mask, cfg, digest, out_dir):
+def _cmd_variational(system, cfg, digest, out_dir):
+    chain, mask = system.chain, system.mask
     ok = True
     blocks = {}
     xi = np.asarray(cfg.xi, dtype=float) if cfg.xi is not None else np.ones(mask.size)
@@ -242,7 +244,7 @@ def _cmd_variational(chain, mask, cfg, digest, out_dir):
             "iterative": iterative.to_dict(),
             "modes_agree": agree,
         }
-        if chain.is_reversible():
+        if system.reversible:
             sym = symmetric_inf(view, mask, xi)
             entry["symmetric_inf"] = sym
             agree_sym = abs(sym - closed.value) <= AGREE_RTOL * max(1.0, abs(sym))
@@ -255,16 +257,15 @@ def _cmd_variational(chain, mask, cfg, digest, out_dir):
     return ok
 
 
-def _cmd_expmoment(chain, mask, cfg, digest, out_dir):
-    from .poisson import exit_exp_moment
-
-    lam0 = dirichlet_pair(chain, mask)[0]
+def _cmd_expmoment(system, cfg, digest, out_dir):
+    chain, mask = system.chain, system.mask
+    lam0 = system.dirichlet.lambda0
     ok = True
     blocks = {}
     for beta in cfg.betas:
         view = form_view(chain, beta)
         inf_value = exp_moment_inf(view, mask, beta, lam0)
-        moments = exit_exp_moment(chain, mask, beta, lam0)
+        moments = system.exp_moment(beta, lam0)
         agg = float(np.sum(chain.mu * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
         agree = abs(inf_value - via_exit) <= AGREE_RTOL * max(1.0, abs(inf_value))
@@ -279,8 +280,8 @@ def _cmd_expmoment(chain, mask, cfg, digest, out_dir):
     return ok
 
 
-def _cmd_bounds(chain, mask, cfg, digest, out_dir):
-    ledger = bounds_report(chain, mask, cfg.betas)
+def _cmd_bounds(system, cfg, digest, out_dir):
+    ledger = bounds_ledger(system, cfg.betas)
     ok = ledger.all_satisfied()
     doc = _stamp({"ledger": ledger.to_dict(), "passed": ok}, digest)
     _emit(out_dir, "bounds", doc, cfg.formats, csv_text=ledger.to_csv())
@@ -288,14 +289,31 @@ def _cmd_bounds(chain, mask, cfg, digest, out_dir):
 
 
 def _aggregates(chain, mask, betas):
-    lap = {
-        beta: float(np.sum(chain.mu * exit_laplace(chain, mask, beta))) for beta in betas
-    }
-    mean = float(np.sum(chain.mu * exit_mean(chain, mask)))
+    system = DomainSystem(chain, mask)
+    lap = {beta: float(np.sum(chain.mu * system.laplace(beta))) for beta in betas}
+    mean = float(np.sum(chain.mu * system.mean()))
     return lap, mean
 
 
-def _cmd_sweep(chain, mask, cfg, digest, out_dir, spec, plots):
+def _monotone(seq, increasing: bool) -> bool:
+    """True when seq never moves against the given direction beyond MONOTONE_TOL."""
+    if increasing:
+        return not any(b < a - MONOTONE_TOL for a, b in zip(seq, seq[1:]))
+    return not any(b > a + MONOTONE_TOL for a, b in zip(seq, seq[1:]))
+
+
+def _sweep_csv(keys, rows, betas) -> str:
+    """One line per sweep row: the row's keys, Laplace per beta, then the mean."""
+    header = list(keys) + [f"laplace_beta_{beta!r}" for beta in betas] + ["mean"]
+    lines = [header] + [
+        [repr(r[k]) for k in keys] + [repr(r["laplace"][beta]) for beta in betas] + [repr(r["mean"])]
+        for r in rows
+    ]
+    return "".join(",".join(cells) + "\n" for cells in lines)
+
+
+def _cmd_sweep(system, cfg, digest, out_dir, plots):
+    chain, mask = system.chain, system.mask
     sweep = cfg.sweep
     rows = []
     ok = True
@@ -312,25 +330,9 @@ def _cmd_sweep(chain, mask, cfg, digest, out_dir, spec, plots):
             if abs(mean - mean_neg) > MONOTONE_TOL:
                 ok = False
             rows.append({"k": k, "laplace": lap, "mean": mean})
-        order = np.argsort([abs(r["k"]) for r in rows])
-        for beta in cfg.betas:
-            seq = [rows[i]["laplace"][beta] for i in order]
-            if any(b < a - MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-                ok = False
-        seq = [rows[i]["mean"] for i in order]
-        if any(b > a + MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-            ok = False
-        header = ["k"] + [f"laplace_beta_{beta!r}" for beta in cfg.betas] + ["mean"]
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [repr(r["k"])]
-                    + [repr(r["laplace"][beta]) for beta in cfg.betas]
-                    + [repr(r["mean"])]
-                )
-            )
-        csv_text = "\n".join(lines) + "\n"
+        keys = ["k"]
+        # Laplace grows and the mean falls with the flow strength |k|
+        sequences = [[rows[i] for i in np.argsort([abs(r["k"]) for r in rows])]]
         x_axis = [r["k"] for r in rows]
     else:
         base = dict(cfg.model.get("params", {}))
@@ -346,41 +348,18 @@ def _cmd_sweep(chain, mask, cfg, digest, out_dir, spec, plots):
         for kap in kappas:
             for eps in epsilons:
                 lap, mean = _aggregates(scaled_family(diff, jump, kap, eps), mask, cfg.betas)
-                table[(kap, eps)] = (lap, mean)
-                rows.append({"kappa": kap, "epsilon": eps, "laplace": lap, "mean": mean})
-        for beta in cfg.betas:
-            for eps in epsilons:
-                seq = [table[(k, eps)][0][beta] for k in sorted(kappas)]
-                if any(b < a - MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-                    ok = False
-            for kap in kappas:
-                seq = [table[(kap, e)][0][beta] for e in sorted(epsilons)]
-                if any(b < a - MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-                    ok = False
-        for eps in epsilons:
-            seq = [table[(k, eps)][1] for k in sorted(kappas)]
-            if any(b > a + MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-                ok = False
-        for kap in kappas:
-            seq = [table[(kap, e)][1] for e in sorted(epsilons)]
-            if any(b > a + MONOTONE_TOL for a, b in zip(seq, seq[1:])):
-                ok = False
-        header = (
-            ["kappa", "epsilon"]
-            + [f"laplace_beta_{beta!r}" for beta in cfg.betas]
-            + ["mean"]
-        )
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [repr(r["kappa"]), repr(r["epsilon"])]
-                    + [repr(r["laplace"][beta]) for beta in cfg.betas]
-                    + [repr(r["mean"])]
-                )
-            )
-        csv_text = "\n".join(lines) + "\n"
+                table[(kap, eps)] = {"kappa": kap, "epsilon": eps, "laplace": lap, "mean": mean}
+                rows.append(table[(kap, eps)])
+        keys = ["kappa", "epsilon"]
+        # Laplace grows and the mean falls along either scale axis
+        sequences = [[table[(k, eps)] for k in sorted(kappas)] for eps in epsilons]
+        sequences += [[table[(kap, e)] for e in sorted(epsilons)] for kap in kappas]
         x_axis = list(range(len(rows)))
+    for seq in sequences:
+        for beta in cfg.betas:
+            ok = ok and _monotone([r["laplace"][beta] for r in seq], increasing=True)
+        ok = ok and _monotone([r["mean"] for r in seq], increasing=False)
+    csv_text = _sweep_csv(keys, rows, cfg.betas)
 
     doc = _stamp(
         {
@@ -410,7 +389,8 @@ def _cmd_sweep(chain, mask, cfg, digest, out_dir, spec, plots):
     return ok
 
 
-def _cmd_mc(chain, mask, cfg, digest, out_dir):
+def _cmd_mc(system, cfg, digest, out_dir):
+    chain = system.chain
     mc = cfg.mc
     start = mc.get("start", 0)
     if start == "pi":
@@ -422,18 +402,18 @@ def _cmd_mc(chain, mask, cfg, digest, out_dir):
         betas=cfg.betas,
         max_time=float(mc.get("max_time", 1e6)),
     )
-    samples = simulate_exit_times(chain, mask, config)
+    samples = simulate_exit_times(chain, system.mask, config)
     est = estimate_exit_functionals(samples, cfg.betas)
     if isinstance(start, list):
         weights = np.asarray(start)
     else:
         weights = np.zeros(chain.n_states)
         weights[int(start)] = 1.0
-    exact_mean = float(weights @ exit_mean(chain, mask))
+    exact_mean = float(weights @ system.mean())
     ok = abs(est.mean[0] - exact_mean) <= 3 * est.mean[1] + 1e-12
     checks = {"mean": {"mc": est.mean[0], "se": est.mean[1], "exact": exact_mean}}
     for beta in cfg.betas:
-        exact_lap = float(weights @ exit_laplace(chain, mask, beta))
+        exact_lap = float(weights @ system.laplace(beta))
         mc_lap, se = est.laplace[beta]
         ok = ok and abs(mc_lap - exact_lap) <= 3 * se + 1e-12
         checks[f"laplace_beta_{beta!r}"] = {"mc": mc_lap, "se": se, "exact": exact_lap}
@@ -495,13 +475,13 @@ def run(cfg: ExperimentConfig, digest: str, out_dir: Path, plots: bool = False) 
     """Execute the configured commands; 0 iff every requested check passed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     chain, spec = _build_model(cfg)
-    mask = _domain_mask(cfg, chain, spec)
+    system = DomainSystem(chain, _domain_mask(cfg, chain, spec))
     statuses = {}
     for cmd in cfg.commands:
         if cmd == "sweep":
-            statuses[cmd] = _cmd_sweep(chain, mask, cfg, digest, out_dir, spec, plots)
+            statuses[cmd] = _cmd_sweep(system, cfg, digest, out_dir, plots)
         else:
-            statuses[cmd] = _DISPATCH[cmd](chain, mask, cfg, digest, out_dir)
+            statuses[cmd] = _DISPATCH[cmd](system, cfg, digest, out_dir)
     overall = all(statuses.values())
     summary = _stamp({"commands": statuses, "passed": overall}, digest)
     (out_dir / "run_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

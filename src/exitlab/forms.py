@@ -26,7 +26,6 @@ __all__ = [
     "Chain",
     "FormView",
     "ValidationReport",
-    "weighted_inner",
     "dual_generator",
     "form_matrix",
     "eval_form",
@@ -48,11 +47,6 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
-
-
-def weighted_inner(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
-    """Inner product sum_x weights[x] f[x] g[x]."""
-    return float(np.sum(weights * f * g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +114,6 @@ class Generator:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def killing_rates(self) -> np.ndarray:
-        """Nonnegative defect -row sums (exit mass not routed to a state)."""
-        return -self.matrix.sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,14 +307,13 @@ def validate_assumption_a(chain: Chain, beta_probe: float) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class FormView:
-    """The shifted form of a chain: matrix, dual, lower bound, sector bound."""
+    """The shifted form of a chain: matrix, dual generator, lower bound."""
 
     chain: Chain
     beta: float
     primal_matrix: np.ndarray
     dual_generator: Generator
     beta0: float
-    sector_constant: float
 
     def __post_init__(self):
         if self.beta < 0:
@@ -336,7 +325,8 @@ def form_view(chain: Chain, beta: float) -> FormView:
     """Assemble the shifted form E_beta together with its dual generator.
 
     Verifies the adjoint identity Q^T M = M Q~ to 1e-12 (it holds by
-    construction; the check guards against accidental mutation).
+    construction; the check guards against accidental mutation). The
+    sector constant is a diagnostic of validate_assumption_a only.
     """
     dual = dual_generator(chain)
     m = chain.mu
@@ -345,14 +335,12 @@ def form_view(chain: Chain, beta: float) -> FormView:
     scale = max(1.0, np.abs(lhs).max())
     if np.abs(lhs - rhs).max() > STRUCTURAL_TOL * scale:
         raise AssertionError("dual generator fails the adjoint identity")
-    report = validate_assumption_a(chain, beta_probe=beta)
     return FormView(
         chain=chain,
         beta=float(beta),
         primal_matrix=form_matrix(chain, beta),
         dual_generator=dual,
-        beta0=report.beta0_estimate,
-        sector_constant=report.sector_constant,
+        beta0=_beta0_estimate(chain),
     )
 
 

@@ -2,18 +2,15 @@
 
 Holding times are exponential at the total outflow rate (killing defect
 included); jumps are categorical. Every path owns a counter-based random
-stream keyed by (seed, path index), so serial and parallel runs produce
-bit-identical samples and results are reduced in path order. Paths that
-have not exited by the censoring horizon are recorded at the horizon with
-a censor flag.
+stream keyed by (seed, path index), so a path's sample does not depend on
+how many paths run beside it. Paths that have not exited by the censoring
+horizon are recorded at the horizon with a censor flag.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +24,10 @@ __all__ = [
     "McEstimate",
     "simulate_exit_times",
     "estimate_exit_functionals",
-    "worker_count",
 ]
 
 HEAVY_TAIL_TOP_FRACTION = 0.01
 HEAVY_TAIL_MASS_LIMIT = 0.20
-
-
-def worker_count() -> int:
-    """Thread cap from EXITLAB_THREADS, defaulting to serial."""
-    try:
-        return max(1, int(os.environ.get("EXITLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +83,19 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_block(dyn, config: McConfig, lo: int, hi: int):
+def _simulate_paths(dyn, config: McConfig):
     (inside, exit_rate, cum_prob, targets, start_state, start_cum) = dyn
-    taus = np.empty(hi - lo)
-    cens = np.zeros(hi - lo, dtype=bool)
+    taus = np.empty(config.n_paths)
+    cens = np.zeros(config.n_paths, dtype=bool)
     off_start = False
-    for p in range(lo, hi):
+    for p in range(config.n_paths):
         rng = _path_rng(config.seed, p)
         if start_state is not None:
             x = start_state
         else:
             x = int(np.searchsorted(start_cum, rng.random(), side="right"))
         if not inside[x]:
-            taus[p - lo] = 0.0
+            taus[p] = 0.0
             off_start = True
             continue
         t = 0.0
@@ -115,19 +103,19 @@ def _simulate_block(dyn, config: McConfig, lo: int, hi: int):
             q = exit_rate[x]
             if q <= 0.0:
                 # absorbing inside state: never exits
-                taus[p - lo] = config.max_time
-                cens[p - lo] = True
+                taus[p] = config.max_time
+                cens[p] = True
                 break
             t += rng.exponential(1.0 / q)
             if t > config.max_time:
-                taus[p - lo] = config.max_time
-                cens[p - lo] = True
+                taus[p] = config.max_time
+                cens[p] = True
                 break
             r = rng.random()
             j = int(np.searchsorted(cum_prob[x], r, side="right"))
             nxt = targets[x][j] if j < len(targets[x]) else -1
             if nxt < 0 or not inside[nxt]:
-                taus[p - lo] = t
+                taus[p] = t
                 break
             x = nxt
     return taus, cens, off_start
@@ -136,9 +124,9 @@ def _simulate_block(dyn, config: McConfig, lo: int, hi: int):
 def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> ExitSamples:
     """Simulate exit times of n_paths independent trajectories.
 
-    Deterministic given the seed, independent of thread count. A start
-    outside the domain yields zero samples and sets the flag instead of
-    raising.
+    Deterministic given the seed; the first k paths do not depend on
+    n_paths. A start outside the domain yields zero samples and sets the
+    flag instead of raising.
     """
     n = chain.n_states
     q = chain.q
@@ -178,22 +166,7 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
         start_cum[-1] = 1.0
 
     dyn = (mask.inside, exit_rate, cum_prob, targets, start_state, start_cum)
-    workers = worker_count()
-    n_paths = config.n_paths
-    if workers == 1 or n_paths < 2 * workers:
-        taus, cens, off = _simulate_block(dyn, config, 0, n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _simulate_block(dyn, config, se[0], se[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        taus = np.concatenate([p[0] for p in parts])
-        cens = np.concatenate([p[1] for p in parts])
-        off = any(p[2] for p in parts)
+    taus, cens, off = _simulate_paths(dyn, config)
     return ExitSamples(taus, cens, start_off_domain=off)
 
 

@@ -16,13 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from ._linalg import SingularSystemError, solve_refined
-from .defaults import SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _freeze, _json_float, dual_generator
+from ._linalg import RefinedLU, SingularSystemError
+from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
+from .forms import Chain, _as_vector, _freeze, _json_float
 
 __all__ = [
     "DomainMask",
@@ -115,24 +118,152 @@ def _restrict_source(mask: DomainMask, xi, n_states: int) -> np.ndarray:
     )
 
 
-def _check_exit_possible(chain: Chain, mask: DomainMask) -> None:
-    if mask.is_full() and chain.is_conservative():
-        raise ExitImpossibleError(
-            "domain covers every state of a conservative generator; "
-            "the exit time is infinite"
+def _symmetrized(q_d: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
+    """M^{1/2} (-L_D) M^{-1/2} for a reversible chain, symmetrized."""
+    root = np.sqrt(mu_d)
+    b = -(q_d * (root[:, None] / root[None, :]))
+    return (b + b.T) / 2.0
+
+
+class Dirichlet(NamedTuple):
+    """Bottom of the Dirichlet spectrum: lambda0, its eigenfunction phi (zero
+    outside, <phi, phi>_mu = 1, <phi, 1>_mu >= 0), and the number of
+    eigenvalues within COMPARISON_RTOL of lambda0."""
+
+    lambda0: float
+    phi: np.ndarray
+    multiplicity: int
+
+
+@dataclass(frozen=True, eq=False)
+class DomainSystem:
+    """The restricted system (s*I - Q_D) u = xi of one chain and domain.
+
+    Package-internal. Computes Q_D, mu_D, reversibility and whether exit
+    is possible at most once, on first use. Caches, per instance, the
+    solution of (s*I - Q_D) u = 1 for each shift s asked for and one
+    Dirichlet eigendecomposition; LU factors never outlive their solve.
+    Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
+    1 + beta*u_{-beta}.
+    """
+
+    chain: Chain
+    mask: DomainMask
+    _ones: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def q_d(self) -> np.ndarray:
+        return self.chain.q[np.ix_(self.mask.indices, self.mask.indices)]
+
+    @cached_property
+    def mu_d(self) -> np.ndarray:
+        return self.chain.mu[self.mask.indices]
+
+    @cached_property
+    def reversible(self) -> bool:
+        return self.chain.is_reversible()
+
+    @cached_property
+    def exit_possible(self) -> bool:
+        return not (self.mask.is_full() and self.chain.is_conservative())
+
+    def _require_exit(self) -> None:
+        if not self.exit_possible:
+            raise ExitImpossibleError(
+                "domain covers every state of a conservative generator; "
+                "the exit time is infinite"
+            )
+
+    def solve(self, shift: float, xi_d: np.ndarray, sides=("primal",)) -> tuple:
+        """One LU of shift*I - Q_D, then one refined solve per requested side.
+
+        The dual side solves the adjoint restriction through the transposed
+        factors: (shift*I - Q_D)^T (M_D u~) = M_D xi.
+        """
+        if not set(sides) <= {"primal", "dual"}:
+            raise ValueError(f"side must be 'primal' or 'dual', got {sides!r}")
+        a = shift * np.eye(self.mask.size) - self.q_d
+        lu = RefinedLU(a, f"restricted solve (beta={shift:g})")
+        return tuple(
+            lu.solve(xi_d) if side == "primal"
+            else lu.solve(self.mu_d * xi_d, trans=True) / self.mu_d
+            for side in sides
         )
 
+    def resolvent_one(self, shift: float) -> np.ndarray:
+        """Cached solution of (shift*I - Q_D) u = 1 on the inside states."""
+        if shift not in self._ones:
+            (u,) = self.solve(shift, np.ones(self.mask.size))
+            u.setflags(write=False)  # shared by every functional that reads this shift
+            self._ones[shift] = u
+        return self._ones[shift]
 
-def restricted_generator(chain: Chain, mask: DomainMask, side: str = "primal") -> np.ndarray:
-    """Sub-matrix of the generator (or of its dual) on inside states."""
-    if side == "primal":
-        q = chain.q
-    elif side == "dual":
-        q = dual_generator(chain).matrix
-    else:
-        raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-    idx = mask.indices
-    return q[np.ix_(idx, idx)]
+    def laplace(self, beta: float) -> np.ndarray:
+        if beta <= 0:
+            raise ValueError("exit_laplace needs beta > 0")
+        self._require_exit()
+        lap = 1.0 - beta * self.resolvent_one(beta)
+        if lap.min() < -STRUCTURAL_TOL or lap.max() > 1.0 + STRUCTURAL_TOL:
+            raise AssertionError("Laplace transform left [0, 1] beyond tolerance")
+        return embed(self.mask, np.clip(lap, 0.0, 1.0), fill=1.0)
+
+    def mean(self) -> np.ndarray:
+        self._require_exit()
+        try:
+            m = self.resolvent_one(0.0)
+        except SingularSystemError as err:
+            raise RecurrentRestrictionError(
+                "restricted generator is singular: exit from the domain is not "
+                "almost sure (recurrent restriction)",
+                cond_estimate=err.cond_estimate,
+            ) from err
+        if m.min() < -STRUCTURAL_TOL:
+            raise AssertionError("mean exit time turned negative beyond tolerance")
+        return embed(self.mask, np.maximum(m, 0.0), fill=0.0)
+
+    def exp_moment(self, beta: float, lambda0: float) -> np.ndarray:
+        if beta <= 0:
+            raise ValueError("exit_exp_moment needs beta > 0")
+        if not self.reversible:
+            raise NonReversibleError("exponential moments need a reversible chain")
+        self._require_exit()
+        if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
+            return embed(self.mask, np.full(self.mask.size, np.inf), fill=1.0)
+        return embed(self.mask, 1.0 + beta * self.resolvent_one(-beta), fill=1.0)
+
+    def functionals(self, beta: float, xi=None, lambda0: float | None = None) -> ExitFunctionals:
+        if beta <= 0:
+            raise ValueError("exit_functionals needs beta > 0")
+        xi_d = 1.0 if xi is None else _restrict_source(self.mask, xi, self.chain.n_states)
+        laplace = self.laplace(beta)
+        # derive u_beta from the stored transform so the identity
+        # u_beta == (1 - laplace)/beta holds to the last bit even at tiny beta
+        u_beta = (1.0 - laplace) / beta
+        exp_m = None
+        if lambda0 is not None and self.reversible:
+            exp_m = self.exp_moment(beta, lambda0)
+        return ExitFunctionals(
+            beta=float(beta),
+            u_beta=u_beta,
+            laplace=laplace,
+            mean=self.mean(),
+            exp_moment=exp_m,
+            aggregate_mu=float(np.sum(self.mu_d * xi_d * u_beta[self.mask.indices])),
+        )
+
+    @cached_property
+    def dirichlet(self) -> Dirichlet:
+        if not self.reversible:
+            raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
+        lam, vec = scipy.linalg.eigh(_symmetrized(self.q_d, self.mu_d))
+        if lam[0] < -WEAK_IDENTITY_TOL:
+            raise AssertionError(f"Dirichlet eigenvalue turned negative: {lam[0]:.3e}")
+        phi = embed(self.mask, vec[:, 0] / np.sqrt(self.mu_d))
+        if float(np.sum(self.chain.mu * phi)) < 0:
+            phi = -phi + 0.0
+        phi.setflags(write=False)
+        gap = COMPARISON_RTOL * max(1.0, abs(lam[0]))
+        return Dirichlet(max(float(lam[0]), 0.0), phi, int(np.sum(lam <= lam[0] + gap)))
 
 
 def solve_poisson(chain: Chain, mask: DomainMask, beta: float, xi, side: str = "primal") -> np.ndarray:
@@ -149,23 +280,14 @@ def solve_poisson(chain: Chain, mask: DomainMask, beta: float, xi, side: str = "
     Raises SingularSystemError, with a condition estimate, when beta sits
     at a Dirichlet eigenvalue of the restriction.
     """
-    lom = restricted_generator(chain, mask, side)
     rhs = _restrict_source(mask, xi, chain.n_states)
-    a = beta * np.eye(mask.size) - lom
-    u, _cond = solve_refined(a, rhs, context=f"restricted {side} solve (beta={beta:g})")
+    (u,) = DomainSystem(chain, mask).solve(beta, rhs, (side,))
     return u
 
 
 def exit_laplace(chain: Chain, mask: DomainMask, beta: float) -> np.ndarray:
     """E_x[exp(-beta * exit time)] for every state; 1 outside the domain."""
-    if beta <= 0:
-        raise ValueError("exit_laplace needs beta > 0")
-    _check_exit_possible(chain, mask)
-    u = solve_poisson(chain, mask, beta, np.ones(mask.size))
-    lap = 1.0 - beta * u
-    if lap.min() < -STRUCTURAL_TOL or lap.max() > 1.0 + STRUCTURAL_TOL:
-        raise AssertionError("Laplace transform left [0, 1] beyond tolerance")
-    return embed(mask, np.clip(lap, 0.0, 1.0), fill=1.0)
+    return DomainSystem(chain, mask).laplace(beta)
 
 
 def exit_mean(chain: Chain, mask: DomainMask) -> np.ndarray:
@@ -174,18 +296,7 @@ def exit_mean(chain: Chain, mask: DomainMask) -> np.ndarray:
     Fails with RecurrentRestrictionError when the restriction is singular,
     i.e. some inside communicating class cannot exit.
     """
-    _check_exit_possible(chain, mask)
-    try:
-        m = solve_poisson(chain, mask, 0.0, np.ones(mask.size))
-    except SingularSystemError as err:
-        raise RecurrentRestrictionError(
-            "restricted generator is singular: exit from the domain is not "
-            "almost sure (recurrent restriction)",
-            cond_estimate=err.cond_estimate,
-        ) from err
-    if m.min() < -STRUCTURAL_TOL:
-        raise AssertionError("mean exit time turned negative beyond tolerance")
-    return embed(mask, np.maximum(m, 0.0), fill=0.0)
+    return DomainSystem(chain, mask).mean()
 
 
 def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> np.ndarray:
@@ -196,15 +307,7 @@ def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float, lambda0: float)
     within SPECTRAL_EDGE_MARGIN of it the moment is reported infinite.
     Outside the domain the exit time is 0 and the moment is 1.
     """
-    if beta <= 0:
-        raise ValueError("exit_exp_moment needs beta > 0")
-    if not chain.is_reversible():
-        raise NonReversibleError("exponential moments need a reversible chain")
-    _check_exit_possible(chain, mask)
-    if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
-        return embed(mask, np.full(mask.size, np.inf), fill=1.0)
-    v = solve_poisson(chain, mask, -beta, np.ones(mask.size))
-    return embed(mask, 1.0 + beta * v, fill=1.0)
+    return DomainSystem(chain, mask).exp_moment(beta, lambda0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,28 +387,4 @@ def exit_functionals(
     ``xi`` defaults to the indicator of the domain. The exponential moment
     is included when the chain is reversible and ``lambda0`` is supplied.
     """
-    if beta <= 0:
-        raise ValueError("exit_functionals needs beta > 0")
-    xi_d = (
-        np.ones(mask.size)
-        if xi is None
-        else _restrict_source(mask, xi, chain.n_states)
-    )
-    u_one = solve_poisson(chain, mask, beta, np.ones(mask.size))
-    laplace = embed(mask, np.clip(1.0 - beta * u_one, 0.0, 1.0), fill=1.0)
-    # derive u_beta from the stored transform so the identity
-    # u_beta == (1 - laplace)/beta holds to the last bit even at tiny beta
-    u_beta = (1.0 - laplace) / beta
-    mean = exit_mean(chain, mask)
-    exp_m = None
-    if lambda0 is not None and chain.is_reversible():
-        exp_m = exit_exp_moment(chain, mask, beta, lambda0)
-    mu_d = chain.mu[mask.indices]
-    return ExitFunctionals(
-        beta=float(beta),
-        u_beta=u_beta,
-        laplace=laplace,
-        mean=mean,
-        exp_moment=exp_m,
-        aggregate_mu=float(np.sum(mu_d * xi_d * u_beta[mask.indices])),
-    )
+    return DomainSystem(chain, mask).functionals(beta, xi, lambda0)

@@ -22,13 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
 from .forms import Chain, _as_vector, _freeze, _json_float
-from .poisson import (
-    DomainMask,
-    NonReversibleError,
-    exit_exp_moment,
-    exit_laplace,
-    exit_mean,
-)
+from .poisson import DomainMask, DomainSystem, NonReversibleError, _symmetrized
 
 __all__ = [
     "SpectralReport",
@@ -42,45 +36,14 @@ __all__ = [
 ]
 
 
-def _sym_restriction(chain: Chain, idx: np.ndarray) -> np.ndarray:
-    """M^{1/2} (-L_D) M^{-1/2} for a reversible chain, symmetrized."""
-    mu = chain.mu[idx]
-    lom = chain.q[np.ix_(idx, idx)]
-    root = np.sqrt(mu)
-    b = -(lom * (root[:, None] / root[None, :]))
-    return (b + b.T) / 2.0
-
-
 def dirichlet_pair(chain: Chain, mask: DomainMask):
     """Smallest eigenvalue of -L on the domain and its eigenfunction.
 
     Returns (lambda0, phi) with phi extended by zero, normalized to
     <phi, phi>_mu = 1, and signed so that <phi, 1>_mu >= 0.
     """
-    if not chain.is_reversible():
-        raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
-    idx = mask.indices
-    b = _sym_restriction(chain, idx)
-    lam, vec = scipy.linalg.eigh(b)
-    lam0 = float(lam[0])
-    if lam0 < -WEAK_IDENTITY_TOL:
-        raise AssertionError(f"Dirichlet eigenvalue turned negative: {lam0:.3e}")
-    lam0 = max(lam0, 0.0)
-    y = vec[:, 0]
-    phi_d = y / np.sqrt(chain.mu[idx])
-    full = np.zeros(chain.n_states)
-    full[idx] = phi_d
-    if float(np.sum(chain.mu * full)) < 0:
-        full = -full + 0.0
-    return lam0, full
-
-
-def dirichlet_multiplicity(chain: Chain, mask: DomainMask, rtol: float = COMPARISON_RTOL) -> int:
-    """Number of Dirichlet eigenvalues within relative rtol of the smallest."""
-    b = _sym_restriction(chain, mask.indices)
-    lam = scipy.linalg.eigh(b, eigvals_only=True)
-    gap = rtol * max(1.0, abs(lam[0]))
-    return int(np.sum(lam <= lam[0] + gap))
+    lam0, phi, _ = DomainSystem(chain, mask).dirichlet
+    return lam0, phi
 
 
 def spectral_gap(chain: Chain) -> float:
@@ -101,9 +64,7 @@ def spectral_gap(chain: Chain) -> float:
     n_comp, _ = connected_components(support, directed=False)
     if n_comp > 1:
         raise ValueError(f"chain is reducible ({n_comp} components); no unique invariant law")
-    full = DomainMask.full(chain.n_states)
-    b = _sym_restriction(chain, full.indices)
-    lam = scipy.linalg.eigh(b, eigvals_only=True)
+    lam = scipy.linalg.eigh(_symmetrized(chain.q, chain.mu), eigvals_only=True)
     if abs(lam[0]) > WEAK_IDENTITY_TOL:
         raise AssertionError(f"bottom eigenvalue of a conservative chain is {lam[0]:.3e}, not 0")
     return float(lam[1])
@@ -260,11 +221,17 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
     bound (needs lambda0 > 1), and Lyapunov variants when a function is
     supplied. Exact functionals come from the restricted solves.
     """
-    if not chain.is_reversible():
+    return bounds_ledger(DomainSystem(chain, mask), betas, lyapunov)
+
+
+def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
+    """bounds_report on a prepared domain system (shares its solves and eigensolve)."""
+    chain, mask = system.chain, system.mask
+    if not system.reversible:
         raise NonReversibleError("the bound ledger needs a reversible chain")
     if not chain.measure.normalized:
         raise ValueError("the bound ledger needs a normalized (probability) measure")
-    lam0, phi = dirichlet_pair(chain, mask)
+    lam0, phi, multiplicity = system.dirichlet
     mu = chain.mu
     pi_out = float(np.sum(mu[~mask.inside]))
     pi_phi = float(np.sum(mu * phi))
@@ -277,15 +244,15 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
         lam1_reason = str(err)
     delta = lyapunov_delta(chain, mask, lyapunov) if lyapunov is not None else None
 
-    mean_vec = exit_mean(chain, mask)
+    mean_vec = system.mean()
     mean_pi = float(np.sum(mu * mean_vec))
 
     entries: list[BoundEntry] = []
     for beta in betas:
         beta = float(beta)
-        below_edge = beta < lam0 - SPECTRAL_EDGE_MARGIN
-        if below_edge:
-            exp_pi = float(np.sum(mu * exit_exp_moment(chain, mask, beta, lam0)))
+        # +inf at or past the edge; below it, one cached solve serves every entry
+        exp_pi = float(np.sum(mu * system.exp_moment(beta, lam0)))
+        if beta < lam0 - SPECTRAL_EDGE_MARGIN:
             entries.append(
                 _checked("exp_moment_upper_lambda0", beta, exp_pi, 1 + beta / (lam0 - beta), +1)
             )
@@ -299,7 +266,6 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
                 )
             )
         else:
-            exp_pi = None
             entries.append(_skipped("exp_moment_upper_lambda0", beta, "beta >= lambda0"))
             entries.append(_skipped("exp_moment_lower_eigenfunction", beta, "beta >= lambda0"))
         if lam1 is None:
@@ -311,14 +277,12 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
                 _skipped("exp_moment_upper_gap", beta, "beta >= lambda1 * pi(complement)")
             )
         else:
-            if exp_pi is None:
-                exp_pi = float(np.sum(mu * exit_exp_moment(chain, mask, beta, lam0)))
             entries.append(
                 _checked(
                     "exp_moment_upper_gap", beta, exp_pi, 1 + beta / (lam1 * pi_out - beta), +1
                 )
             )
-        lap_pi = float(np.sum(mu * exit_laplace(chain, mask, beta)))
+        lap_pi = float(np.sum(mu * system.laplace(beta)))
         entries.append(
             _checked("laplace_lower_lambda0", beta, lap_pi, 1 - beta / (lam0 + beta), -1)
         )
@@ -329,10 +293,9 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
         )
         if delta is not None:
             if beta < delta - SPECTRAL_EDGE_MARGIN:
-                exp_pi_l = float(np.sum(mu * exit_exp_moment(chain, mask, beta, lam0)))
                 entries.append(
                     _checked(
-                        "exp_moment_upper_lyapunov", beta, exp_pi_l, 1 + beta / (delta - beta), +1
+                        "exp_moment_upper_lyapunov", beta, exp_pi, 1 + beta / (delta - beta), +1
                     )
                 )
             else:
@@ -353,8 +316,8 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
     else:
         entries.append(_checked("lambda0_vs_gap", None, lam0, lam1 * pi_out, -1))
     if lam0 > 1.0 + SPECTRAL_EDGE_MARGIN:
-        exp_one = float(np.sum(mu * exit_exp_moment(chain, mask, 1.0, lam0)))
-        lap_one = float(np.sum(mu * exit_laplace(chain, mask, 1.0)))
+        exp_one = float(np.sum(mu * system.exp_moment(1.0, lam0)))
+        lap_one = float(np.sum(mu * system.laplace(1.0)))
         entries.append(
             _checked(
                 "odd_moment_series",
@@ -378,6 +341,6 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
         "pi_phi": pi_phi,
         "pi_phi_sq": pi_phi2,
         "lyapunov_delta": delta,
-        "lambda0_multiplicity": dirichlet_multiplicity(chain, mask),
+        "lambda0_multiplicity": multiplicity,
     }
     return BoundLedger(entries=tuple(entries), meta=meta)

@@ -30,7 +30,7 @@ from .defaults import (
     STRUCTURAL_TOL,
 )
 from .forms import FormView, Measure, _as_vector, _freeze
-from .poisson import DomainMask, NonReversibleError, _restrict_source, embed, solve_poisson
+from .poisson import DomainMask, DomainSystem, NonReversibleError, _restrict_source, embed
 
 __all__ = [
     "SaddleSolution",
@@ -149,9 +149,10 @@ def _stationarity(a, c, f_d, g_d):
 def saddle_value(view: FormView, mask: DomainMask, xi, mode: str = "closed_form") -> SaddleSolution:
     """Evaluate the constrained inf-sup of the shifted form.
 
-    mode="closed_form" solves the primal and dual restricted systems,
-    returns 1 / <xi, u>_mu, builds the optimizing pair, and verifies both
-    one-sided saddle inequalities on random admissible perturbations.
+    mode="closed_form" solves the primal and dual restricted systems from
+    one LU (the dual through the transposed factors), returns
+    1 / <xi, u>_mu, builds the optimizing pair, and verifies both one-sided
+    saddle inequalities on random admissible perturbations.
 
     mode="iterative" never touches the resolvent: the inner supremum over
     {<xi,g>_mu = 0} is a concave quadratic maximized through its KKT
@@ -163,8 +164,7 @@ def saddle_value(view: FormView, mask: DomainMask, xi, mode: str = "closed_form"
     m = idx.shape[0]
     if mode == "closed_form":
         chain = view.chain
-        u_d = solve_poisson(chain, mask, view.beta, xi_d, side="primal")
-        ut_d = solve_poisson(chain, mask, view.beta, xi_d, side="dual")
+        u_d, ut_d = DomainSystem(chain, mask).solve(view.beta, xi_d, ("primal", "dual"))
         f_full, g_full = construct_optimizers(
             embed(mask, u_d), embed(mask, ut_d), embed(mask, xi_d), chain.measure
         )

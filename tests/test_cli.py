@@ -2,6 +2,8 @@ import csv
 import json
 import re
 
+import numpy as np
+
 from exitlab.cli import main
 
 
@@ -219,3 +221,42 @@ def test_box_domain_on_grid(tmp_path):
     means = doc["exit_functionals"]["1.0"]["mean"]
     # three interior points of (0.25, 0.75); outside states report zero
     assert sum(1 for m in means if m > 0) == 3
+
+
+def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch):
+    # complete graph on 4 states, domain {0, 1}: -L_D has eigenvalues 2 and 4
+    import scipy.linalg
+
+    import exitlab.poisson
+
+    factored, dirichlet_eighs = [], []
+
+    class CountingLU(exitlab.poisson.RefinedLU):
+        def __init__(self, a, context="solve"):
+            factored.append(float(a[0, 0]) - 3.0)  # a = shift*I - Q_D, Q_D[0, 0] = -3
+            super().__init__(a, context)
+
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a) == (2, 2):
+            dirichlet_eighs.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(exitlab.poisson, "RefinedLU", CountingLU)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    cfg = {
+        "model": {"builder": "complete_graph", "params": {"n": 4, "rate": 1.0}},
+        "omega": [0, 1],
+        "betas": [0.25, 0.5],
+        "commands": ["validate", "exit", "variational", "expmoment", "bounds"],
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    assert len(dirichlet_eighs) == 1
+    # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
+    # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
+    # LU per beta for its primal and adjoint solves
+    distinct = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
+    assert sorted(factored) == sorted(distinct + [0.25, 0.5])

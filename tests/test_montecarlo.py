@@ -39,14 +39,17 @@ def test_fixed_seed_is_bit_identical():
     assert est_a.laplace == est_b.laplace
 
 
-def test_thread_count_does_not_change_samples(monkeypatch):
+def test_path_prefix_does_not_depend_on_path_count():
+    # each path draws from its own (seed, path index) stream, so the first k
+    # paths of an n-path run are the k-path run
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    config = McConfig(n_paths=5000, seed=7, start=0, betas=())
-    serial = simulate_exit_times(chain, mask, config)
-    monkeypatch.setenv("EXITLAB_THREADS", "4")
-    threaded = simulate_exit_times(chain, mask, config)
-    assert np.array_equal(serial.tau, threaded.tau)
+    start = chain.mu.tolist()
+    short = simulate_exit_times(chain, mask, McConfig(n_paths=300, seed=7, start=start))
+    full = simulate_exit_times(chain, mask, McConfig(n_paths=5000, seed=7, start=start))
+    assert np.array_equal(full.tau[:300], short.tau)
+    assert np.array_equal(full.censored[:300], short.censored)
+    assert not np.array_equal(full.tau[300:600], short.tau)
 
 
 def test_three_state_mean_from_state_zero():

@@ -9,6 +9,7 @@ from exitlab import (
     RecurrentRestrictionError,
     complete_graph,
     dirichlet_pair,
+    dual_generator,
     eval_form,
     exit_exp_moment,
     exit_functionals,
@@ -80,6 +81,12 @@ def test_primal_dual_pairing_identity(rng):
         xi = rng.uniform(0.2, 1.0, mask.size)
         u = solve_poisson(chain, mask, beta, xi)
         ut = solve_poisson(chain, mask, beta, xi, side="dual")
+        # the dual comes from the transposed primal factors; pin it against
+        # an explicit solve with the restricted dual generator M^{-1} Q^T M
+        idx = mask.indices
+        dual_d = dual_generator(chain).matrix[np.ix_(idx, idx)]
+        ut_ref = np.linalg.solve(beta * np.eye(mask.size) - dual_d, xi)
+        np.testing.assert_allclose(ut, ut_ref, rtol=1e-12, atol=0)
         mu_d = chain.mu[mask.indices]
         pair_u = float(np.sum(mu_d * xi * u))
         pair_ut = float(np.sum(mu_d * xi * ut))

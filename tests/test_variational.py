@@ -251,3 +251,25 @@ def test_saddle_solution_serializes(rng):
     assert doc["method"] == "closed_form"
     assert len(doc["f_star"]) == 2
     assert "sampled_check_violation" in doc["residuals"]
+
+
+def test_iterative_mode_never_touches_the_resolvent(rng, monkeypatch):
+    import exitlab.poisson
+    import exitlab.variational
+
+    chain = random_nonsymmetric_chain(rng, 7)
+    mask = random_proper_mask(rng, 7)
+    xi = rng.uniform(0.2, 1.0, mask.size)
+    view = form_view(chain, 0.8)
+    closed = saddle_value(view, mask, xi, mode="closed_form")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nested-KKT route reached a restricted resolvent solve")
+
+    for name in ("DomainSystem", "RefinedLU", "solve_poisson"):
+        monkeypatch.setattr(exitlab.poisson, name, refuse)
+    monkeypatch.setattr(exitlab.variational, "DomainSystem", refuse)
+    with pytest.raises(AssertionError, match="resolvent"):
+        saddle_value(view, mask, xi, mode="closed_form")
+    iterative = saddle_value(view, mask, xi, mode="iterative")
+    assert iterative.value == pytest.approx(closed.value, rel=1e-9)
