@@ -1,20 +1,24 @@
 """Path simulation to exit, as a stochastic cross-check of the exact solves.
 
 Holding times are exponential at the total outflow rate (killing defect
-included); jumps are categorical. Every path owns a counter-based random
-stream keyed by (seed, path index), so a path's sample does not depend on
-how many paths run beside it. Paths that have not exited by the censoring
-horizon are recorded at the horizon with a censor flag.
+included); jumps are categorical. Paths run in lockstep blocks of BLOCK:
+block b draws each step's exponentials and uniforms, the full block wide,
+from a counter-based Philox stream keyed by (seed, b), and path i reads
+column i mod BLOCK, so its sample depends only on (seed, i), not on how many
+paths run beside it. A path still inside after HORIZON lockstep steps
+finishes alone on its own stream keyed by (seed, i | 2**63), so a few slow
+paths do not keep a whole block drawing. Paths that have not exited by the
+censoring time max_time are recorded at max_time with a censor flag.
 """
 from __future__ import annotations
 
-import csv
-import io
+import bisect
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import STRUCTURAL_TOL
 from .forms import Chain, _freeze
 from .poisson import DomainMask
 
@@ -28,6 +32,13 @@ __all__ = [
 
 HEAVY_TAIL_TOP_FRACTION = 0.01
 HEAVY_TAIL_MASS_LIMIT = 0.20
+
+# Paths stepped together on one (seed, block index) stream.
+BLOCK = 8192
+# Lockstep steps per block; a path still inside after them finishes alone.
+HORIZON = 256
+# Marks a straggler's (seed, path index) key, so it never equals a block key.
+_STRAGGLER_BIT = 1 << 63
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,56 +79,134 @@ class ExitSamples:
         return self.tau.shape[0]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["path", "tau", "censored"])
-        for i in range(self.n_paths):
-            writer.writerow([i, repr(float(self.tau[i])), int(self.censored[i])])
-        return buf.getvalue()
+        # joined a block of paths at a time, so only one block's row strings
+        # are alive at once
+        parts = ["path,tau,censored\n"]
+        for lo in range(0, self.n_paths, BLOCK):
+            tau = self.tau[lo : lo + BLOCK].tolist()
+            cens = self.censored[lo : lo + BLOCK].tolist()
+            parts.append("".join(f"{i},{t!r},{c:d}\n" for i, t, c in zip(range(lo, lo + BLOCK), tau, cens)))
+        return "".join(parts)
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)], dtype=np.uint64
-    )
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_paths(dyn, config: McConfig):
-    (inside, exit_rate, cum_prob, targets, start_state, start_cum) = dyn
-    taus = np.empty(config.n_paths)
-    cens = np.zeros(config.n_paths, dtype=bool)
-    off_start = False
-    for p in range(config.n_paths):
-        rng = _path_rng(config.seed, p)
-        if start_state is not None:
-            x = start_state
-        else:
-            x = int(np.searchsorted(start_cum, rng.random(), side="right"))
-        if not inside[x]:
-            taus[p] = 0.0
-            off_start = True
-            continue
-        t = 0.0
+@dataclass(frozen=True)
+class _JumpTable:
+    """Flat CSR jump table: row x holds the keys ``x + cumprob`` of its
+    branches and their targets, -1 for the killing branch. ``inside`` has
+    one more entry, False, so ``inside[-1]`` reads the cemetery."""
+
+    inv_rate: np.ndarray
+    keys: np.ndarray
+    targets: np.ndarray
+    last: np.ndarray
+    inside: np.ndarray
+
+
+def _jump_table(q: np.ndarray, inside: np.ndarray) -> _JumpTable:
+    n = q.shape[0]
+    rate = -np.diag(q)
+    kill = -q.sum(axis=1)
+    # a killing rate within rounding noise of the row's scale is no branch
+    kill = np.where(kill > STRUCTURAL_TOL * np.abs(rate), kill, 0.0)
+    w = np.hstack([q, kill[:, None]])
+    w[np.arange(n), np.arange(n)] = 0.0
+    # validation admits off-diagonal rates that are negative rounding noise
+    w[w < 0.0] = 0.0
+    # a state that cannot move gets one (never taken) branch, so no row is empty
+    w[rate <= 0.0, n] = 1.0
+    rows, cols = np.nonzero(w > 0.0)
+    np.cumsum(w, axis=1, out=w)
+    keys = rows + w[rows, cols] / np.where(rate > 0.0, rate, 1.0)[rows]
+    last = np.cumsum(np.bincount(rows, minlength=n)) - 1
+    # row x ends at exactly x + 1, so every draw x + u with u < 1 lands in it
+    keys[last] = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv_rate = 1.0 / np.where(rate > 0.0, rate, 0.0)
+    return _JumpTable(
+        inv_rate=inv_rate,
+        keys=keys,
+        targets=np.where(cols == n, -1, cols),
+        last=last,
+        inside=np.append(inside, False),
+    )
+
+
+def _lockstep_block(rng, x, tau, cens, table: _JumpTable, max_time: float):
+    """Step the paths of one block together for up to HORIZON steps.
+
+    ``x`` holds each column's start state; finished paths are written into
+    ``tau`` and ``cens``. Every step draws the full block width, so a
+    column's draws do not depend on which columns still live. Returns the
+    columns still inside, with their states and times.
+    """
+    live = np.flatnonzero(table.inside[x])
+    x, t = x[live], np.zeros(live.size)
+    e = np.empty(BLOCK)
+    u = np.empty(BLOCK)
+    for _ in range(HORIZON):
+        if live.size == 0:
+            break
+        rng.standard_exponential(out=e)
+        rng.random(out=u)
+        t = t + e[live] * table.inv_rate[x]
+        j = np.searchsorted(table.keys, x + u[live], side="right")
+        x = table.targets[np.minimum(j, table.last[x])]
+        over = ~(t <= max_time)
+        done = over | ~table.inside[x]
+        if done.any():
+            cols = live[done]
+            tau[cols] = np.where(over[done], max_time, t[done])
+            cens[cols] = over[done]
+            keep = ~done
+            live, x, t = live[keep], x[keep], t[keep]
+    return live, x, t
+
+
+def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float):
+    """Run each path past the lockstep horizon on its own stream, in chunks
+    of HORIZON exponentials then HORIZON uniforms; returns (tau, censored)
+    per path."""
+    keys = table.keys.tolist()
+    targets, last = table.targets.tolist(), table.last.tolist()
+    inv_rate, inside = table.inv_rate.tolist(), table.inside.tolist()
+
+    def finish(rng, x, t):
         while True:
-            q = exit_rate[x]
-            if q <= 0.0:
-                # absorbing inside state: never exits
-                taus[p] = config.max_time
-                cens[p] = True
-                break
-            t += rng.exponential(1.0 / q)
-            if t > config.max_time:
-                taus[p] = config.max_time
-                cens[p] = True
-                break
-            r = rng.random()
-            j = int(np.searchsorted(cum_prob[x], r, side="right"))
-            nxt = targets[x][j] if j < len(targets[x]) else -1
-            if nxt < 0 or not inside[nxt]:
-                taus[p] = t
-                break
-            x = nxt
+            for e, u in zip(rng.standard_exponential(HORIZON).tolist(), rng.random(HORIZON).tolist()):
+                t += e * inv_rate[x]
+                if not t <= max_time:
+                    return max_time, True
+                x = targets[min(bisect.bisect_right(keys, x + u), last[x])]
+                if not inside[x]:
+                    return t, False
+
+    return [finish(_philox(seed, p | _STRAGGLER_BIT), x, t) for p, x, t in zip(paths, xs, ts)]
+
+
+def _simulate_paths(table: _JumpTable, start_state, start_cum, config: McConfig):
+    n_paths = config.n_paths
+    taus = np.zeros(n_paths)
+    cens = np.zeros(n_paths, dtype=bool)
+    off_start = False
+    for lo in range(0, n_paths, BLOCK):
+        hi = min(lo + BLOCK, n_paths)
+        rng = _philox(config.seed, lo // BLOCK)
+        if start_state is None:
+            x = np.searchsorted(start_cum, rng.random(BLOCK)[: hi - lo], side="right")
+        else:
+            x = np.full(hi - lo, start_state)
+        off_start = off_start or not table.inside[x].all()
+        live, x, t = _lockstep_block(rng, x, taus[lo:hi], cens[lo:hi], table, config.max_time)
+        if live.size:
+            paths = (lo + live).tolist()
+            finished = _finish_paths(config.seed, paths, x.tolist(), t.tolist(), table, config.max_time)
+            for path, (tau, censored) in zip(paths, finished):
+                taus[path], cens[path] = tau, censored
     return taus, cens, off_start
 
 
@@ -129,29 +218,6 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
     flag instead of raising.
     """
     n = chain.n_states
-    q = chain.q
-    exit_rate = -np.diag(q)
-    targets = []
-    cum_prob = []
-    for x in range(n):
-        rates = q[x].copy()
-        rates[x] = 0.0
-        kill = max(0.0, -q[x].sum())
-        tgt = list(np.flatnonzero(rates > 0))
-        vals = [rates[j] for j in tgt]
-        if kill > 0:
-            tgt.append(-1)
-            vals.append(kill)
-        total = exit_rate[x]
-        if total > 0:
-            cp = np.cumsum(np.asarray(vals) / total)
-            cp[-1] = 1.0
-        else:
-            cp = np.array([1.0])
-            tgt = [-1]
-        targets.append(tgt)
-        cum_prob.append(cp)
-
     if np.isscalar(config.start) or isinstance(config.start, (int, np.integer)):
         start_state = int(config.start)
         if not 0 <= start_state < n:
@@ -165,8 +231,8 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
         start_cum = np.cumsum(dist)
         start_cum[-1] = 1.0
 
-    dyn = (mask.inside, exit_rate, cum_prob, targets, start_state, start_cum)
-    taus, cens, off = _simulate_paths(dyn, config)
+    table = _jump_table(chain.q, mask.inside)
+    taus, cens, off = _simulate_paths(table, start_state, start_cum, config)
     return ExitSamples(taus, cens, start_off_domain=off)
 
 

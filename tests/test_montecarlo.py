@@ -9,8 +9,33 @@ from exitlab import (
     exit_mean,
     simulate_exit_times,
 )
-from exitlab.montecarlo import ExitSamples
-from conftest import single_state_chain
+from exitlab import montecarlo
+from exitlab.montecarlo import BLOCK, HORIZON, ExitSamples
+from conftest import make_chain, random_reversible_chain, single_state_chain, two_state_killed_chain
+
+
+def metastable_chain():
+    """Leaves {0, 1, 2} from 0 at once, except that one path in 500 falls
+    into the 1 <-> 2 trap and jumps about 2000 times before it exits."""
+    q = np.zeros((4, 4))
+    for (i, j), r in {(0, 1): 2e-3, (0, 3): 1.0, (1, 2): 1.0, (2, 1): 1.0, (2, 3): 1e-3, (3, 0): 1.0}.items():
+        q[i, j] = r
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return make_chain(q, np.ones(4)), DomainMask.from_states([0, 1, 2], 4)
+
+
+@pytest.fixture
+def stragglers(monkeypatch):
+    """Collects the paths that run past the lockstep horizon."""
+    seen = []
+    finish = montecarlo._finish_paths
+
+    def recording(seed, paths, *args):
+        seen.extend(paths)
+        return finish(seed, paths, *args)
+
+    monkeypatch.setattr(montecarlo, "_finish_paths", recording)
+    return seen
 
 
 def test_single_state_mean_and_laplace():
@@ -50,6 +75,97 @@ def test_path_prefix_does_not_depend_on_path_count():
     assert np.array_equal(full.tau[:300], short.tau)
     assert np.array_equal(full.censored[:300], short.censored)
     assert not np.array_equal(full.tau[300:600], short.tau)
+
+
+def test_path_prefix_holds_across_a_block_boundary():
+    chain = complete_graph(3, 1.0)
+    mask = DomainMask.from_states([0, 1], 3)
+    short = simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK + 300, seed=7, start=0))
+    full = simulate_exit_times(chain, mask, McConfig(n_paths=2 * BLOCK + 7, seed=7, start=0))
+    assert np.array_equal(full.tau[: BLOCK + 300], short.tau)
+    assert np.array_equal(full.censored[: BLOCK + 300], short.censored)
+    # the second block has a stream of its own
+    assert not np.array_equal(full.tau[BLOCK : 2 * BLOCK], full.tau[:BLOCK])
+
+
+def test_metastable_mean_and_prefix_past_the_horizon(stragglers):
+    chain, mask = metastable_chain()
+    full = simulate_exit_times(chain, mask, McConfig(n_paths=20_000, seed=5, start=0))
+    est = estimate_exit_functionals(full, ())
+    exact = exit_mean(chain, mask)[0]
+    assert abs(est.mean[0] - exact) <= 3 * est.mean[1]
+
+    k = BLOCK + 3000
+    stragglers.clear()
+    short = simulate_exit_times(chain, mask, McConfig(n_paths=k, seed=5, start=0))
+    # paths on both sides of the block boundary ran past the lockstep horizon
+    assert min(stragglers) < BLOCK <= max(stragglers) < k
+    assert np.array_equal(full.tau[:k], short.tau)
+    assert np.array_equal(full.censored[:k], short.censored)
+
+
+def reference_exit_time(chain, mask, seed, path, start):
+    """Path-by-path statement of the stream rule, for a chain without
+    killing: steps draw the full block width from the (seed, block) stream,
+    and after HORIZON of them the path reads chunks of HORIZON exponentials
+    then HORIZON uniforms from its own (seed, path | 2**63) stream."""
+    block, col = divmod(path, BLOCK)
+    q = chain.q
+
+    def jump(x, t, e, u):
+        rates = np.where(np.arange(chain.n_states) == x, 0.0, q[x])
+        t += e * (1.0 / -q[x, x])
+        j = int(np.searchsorted(np.cumsum(rates) / -q[x, x], u, side="right"))
+        return min(j, chain.n_states - 1), t
+
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    x, t = start, 0.0
+    for _ in range(HORIZON):
+        x, t = jump(x, t, g.standard_exponential(BLOCK)[col], g.random(BLOCK)[col])
+        if not mask.inside[x]:
+            return t
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, path | 1 << 63], dtype=np.uint64)))
+    while True:
+        for e, u in zip(g.standard_exponential(HORIZON), g.random(HORIZON)):
+            x, t = jump(x, t, e, u)
+            if not mask.inside[x]:
+                return t
+
+
+def test_lockstep_matches_the_path_by_path_reference(stragglers):
+    chain, mask = metastable_chain()
+    samples = simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK + 2000, seed=5, start=0))
+    late = [p for p in stragglers if p >= BLOCK][:2]
+    assert late
+    for path in [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1] + late:
+        assert samples.tau[path] == reference_exit_time(chain, mask, 5, path, 0)
+
+
+def test_distribution_start_draws_from_the_block_stream():
+    chain = complete_graph(3, 1.0)
+    mask = DomainMask.from_states([0, 1], 3)
+    start = chain.mu.tolist()
+    n_paths = 2 * BLOCK + 7
+    samples = simulate_exit_times(chain, mask, McConfig(n_paths=n_paths, seed=13, start=start))
+    assert samples.start_off_domain
+    # a third of the paths start outside the domain and exit at time zero
+    off = samples.tau == 0.0
+    assert abs(off.mean() - 1.0 / 3.0) <= 3 * np.sqrt(2.0 / 9.0 / n_paths)
+    est = estimate_exit_functionals(samples, ())
+    exact = float(chain.mu @ exit_mean(chain, mask))
+    assert abs(est.mean[0] - exact) <= 3 * est.mean[1]
+    short = simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK + 1, seed=13, start=start))
+    assert np.array_equal(samples.tau[: BLOCK + 1], short.tau)
+
+
+def test_rounding_noise_is_no_killing_branch():
+    # a conservative row whose sum is rounding noise has no exit to the cemetery
+    chain = random_reversible_chain(np.random.default_rng(0), 40)
+    table = montecarlo._jump_table(chain.q, np.ones(40, dtype=bool))
+    assert not np.any(table.targets == -1)
+    # a real killing rate keeps its branch
+    killed = montecarlo._jump_table(two_state_killed_chain().q, np.ones(2, dtype=bool))
+    assert np.count_nonzero(killed.targets == -1) == 2
 
 
 def test_three_state_mean_from_state_zero():
@@ -148,3 +264,8 @@ def test_samples_csv():
     assert lines[0] == "path,tau,censored"
     assert lines[1] == "0,0.5,0"
     assert lines[2] == "1,1.25,1"
+    # rows are joined a block of paths at a time
+    tau = np.arange(BLOCK + 2) / 4.0
+    lines = ExitSamples(tau=tau, censored=tau == BLOCK / 4.0).to_csv().splitlines()
+    assert len(lines) == BLOCK + 3
+    assert lines[BLOCK : BLOCK + 3] == [f"{BLOCK - 1},{(BLOCK - 1) / 4.0!r},0", f"{BLOCK},{BLOCK / 4.0!r},1", f"{BLOCK + 1},{(BLOCK + 1) / 4.0!r},0"]
