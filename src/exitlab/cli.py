@@ -138,6 +138,9 @@ def load_config(path: str):
         mc = doc.get("mc")
         if not isinstance(mc, dict) or "n_paths" not in mc or "seed" not in mc:
             fail("$.mc", "must be an object with 'n_paths' and 'seed'")
+        start = mc.get("start", 0)
+        if not (start == "pi" or isinstance(start, list) or type(start) is int):
+            fail("$.mc.start", f"must be a state index, 'pi', or a distribution, got {start!r}")
 
     xi = doc.get("xi")
     if xi is not None and not isinstance(xi, list):
@@ -217,7 +220,7 @@ def _cmd_validate(system, cfg, digest, out_dir):
 
 def _cmd_exit(system, cfg, digest, out_dir):
     chain = system.chain
-    lam0 = system.dirichlet.lambda0 if system.reversible else None
+    lam0 = system.dirichlet.lambda0 if chain.reversible else None
     blocks = {}
     csv_parts = []
     for beta in cfg.betas:
@@ -244,7 +247,7 @@ def _cmd_variational(system, cfg, digest, out_dir):
             "iterative": iterative.to_dict(),
             "modes_agree": agree,
         }
-        if system.reversible:
+        if chain.reversible:
             sym = symmetric_inf(view, mask, xi)
             entry["symmetric_inf"] = sym
             agree_sym = abs(sym - closed.value) <= AGREE_RTOL * max(1.0, abs(sym))
@@ -263,8 +266,7 @@ def _cmd_expmoment(system, cfg, digest, out_dir):
     ok = True
     blocks = {}
     for beta in cfg.betas:
-        view = form_view(chain, beta)
-        inf_value = exp_moment_inf(view, mask, beta, lam0)
+        inf_value = exp_moment_inf(chain, mask, beta, lam0)
         moments = system.exp_moment(beta, lam0)
         agg = float(np.sum(chain.mu * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)

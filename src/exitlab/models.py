@@ -196,7 +196,7 @@ def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
     strength is bounded by the largest |k| keeping all off-diagonal rates
     nonnegative, reported on rejection.
     """
-    if not base.is_reversible():
+    if not base.reversible:
         raise ValueError("antisymmetric perturbation needs a reversible base chain")
     if flow.gamma.shape[0] != base.n_states:
         raise ValueError("flow size does not match the chain")
@@ -228,7 +228,7 @@ def scaled_family(diff_part: Chain, jump_part: Chain, kappa: float, epsilon: flo
         raise ValueError("parts must share the state space")
     if np.abs(diff_part.mu - jump_part.mu).max() > STRUCTURAL_TOL * max(1.0, diff_part.mu.max()):
         raise ValueError("parts must share the measure")
-    if not (diff_part.is_reversible() and jump_part.is_reversible()):
+    if not (diff_part.reversible and jump_part.reversible):
         raise ValueError("both parts must be reversible")
     q = kappa * diff_part.q + epsilon * jump_part.q
     return Chain(Generator(q), diff_part.measure, diff_part.labels)

@@ -218,7 +218,9 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
     flag instead of raising.
     """
     n = chain.n_states
-    if np.isscalar(config.start) or isinstance(config.start, (int, np.integer)):
+    if np.isscalar(config.start):
+        if isinstance(config.start, bool) or not isinstance(config.start, (int, np.integer)):
+            raise ValueError(f"start state must be an integer index, got {config.start!r}")
         start_state = int(config.start)
         if not 0 <= start_state < n:
             raise ValueError("start state out of range")

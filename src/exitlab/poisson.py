@@ -139,10 +139,10 @@ class Dirichlet(NamedTuple):
 class DomainSystem:
     """The restricted system (s*I - Q_D) u = xi of one chain and domain.
 
-    Package-internal. Computes Q_D, mu_D, reversibility and whether exit
-    is possible at most once, on first use. Caches, per instance, the
-    solution of (s*I - Q_D) u = 1 for each shift s asked for and one
-    Dirichlet eigendecomposition; LU factors never outlive their solve.
+    Package-internal. Computes Q_D, mu_D and whether exit is possible at
+    most once, on first use. Caches, per instance, the solution of
+    (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
+    eigendecomposition; LU factors never outlive their solve.
     Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
     1 + beta*u_{-beta}.
     """
@@ -158,10 +158,6 @@ class DomainSystem:
     @cached_property
     def mu_d(self) -> np.ndarray:
         return self.chain.mu[self.mask.indices]
-
-    @cached_property
-    def reversible(self) -> bool:
-        return self.chain.is_reversible()
 
     @cached_property
     def exit_possible(self) -> bool:
@@ -224,7 +220,7 @@ class DomainSystem:
     def exp_moment(self, beta: float, lambda0: float) -> np.ndarray:
         if beta <= 0:
             raise ValueError("exit_exp_moment needs beta > 0")
-        if not self.reversible:
+        if not self.chain.reversible:
             raise NonReversibleError("exponential moments need a reversible chain")
         self._require_exit()
         if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
@@ -240,7 +236,7 @@ class DomainSystem:
         # u_beta == (1 - laplace)/beta holds to the last bit even at tiny beta
         u_beta = (1.0 - laplace) / beta
         exp_m = None
-        if lambda0 is not None and self.reversible:
+        if lambda0 is not None and self.chain.reversible:
             exp_m = self.exp_moment(beta, lambda0)
         return ExitFunctionals(
             beta=float(beta),
@@ -253,7 +249,7 @@ class DomainSystem:
 
     @cached_property
     def dirichlet(self) -> Dirichlet:
-        if not self.reversible:
+        if not self.chain.reversible:
             raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
         lam, vec = scipy.linalg.eigh(_symmetrized(self.q_d, self.mu_d))
         if lam[0] < -WEAK_IDENTITY_TOL:

@@ -54,7 +54,7 @@ def spectral_gap(chain: Chain) -> float:
     eigenfunction, and the gap is the optimal constant c in
     c * pi(f^2) <= form0(f, f) over pi(f) = 0.
     """
-    if not chain.is_reversible():
+    if not chain.reversible:
         raise NonReversibleError("spectral gap needs a reversible chain")
     if not chain.is_conservative():
         raise ValueError("spectral gap needs a conservative generator")
@@ -227,7 +227,7 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
 def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     """bounds_report on a prepared domain system (shares its solves and eigensolve)."""
     chain, mask = system.chain, system.mask
-    if not system.reversible:
+    if not system.chain.reversible:
         raise NonReversibleError("the bound ledger needs a reversible chain")
     if not chain.measure.normalized:
         raise ValueError("the bound ledger needs a normalized (probability) measure")

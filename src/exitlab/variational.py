@@ -29,7 +29,7 @@ from .defaults import (
     SPECTRAL_EDGE_MARGIN,
     STRUCTURAL_TOL,
 )
-from .forms import FormView, Measure, _as_vector, _freeze
+from .forms import Chain, FormView, Measure, _as_vector, _freeze
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _restrict_source, embed
 
 __all__ = [
@@ -232,7 +232,7 @@ def symmetric_inf(view: FormView, mask: DomainMask, xi) -> float:
     return 1.0 / float(c @ y)
 
 
-def exp_moment_inf(view: FormView, mask: DomainMask, beta: float, lambda0: float) -> float:
+def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> float:
     """inf of form0(f,f) - beta*pi(f^2) over {pi(f) = 1, f = 0 outside},
 
     hinged at zero: for beta at or past the Dirichlet eigenvalue of the
@@ -241,8 +241,7 @@ def exp_moment_inf(view: FormView, mask: DomainMask, beta: float, lambda0: float
     """
     if beta <= 0:
         raise ValueError("exp_moment_inf needs beta > 0")
-    chain = view.chain
-    if not chain.is_reversible():
+    if not chain.reversible:
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
     if not chain.measure.normalized:
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")
@@ -250,7 +249,7 @@ def exp_moment_inf(view: FormView, mask: DomainMask, beta: float, lambda0: float
         return 0.0
     idx = mask.indices
     mu_d = chain.mu[idx]
-    a0 = -(chain.q.T * chain.mu[None, :])[np.ix_(idx, idx)]
+    a0 = -(chain.q[np.ix_(idx, idx)].T * mu_d[None, :])
     s_beta = (a0 + a0.T) / 2.0 - beta * np.diag(mu_d)
     c = mu_d.copy()
     y, _ = solve_refined(s_beta, c, context="exponential-moment infimum solve")

@@ -124,14 +124,13 @@ def test_criterion_04_exponential_moment_formula():
         chain = complete_graph(3, 1.0)
         mask = DomainMask.from_states([0, 1], 3)
         lam0 = dirichlet_pair(chain, mask)[0]
-        view = form_view(chain, 0.5)
-        value = exp_moment_inf(view, mask, 0.5, lam0)
+        value = exp_moment_inf(chain, mask, 0.5, lam0)
         assert value == pytest.approx(0.75, abs=1e-12)
         agg = mu_dot(chain, exit_exp_moment(chain, mask, 0.5, lam0))
         assert agg == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert 0.5 / (agg - 1.0) == pytest.approx(0.75, abs=1e-12)
         for beta in (1.0, 1.5, 4.0):
-            assert exp_moment_inf(view, mask, beta, lam0) == 0.0
+            assert exp_moment_inf(chain, mask, beta, lam0) == 0.0
 
         rng = np.random.default_rng(404)
         for trial in range(20):
@@ -140,8 +139,7 @@ def test_criterion_04_exponential_moment_formula():
             rmask = random_proper_mask(rng, n)
             rlam0 = dirichlet_pair(rchain, rmask)[0]
             beta = 0.5 * rlam0
-            rview = form_view(rchain, beta)
-            left = exp_moment_inf(rview, rmask, beta, rlam0)
+            left = exp_moment_inf(rchain, rmask, beta, rlam0)
             agg = mu_dot(rchain, exit_exp_moment(rchain, rmask, beta, rlam0))
             assert left == pytest.approx(beta / (agg - 1.0), rel=RTOL)
 

@@ -3,6 +3,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from exitlab.cli import main
 
@@ -141,6 +142,20 @@ def test_mc_command(tmp_path):
     assert (tmp_path / "out" / "mc.csv").exists()
 
 
+@pytest.mark.parametrize("start", [1.9, "1", True])
+def test_non_integer_mc_start_rejected(tmp_path, capsys, start):
+    cfg = {
+        "model": {"builder": "complete_graph", "params": {"n": 3, "rate": 1.0}},
+        "omega": [0, 1],
+        "commands": ["mc"],
+        "mc": {"n_paths": 10, "seed": 1, "start": start},
+        "output": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert "$.mc.start" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def strip_timestamps(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
 
@@ -229,7 +244,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 
     import exitlab.poisson
 
-    factored, dirichlet_eighs = [], []
+    factored, dirichlet_eighs, pencils = [], [], []
 
     class CountingLU(exitlab.poisson.RefinedLU):
         def __init__(self, a, context="solve"):
@@ -238,10 +253,12 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 
     eigh = scipy.linalg.eigh
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_eigh(a, b=None, *args, **kwargs):
         if np.shape(a) == (2, 2):
             dirichlet_eighs.append(a)
-        return eigh(a, *args, **kwargs)
+        if b is not None:
+            pencils.append(a)
+        return eigh(a, b, *args, **kwargs)
 
     monkeypatch.setattr(exitlab.poisson, "RefinedLU", CountingLU)
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
@@ -255,8 +272,40 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     assert len(dirichlet_eighs) == 1
+    # beta0 is a fact of the chain: validate and every beta's form view
+    # share one generalized eigensolve sym(A0) v = lambda M v
+    assert len(pencils) == 1
     # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
     # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
     # LU per beta for its primal and adjoint solves
     distinct = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
     assert sorted(factored) == sorted(distinct + [0.25, 0.5])
+
+
+def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch):
+    from exitlab.forms import Chain
+
+    checked = []
+    prop = vars(Chain)["reversible"]
+    original = prop.func
+
+    def counting(chain):
+        checked.append(id(chain))
+        return original(chain)
+
+    monkeypatch.setattr(prop, "func", counting)
+    cfg = {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 0.125},
+        },
+        "omega": "all",
+        "betas": [1.0],
+        "commands": ["sweep"],
+        "sweep": {"kind": "scale", "kappa": [0.5, 1.0, 2.0], "epsilon": [0.5, 1.0, 2.0]},
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    # scaled_family reads the diffusion and the jump part nine times each
+    assert len(checked) == 2 and len(set(checked)) == 2

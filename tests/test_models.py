@@ -43,7 +43,7 @@ def test_complete_graph_matrix():
 
 def test_birth_death_detailed_balance():
     chain = birth_death(up=(1.0, 1.0), down=(1.0, 1.0))
-    assert chain.is_reversible()
+    assert chain.reversible
     assert chain.is_conservative()
     mq = chain.mu[:, None] * chain.q
     np.testing.assert_allclose(mq, mq.T, atol=1e-15)
@@ -74,7 +74,7 @@ def test_weighted_graph_reversible_for_any_inputs(upper, weights):
     c[np.triu_indices(4, 1)] = upper
     c = c + c.T
     chain = weighted_graph(c, np.array(weights))
-    assert chain.is_reversible()
+    assert chain.reversible
     assert chain.is_conservative()
 
 
@@ -150,7 +150,7 @@ def test_jump_part_detailed_balance():
         dimension=1, domain_box=((0.0, 1.0),), mesh_h=1 / 16, kappa=0.0, epsilon=1.0, alpha=0.7
     )
     chain = discretize_jump_diffusion(spec)
-    assert chain.is_reversible()
+    assert chain.reversible
     mq = chain.mu[:, None] * chain.q
     np.testing.assert_allclose(mq, mq.T, atol=1e-15)
 
@@ -243,7 +243,7 @@ def test_two_dimensional_jump_grid_structure():
     )
     chain = discretize_jump_diffusion(spec)
     assert chain.n_states == 9
-    assert chain.is_reversible()
+    assert chain.reversible
     assert chain.q.sum(axis=1).max() < 0
     off = chain.q.copy()
     np.fill_diagonal(off, 0.0)

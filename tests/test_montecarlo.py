@@ -257,6 +257,14 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("start", [1.9, "1", True])
+def test_non_integer_start_state_rejected(start):
+    chain = complete_graph(3, 1.0)
+    mask = DomainMask.from_states([0, 1], 3)
+    with pytest.raises(ValueError, match="integer"):
+        simulate_exit_times(chain, mask, McConfig(n_paths=10, seed=1, start=start))
+
+
 def test_samples_csv():
     samples = ExitSamples(tau=np.array([0.5, 1.25]), censored=np.array([False, True]))
     text = samples.to_csv()
