@@ -12,11 +12,12 @@ check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -105,6 +106,16 @@ def load_config(path: str):
         or (isinstance(omega, dict) and "box" in omega)
     ):
         fail("$.omega", "must be 'all', a list of state indices, or {'box': [[lo, hi], ...]}")
+    if isinstance(omega, dict):
+        if model["builder"] != "grid_jump_diffusion":
+            fail("$.omega", "a box domain needs the grid_jump_diffusion builder")
+        box, dimension = omega["box"], params["dimension"]
+        if not isinstance(box, list) or len(box) != dimension:
+            fail("$.omega.box", f"must list one [lo, hi] pair per grid axis ({dimension})")
+        for edge in box:
+            numeric = isinstance(edge, list) and all(type(v) in (int, float) for v in edge)
+            if not (numeric and len(edge) == 2 and edge[0] < edge[1]):
+                fail("$.omega.box", f"each entry must be a numeric [lo, hi] with lo < hi, got {edge!r}")
 
     betas = doc.get("betas", [1.0])
     if not isinstance(betas, list) or not betas or any(
@@ -169,25 +180,21 @@ def _grid_params(params: dict) -> dict:
     return out
 
 
-def _build_model(cfg: ExperimentConfig):
-    if cfg.model["builder"] == "grid_jump_diffusion":
-        spec = GridModelSpec(**_grid_params(cfg.model.get("params", {})))
-        return discretize_jump_diffusion(spec), spec
-    return build_chain(cfg.model), None
+def _grid_spec(cfg: ExperimentConfig) -> GridModelSpec | None:
+    if cfg.model["builder"] != "grid_jump_diffusion":
+        return None
+    return GridModelSpec(**_grid_params(cfg.model.get("params", {})))
 
 
-def _domain_mask(cfg: ExperimentConfig, chain, spec) -> DomainMask:
+def _domain_mask(cfg: ExperimentConfig, n_states: int, spec) -> DomainMask:
     omega = cfg.omega
     if omega == "all":
-        return DomainMask.full(chain.n_states)
+        return DomainMask.full(n_states)
     if isinstance(omega, list):
-        return DomainMask.from_states(omega, chain.n_states)
-    box = omega["box"]
-    if spec is None:
-        raise ConfigError("$.omega: a box domain needs the grid_jump_diffusion builder")
+        return DomainMask.from_states(omega, n_states)
     pts = grid_points(spec)
     inside = np.ones(pts.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
+    for axis, (lo, hi) in enumerate(omega["box"]):
         inside &= (pts[:, axis] > lo) & (pts[:, axis] < hi)
     return DomainMask(inside)
 
@@ -314,12 +321,13 @@ def _sweep_csv(keys, rows, betas) -> str:
     return "".join(",".join(cells) + "\n" for cells in lines)
 
 
-def _cmd_sweep(system, cfg, digest, out_dir, plots):
-    chain, mask = system.chain, system.mask
+def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
     sweep = cfg.sweep
     rows = []
     ok = True
     if sweep["kind"] == "flow":
+        system = get_system()
+        chain, mask = system.chain, system.mask
         cycle = sweep.get("cycle", list(range(chain.n_states)))
         flow = flow_from_cycles([cycle], chain.measure)
         values = [float(k) for k in sweep["values"]]
@@ -337,13 +345,11 @@ def _cmd_sweep(system, cfg, digest, out_dir, plots):
         sequences = [[rows[i] for i in np.argsort([abs(r["k"]) for r in rows])]]
         x_axis = [r["k"] for r in rows]
     else:
-        base = dict(cfg.model.get("params", {}))
-        diff = discretize_jump_diffusion(
-            GridModelSpec(**{**_grid_params(base), "kappa": 1.0, "epsilon": 0.0})
-        )
-        jump = discretize_jump_diffusion(
-            GridModelSpec(**{**_grid_params(base), "kappa": 0.0, "epsilon": 1.0})
-        )
+        # the sweep's chains are built from two parts; the configured chain
+        # is never read, and the domain needs only the grid
+        mask = _domain_mask(cfg, grid_points(spec).shape[0], spec)
+        diff = discretize_jump_diffusion(replace(spec, kappa=1.0, epsilon=0.0))
+        jump = discretize_jump_diffusion(replace(spec, kappa=0.0, epsilon=1.0))
         kappas = [float(v) for v in sweep["kappa"]]
         epsilons = [float(v) for v in sweep["epsilon"]]
         table = {}
@@ -476,14 +482,20 @@ _DISPATCH = {
 def run(cfg: ExperimentConfig, digest: str, out_dir: Path, plots: bool = False) -> int:
     """Execute the configured commands; 0 iff every requested check passed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    chain, spec = _build_model(cfg)
-    system = DomainSystem(chain, _domain_mask(cfg, chain, spec))
+    spec = _grid_spec(cfg)
+
+    @functools.cache
+    def system() -> DomainSystem:
+        """The configured chain on its domain, built when a command first reads it."""
+        chain = build_chain(cfg.model) if spec is None else discretize_jump_diffusion(spec)
+        return DomainSystem(chain, _domain_mask(cfg, chain.n_states, spec))
+
     statuses = {}
     for cmd in cfg.commands:
         if cmd == "sweep":
-            statuses[cmd] = _cmd_sweep(system, cfg, digest, out_dir, plots)
+            statuses[cmd] = _cmd_sweep(system, spec, cfg, digest, out_dir, plots)
         else:
-            statuses[cmd] = _DISPATCH[cmd](system, cfg, digest, out_dir)
+            statuses[cmd] = _DISPATCH[cmd](system(), cfg, digest, out_dir)
     overall = all(statuses.values())
     summary = _stamp({"commands": statuses, "passed": overall}, digest)
     (out_dir / "run_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

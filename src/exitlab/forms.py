@@ -41,6 +41,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_scale(q: np.ndarray) -> np.ndarray:
+    """Per-row scale of a row-sum check: the rounding of a row sum grows with
+    the row's largest rate, which is |q_xx| on a sub-Markov row."""
+    return np.maximum(1.0, np.abs(np.diag(q)))
+
+
 def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -105,10 +111,10 @@ class Generator:
                 f"off-diagonal rates must be nonnegative (min {off.min():.3e})"
             )
         if self.require_submarkov:
-            worst = q.sum(axis=1).max()
-            if worst > STRUCTURAL_TOL:
+            rows = q.sum(axis=1)
+            if np.any(rows > STRUCTURAL_TOL * _row_scale(q)):
                 raise ValueError(
-                    f"row sums must be nonpositive (max {worst:.3e})"
+                    f"row sums must be nonpositive (max {rows.max():.3e})"
                 )
         object.__setattr__(self, "matrix", _freeze(q))
 
@@ -173,8 +179,9 @@ class Chain:
         lam = scipy.linalg.eigh(sym0, m, eigvals_only=True)
         return float(max(0.0, -lam[0]))
 
-    def is_conservative(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return bool(np.abs(self.q.sum(axis=1)).max() <= tol)
+    def is_conservative(self) -> bool:
+        """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
+        return bool(np.all(np.abs(self.q.sum(axis=1)) <= STRUCTURAL_TOL * _row_scale(self.q)))
 
     def to_dict(self) -> dict:
         return {

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .defaults import STRUCTURAL_TOL
 from .forms import Chain, Generator, Measure, _as_vector, _freeze
@@ -369,178 +368,136 @@ def _check_ellipticity(spec: GridModelSpec, pts: np.ndarray) -> None:
             )
 
 
-def _jump_weights_1d(spec: GridModelSpec):
-    """(per-offset rates, nearest-neighbour fix, tail mass) for one axis."""
-    h, alpha = spec.mesh_h, spec.alpha
-    c = fractional_kernel_constant(1, alpha)
-    r_cut = spec.cutoff
-    m_max = int(math.ceil(r_cut / h))
-    m = np.arange(1, m_max + 1)
-    rates = c * (m * h) ** (-(1 + alpha)) * h
-    second_moment = 2 * c * (h / 2) ** (2 - alpha) / (2 - alpha)
-    nn_fix = (second_moment / 2) / h**2
-    tail = 2 * c * r_cut ** (-alpha) / alpha
-    return rates, nn_fix, tail
+def _face_values(spec: GridModelSpec, axes, axis: int) -> np.ndarray:
+    """Coefficient of a along ``axis`` on every face normal to that axis.
 
-
-def _assemble_1d(spec: GridModelSpec):
-    (lo, hi) = spec.domain_box[0]
+    The result has the lattice shape with one more entry along ``axis``:
+    face i lies half a cell below point i, the last one half a cell above
+    the last point. A callable a is called once per face.
+    """
     h = spec.mesh_h
-    xs = _axis_points(lo, hi, h)
-    n = xs.size
-    q = np.zeros((n, n))
-
-    if spec.kappa > 0:
-        faces = np.concatenate([xs - h / 2, [xs[-1] + h / 2]])
-        if callable(spec.a):
-            a_face = np.array([_diffusion_values(spec, (f,))[0] for f in faces])
-        else:
-            a_face = np.full(n + 1, float(np.atleast_1d(spec.a)[0]))
-        for i in range(n):
-            left, right = a_face[i] / h**2, a_face[i + 1] / h**2
-            if i > 0:
-                q[i, i - 1] += spec.kappa * left
-            if i < n - 1:
-                q[i, i + 1] += spec.kappa * right
-            q[i, i] -= spec.kappa * (left + right)
-
-    if spec.k != 0.0 and spec.b is not None:
-        for i in range(n):
-            v = -spec.k * _drift_values(spec, (xs[i],))[0]
-            if v == 0.0:
-                continue
-            rate = abs(v) / h
-            j = i + 1 if v > 0 else i - 1
-            if 0 <= j < n:
-                q[i, j] += rate
-            q[i, i] -= rate
-
-    if spec.epsilon > 0:
-        rates, nn_fix, tail = _jump_weights_1d(spec)
-        col = np.zeros(n)
-        reach = min(rates.size, n - 1)
-        col[1 : reach + 1] = rates[:reach]
-        jump = toeplitz(col)
-        idx = np.arange(n - 1)
-        jump[idx, idx + 1] += nn_fix
-        jump[idx + 1, idx] += nn_fix
-        total_off_mass = 2 * rates.sum() + tail + 2 * nn_fix
-        np.fill_diagonal(jump, -total_off_mass)
-        q += spec.epsilon * jump
-
-    return xs[:, None], q
+    coords = list(axes)
+    coords[axis] = np.append(axes[axis] - h / 2, axes[axis][-1] + h / 2)
+    faces = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+    if not callable(spec.a):
+        return np.full(faces.shape[:-1], _diffusion_values(spec, None)[axis])
+    vals = [_diffusion_values(spec, f)[axis] for f in faces.reshape(-1, spec.dimension)]
+    return np.reshape(vals, faces.shape[:-1])
 
 
-def _jump_offsets_2d(spec: GridModelSpec):
-    h, alpha = spec.mesh_h, spec.alpha
-    c = fractional_kernel_constant(2, alpha)
+def _jump_table(spec: GridModelSpec, shape):
+    """(rates, nn_fix, total) of the jump kernel on a lattice of ``shape``
+    (n0, n1), with n1 = 1 on a 1D grid.
+
+    ``rates[|d0|, |d1|]`` is the midpoint-rule rate of the cell at lattice
+    offset (d0, d1), zero at the origin and beyond the cutoff radius, for
+    every offset smaller than the grid. ``nn_fix`` is the singular cell's
+    second moment spread over the nearest neighbours, and ``total`` is each
+    row's off-diagonal mass: the whole cutoff disc, the nearest-neighbour
+    fix and the analytic tail beyond the cutoff.
+    """
+    d, h, alpha = spec.dimension, spec.mesh_h, spec.alpha
+    c = fractional_kernel_constant(d, alpha)
     r_cut = spec.cutoff
-    m_max = int(math.ceil(r_cut / h))
-    rng = np.arange(-m_max, m_max + 1)
-    mx, my = np.meshgrid(rng, rng, indexing="ij")
-    keep = (mx != 0) | (my != 0)
-    mx, my = mx[keep], my[keep]
-    dist = h * np.hypot(mx, my)
-    inside_cut = dist <= r_cut
-    mx, my, dist = mx[inside_cut], my[inside_cut], dist[inside_cut]
-    rates = c * dist ** (-(2 + alpha)) * h**2
-    # per-axis second moment of the singular cell, midpoint subgrid
-    sub = 64
-    zc = (np.arange(sub) + 0.5) / sub * h - h / 2
-    zx, zy = np.meshgrid(zc, zc, indexing="ij")
-    rr = np.hypot(zx, zy)
-    second_moment = float(np.sum(zx**2 * c * rr ** (-(2 + alpha))) * (h / sub) ** 2)
+    m = int(math.ceil(r_cut / h))
+    reach = (m, m if d == 2 else 0)
+    dist = h * np.hypot(*np.indices([max(r + 1, k) for r, k in zip(reach, shape)]))
+    dist[0, 0] = np.inf  # the singular cell has no lattice rate
+    rates = np.where(dist <= r_cut, c * dist ** (-(d + alpha)) * h**d, 0.0)
+    # every offset of the cutoff disc, in row-major order over its square
+    offsets = np.meshgrid(*(np.arange(-r, r + 1) for r in reach), indexing="ij")
+    disc = rates[np.abs(offsets[0]), np.abs(offsets[1])].ravel()
+    if d == 1:
+        second_moment = 2 * c * (h / 2) ** (2 - alpha) / (2 - alpha)
+        tail = 2 * c * r_cut ** (-alpha) / alpha
+    else:  # per-axis second moment of the singular cell, midpoint subgrid
+        sub = 64
+        zc = (np.arange(sub) + 0.5) / sub * h - h / 2
+        zx, zy = np.meshgrid(zc, zc, indexing="ij")
+        rr = np.hypot(zx, zy)
+        second_moment = float(np.sum(zx**2 * c * rr ** (-(2 + alpha))) * (h / sub) ** 2)
+        tail = 2 * math.pi * c * r_cut ** (-alpha) / alpha
     nn_fix = (second_moment / 2) / h**2
-    tail = 2 * math.pi * c * r_cut ** (-alpha) / alpha
-    return mx, my, rates, nn_fix, tail
+    total = disc[disc > 0].sum() + tail + 2 * d * nn_fix
+    return rates[: shape[0], : shape[1]], nn_fix, total
 
 
-def _assemble_2d(spec: GridModelSpec):
-    h = spec.mesh_h
-    ax_x = _axis_points(*spec.domain_box[0], h)
-    ax_y = _axis_points(*spec.domain_box[1], h)
-    nx, ny = ax_x.size, ax_y.size
-    n = nx * ny
+def _add_steps(q, coord, shape, axis, step, rate) -> None:
+    """q[x, x + step*e_axis] += rate(x) for every cell x whose target is on
+    the grid; a zero step adds nothing."""
+    step = np.broadcast_to(step, coord[axis].shape)
+    rate = np.broadcast_to(rate, coord[axis].shape)
+    target = coord[axis] + step
+    src = np.flatnonzero((step != 0) & (target >= 0) & (target < shape[axis]))
+    q[src, src + step[src] * math.prod(shape[axis + 1 :])] += rate[src]
+
+
+def _add_block_toeplitz(q, table) -> None:
+    """q[(i0, i1), (j0, j1)] += table[|i0 - j0|, |i1 - j1|], one block
+    diagonal at a time."""
+    n0, n1 = table.shape
+    i1 = np.arange(n1)
+    blocks = table[:, np.abs(i1[:, None] - i1)]
+    q4 = q.reshape(n0, n1, n0, n1)
+    for off in range(1 - n0, n0):
+        i0 = np.arange(max(0, -off), n0 - max(0, off))
+        q4[i0, :, i0 + off, :] += blocks[abs(off)]
+
+
+def _assemble(spec: GridModelSpec):
+    """Interior points and generator of the grid jump diffusion.
+
+    Cells are numbered row-major on the lattice shape (n0, n1), with n1 = 1
+    on a 1D grid. Terms are added diffusion (axis 0 then 1, lower face then
+    upper), upwind drift (axis 0 then 1), jump block, nearest-neighbour
+    fix; the diagonal takes them off in the same order and is written
+    last. Every step that lands off the grid goes only to the diagonal.
+    """
+    d, h = spec.dimension, spec.mesh_h
+    axes = [_axis_points(lo, hi, h) for lo, hi in spec.domain_box]
+    shape = tuple(ax.size for ax in axes) + (1,) * (2 - d)
     pts = grid_points(spec)
+    n = pts.shape[0]
+    coord = np.indices(shape).reshape(2, n)
     q = np.zeros((n, n))
-
-    def flat(ix, iy):
-        return ix * ny + iy
+    diag = np.zeros(n)
 
     if spec.kappa > 0:
-        for ix in range(nx):
-            for iy in range(ny):
-                i = flat(ix, iy)
-                x, y = ax_x[ix], ax_y[iy]
-                for axis in range(2):
-                    for direction in (-1, +1):
-                        if axis == 0:
-                            face = (x + direction * h / 2, y)
-                            jx, jy = ix + direction, iy
-                        else:
-                            face = (x, y + direction * h / 2)
-                            jx, jy = ix, iy + direction
-                        where = face if callable(spec.a) else (x, y)
-                        rate = spec.kappa * _diffusion_values(spec, where)[axis] / h**2
-                        if 0 <= jx < nx and 0 <= jy < ny:
-                            q[i, flat(jx, jy)] += rate
-                        q[i, i] -= rate
+        for axis in range(d):
+            face = spec.kappa * _face_values(spec, axes, axis) / h**2
+            for step, side in ((-1, slice(None, -1)), (+1, slice(1, None))):
+                rate = face[(slice(None),) * axis + (side,)].ravel()
+                _add_steps(q, coord, shape, axis, step, rate)
+                diag -= rate
 
     if spec.k != 0.0 and spec.b is not None:
-        for ix in range(nx):
-            for iy in range(ny):
-                i = flat(ix, iy)
-                vel = -spec.k * _drift_values(spec, (ax_x[ix], ax_y[iy]))
-                for axis in range(2):
-                    v = vel[axis]
-                    if v == 0.0:
-                        continue
-                    rate = abs(v) / h
-                    jx, jy = ix, iy
-                    if axis == 0:
-                        jx += 1 if v > 0 else -1
-                    else:
-                        jy += 1 if v > 0 else -1
-                    if 0 <= jx < nx and 0 <= jy < ny:
-                        q[i, flat(jx, jy)] += rate
-                    q[i, i] -= rate
+        vel = -spec.k * np.array([_drift_values(spec, p) for p in pts])
+        for axis in range(d):
+            rate = np.abs(vel[:, axis]) / h
+            _add_steps(q, coord, shape, axis, np.sign(vel[:, axis]).astype(int), rate)
+            diag -= rate
 
     if spec.epsilon > 0:
-        mx, my, rates, nn_fix, tail = _jump_offsets_2d(spec)
-        total_off_mass = rates.sum() + tail + 4 * nn_fix
-        ix_grid, iy_grid = np.divmod(np.arange(n), ny)
-        for dx, dy, rate in zip(mx, my, rates):
-            jx, jy = ix_grid + dx, iy_grid + dy
-            ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-            src = np.flatnonzero(ok)
-            q[src, jx[ok] * ny + jy[ok]] += spec.epsilon * rate
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jx, jy = ix_grid + dx, iy_grid + dy
-            ok = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny)
-            src = np.flatnonzero(ok)
-            q[src, jx[ok] * ny + jy[ok]] += spec.epsilon * nn_fix
-        q[np.arange(n), np.arange(n)] -= spec.epsilon * total_off_mass
+        rates, nn_fix, total = _jump_table(spec, shape)
+        _add_block_toeplitz(q, spec.epsilon * rates)
+        for axis in range(d):
+            for step in (-1, +1):
+                _add_steps(q, coord, shape, axis, step, spec.epsilon * nn_fix)
+        diag -= spec.epsilon * total
 
+    np.fill_diagonal(q, diag)
     return pts, q
 
 
 def discretize_jump_diffusion(spec: GridModelSpec) -> Chain:
     """Sub-Markov chain of the jump diffusion on interior grid points.
 
-    The measure is the cell volume h^d per point. Any off-diagonal entry
-    turned negative by assembly is a sign-structure failure and is
-    rejected with the current drift strength (upwind differencing makes
-    this unreachable; the guard protects future stencils).
+    The measure is the cell volume h^d per point. Upwind differencing keeps
+    every off-diagonal rate nonnegative at any drift strength; the sign
+    structure is checked once, by ``Generator``.
     """
-    pts, q = (_assemble_1d if spec.dimension == 1 else _assemble_2d)(spec)
+    pts, q = _assemble(spec)
     _check_ellipticity(spec, pts)
-    off = q.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.min() < -STRUCTURAL_TOL:
-        raise ValueError(
-            f"drift strength |k|={abs(spec.k):g} breaks the generator sign "
-            f"structure (most negative off-diagonal {off.min():.3e})"
-        )
     h_d = spec.mesh_h**spec.dimension
     labels = tuple(
         "(" + ",".join(f"{v:.10g}" for v in p) + ")" for p in pts

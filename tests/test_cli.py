@@ -309,3 +309,62 @@ def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     # scaled_family reads the diffusion and the jump part nine times each
     assert len(checked) == 2 and len(set(checked)) == 2
+
+
+def test_scale_sweep_assembles_only_its_two_parts(tmp_path, monkeypatch):
+    import exitlab.cli
+
+    assembled = []
+    original = exitlab.cli.discretize_jump_diffusion
+
+    def counting(spec):
+        assembled.append((spec.kappa, spec.epsilon))
+        return original(spec)
+
+    monkeypatch.setattr(exitlab.cli, "discretize_jump_diffusion", counting)
+    cfg = {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {"dimension": 2, "domain_box": [[0.0, 1.0], [0.0, 1.0]], "mesh_h": 0.25},
+        },
+        "omega": {"box": [[0.1, 0.9], [0.3, 0.9]]},
+        "betas": [1.0],
+        "commands": ["sweep"],
+        "sweep": {"kind": "scale", "kappa": [0.5, 1.0], "epsilon": [0.5, 1.0]},
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    assert assembled == [(1.0, 0.0), (0.0, 1.0)]
+
+
+def grid_box_config(tmp_path, dimension, box):
+    return {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {"dimension": dimension, "domain_box": [[0.0, 1.0]] * dimension, "mesh_h": 0.25},
+        },
+        "omega": {"box": box},
+        "commands": ["exit"],
+        "output": str(tmp_path / "out"),
+    }
+
+
+def test_two_axis_box_on_a_1d_grid_is_rejected(tmp_path, capsys):
+    cfg = grid_box_config(tmp_path, 1, [[0.2, 0.8], [0.2, 0.8]])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert "$.omega.box" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_axis_box_on_a_2d_grid_is_rejected(tmp_path, capsys):
+    cfg = grid_box_config(tmp_path, 2, [[0.2, 0.8]])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert "$.omega.box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [[0.8, 0.2], [0.2], ["0.2", 0.8], [True, 0.8], 0.5])
+def test_box_entries_must_be_numeric_increasing_pairs(tmp_path, capsys, edge):
+    cfg = grid_box_config(tmp_path, 1, [edge])
+    assert main(["validate", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert "$.omega.box" in capsys.readouterr().err

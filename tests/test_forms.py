@@ -10,6 +10,7 @@ from exitlab import (
     dual_generator,
     eval_form,
     form_view,
+    spectral_gap,
     validate_assumption_a,
 )
 from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain
@@ -180,3 +181,22 @@ def test_types_are_immutable(rng):
         chain.q[0, 1] = 5.0
     with pytest.raises(ValueError):
         chain.mu[0] = 5.0
+
+
+@pytest.mark.parametrize("n", [100, 200, 800])
+def test_normalized_chains_build_at_scale(n):
+    # rates of a probability-measure chain grow like n / mu and so does the
+    # rounding of their row sums; the row-sum check scales with |q_xx|
+    for seed in range(5):
+        chain = random_reversible_chain(np.random.default_rng(seed), n)
+        assert chain.is_conservative()
+        assert spectral_gap(chain) > 0.0
+
+
+def test_row_sum_check_scales_with_the_diagonal_only():
+    # 1e-8 of excess mass is beyond STRUCTURAL_TOL * |q_xx| = 1e-9
+    with pytest.raises(ValueError, match="row sums"):
+        Generator(np.array([[-1e3, 1e3 + 1e-8], [0.0, 0.0]]))
+    Generator(np.array([[-1e3, 1e3 + 1e-10], [0.0, 0.0]]))
+    leaky = make_chain([[-1e3, 1e3 - 1e-8], [0.0, 0.0]], [1.0, 1.0])
+    assert not leaky.is_conservative()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -405,3 +406,101 @@ def test_scaled_family_rejects_measure_mismatch():
     )
     with pytest.raises(ValueError):
         scaled_family(a, b, 1.0, 1.0)
+
+
+def reference_generator(spec: GridModelSpec) -> np.ndarray:
+    """Q entry by entry from the stencil definitions, one state pair at a time."""
+    d, h, alpha, eps = spec.dimension, spec.mesh_h, spec.alpha, spec.epsilon
+    pts = grid_points(spec)
+    n = pts.shape[0]
+    c = alpha * 2 ** (alpha - 1) * math.gamma((alpha + d) / 2) / (
+        math.pi ** (d / 2) * math.gamma(1 - alpha / 2)
+    )
+    r_cut = spec.cutoff
+
+    def a(p):
+        return np.broadcast_to(np.asarray(spec.a(*p), dtype=float), (d,))
+
+    def velocity(p):
+        return -spec.k * np.asarray(spec.b(*p), dtype=float).reshape(d)
+
+    def kernel_rate(offset):
+        dist = h * math.sqrt(sum(m * m for m in offset))
+        return c * dist ** (-(d + alpha)) * h**d if dist <= r_cut else 0.0
+
+    if d == 1:
+        second_moment = 2 * c * (h / 2) ** (2 - alpha) / (2 - alpha)
+        tail = 2 * c * r_cut ** (-alpha) / alpha
+    else:
+        sub = 64
+        second_moment = 0.0
+        for i in range(sub):
+            for j in range(sub):
+                zx, zy = ((i + 0.5) / sub - 0.5) * h, ((j + 0.5) / sub - 0.5) * h
+                second_moment += zx**2 * c * math.hypot(zx, zy) ** (-(2 + alpha))
+        second_moment *= (h / sub) ** 2
+        tail = 2 * math.pi * c * r_cut ** (-alpha) / alpha
+    nn_fix = second_moment / 2 / h**2
+    reach = int(math.ceil(r_cut / h))
+    offsets = itertools.product(range(-reach, reach + 1), repeat=d)
+    disc = sum(kernel_rate(m) for m in offsets if any(m))
+
+    q = np.zeros((n, n))
+    for x in range(n):
+        vel = velocity(pts[x])
+        for y in range(n):
+            if x == y:
+                continue
+            offset = tuple(int(v) for v in np.rint((pts[y] - pts[x]) / h))
+            unit = [k for k in range(d) if abs(offset[k]) == 1 and sum(map(abs, offset)) == 1]
+            rate = eps * kernel_rate(offset)
+            for k in unit:
+                rate += spec.kappa * a((pts[x] + pts[y]) / 2)[k] / h**2
+                rate += eps * nn_fix
+                if np.sign(vel[k]) == offset[k]:
+                    rate += abs(vel[k]) / h
+            q[x, y] = rate
+        out = 0.0
+        for k in range(d):
+            for side in (-1, 1):
+                face = pts[x].copy()
+                face[k] += side * h / 2
+                out += spec.kappa * a(face)[k] / h**2
+            out += abs(vel[k]) / h
+        q[x, x] = -out - eps * (disc + tail + 2 * d * nn_fix)
+    return q
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridModelSpec(
+            dimension=2,
+            domain_box=((0.0, 1.5), (0.0, 1.0)),
+            mesh_h=1 / 8,
+            a=lambda x, y: (1.0 + x * y, 2.0 + math.sin(3 * x + y)),
+            b=lambda x, y: (x - 0.7, 0.5 - x * y),
+            k=3.0,
+            alpha=1.3,
+            kappa=0.8,
+            epsilon=0.7,
+        ),
+        GridModelSpec(
+            dimension=1,
+            domain_box=((0.0, 1.5),),
+            mesh_h=1 / 8,
+            a=lambda x: 1.0 + x / 2,
+            b=lambda x: x - 0.6,
+            k=-2.0,
+            alpha=0.7,
+            kappa=1.2,
+            epsilon=0.6,
+        ),
+    ],
+    ids=["2d-rectangle", "1d"],
+)
+def test_assembly_matches_the_stencil_definitions(spec):
+    # an 11 x 7 grid: a swapped axis or a transposed block would show
+    q = discretize_jump_diffusion(spec).q
+    ref = reference_generator(spec)
+    assert np.abs(q - ref).max() <= 1e-13 * np.abs(ref).max()
