@@ -47,6 +47,14 @@ def _row_scale(q: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(np.diag(q)))
 
 
+def _off_diagonal(q: np.ndarray) -> np.ndarray:
+    """The n*(n-1) off-diagonal entries of a square matrix, as an (n-1, n)
+    array: row k holds the entries strictly between diagonal k and k+1 in
+    row-major order. A view, not a copy, when q is C-contiguous."""
+    n = q.shape[0]
+    return q.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
 def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -104,8 +112,7 @@ class Generator:
         q = np.asarray(self.matrix, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"generator matrix must be square, got shape {q.shape}")
-        off = q.copy()
-        np.fill_diagonal(off, 0.0)
+        off = _off_diagonal(q)
         if off.size and off.min() < -STRUCTURAL_TOL:
             raise ValueError(
                 f"off-diagonal rates must be nonnegative (min {off.min():.3e})"
@@ -169,15 +176,21 @@ class Chain:
         return bool(np.abs(mq - mq.T).max() <= STRUCTURAL_TOL * scale)
 
     @cached_property
-    def beta0(self) -> float:
-        """Smallest shift making the symmetric part of the form nonnegative.
+    def form_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues nu of the pencil sym(A0) v = nu M v (read-only).
 
-        Computed as max(0, -lambda_min) of the generalized symmetric
-        eigenproblem sym(A0) v = lambda M v.
+        Under detailed balance sym(A0) = M(-Q), so these are also the
+        eigenvalues of -Q in the mu-weighted inner product: one eigensolve
+        gives the lower bound beta0 and the spectral gap nu_1.
         """
         sym0, m, _ = _symmetric_part_pencil(self)
-        lam = scipy.linalg.eigh(sym0, m, eigvals_only=True)
-        return float(max(0.0, -lam[0]))
+        return _freeze(scipy.linalg.eigh(sym0, m, eigvals_only=True))
+
+    @cached_property
+    def beta0(self) -> float:
+        """Smallest shift making the symmetric part of the form nonnegative:
+        max(0, -nu_0) over the pencil spectrum."""
+        return float(max(0.0, -self.form_spectrum[0]))
 
     def is_conservative(self) -> bool:
         """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
@@ -233,21 +246,36 @@ def _symmetric_part_pencil(chain: Chain):
     return (a0 + a0.T) / 2.0, np.diag(chain.mu), a0
 
 
-def _sector_constant(chain: Chain, probe: float) -> float:
-    """sup |form0(f,g)| / sqrt(form_probe(f,f) form_probe(g,g)), floored at 1.
+def _sector_sigma(chain: Chain, probe: float) -> float:
+    """sup |form0(f,g)| / sqrt(form_probe(f,f) form_probe(g,g)), unfloored.
 
     Valid for probe strictly above the lower-bound estimate, where the
-    shifted symmetric part is positive definite; the supremum is the
-    largest singular value of S^{-1/2} A0 S^{-1/2}.
+    shifted symmetric part S = sym(A0) + probe*M is positive definite. The
+    supremum is the largest singular value of L^{-1} A0 L^{-T}, with
+    S = L L^T the Cholesky factorization; it shares its singular values
+    with S^{-1/2} A0 S^{-1/2}. A failed factorization reports +inf.
     """
     sym0, m, a0 = _symmetric_part_pencil(chain)
-    s = sym0 + probe * m
-    lam, vec = scipy.linalg.eigh(s)
-    if lam[0] <= 0:
+    try:
+        low = scipy.linalg.cholesky(sym0 + probe * m, lower=True)
+    except np.linalg.LinAlgError:
         return float("inf")
-    inv_root = (vec * (1.0 / np.sqrt(lam))[None, :]) @ vec.T
-    sigma = np.linalg.norm(inv_root @ a0 @ inv_root, 2)
-    return float(max(1.0, sigma))
+    half = scipy.linalg.solve_triangular(low, a0, lower=True)
+    # (L^{-1} A0 L^{-T})^T, which has the same singular values
+    b = scipy.linalg.solve_triangular(low, half.T, lower=True)
+    return float(scipy.linalg.svdvals(b)[0])
+
+
+def _sector_constant(chain: Chain, probe: float) -> float:
+    """The sector supremum at ``probe``, floored at 1.
+
+    For a reversible chain A0 is symmetric and the ratio is nu/(nu + probe)
+    <= 1 over the pencil spectrum, so the constant is exactly 1, its
+    minimum, with no further work.
+    """
+    if chain.reversible:
+        return 1.0
+    return max(1.0, _sector_sigma(chain, probe))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +307,7 @@ def _json_float(x: float):
 
 
 def _markov_violations(matrix: np.ndarray, prefix: str) -> list[tuple[str, float]]:
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
+    off = _off_diagonal(matrix)
     neg_off = float(max(0.0, -off.min())) if off.size else 0.0
     pos_row = float(max(0.0, matrix.sum(axis=1).max()))
     return [(f"{prefix}_offdiag", neg_off), (f"{prefix}_rowsum", pos_row)]

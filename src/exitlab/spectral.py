@@ -1,12 +1,13 @@
 """Dirichlet eigenvalue, spectral gap, Lyapunov ratio, and the bound ledger.
 
-All eigenproblems are for reversible chains and are symmetrized by the
-similarity M^{1/2} (-L) M^{-1/2}, so real symmetric solvers apply. The
-ledger checks every inequality tying exit-time functionals to the
-Dirichlet eigenvalue lambda0 of the restriction, the spectral gap lambda1
-of the full chain, and a Lyapunov ratio delta when a Lyapunov function is
-supplied. Inapplicable bounds are recorded as skipped with a reason, never
-as failures.
+All eigenproblems are for reversible chains, so real symmetric solvers
+apply: the Dirichlet problem is symmetrized by the similarity
+M^{1/2} (-L_D) M^{-1/2}, and the spectral gap is read from the chain's
+cached pencil spectrum (``Chain.form_spectrum``). The ledger checks every
+inequality tying exit-time functionals to the Dirichlet eigenvalue lambda0
+of the restriction, the spectral gap lambda1 of the full chain, and a
+Lyapunov ratio delta when a Lyapunov function is supplied. Inapplicable
+bounds are recorded as skipped with a reason, never as failures.
 """
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
 from .forms import Chain, _as_vector, _freeze, _json_float
-from .poisson import DomainMask, DomainSystem, NonReversibleError, _symmetrized
+from .poisson import DomainMask, DomainSystem, NonReversibleError
 
 __all__ = [
     "SpectralReport",
@@ -52,7 +52,10 @@ def spectral_gap(chain: Chain) -> float:
     Requires a reversible, irreducible, conservative chain carrying a
     probability measure; the smallest eigenvalue is then 0 with constant
     eigenfunction, and the gap is the optimal constant c in
-    c * pi(f^2) <= form0(f, f) over pi(f) = 0.
+    c * pi(f^2) <= form0(f, f) over pi(f) = 0. Both eigenvalues come from
+    ``chain.form_spectrum``, the eigensolve that also gives beta0. A rate
+    q_xy is an edge of the chain when it exceeds STRUCTURAL_TOL * |q_xx|,
+    so reducibility does not depend on the time scale of Q.
     """
     if not chain.reversible:
         raise NonReversibleError("spectral gap needs a reversible chain")
@@ -60,16 +63,19 @@ def spectral_gap(chain: Chain) -> float:
         raise ValueError("spectral gap needs a conservative generator")
     if not chain.measure.normalized:
         raise ValueError("spectral gap needs a normalized (probability) measure")
-    support = csr_matrix((np.abs(chain.q) > STRUCTURAL_TOL).astype(int))
+    q = chain.q
+    support = csr_matrix((q > STRUCTURAL_TOL * np.abs(np.diag(q))[:, None]).astype(int))
     n_comp, _ = connected_components(support, directed=False)
     if n_comp > 1:
         raise ValueError(f"chain is reducible ({n_comp} components); no unique invariant law")
-    lam = scipy.linalg.eigh(_symmetrized(chain.q, chain.mu), eigvals_only=True)
+    if chain.n_states < 2:
+        raise ValueError("spectral gap needs at least two states")
+    nu = chain.form_spectrum
     # eigh is backward stable: the bottom eigenvalue carries rounding of the
     # order of the largest one
-    if abs(lam[0]) > WEAK_IDENTITY_TOL * max(1.0, abs(lam[-1])):
-        raise AssertionError(f"bottom eigenvalue of a conservative chain is {lam[0]:.3e}, not 0")
-    return float(lam[1])
+    if abs(nu[0]) > WEAK_IDENTITY_TOL * max(1.0, abs(nu[-1])):
+        raise AssertionError(f"bottom eigenvalue of a conservative chain is {nu[0]:.3e}, not 0")
+    return float(nu[1])
 
 
 def lyapunov_delta(chain: Chain, mask: DomainMask, varphi) -> float:

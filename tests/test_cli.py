@@ -244,7 +244,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 
     import exitlab.poisson
 
-    factored, dirichlet_eighs, pencils = [], [], []
+    factored, dirichlet_eighs, full_eighs, pencils = [], [], [], []
 
     class CountingLU(exitlab.poisson.RefinedLU):
         def __init__(self, a, context="solve"):
@@ -256,6 +256,8 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     def counting_eigh(a, b=None, *args, **kwargs):
         if np.shape(a) == (2, 2):
             dirichlet_eighs.append(a)
+        if np.shape(a) == (4, 4):
+            full_eighs.append(a)
         if b is not None:
             pencils.append(a)
         return eigh(a, b, *args, **kwargs)
@@ -275,6 +277,9 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     # beta0 is a fact of the chain: validate and every beta's form view
     # share one generalized eigensolve sym(A0) v = lambda M v
     assert len(pencils) == 1
+    # that pencil spectrum also gives the spectral gap of bounds, and the
+    # sector constant of a reversible chain needs no eigensolve
+    assert len(full_eighs) == 1
     # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
     # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
     # LU per beta for its primal and adjoint solves

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,12 +10,15 @@ from exitlab import (
     Chain,
     Generator,
     Measure,
+    antisym_perturb,
+    cycle_flow,
     dual_generator,
     eval_form,
     form_view,
     spectral_gap,
     validate_assumption_a,
 )
+from exitlab.forms import _off_diagonal, _sector_constant, _sector_sigma, form_matrix
 from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain
 
 
@@ -200,3 +206,89 @@ def test_row_sum_check_scales_with_the_diagonal_only():
     Generator(np.array([[-1e3, 1e3 + 1e-10], [0.0, 0.0]]))
     leaky = make_chain([[-1e3, 1e3 - 1e-8], [0.0, 0.0]], [1.0, 1.0])
     assert not leaky.is_conservative()
+
+
+def _sector_by_eigh_and_norm(chain, probe):
+    # reference: S^{-1/2} A0 S^{-1/2} through a full eigh of S, then the
+    # spectral norm (a full SVD)
+    a0 = form_matrix(chain, 0.0)
+    lam, vec = scipy.linalg.eigh((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu))
+    inv_root = (vec / np.sqrt(lam)[None, :]) @ vec.T
+    return np.linalg.norm(inv_root @ a0 @ inv_root, 2)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [antisym_perturb(*cycle_flow(6, 1.0), 0.9), random_nonsymmetric_chain(np.random.default_rng(3), 200)],
+    ids=["cycle6", "random200"],
+)
+@pytest.mark.parametrize("offset", [1e-3, 0.5])
+def test_non_reversible_sector_matches_the_eigh_route(chain, offset):
+    assert not chain.reversible
+    probe = chain.beta0 + offset
+    expected = _sector_by_eigh_and_norm(chain, probe)
+    assert _sector_sigma(chain, probe) == pytest.approx(expected, rel=1e-12)
+    assert _sector_constant(chain, probe) == pytest.approx(max(1.0, expected), rel=1e-12)
+
+
+def test_reversible_validation_makes_no_eigensolve(rng, monkeypatch):
+    chain = random_reversible_chain(rng, 30)
+    beta0 = chain.beta0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validation of a reversible chain decomposed a matrix")
+
+    for module, name in [
+        (scipy.linalg, "eigh"),
+        (scipy.linalg, "svd"),
+        (scipy.linalg, "svdvals"),
+        (scipy.linalg, "cholesky"),
+        (np.linalg, "eigh"),
+        (np.linalg, "svd"),
+        (np.linalg, "norm"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    report = validate_assumption_a(chain, beta_probe=beta0 + 0.5)
+    assert report.sector_constant == 1.0
+    assert report.beta0_estimate == beta0
+
+
+def test_form_spectrum_is_cached_read_only_and_gives_beta0():
+    chain = make_chain([[-1.0, 1.0], [5.0, -5.0]], [1.0, 10.0])
+    nu = chain.form_spectrum
+    assert chain.form_spectrum is nu
+    assert np.all(np.diff(nu) >= 0)
+    with pytest.raises(ValueError):
+        nu[0] = 0.0
+    assert chain.beta0 == max(0.0, -nu[0])
+    # the pencil sym(A0) v = nu M v, solved independently
+    a0 = form_matrix(chain, 0.0)
+    m = np.diag(chain.mu)
+    expected = np.linalg.eigvals(np.linalg.solve(m, (a0 + a0.T) / 2.0)).real
+    np.testing.assert_allclose(nu, np.sort(expected), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+def test_off_diagonal_view_holds_exactly_the_off_diagonal_entries(n):
+    q = np.arange(float(n * n)).reshape(n, n)
+    off = _off_diagonal(q)
+    assert off.shape == (n - 1, n)
+    assert n == 1 or np.shares_memory(off, q)
+    assert sorted(off.ravel()) == sorted(q[~np.eye(n, dtype=bool)])
+    # a non-contiguous input gets a copy, with the same entries
+    assert sorted(_off_diagonal(q.T).ravel()) == sorted(q.T[~np.eye(n, dtype=bool)])
+
+
+def test_generator_copies_its_matrix_once():
+    n = 400
+    q = np.full((n, n), 1.0)
+    np.fill_diagonal(q, -(n - 1.0))
+    tracemalloc.start()
+    try:
+        Generator(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the frozen copy is n^2 doubles; a second n^2 copy for the sign test
+    # would reach 2 n^2
+    assert peak < 1.5 * n * n * 8

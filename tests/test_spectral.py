@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from exitlab import (
+    Chain,
     DomainMask,
+    Generator,
     NonReversibleError,
     bounds_report,
     complete_graph,
@@ -119,6 +122,30 @@ def test_spectral_gap_rejects_reducible():
     np.fill_diagonal(q, -q.sum(axis=1))
     chain = make_chain(q, np.full(4, 0.25), normalized=True)
     with pytest.raises(ValueError, match="reducible"):
+        spectral_gap(chain)
+
+
+@pytest.mark.parametrize("n", [50, 800])
+def test_spectral_gap_matches_the_symmetrized_eigh(n):
+    chain = random_reversible_chain(np.random.default_rng(1), n)
+    root = np.sqrt(chain.mu)
+    b = -(chain.q * (root[:, None] / root[None, :]))
+    lam = scipy.linalg.eigh((b + b.T) / 2.0, eigvals_only=True)
+    assert abs(spectral_gap(chain) - lam[1]) <= 1e-13 * max(1.0, abs(lam[-1]))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-13])
+def test_spectral_gap_reducibility_does_not_depend_on_the_time_scale(c):
+    # every rate of c*Q lies below an absolute STRUCTURAL_TOL at c = 1e-13,
+    # yet the chain is as irreducible as Q
+    chain = random_reversible_chain(np.random.default_rng(0), 6)
+    scaled = Chain(Generator(c * chain.q), chain.measure)
+    assert spectral_gap(scaled) / (c * spectral_gap(chain)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_gap_rejects_a_single_state():
+    chain = make_chain([[0.0]], [1.0], normalized=True)
+    with pytest.raises(ValueError, match="two states"):
         spectral_gap(chain)
 
 
