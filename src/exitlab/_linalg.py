@@ -24,23 +24,52 @@ class SingularSystemError(ValueError):
         self.cond_estimate = cond_estimate
 
 
-class RefinedLU:
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
+    """Cholesky factorization failed, or its reciprocal condition fell below
+    SINGULAR_RCOND: the caller should factor by LU instead."""
+
+
+class _Refined:
+    """Direct solve plus iterative refinement against the unfactored matrix.
+
+    Subclasses supply ``_direct(b, trans)`` (the solve through the factors),
+    ``_apply(x, trans)`` (the matrix, or its transpose, times x) and
+    ``_anorm(trans)`` (the 1-norm of that matrix).
+    """
+
+    def solve(self, b, trans: bool = False) -> np.ndarray:
+        """Solve a x = b, or a^T x = b with ``trans=True``."""
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        anorm = self._anorm(trans)
+        x = self._direct(b, trans)
+        for _ in range(REFINE_MAX_SWEEPS):
+            r = b - self._apply(x, trans)
+            if np.max(np.abs(r)) <= REFINE_TARGET * max(1.0, anorm * np.max(np.abs(x))):
+                break
+            x = x + self._direct(r, trans)
+        return x
+
+
+class RefinedLU(_Refined):
     """LU factors of a square matrix and its 1-norm condition estimate ``cond``.
 
-    Solves a x = b, or a^T x = b with ``trans=True``, refining against the
-    matrix. Raises SingularSystemError when the reciprocal condition falls
-    below SINGULAR_RCOND.
+    Solves a x = b, or a^T x = b with ``trans=True``, for a vector or matrix b,
+    refining against the matrix. Raises SingularSystemError when the matrix is
+    not finite or the reciprocal condition falls below SINGULAR_RCOND.
     """
 
     def __init__(self, a: np.ndarray, context: str = "solve"):
         self.a = np.asarray(a, dtype=float)
-        anorm = np.linalg.norm(self.a, 1)
+        self._norms = {False: np.linalg.norm(self.a, 1)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            self._factors = lu_factor(self.a)
+            # a non-finite matrix gives a non-finite factor, which the gate rejects
+            self._factors = lu_factor(self.a, check_finite=False)
         lu = self._factors[0]
         (gecon,) = get_lapack_funcs(("gecon",), (self.a,))
-        rcond, _ = gecon(lu, anorm, norm="1")
+        rcond, _ = gecon(lu, self._norms[False], norm="1")
         self.cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
         if not np.isfinite(lu).all() or rcond < SINGULAR_RCOND:
             raise SingularSystemError(
@@ -50,18 +79,64 @@ class RefinedLU:
             )
         log.debug("%s: n=%d cond~%.3e", context, self.a.shape[0], self.cond)
 
-    def solve(self, b, trans: bool = False) -> np.ndarray:
-        """Solve with a vector or matrix right-hand side."""
-        b = np.asarray(b, dtype=float)
-        a = self.a.T if trans else self.a
-        anorm = np.linalg.norm(a, 1)
-        x = lu_solve(self._factors, b, trans=int(trans))
-        for _ in range(REFINE_MAX_SWEEPS):
-            r = b - a @ x
-            if np.max(np.abs(r)) <= REFINE_TARGET * max(1.0, anorm * np.max(np.abs(x))):
-                break
-            x = x + lu_solve(self._factors, r, trans=int(trans))
-        return x
+    def _anorm(self, trans: bool) -> float:
+        if trans not in self._norms:
+            self._norms[trans] = np.linalg.norm(self.a, np.inf)
+        return self._norms[trans]
+
+    def _apply(self, x, trans: bool) -> np.ndarray:
+        return (self.a.T if trans else self.a) @ x
+
+    def _direct(self, b, trans: bool) -> np.ndarray:
+        return lu_solve(self._factors, b, trans=int(trans), check_finite=False)
+
+
+class RefinedCholesky(_Refined):
+    """Solves (shift*I - q) x = b, or its transpose, for a vector b when the
+    matrix is similar to a symmetric positive definite one.
+
+    ``sym`` is symmetric with R (shift*I - q) R^{-1} = sym + shift*I for
+    R = diag(root). That shifted matrix S is factored by Cholesky, and the
+    solves are x = R^{-1} S^{-1} R b and, for the transpose, x = R S^{-1}
+    R^{-1} b. Refinement runs against q itself. ``cond`` is the 1-norm condition
+    estimate of S. Raises NotPositiveDefiniteError when the factorization
+    fails, the factor is not finite, or the reciprocal condition falls below
+    SINGULAR_RCOND.
+    """
+
+    def __init__(self, sym, shift: float, root, q, context: str = "solve"):
+        n = sym.shape[0]
+        # 1-norms of shift*I - q and of its transpose, for the refinement stop
+        mag = np.abs(q)
+        mag.flat[:: n + 1] = np.abs(shift - np.diag(q))
+        self._norms = (float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max()))
+        del mag
+        s = np.array(sym, dtype=float)
+        s.flat[:: n + 1] += shift
+        potrf, potrs, pocon = get_lapack_funcs(("potrf", "potrs", "pocon"), (s,))
+        snorm = np.linalg.norm(s, 1)
+        # S is symmetric, so its transpose is the same matrix in Fortran order
+        factor, info = potrf(s.T, lower=True, clean=False, overwrite_a=True)
+        if info != 0:
+            raise NotPositiveDefiniteError(f"{context}: not positive definite (potrf info {info})")
+        rcond, _ = pocon(factor, snorm, uplo="L")
+        if not np.isfinite(factor).all() or rcond < SINGULAR_RCOND:
+            raise NotPositiveDefiniteError(f"{context}: Cholesky rcond {rcond:.3e} too small or not finite")
+        self.cond = 1.0 / float(rcond)
+        log.debug("%s: n=%d Cholesky cond~%.3e", context, n, self.cond)
+        self._factor, self._potrs = factor, potrs
+        self.shift, self.root, self.q = shift, root, q
+
+    def _anorm(self, trans: bool) -> float:
+        return self._norms[trans]
+
+    def _apply(self, x, trans: bool) -> np.ndarray:
+        return self.shift * x - (self.q.T if trans else self.q) @ x
+
+    def _direct(self, b, trans: bool) -> np.ndarray:
+        scale = (1.0 / self.root) if trans else self.root
+        y, _ = self._potrs(self._factor, scale * b, lower=True)
+        return y / scale
 
 
 def solve_refined(a: np.ndarray, b: np.ndarray, context: str = "solve"):

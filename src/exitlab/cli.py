@@ -28,12 +28,13 @@ from .forms import form_view, validate_assumption_a
 from .models import (
     BUILDERS,
     GridModelSpec,
+    _check_family_parts,
+    _check_scales,
     antisym_perturb,
     build_chain,
     discretize_jump_diffusion,
     flow_from_cycles,
     grid_points,
-    scaled_family,
 )
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
 from .poisson import DomainMask, DomainSystem
@@ -297,10 +298,10 @@ def _cmd_bounds(system, cfg, digest, out_dir):
     return ok
 
 
-def _aggregates(chain, mask, betas):
-    system = DomainSystem(chain, mask)
-    lap = {beta: float(np.sum(chain.mu * system.laplace(beta))) for beta in betas}
-    mean = float(np.sum(chain.mu * system.mean()))
+def _aggregates(system, mu, betas):
+    """<laplace, 1>_mu per beta and <mean, 1>_mu, for full-length weights mu."""
+    lap = {beta: float(np.sum(mu * system.laplace(beta))) for beta in betas}
+    mean = float(np.sum(mu * system.mean()))
     return lap, mean
 
 
@@ -332,8 +333,10 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         flow = flow_from_cycles([cycle], chain.measure)
         values = [float(k) for k in sweep["values"]]
         for k in values:
-            lap, mean = _aggregates(antisym_perturb(chain, flow, k), mask, cfg.betas)
-            lap_neg, mean_neg = _aggregates(antisym_perturb(chain, flow, -k), mask, cfg.betas)
+            # the perturbed chains keep the measure of the base
+            pos, neg = (DomainSystem(antisym_perturb(chain, flow, s), mask) for s in (k, -k))
+            lap, mean = _aggregates(pos, chain.mu, cfg.betas)
+            lap_neg, mean_neg = _aggregates(neg, chain.mu, cfg.betas)
             for beta in cfg.betas:
                 if abs(lap[beta] - lap_neg[beta]) > MONOTONE_TOL:
                     ok = False
@@ -345,17 +348,23 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         sequences = [[rows[i] for i in np.argsort([abs(r["k"]) for r in rows])]]
         x_axis = [r["k"] for r in rows]
     else:
-        # the sweep's chains are built from two parts; the configured chain
-        # is never read, and the domain needs only the grid
+        # each point's system is kappa*A_D + epsilon*B_D for the two parts
+        # restricted once, the same block as restricting scaled_family(...).q;
+        # the configured chain is never read, and the domain needs only the grid
         mask = _domain_mask(cfg, grid_points(spec).shape[0], spec)
         diff = discretize_jump_diffusion(replace(spec, kappa=1.0, epsilon=0.0))
         jump = discretize_jump_diffusion(replace(spec, kappa=0.0, epsilon=1.0))
         kappas = [float(v) for v in sweep["kappa"]]
         epsilons = [float(v) for v in sweep["epsilon"]]
+        _check_family_parts(diff, jump)
+        block = np.ix_(mask.indices, mask.indices)
+        diff_d, jump_d, mu_d = diff.q[block], jump.q[block], diff.mu[mask.indices]
         table = {}
         for kap in kappas:
             for eps in epsilons:
-                lap, mean = _aggregates(scaled_family(diff, jump, kap, eps), mask, cfg.betas)
+                _check_scales(kap, eps)
+                system = DomainSystem.from_restricted(mask, kap * diff_d + eps * jump_d, mu_d)
+                lap, mean = _aggregates(system, diff.mu, cfg.betas)
                 table[(kap, eps)] = {"kappa": kap, "epsilon": eps, "laplace": lap, "mean": mean}
                 rows.append(table[(kap, eps)])
         keys = ["kappa", "epsilon"]

@@ -47,6 +47,11 @@ def _row_scale(q: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(np.diag(q)))
 
 
+def _is_conservative(q: np.ndarray) -> bool:
+    """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
+    return bool(np.all(np.abs(q.sum(axis=1)) <= STRUCTURAL_TOL * _row_scale(q)))
+
+
 def _off_diagonal(q: np.ndarray) -> np.ndarray:
     """The n*(n-1) off-diagonal entries of a square matrix, as an (n-1, n)
     array: row k holds the entries strictly between diagonal k and k+1 in
@@ -194,7 +199,7 @@ class Chain:
 
     def is_conservative(self) -> bool:
         """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
-        return bool(np.all(np.abs(self.q.sum(axis=1)) <= STRUCTURAL_TOL * _row_scale(self.q)))
+        return _is_conservative(self.q)
 
     def to_dict(self) -> dict:
         return {
@@ -229,9 +234,15 @@ def dual_generator(chain: Chain) -> Generator:
     can turn positive when mu is not subinvariant, so the sub-Markov check
     is skipped and left to validate_assumption_a.
     """
+    return Generator(_dual_matrix(chain), require_submarkov=False)
+
+
+def _dual_matrix(chain: Chain) -> np.ndarray:
+    """M^{-1} Q^T M in one C-ordered buffer, so its off-diagonal entries are a view."""
     mu = chain.mu
-    dual = (chain.q.T * mu[None, :]) / mu[:, None]
-    return Generator(dual, require_submarkov=False)
+    dual = np.multiply(chain.q.T, mu[None, :], order="C")
+    dual /= mu[:, None]
+    return dual
 
 
 def form_matrix(chain: Chain, beta: float) -> np.ndarray:
@@ -325,7 +336,7 @@ def validate_assumption_a(chain: Chain, beta_probe: float) -> ValidationReport:
     """
     beta0 = chain.beta0
     violations = _markov_violations(chain.q, "primal")
-    violations += _markov_violations(dual_generator(chain).matrix, "dual")
+    violations += _markov_violations(_dual_matrix(chain), "dual")
     if beta_probe > beta0:
         sector = _sector_constant(chain, beta_probe)
     else:

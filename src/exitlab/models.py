@@ -219,16 +219,26 @@ def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
     return Chain(Generator(q), base.measure, base.labels)
 
 
-def scaled_family(diff_part: Chain, jump_part: Chain, kappa: float, epsilon: float) -> Chain:
-    """Chain with generator kappa*Q_diff + epsilon*Q_jump on shared states."""
+def _check_scales(kappa: float, epsilon: float) -> None:
     if kappa < 0 or epsilon < 0 or (kappa == 0 and epsilon == 0):
         raise ValueError("scales must be nonnegative and not both zero")
+
+
+def _check_family_parts(diff_part: Chain, jump_part: Chain) -> None:
+    """The parts share states and measure and are both reversible, so every
+    nonnegative combination of them is a reversible generator for that measure."""
     if diff_part.n_states != jump_part.n_states:
         raise ValueError("parts must share the state space")
     if np.abs(diff_part.mu - jump_part.mu).max() > STRUCTURAL_TOL * max(1.0, diff_part.mu.max()):
         raise ValueError("parts must share the measure")
     if not (diff_part.reversible and jump_part.reversible):
         raise ValueError("both parts must be reversible")
+
+
+def scaled_family(diff_part: Chain, jump_part: Chain, kappa: float, epsilon: float) -> Chain:
+    """Chain with generator kappa*Q_diff + epsilon*Q_jump on shared states."""
+    _check_scales(kappa, epsilon)
+    _check_family_parts(diff_part, jump_part)
     q = kappa * diff_part.q + epsilon * jump_part.q
     return Chain(Generator(q), diff_part.measure, diff_part.labels)
 

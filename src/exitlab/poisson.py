@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import RefinedLU, SingularSystemError
+from ._linalg import NotPositiveDefiniteError, RefinedCholesky, RefinedLU, SingularSystemError
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
-from .forms import Chain, _as_vector, _freeze, _json_float
+from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float
 
 __all__ = [
     "DomainMask",
@@ -142,14 +142,31 @@ class DomainSystem:
     Package-internal. Computes Q_D, mu_D and whether exit is possible at
     most once, on first use. Caches, per instance, the solution of
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
-    eigendecomposition; LU factors never outlive their solve.
+    eigendecomposition; factors never outlive their solve.
     Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
     1 + beta*u_{-beta}.
+
+    A reversible system factors the symmetrized M^{1/2}(s*I - Q_D)M^{-1/2}
+    by Cholesky and falls back to LU where that is not positive definite
+    (s at or below -lambda0, or a singular restriction); any other system
+    factors by LU.
     """
 
-    chain: Chain
+    chain: Chain | None
     mask: DomainMask
     _ones: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_restricted(cls, mask: DomainMask, q_d: np.ndarray, mu_d: np.ndarray) -> "DomainSystem":
+        """A system built from restricted data, with no chain behind it.
+
+        ``q_d`` must be the restriction to the mask's states of a generator
+        that is reversible for a measure with weights ``mu_d`` there; the
+        caller has checked that.
+        """
+        system = cls(None, mask)
+        system.__dict__.update(q_d=q_d, mu_d=mu_d, reversible=True)
+        return system
 
     @cached_property
     def q_d(self) -> np.ndarray:
@@ -160,8 +177,21 @@ class DomainSystem:
         return self.chain.mu[self.mask.indices]
 
     @cached_property
+    def reversible(self) -> bool:
+        return self.chain.reversible
+
+    @cached_property
     def exit_possible(self) -> bool:
-        return not (self.mask.is_full() and self.chain.is_conservative())
+        # on a full mask Q_D is the whole generator
+        return not (self.mask.is_full() and _is_conservative(self.q_d))
+
+    @cached_property
+    def sym_d(self) -> np.ndarray:
+        """M^{1/2}(-Q_D)M^{-1/2}, symmetrized (read-only): the Cholesky route
+        and the Dirichlet eigensolve share it."""
+        sym = _symmetrized(self.q_d, self.mu_d)
+        sym.setflags(write=False)
+        return sym
 
     def _require_exit(self) -> None:
         if not self.exit_possible:
@@ -170,19 +200,32 @@ class DomainSystem:
                 "the exit time is infinite"
             )
 
+    def _factor(self, shift: float):
+        """Factors of shift*I - Q_D: Cholesky for a reversible system where
+        that is positive definite, LU otherwise."""
+        context = f"restricted solve (beta={shift:g})"
+        if self.reversible:
+            try:
+                return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context)
+            except NotPositiveDefiniteError:
+                pass
+        a = np.negative(self.q_d)
+        a.flat[:: self.mask.size + 1] += shift
+        return RefinedLU(a, context)
+
     def solve(self, shift: float, xi_d: np.ndarray, sides=("primal",)) -> tuple:
-        """One LU of shift*I - Q_D, then one refined solve per requested side.
+        """One factorization of shift*I - Q_D, then one refined solve per
+        requested side.
 
         The dual side solves the adjoint restriction through the transposed
         factors: (shift*I - Q_D)^T (M_D u~) = M_D xi.
         """
         if not set(sides) <= {"primal", "dual"}:
             raise ValueError(f"side must be 'primal' or 'dual', got {sides!r}")
-        a = shift * np.eye(self.mask.size) - self.q_d
-        lu = RefinedLU(a, f"restricted solve (beta={shift:g})")
+        factors = self._factor(shift)
         return tuple(
-            lu.solve(xi_d) if side == "primal"
-            else lu.solve(self.mu_d * xi_d, trans=True) / self.mu_d
+            factors.solve(xi_d) if side == "primal"
+            else factors.solve(self.mu_d * xi_d, trans=True) / self.mu_d
             for side in sides
         )
 
@@ -220,7 +263,7 @@ class DomainSystem:
     def exp_moment(self, beta: float, lambda0: float) -> np.ndarray:
         if beta <= 0:
             raise ValueError("exit_exp_moment needs beta > 0")
-        if not self.chain.reversible:
+        if not self.reversible:
             raise NonReversibleError("exponential moments need a reversible chain")
         self._require_exit()
         if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
@@ -230,13 +273,13 @@ class DomainSystem:
     def functionals(self, beta: float, xi=None, lambda0: float | None = None) -> ExitFunctionals:
         if beta <= 0:
             raise ValueError("exit_functionals needs beta > 0")
-        xi_d = 1.0 if xi is None else _restrict_source(self.mask, xi, self.chain.n_states)
+        xi_d = 1.0 if xi is None else _restrict_source(self.mask, xi, self.mask.inside.shape[0])
         laplace = self.laplace(beta)
         # derive u_beta from the stored transform so the identity
         # u_beta == (1 - laplace)/beta holds to the last bit even at tiny beta
         u_beta = (1.0 - laplace) / beta
         exp_m = None
-        if lambda0 is not None and self.chain.reversible:
+        if lambda0 is not None and self.reversible:
             exp_m = self.exp_moment(beta, lambda0)
         return ExitFunctionals(
             beta=float(beta),
@@ -249,14 +292,15 @@ class DomainSystem:
 
     @cached_property
     def dirichlet(self) -> Dirichlet:
-        if not self.chain.reversible:
+        if not self.reversible:
             raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
-        lam, vec = scipy.linalg.eigh(_symmetrized(self.q_d, self.mu_d))
+        lam, vec = scipy.linalg.eigh(self.sym_d)
         if lam[0] < -WEAK_IDENTITY_TOL:
             raise AssertionError(f"Dirichlet eigenvalue turned negative: {lam[0]:.3e}")
-        phi = embed(self.mask, vec[:, 0] / np.sqrt(self.mu_d))
-        if float(np.sum(self.chain.mu * phi)) < 0:
-            phi = -phi + 0.0
+        phi_d = vec[:, 0] / np.sqrt(self.mu_d)
+        if float(np.sum(self.mu_d * phi_d)) < 0:
+            phi_d = -phi_d + 0.0
+        phi = embed(self.mask, phi_d)
         phi.setflags(write=False)
         gap = COMPARISON_RTOL * max(1.0, abs(lam[0]))
         return Dirichlet(max(float(lam[0]), 0.0), phi, int(np.sum(lam <= lam[0] + gap)))

@@ -246,10 +246,17 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 
     factored, dirichlet_eighs, full_eighs, pencils = [], [], [], []
 
+    # every restricted factorization, by shift: Cholesky on this reversible
+    # chain, LU wherever that falls back
     class CountingLU(exitlab.poisson.RefinedLU):
         def __init__(self, a, context="solve"):
             factored.append(float(a[0, 0]) - 3.0)  # a = shift*I - Q_D, Q_D[0, 0] = -3
             super().__init__(a, context)
+
+    class CountingCholesky(exitlab.poisson.RefinedCholesky):
+        def __init__(self, sym, shift, *args):
+            factored.append(shift)
+            super().__init__(sym, shift, *args)
 
     eigh = scipy.linalg.eigh
 
@@ -263,6 +270,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
         return eigh(a, b, *args, **kwargs)
 
     monkeypatch.setattr(exitlab.poisson, "RefinedLU", CountingLU)
+    monkeypatch.setattr(exitlab.poisson, "RefinedCholesky", CountingCholesky)
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     cfg = {
         "model": {"builder": "complete_graph", "params": {"n": 4, "rate": 1.0}},
@@ -282,7 +290,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     assert len(full_eighs) == 1
     # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
     # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
-    # LU per beta for its primal and adjoint solves
+    # factorization per beta for its primal and adjoint solves
     distinct = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
     assert sorted(factored) == sorted(distinct + [0.25, 0.5])
 
@@ -312,7 +320,8 @@ def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch
         "formats": ["json"],
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
-    # scaled_family reads the diffusion and the jump part nine times each
+    # the sweep checks the diffusion and the jump part once each, and
+    # every point inherits detailed balance from them
     assert len(checked) == 2 and len(set(checked)) == 2
 
 
@@ -373,3 +382,96 @@ def test_box_entries_must_be_numeric_increasing_pairs(tmp_path, capsys, edge):
     cfg = grid_box_config(tmp_path, 1, [edge])
     assert main(["validate", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
     assert "$.omega.box" in capsys.readouterr().err
+
+
+def scale_sweep_config(tmp_path, omega, kappa, epsilon):
+    return {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {"dimension": 2, "domain_box": [[0.0, 1.0], [0.0, 1.0]], "mesh_h": 0.125},
+        },
+        "omega": omega,
+        "betas": [0.5, 2.0],
+        "commands": ["sweep"],
+        "sweep": {"kind": "scale", "kappa": kappa, "epsilon": epsilon},
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+
+
+def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, monkeypatch):
+    import exitlab.cli
+    import exitlab.models
+    from exitlab.models import GridModelSpec, discretize_jump_diffusion, scaled_family
+    from exitlab.poisson import DomainSystem
+
+    families, blocks = [], []
+
+    def counting_family(*args):
+        families.append(args)
+        return scaled_family(*args)
+
+    monkeypatch.setattr(exitlab.models, "scaled_family", counting_family)
+    monkeypatch.setattr(exitlab.cli, "scaled_family", counting_family, raising=False)
+    from_restricted = DomainSystem.from_restricted.__func__
+
+    def capturing(cls, mask, q_d, mu_d, **facts):
+        blocks.append((mask.indices, q_d, mu_d))
+        return from_restricted(cls, mask, q_d, mu_d, **facts)
+
+    monkeypatch.setattr(DomainSystem, "from_restricted", classmethod(capturing))
+    kappas, epsilons = [0.5, 1.0, 2.0], [0.0, 0.5, 1.0]
+    cfg = scale_sweep_config(tmp_path, {"box": [[0.1, 0.9], [0.3, 0.9]]}, kappas, epsilons)
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    assert families == []
+    spec = dict(dimension=2, domain_box=((0.0, 1.0), (0.0, 1.0)), mesh_h=0.125)
+    diff = discretize_jump_diffusion(GridModelSpec(**spec, kappa=1.0, epsilon=0.0))
+    jump = discretize_jump_diffusion(GridModelSpec(**spec, kappa=0.0, epsilon=1.0))
+    points = [(kap, eps) for kap in kappas for eps in epsilons]
+    assert len(blocks) == len(points)
+    for (kap, eps), (idx, q_d, mu_d) in zip(points, blocks):
+        assert 0 < idx.size < diff.n_states
+        chain = scaled_family(diff, jump, kap, eps)
+        assert np.array_equal(q_d, chain.q[np.ix_(idx, idx)])
+        assert np.array_equal(mu_d, chain.mu[idx])
+
+
+def conservative_parts(monkeypatch, jump_conservative):
+    """Replace the grid parts by a conservative reversible diffusion part on
+    the grid's states and measure, and a jump part that is conservative too
+    or the grid's own (killed at the boundary)."""
+    import exitlab.cli
+    from exitlab.forms import Chain, Generator
+
+    original = exitlab.cli.discretize_jump_diffusion
+
+    def parts(spec):
+        chain = original(spec)
+        if spec.epsilon and not jump_conservative:
+            return chain
+        n = chain.n_states
+        q = np.full((n, n), 1.0 + spec.epsilon)
+        np.fill_diagonal(q, -(n - 1) * (1.0 + spec.epsilon))
+        return Chain(Generator(q), chain.measure)
+
+    monkeypatch.setattr(exitlab.cli, "discretize_jump_diffusion", parts)
+
+
+def test_full_mask_sweep_of_conservative_parts_cannot_exit(tmp_path, monkeypatch):
+    from exitlab.cli import load_config, run
+    from exitlab.poisson import ExitImpossibleError
+
+    conservative_parts(monkeypatch, jump_conservative=True)
+    path = write_config(tmp_path / "exp.json", scale_sweep_config(tmp_path, "all", [1.0], [0.5]))
+    cfg, digest = load_config(path)
+    with pytest.raises(ExitImpossibleError):
+        run(cfg, digest, tmp_path / "out")
+
+
+def test_full_mask_sweep_exits_through_a_weighted_killed_part(tmp_path, monkeypatch):
+    conservative_parts(monkeypatch, jump_conservative=False)
+    cfg = scale_sweep_config(tmp_path, "all", [0.5, 1.0], [0.5, 1.0])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    # with the killed part at weight 0, only the conservative part is left
+    cfg = scale_sweep_config(tmp_path, "all", [1.0], [0.0, 1.0])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 3

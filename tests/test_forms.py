@@ -292,3 +292,28 @@ def test_generator_copies_its_matrix_once():
     # the frozen copy is n^2 doubles; a second n^2 copy for the sign test
     # would reach 2 n^2
     assert peak < 1.5 * n * n * 8
+
+
+def test_dual_generator_is_c_ordered_and_unchanged(rng):
+    chain = random_reversible_chain(rng, 30)
+    mu = chain.mu
+    dual = dual_generator(chain).matrix
+    assert dual.flags.c_contiguous
+    np.testing.assert_array_equal(dual, (chain.q.T * mu[None, :]) / mu[:, None])
+
+
+def test_validation_holds_at_most_two_copies_of_the_chain(rng):
+    n = 400
+    chain = random_reversible_chain(rng, n)
+    chain.beta0, chain.reversible  # cached facts of the chain, read by every validation
+    tracemalloc.start()
+    try:
+        report = validate_assumption_a(chain, beta_probe=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.dual_markov_ok
+    # one n^2 dual buffer whose off-diagonal entries are a view; wrapping it
+    # in a Generator (an F-ordered product, its sign-test copy and the
+    # frozen copy) reached 3 n^2
+    assert peak <= 2 * n * n * 8

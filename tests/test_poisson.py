@@ -18,12 +18,15 @@ from exitlab import (
     form_view,
     solve_poisson,
 )
+from exitlab._linalg import RefinedCholesky, RefinedLU
+from exitlab.poisson import DomainSystem
 from conftest import (
     example_cases,
     make_chain,
     mu_dot,
     random_nonsymmetric_chain,
     random_proper_mask,
+    random_reversible_chain,
     single_state_chain,
     two_state_killed_chain,
 )
@@ -245,3 +248,73 @@ def test_solve_poisson_rejects_bad_source_length():
     # full-length sources must vanish outside the domain
     with pytest.raises(ValueError):
         solve_poisson(chain, mask, 1.0, np.ones(3))
+
+
+def _lu_route(system, shift, xi_d):
+    """The restricted solves through a general LU of shift*I - Q_D."""
+    lu = RefinedLU(shift * np.eye(system.mask.size) - system.q_d)
+    return lu.solve(xi_d), lu.solve(system.mu_d * xi_d, trans=True) / system.mu_d
+
+
+def _rel(x, ref) -> float:
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 2.0, -0.9])
+def test_cholesky_route_matches_the_lu_route(n, fraction):
+    rng = np.random.default_rng(n)
+    chain = random_reversible_chain(rng, n)
+    assert np.ptp(chain.mu) > 0.5 * chain.mu.max()  # a non-uniform measure
+    mask = DomainMask.from_states(rng.permutation(n)[: 2 * n // 3], n)
+    system = DomainSystem(chain, mask)
+    # shifts 0, 0.5 and 2, and -0.9*lambda0
+    shift = fraction * system.dirichlet.lambda0 if fraction < 0 else fraction
+    assert isinstance(system._factor(shift), RefinedCholesky)
+    xi_d = rng.uniform(0.2, 1.0, mask.size)
+    u, ut = system.solve(shift, xi_d, ("primal", "dual"))
+    u_lu, ut_lu = _lu_route(system, shift, xi_d)
+    assert _rel(u, u_lu) <= 1e-12
+    assert _rel(ut, ut_lu) <= 1e-12
+
+
+def test_shift_below_minus_lambda0_falls_back_to_lu():
+    rng = np.random.default_rng(7)
+    chain = random_reversible_chain(rng, 50)
+    mask = DomainMask.from_states(range(30), 50)
+    system = DomainSystem(chain, mask)
+    lam = np.linalg.eigvalsh(system.sym_d)
+    shift = -(lam[0] + lam[1]) / 2.0  # below -lambda0, between two eigenvalues
+    assert isinstance(system._factor(shift), RefinedLU)
+    xi_d = rng.uniform(0.2, 1.0, mask.size)
+    u, ut = system.solve(shift, xi_d, ("primal", "dual"))
+    u_lu, ut_lu = _lu_route(system, shift, xi_d)
+    np.testing.assert_array_equal(u, u_lu)
+    np.testing.assert_array_equal(ut, ut_lu)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_are_rejected(bad):
+    a = np.eye(3) * 2.0
+    a[1, 2] = bad
+    with pytest.raises(SingularSystemError):
+        RefinedLU(a)
+    # a reversible restricted system tries Cholesky first, then falls back
+    q_d = -a
+    system = DomainSystem.from_restricted(DomainMask.full(3), q_d, np.ones(3))
+    with pytest.raises(SingularSystemError):
+        system.solve(1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("reversible", [True, False])
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_non_finite_source_is_rejected(bad, reversible, side):
+    rng = np.random.default_rng(3)
+    chain = (random_reversible_chain if reversible else random_nonsymmetric_chain)(rng, 6)
+    mask = DomainMask.full(6)
+    assert isinstance(DomainSystem(chain, mask)._factor(0.5), RefinedCholesky if reversible else RefinedLU)
+    xi = np.ones(6)
+    xi[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_poisson(chain, mask, 0.5, xi, side=side)

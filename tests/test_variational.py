@@ -267,3 +267,19 @@ def test_iterative_mode_never_touches_the_resolvent(rng, monkeypatch):
         saddle_value(view, mask, xi, mode="closed_form")
     iterative = saddle_value(view, mask, xi, mode="iterative")
     assert iterative.value == pytest.approx(closed.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_source_is_rejected(bad):
+    rng = np.random.default_rng(5)
+    view = form_view(random_reversible_chain(rng, 6), 0.5)
+    mask = DomainMask.full(6)
+    xi = np.ones(6)
+    xi[4] = bad
+    for solve in (
+        lambda: saddle_value(view, mask, xi),
+        lambda: saddle_value(view, mask, xi, mode="iterative"),
+        lambda: symmetric_inf(view, mask, xi),
+    ):
+        with pytest.raises(ValueError):
+            solve()
