@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 from ._linalg import SingularSystemError
 from .forms import (
     Chain,
-    FormView,
     Generator,
     Measure,
     ValidationReport,
     dual_generator,
     eval_form,
-    form_view,
     validate_assumption_a,
 )
 from .models import (
@@ -70,13 +68,11 @@ from .variational import (
 __all__ = [
     "__version__",
     "Chain",
-    "FormView",
     "Generator",
     "Measure",
     "ValidationReport",
     "dual_generator",
     "eval_form",
-    "form_view",
     "validate_assumption_a",
     "DomainMask",
     "ExitFunctionals",

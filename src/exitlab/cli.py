@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .forms import form_view, validate_assumption_a
+from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
     GridModelSpec,
@@ -246,9 +246,8 @@ def _cmd_variational(system, cfg, digest, out_dir):
     blocks = {}
     xi = np.asarray(cfg.xi, dtype=float) if cfg.xi is not None else np.ones(mask.size)
     for beta in cfg.betas:
-        view = form_view(chain, beta)
-        closed = saddle_value(view, mask, xi, mode="closed_form")
-        iterative = saddle_value(view, mask, xi, mode="iterative")
+        closed = saddle_value(chain, mask, beta, xi, mode="closed_form")
+        iterative = saddle_value(chain, mask, beta, xi, mode="iterative")
         agree = abs(closed.value - iterative.value) <= AGREE_RTOL * max(1.0, abs(closed.value))
         entry = {
             "closed_form": closed.to_dict(),
@@ -256,7 +255,7 @@ def _cmd_variational(system, cfg, digest, out_dir):
             "modes_agree": agree,
         }
         if chain.reversible:
-            sym = symmetric_inf(view, mask, xi)
+            sym = symmetric_inf(chain, mask, beta, xi)
             entry["symmetric_inf"] = sym
             agree_sym = abs(sym - closed.value) <= AGREE_RTOL * max(1.0, abs(sym))
             entry["symmetric_agrees"] = agree_sym

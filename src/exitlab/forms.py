@@ -4,9 +4,9 @@ A chain couples a dense rate matrix Q (nonnegative off-diagonal entries,
 nonpositive row sums, the defect acting as killing) with a strictly positive
 weight vector mu. The induced form is
 
-    form(beta; f, g) = <(beta*I - Q) f, g>_mu
+    form(beta; f, g) = <(beta*I - Q) f, g>_mu,
 
-evaluated densely through the matrix A = (beta*I - Q)^T M, M = diag(mu).
+whose matrix on a square block is A = (beta*I - Q)^T M, M = diag(mu).
 The dual generator, the adjoint of Q in the mu-weighted inner product, is
 the explicit similarity M^{-1} Q^T M on a finite state space.
 """
@@ -25,12 +25,10 @@ __all__ = [
     "Measure",
     "Generator",
     "Chain",
-    "FormView",
     "ValidationReport",
     "dual_generator",
     "form_matrix",
     "eval_form",
-    "form_view",
     "validate_assumption_a",
 ]
 
@@ -84,6 +82,8 @@ class Measure:
         w = _as_vector(self.weights, name="measure weights")
         if w.size == 0:
             raise ValueError("measure needs at least one state")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("measure weights must be finite")
         if np.any(w <= 0):
             raise ValueError("measure weights must be strictly positive")
         if self.normalized and abs(w.sum() - 1.0) > STRUCTURAL_TOL:
@@ -117,6 +117,9 @@ class Generator:
         q = np.asarray(self.matrix, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"generator matrix must be square, got shape {q.shape}")
+        # min and max propagate NaN, so this tests every entry without a copy
+        if q.size and not (np.isfinite(q.min()) and np.isfinite(q.max())):
+            raise ValueError("generator rates must be finite")
         off = _off_diagonal(q)
         if off.size and off.min() < -STRUCTURAL_TOL:
             raise ValueError(
@@ -178,7 +181,9 @@ class Chain:
         """Detailed balance: diag(mu) Q symmetric within STRUCTURAL_TOL (scaled)."""
         mq = self.mu[:, None] * self.q
         scale = max(1.0, np.abs(mq).max())
-        return bool(np.abs(mq - mq.T).max() <= STRUCTURAL_TOL * scale)
+        d = mq - mq.T
+        np.abs(d, out=d)
+        return bool(d.max() <= STRUCTURAL_TOL * scale)
 
     @cached_property
     def form_spectrum(self) -> np.ndarray:
@@ -188,8 +193,16 @@ class Chain:
         eigenvalues of -Q in the mu-weighted inner product: one eigensolve
         gives the lower bound beta0 and the spectral gap nu_1.
         """
-        sym0, m, _ = _symmetric_part_pencil(self)
-        return _freeze(scipy.linalg.eigh(sym0, m, eigvals_only=True))
+        a0 = form_matrix(self.q, self.mu, 0.0)
+        sym0 = a0 + a0.T
+        del a0
+        sym0 /= 2.0
+        # both matrices are exactly symmetric, so their transposes are the
+        # same matrices in Fortran order, which eigh may overwrite uncopied
+        nu = scipy.linalg.eigh(
+            sym0.T, np.diag(self.mu).T, eigvals_only=True, overwrite_a=True, overwrite_b=True
+        )
+        return _freeze(nu)
 
     @cached_property
     def beta0(self) -> float:
@@ -245,16 +258,18 @@ def _dual_matrix(chain: Chain) -> np.ndarray:
     return dual
 
 
-def form_matrix(chain: Chain, beta: float) -> np.ndarray:
-    """Matrix A with form(beta; f, g) = f @ A @ g, A = (beta*I - Q)^T M."""
-    shifted = beta * np.eye(chain.n_states) - chain.q
-    return shifted.T * chain.mu[None, :]
+def form_matrix(q: np.ndarray, mu: np.ndarray, beta: float) -> np.ndarray:
+    """Matrix A with form(beta; f, g) = f @ A @ g, A = (beta*I - Q)^T M, of a
+    square block Q with weights mu.
 
-
-def _symmetric_part_pencil(chain: Chain):
-    """Symmetric part of the unshifted form matrix plus the mass matrix."""
-    a0 = form_matrix(chain, 0.0)
-    return (a0 + a0.T) / 2.0, np.diag(chain.mu), a0
+    Built as ``0.0 - q`` rather than ``-q``, so a zero rate gives +0.0: the
+    form matrix of a block Q_D is then bit for bit the D x D block of the
+    form matrix of the whole chain.
+    """
+    a = 0.0 - q.T
+    a.flat[:: a.shape[0] + 1] += beta
+    a *= mu
+    return a
 
 
 def _sector_sigma(chain: Chain, probe: float) -> float:
@@ -266,9 +281,9 @@ def _sector_sigma(chain: Chain, probe: float) -> float:
     S = L L^T the Cholesky factorization; it shares its singular values
     with S^{-1/2} A0 S^{-1/2}. A failed factorization reports +inf.
     """
-    sym0, m, a0 = _symmetric_part_pencil(chain)
+    a0 = form_matrix(chain.q, chain.mu, 0.0)
     try:
-        low = scipy.linalg.cholesky(sym0 + probe * m, lower=True)
+        low = scipy.linalg.cholesky((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), lower=True)
     except np.linalg.LinAlgError:
         return float("inf")
     half = scipy.linalg.solve_triangular(low, a0, lower=True)
@@ -353,35 +368,11 @@ def validate_assumption_a(chain: Chain, beta_probe: float) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FormView:
-    """The shifted form of a chain: its matrix and the chain's lower bound."""
-
-    chain: Chain
-    beta: float
-    primal_matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("form shift beta must be nonnegative")
-        object.__setattr__(self, "primal_matrix", _freeze(self.primal_matrix))
-
-    @property
-    def beta0(self) -> float:
-        return self.chain.beta0
-
-
-def form_view(chain: Chain, beta: float) -> FormView:
-    """Assemble the shifted form E_beta of the chain.
-
-    The sector constant is a diagnostic of validate_assumption_a only.
-    """
-    return FormView(chain=chain, beta=float(beta), primal_matrix=form_matrix(chain, beta))
-
-
-def eval_form(view: FormView, f, g) -> float:
-    """Evaluate form(beta; f, g) = <(beta*I - Q) f, g>_mu densely."""
-    n = view.chain.n_states
+def eval_form(chain: Chain, beta: float, f, g) -> float:
+    """Evaluate form(beta; f, g) = <(beta*I - Q) f, g>_mu."""
+    if beta < 0:
+        raise ValueError("form shift beta must be nonnegative")
+    n = chain.n_states
     fv = _as_vector(f, n, "f")
     gv = _as_vector(g, n, "g")
-    return float(fv @ view.primal_matrix @ gv)
+    return float(((beta * fv - chain.q @ fv) * chain.mu) @ gv)

@@ -138,10 +138,10 @@ class FlowMatrix:
             raise ValueError("flow matrix must have zero row sums")
         object.__setattr__(self, "gamma", _freeze(g))
 
-    def is_antisymmetric_for(self, measure: Measure, tol: float = STRUCTURAL_TOL) -> bool:
+    def is_antisymmetric_for(self, measure: Measure) -> bool:
         mg = measure.weights[:, None] * self.gamma
         scale = max(1.0, np.abs(mg).max())
-        return bool(np.abs(mg + mg.T).max() <= tol * scale)
+        return bool(np.abs(mg + mg.T).max() <= STRUCTURAL_TOL * scale)
 
 
 def flow_from_cycles(cycles, measure: Measure, weights=None) -> FlowMatrix:

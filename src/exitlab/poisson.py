@@ -104,8 +104,10 @@ def embed(mask: DomainMask, values, fill: float = 0.0) -> np.ndarray:
 
 
 def _restrict_source(mask: DomainMask, xi, n_states: int) -> np.ndarray:
-    """Accept a source of domain length, or full length vanishing outside."""
+    """Accept a finite source of domain length, or full length vanishing outside."""
     v = _as_vector(xi, name="xi")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("source xi must be finite")
     if v.shape[0] == mask.size:
         return v
     if v.shape[0] == n_states:

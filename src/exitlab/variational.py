@@ -29,7 +29,7 @@ from .defaults import (
     SPECTRAL_EDGE_MARGIN,
     STRUCTURAL_TOL,
 )
-from .forms import Chain, FormView, Measure, _as_vector, _freeze
+from .forms import Chain, Measure, _as_vector, _freeze, form_matrix
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _restrict_source, embed
 
 __all__ = [
@@ -98,38 +98,40 @@ def construct_optimizers(u, u_dual, xi, measure: Measure):
     return (w + wt) / 2.0, (w - wt) / 2.0
 
 
-def _saddle_inputs(view: FormView, mask: DomainMask, xi):
-    """Shared setup: restricted form matrix, weighted source, admissibility."""
-    if view.beta <= view.beta0:
+def _saddle_inputs(chain: Chain, mask: DomainMask, beta: float, xi):
+    """Shared setup: the form matrix on the domain, weighted source, admissibility."""
+    if beta <= chain.beta0:
         raise ValueError(
-            f"shift beta={view.beta:g} must exceed the lower-bound estimate "
-            f"{view.beta0:g}; the inner quadratic is indefinite otherwise"
+            f"shift beta={beta:g} must exceed the lower-bound estimate "
+            f"{chain.beta0:g}; the inner quadratic is indefinite otherwise"
         )
     idx = mask.indices
-    a = view.primal_matrix[np.ix_(idx, idx)]
-    xi_d = _restrict_source(mask, xi, view.chain.n_states)
+    mu_d = chain.mu[idx]
+    a = form_matrix(chain.q[np.ix_(idx, idx)], mu_d, beta)
+    xi_d = _restrict_source(mask, xi, chain.n_states)
     if np.abs(xi_d).max() <= 0.0:
         raise ValueError("source xi vanishes on the domain")
-    c = view.chain.mu[idx] * xi_d
+    c = mu_d * xi_d
     return idx, a, xi_d, c
 
 
-def _projector(c: np.ndarray) -> np.ndarray:
-    return np.eye(c.shape[0]) - np.outer(c, c) / (c @ c)
+def _project(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto {c}-orthogonal vectors of x, or of each row of x."""
+    return x - np.multiply.outer(x @ c, c) / (c @ c)
 
 
 def _sampled_saddle_check(a, c, f_d, g_d, value) -> float:
     """Largest violation of the two one-sided inequalities over random
-    admissible perturbations; raises if it exceeds the check tolerance."""
+    admissible perturbations; raises if it exceeds the check tolerance.
+
+    Even rows of the draw perturb g, odd rows perturb f."""
     rng = np.random.default_rng(SADDLE_CHECK_SEED)
-    p = _projector(c)
-    scale = 1.0 + float(np.abs(f_d).max())
-    worst = 0.0
-    for _ in range(SADDLE_CHECK_DIRECTIONS):
-        g = p @ rng.standard_normal(c.shape[0]) * scale
-        worst = max(worst, float((f_d + g) @ a @ (f_d - g) - value))
-        f = f_d + p @ rng.standard_normal(c.shape[0]) * scale
-        worst = max(worst, float(value - (f + g_d) @ a @ (f - g_d)))
+    z = rng.standard_normal((2 * SADDLE_CHECK_DIRECTIONS, c.shape[0]))
+    step = _project(c, z) * (1.0 + float(np.abs(f_d).max()))
+    g, f = step[0::2], f_d + step[1::2]
+    over = np.sum(((f_d + g) @ a) * (f_d - g), axis=1) - value
+    under = value - np.sum(((f + g_d) @ a) * (f - g_d), axis=1)
+    worst = max(0.0, float(over.max()), float(under.max()))
     if worst > SADDLE_CHECK_TOL:
         raise RuntimeError(
             f"sampled saddle verification failed (violation {worst:.3e})"
@@ -140,17 +142,18 @@ def _sampled_saddle_check(a, c, f_d, g_d, value) -> float:
 def _stationarity(a, c, f_d, g_d):
     s = (a + a.T) / 2.0
     k = (a - a.T) / 2.0
-    p = _projector(c)
-    rf = np.linalg.norm(p @ (s @ f_d + k.T @ g_d))
-    rg = np.linalg.norm(p @ (k @ f_d - s @ g_d))
+    rf = np.linalg.norm(_project(c, s @ f_d + k.T @ g_d))
+    rg = np.linalg.norm(_project(c, k @ f_d - s @ g_d))
     return float(rf), float(rg)
 
 
-def saddle_value(view: FormView, mask: DomainMask, xi, mode: str = "closed_form") -> SaddleSolution:
-    """Evaluate the constrained inf-sup of the shifted form.
+def saddle_value(
+    chain: Chain, mask: DomainMask, beta: float, xi, mode: str = "closed_form"
+) -> SaddleSolution:
+    """Evaluate the constrained inf-sup of the form shifted by beta.
 
     mode="closed_form" solves the primal and dual restricted systems from
-    one LU (the dual through the transposed factors), returns
+    one factorization (the dual through the transposed factors), returns
     1 / <xi, u>_mu, builds the optimizing pair, and verifies both one-sided
     saddle inequalities on random admissible perturbations.
 
@@ -160,11 +163,10 @@ def saddle_value(view: FormView, mask: DomainMask, xi, mode: str = "closed_form"
     routes agree to solver accuracy whenever beta exceeds the lower-bound
     estimate (which makes the symmetric part positive definite).
     """
-    idx, a, xi_d, c = _saddle_inputs(view, mask, xi)
+    idx, a, xi_d, c = _saddle_inputs(chain, mask, beta, xi)
     m = idx.shape[0]
     if mode == "closed_form":
-        chain = view.chain
-        u_d, ut_d = DomainSystem(chain, mask).solve(view.beta, xi_d, ("primal", "dual"))
+        u_d, ut_d = DomainSystem(chain, mask).solve(beta, xi_d, ("primal", "dual"))
         f_full, g_full = construct_optimizers(
             embed(mask, u_d), embed(mask, ut_d), embed(mask, xi_d), chain.measure
         )
@@ -218,13 +220,13 @@ def _subspace_min_eig(s: np.ndarray, c: np.ndarray) -> float:
     return float(lam[0])
 
 
-def symmetric_inf(view: FormView, mask: DomainMask, xi) -> float:
+def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     """inf of form(f, f) over {<xi,f>_mu = 1, f = 0 outside the domain}.
 
     Valid for symmetric forms only; a single linear solve through the
     restricted matrix gives the minimum 1 / (c^T S^{-1} c).
     """
-    idx, a, _xi_d, c = _saddle_inputs(view, mask, xi)
+    _idx, a, _xi_d, c = _saddle_inputs(chain, mask, beta, xi)
     scale = max(1.0, np.abs(a).max())
     if np.abs(a - a.T).max() > STRUCTURAL_TOL * scale:
         raise NonReversibleError("symmetric_inf needs a symmetric form")
@@ -249,7 +251,7 @@ def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) 
         return 0.0
     idx = mask.indices
     mu_d = chain.mu[idx]
-    a0 = -(chain.q[np.ix_(idx, idx)].T * mu_d[None, :])
+    a0 = form_matrix(chain.q[np.ix_(idx, idx)], mu_d, 0.0)
     s_beta = (a0 + a0.T) / 2.0 - beta * np.diag(mu_d)
     c = mu_d.copy()
     y, _ = solve_refined(s_beta, c, context="exponential-moment infimum solve")

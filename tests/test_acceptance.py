@@ -24,7 +24,6 @@ from exitlab import (
     exit_mean,
     exp_moment_inf,
     eval_form,
-    form_view,
     grid_points,
     saddle_value,
     scaled_family,
@@ -63,19 +62,17 @@ def test_criterion_01_variational_equals_exact():
             chain = random_nonsymmetric_chain(rng, n)
             mask = random_proper_mask(rng, n)
             xi = rng.uniform(0.2, 1.0, mask.size)
-            beta0 = form_view(chain, 1.0).beta0
+            beta0 = chain.beta0
             for beta in (beta0 + 0.1, 1.0, 5.0):
-                view = form_view(chain, beta)
                 u = solve_poisson(chain, mask, beta, xi)
                 exact = 1.0 / float(np.sum(chain.mu[mask.indices] * xi * u))
-                closed = saddle_value(view, mask, xi, mode="closed_form")
-                iterative = saddle_value(view, mask, xi, mode="iterative")
+                closed = saddle_value(chain, mask, beta, xi, mode="closed_form")
+                iterative = saddle_value(chain, mask, beta, xi, mode="iterative")
                 assert closed.value == pytest.approx(exact, rel=RTOL)
                 assert iterative.value == pytest.approx(exact, rel=RTOL)
             # unit source ties the value to the aggregated Laplace transform
             beta = 1.0
-            view = form_view(chain, beta)
-            sol = saddle_value(view, mask, np.ones(mask.size))
+            sol = saddle_value(chain, mask, beta, np.ones(mask.size))
             lap = exit_laplace(chain, mask, beta)
             assert sol.value == pytest.approx(
                 beta / float(np.sum(chain.mu * (1.0 - lap))), rel=RTOL
@@ -90,8 +87,7 @@ def test_criterion_02_constructed_pair_is_optimal():
             chain = random_nonsymmetric_chain(rng, n)
             mask = random_proper_mask(rng, n)
             xi = rng.uniform(0.2, 1.0, mask.size)
-            view = form_view(chain, 1.0)
-            sol = saddle_value(view, mask, xi)
+            sol = saddle_value(chain, mask, 1.0, xi)
             idx = mask.indices
             c = np.zeros(n)
             c[idx] = chain.mu[idx] * xi
@@ -100,9 +96,9 @@ def test_criterion_02_constructed_pair_is_optimal():
             proj = np.eye(n) - np.outer(c, c) / (c @ c)
             for _ in range(100):
                 g = np.where(keep > 0, proj @ (rng.standard_normal(n) * keep), 0.0)
-                assert sol.value - eval_form(view, sol.f_star + g, sol.f_star - g) >= -1e-8
+                assert sol.value - eval_form(chain, 1.0, sol.f_star + g, sol.f_star - g) >= -1e-8
                 f = sol.f_star + np.where(keep > 0, proj @ (rng.standard_normal(n) * keep), 0.0)
-                assert eval_form(view, f + sol.g_star, f - sol.g_star) - sol.value >= -1e-8
+                assert eval_form(chain, 1.0, f + sol.g_star, f - sol.g_star) - sol.value >= -1e-8
 
 
 def test_criterion_03_symmetric_reduction():
@@ -113,9 +109,8 @@ def test_criterion_03_symmetric_reduction():
             chain = random_reversible_chain(rng, n, killing=bool(rng.integers(0, 2)))
             mask = random_proper_mask(rng, n)
             xi = rng.uniform(0.2, 1.0, mask.size)
-            view = form_view(chain, 1.0)
-            sol = saddle_value(view, mask, xi)
-            assert symmetric_inf(view, mask, xi) == pytest.approx(sol.value, rel=RTOL)
+            sol = saddle_value(chain, mask, 1.0, xi)
+            assert symmetric_inf(chain, mask, 1.0, xi) == pytest.approx(sol.value, rel=RTOL)
             assert np.abs(sol.g_star).max() <= 1e-10
 
 

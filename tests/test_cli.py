@@ -282,7 +282,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     assert len(dirichlet_eighs) == 1
-    # beta0 is a fact of the chain: validate and every beta's form view
+    # beta0 is a fact of the chain: validate and every beta's saddle
     # share one generalized eigensolve sym(A0) v = lambda M v
     assert len(pencils) == 1
     # that pencil spectrum also gives the spectral gap of bounds, and the

@@ -11,10 +11,10 @@ from exitlab import (
     Generator,
     Measure,
     antisym_perturb,
+    birth_death,
     cycle_flow,
     dual_generator,
     eval_form,
-    form_view,
     spectral_gap,
     validate_assumption_a,
 )
@@ -88,25 +88,23 @@ def test_double_dual_property(rates, weights):
 
 def test_eval_form_zero_and_single_state():
     chain = make_chain([[-2.0]], [1.0])
-    view = form_view(chain, 1.0)
-    assert eval_form(view, [0.0], [0.0]) == 0.0
+    assert eval_form(chain, 1.0, [0.0], [0.0]) == 0.0
     # (beta + q) * f * g by hand
-    assert eval_form(view, [1.0], [1.0]) == pytest.approx(3.0, abs=1e-15)
+    assert eval_form(chain, 1.0, [1.0], [1.0]) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_eval_form_symmetric_on_reversible(rng):
     chain = random_reversible_chain(rng, 6)
-    view = form_view(chain, 0.7)
     for _ in range(10):
         f = rng.standard_normal(6)
         g = rng.standard_normal(6)
-        assert eval_form(view, f, g) == pytest.approx(eval_form(view, g, f), rel=1e-12, abs=1e-12)
+        assert eval_form(chain, 0.7, f, g) == pytest.approx(eval_form(chain, 0.7, g, f), rel=1e-12, abs=1e-12)
 
 
 def test_eval_form_rejects_dimension_mismatch():
-    view = form_view(make_chain([[-2.0]], [1.0]), 1.0)
+    chain = make_chain([[-2.0]], [1.0])
     with pytest.raises(ValueError):
-        eval_form(view, [1.0, 2.0], [1.0])
+        eval_form(chain, 1.0, [1.0, 2.0], [1.0])
 
 
 def test_validate_symmetric_chain_unit_sector(rng):
@@ -150,11 +148,10 @@ def test_lower_boundedness_at_estimated_shift(rng):
     for _ in range(5):
         chain = random_nonsymmetric_chain(rng, 8)
         beta0 = validate_assumption_a(chain, 1.0).beta0_estimate
-        view = form_view(chain, beta0 + 1e-9)
         for _ in range(20):
             f = rng.standard_normal(8)
             f /= np.linalg.norm(f)
-            assert eval_form(view, f, f) >= -1e-9
+            assert eval_form(chain, beta0 + 1e-9, f, f) >= -1e-9
 
 
 def test_generator_rejects_bad_sign_structure():
@@ -164,6 +161,19 @@ def test_generator_rejects_bad_sign_structure():
         Generator(np.array([[1.0, 1.0], [0.0, -1.0]]))
     # relaxed mode accepts positive row sums but never negative rates
     Generator(np.array([[1.0, 1.0], [0.0, -1.0]]), require_submarkov=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rates_and_weights_are_rejected(bad):
+    q = np.array([[bad, 1.0], [1.0, -1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Generator(q)
+    with pytest.raises(ValueError, match="finite"):
+        Generator(q.T, require_submarkov=False)
+    with pytest.raises(ValueError, match="finite"):
+        Chain.from_dict({"Q": q.tolist(), "mu": [0.5, 0.5]})
+    with pytest.raises(ValueError, match="finite"):
+        Chain.from_dict({"Q": [[-1.0, 1.0], [1.0, -1.0]], "mu": [bad, 0.5]})
 
 
 def test_measure_rejects_nonpositive_weights():
@@ -211,7 +221,7 @@ def test_row_sum_check_scales_with_the_diagonal_only():
 def _sector_by_eigh_and_norm(chain, probe):
     # reference: S^{-1/2} A0 S^{-1/2} through a full eigh of S, then the
     # spectral norm (a full SVD)
-    a0 = form_matrix(chain, 0.0)
+    a0 = form_matrix(chain.q, chain.mu, 0.0)
     lam, vec = scipy.linalg.eigh((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu))
     inv_root = (vec / np.sqrt(lam)[None, :]) @ vec.T
     return np.linalg.norm(inv_root @ a0 @ inv_root, 2)
@@ -262,7 +272,7 @@ def test_form_spectrum_is_cached_read_only_and_gives_beta0():
         nu[0] = 0.0
     assert chain.beta0 == max(0.0, -nu[0])
     # the pencil sym(A0) v = nu M v, solved independently
-    a0 = form_matrix(chain, 0.0)
+    a0 = form_matrix(chain.q, chain.mu, 0.0)
     m = np.diag(chain.mu)
     expected = np.linalg.eigvals(np.linalg.solve(m, (a0 + a0.T) / 2.0)).real
     np.testing.assert_allclose(nu, np.sort(expected), rtol=1e-12)
@@ -292,6 +302,44 @@ def test_generator_copies_its_matrix_once():
     # the frozen copy is n^2 doubles; a second n^2 copy for the sign test
     # would reach 2 n^2
     assert peak < 1.5 * n * n * 8
+
+
+@pytest.mark.parametrize("fact", ["form_spectrum", "reversible"])
+@pytest.mark.parametrize("make", [random_reversible_chain, random_nonsymmetric_chain])
+def test_cached_chain_facts_hold_at_most_two_copies_of_the_chain(fact, make):
+    n = 400
+    chain = make(np.random.default_rng(11), n)
+    fresh = Chain(chain.generator, chain.measure)  # no cached facts yet
+    tracemalloc.start()
+    try:
+        getattr(fresh, fact)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two n^2 buffers plus eigh's blocked workspace, O(64 n); the pencil
+    # with a0, sym0 and the mass matrix alive together read 5 n^2, detailed
+    # balance with mq, mq - mq.T and its absolute value 3 n^2
+    assert peak < 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [birth_death(up=np.linspace(0.5, 2.0, 11), down=np.linspace(1.5, 0.7, 11)),
+     random_reversible_chain(np.random.default_rng(2), 9, killing=True),
+     random_nonsymmetric_chain(np.random.default_rng(4), 12)],
+    ids=["birth_death12", "reversible9", "nonsymmetric12"],
+)
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0])
+def test_form_matrix_of_a_block_is_the_block_of_the_form_matrix(chain, beta):
+    n = chain.n_states
+    idx = np.flatnonzero(np.random.default_rng(n).uniform(size=n) < 0.6)
+    ix = np.ix_(idx, idx)
+    whole = form_matrix(chain.q, chain.mu, beta)
+    # bit for bit, signed zeros included: the (beta*I - Q)^T M of the definition
+    assert whole.tobytes() == ((beta * np.eye(n) - chain.q).T * chain.mu[None, :]).tobytes()
+    block = form_matrix(chain.q[ix], chain.mu[idx], beta)
+    assert block.tobytes() == whole[ix].tobytes()
+    assert not np.signbit(block[block == 0.0]).any()
 
 
 def test_dual_generator_is_c_ordered_and_unchanged(rng):

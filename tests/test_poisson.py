@@ -15,7 +15,6 @@ from exitlab import (
     exit_functionals,
     exit_laplace,
     exit_mean,
-    form_view,
     solve_poisson,
 )
 from exitlab._linalg import RefinedCholesky, RefinedLU
@@ -63,7 +62,6 @@ def test_weak_solution_identity(rng):
         beta = 1.3
         xi = rng.uniform(0.2, 1.0, mask.size)
         u = solve_poisson(chain, mask, beta, xi)
-        view = form_view(chain, beta)
         u_full = np.zeros(9)
         u_full[mask.indices] = u
         xi_full = np.zeros(9)
@@ -71,7 +69,7 @@ def test_weak_solution_identity(rng):
         for _ in range(20):
             f = np.zeros(9)
             f[mask.indices] = rng.standard_normal(mask.size)
-            lhs = eval_form(view, u_full, f)
+            lhs = eval_form(chain, beta, u_full, f)
             rhs = float(np.sum(chain.mu * xi_full * f))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -93,12 +91,11 @@ def test_primal_dual_pairing_identity(rng):
         mu_d = chain.mu[mask.indices]
         pair_u = float(np.sum(mu_d * xi * u))
         pair_ut = float(np.sum(mu_d * xi * ut))
-        view = form_view(chain, beta)
         u_full = np.zeros(8)
         u_full[mask.indices] = u
         ut_full = np.zeros(8)
         ut_full[mask.indices] = ut
-        form_u_ut = eval_form(view, u_full, ut_full)
+        form_u_ut = eval_form(chain, beta, u_full, ut_full)
         assert pair_u == pytest.approx(pair_ut, abs=1e-10)
         assert form_u_ut == pytest.approx(pair_u, abs=1e-10)
 
