@@ -5,7 +5,7 @@ import logging
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
 from .defaults import REFINE_MAX_SWEEPS, REFINE_TARGET, SINGULAR_RCOND
 
@@ -139,7 +139,49 @@ class RefinedCholesky(_Refined):
         return y / scale
 
 
-def solve_refined(a: np.ndarray, b: np.ndarray, context: str = "solve"):
-    """Solve a x = b through a one-off RefinedLU; returns (x, cond_estimate)."""
-    lu = RefinedLU(a, context)
-    return lu.solve(b), lu.cond
+class RefinedSPD(_Refined):
+    """Cholesky factor L L^T of a symmetric positive definite matrix ``a`` and
+    its 1-norm condition estimate ``cond``.
+
+    ``a`` may be a view; it is not modified, and solves of a x = b refine
+    against it. ``lower_solve(b)`` applies L^{-1} to a matrix b in place.
+    Raises SingularSystemError when the factorization fails, the factor is
+    not finite, or the reciprocal condition falls below SINGULAR_RCOND.
+    """
+
+    def __init__(self, a: np.ndarray, context: str = "solve"):
+        self.a = a
+        self._norm = np.linalg.norm(a, 1)
+        potrf, pocon, self._potrs = get_lapack_funcs(("potrf", "pocon", "potrs"), (a,))
+        factor, info = potrf(a, lower=True, clean=False)
+        rcond = pocon(factor, self._norm, uplo="L")[0] if info == 0 else 0.0
+        self.cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
+        if info != 0 or not np.isfinite(factor).all() or rcond < SINGULAR_RCOND:
+            raise SingularSystemError(
+                f"{context}: matrix of size {a.shape[0]} is not numerically positive definite "
+                f"(condition estimate ~ {self.cond:.3e})",
+                cond_estimate=self.cond,
+            )
+        log.debug("%s: n=%d Cholesky cond~%.3e", context, a.shape[0], self.cond)
+        self._factor = factor
+
+    def _anorm(self, trans: bool) -> float:
+        return self._norm
+
+    def _apply(self, x, trans: bool) -> np.ndarray:
+        return self.a @ x
+
+    def _direct(self, b, trans: bool) -> np.ndarray:
+        x, _ = self._potrs(self._factor, b, lower=True)
+        return x
+
+    def lower_solve(self, b: np.ndarray) -> np.ndarray:
+        """L^{-1} b for a C-ordered matrix b, one triangular solve with no
+        refinement, written over b.
+
+        b^T is Fortran-ordered, so BLAS solves X L^T = b^T in b's memory
+        and X^T = L^{-1} b.
+        """
+        (trsm,) = get_blas_funcs(("trsm",), (b,))
+        xt = trsm(1.0, self._factor, b.T, side=1, lower=1, trans_a=1, overwrite_b=True)
+        return xt.T

@@ -27,7 +27,7 @@ SADDLE_CHECK_SEED = 20260808
 # reported infinite instead of as meaningless huge numbers.
 SPECTRAL_EDGE_MARGIN = 1e-9
 
-# Iterative refinement of LU solves.
+# Iterative refinement of LU and Cholesky solves.
 REFINE_TARGET = 1e-12
 REFINE_MAX_SWEEPS = 4
 

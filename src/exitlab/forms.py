@@ -178,9 +178,10 @@ class Chain:
 
     @cached_property
     def reversible(self) -> bool:
-        """Detailed balance: diag(mu) Q symmetric within STRUCTURAL_TOL (scaled)."""
+        """Detailed balance: diag(mu) Q symmetric within STRUCTURAL_TOL times
+        max|mu_x q_xy| (unfloored, so scaling mu leaves the verdict unchanged)."""
         mq = self.mu[:, None] * self.q
-        scale = max(1.0, np.abs(mq).max())
+        scale = np.abs(mq).max()
         d = mq - mq.T
         np.abs(d, out=d)
         return bool(d.max() <= STRUCTURAL_TOL * scale)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import solve_refined
+from ._linalg import RefinedSPD
 from .defaults import (
     SADDLE_CHECK_DIRECTIONS,
     SADDLE_CHECK_SEED,
@@ -89,9 +89,9 @@ def construct_optimizers(u, u_dual, xi, measure: Measure):
     uv = _as_vector(u, len(measure), "u")
     ud = _as_vector(u_dual, len(measure), "u_dual")
     xv = _as_vector(xi, len(measure), "xi")
-    pairing = float(np.sum(measure.weights * xv * uv))
-    scale = max(1.0, np.abs(uv).max() * np.abs(xv).max() * measure.weights.max())
-    if abs(pairing) <= 1e-15 * scale:
+    terms = measure.weights * xv * uv
+    pairing = float(np.sum(terms))
+    if abs(pairing) <= 1e-15 * float(np.abs(terms).sum()):
         raise DegenerateSourceError("source xi pairs to zero against the solution")
     w = uv / pairing
     wt = ud / pairing
@@ -140,10 +140,12 @@ def _sampled_saddle_check(a, c, f_d, g_d, value) -> float:
 
 
 def _stationarity(a, c, f_d, g_d):
-    s = (a + a.T) / 2.0
-    k = (a - a.T) / 2.0
-    rf = np.linalg.norm(_project(c, s @ f_d + k.T @ g_d))
-    rg = np.linalg.norm(_project(c, k @ f_d - s @ g_d))
+    """Norms of the projected gradients S f + K^T g and K f - S g, where S
+    and K are the symmetric and antisymmetric parts of a, from a@f, f@a,
+    a@g and g@a."""
+    af, fa, ag, ga = a @ f_d, f_d @ a, a @ g_d, g_d @ a
+    rf = np.linalg.norm(_project(c, (af + fa - ag + ga) / 2.0))
+    rg = np.linalg.norm(_project(c, (af - fa - ag - ga) / 2.0))
     return float(rf), float(rg)
 
 
@@ -157,11 +159,14 @@ def saddle_value(
     1 / <xi, u>_mu, builds the optimizing pair, and verifies both one-sided
     saddle inequalities on random admissible perturbations.
 
-    mode="iterative" never touches the resolvent: the inner supremum over
-    {<xi,g>_mu = 0} is a concave quadratic maximized through its KKT
-    system, the outer infimum over {<xi,f>_mu = 1} likewise; the two
-    routes agree to solver accuracy whenever beta exceeds the lower-bound
-    estimate (which makes the symmetric part positive definite).
+    mode="iterative" never touches the resolvent: one Householder reflector
+    maps c = mu*xi on D to a multiple of e_1, so both constraints fix the
+    first coordinate. The inner supremum over {<xi,g>_mu = 0} is then a
+    Cholesky solve with the symmetric part on the constraint subspace, and
+    the outer infimum over {<xi,f>_mu = 1} a Cholesky solve of the reduced
+    quadratic. The two routes agree to solver accuracy whenever beta
+    exceeds the lower-bound estimate (which makes the symmetric part
+    positive definite).
     """
     idx, a, xi_d, c = _saddle_inputs(chain, mask, beta, xi)
     m = idx.shape[0]
@@ -186,38 +191,87 @@ def saddle_value(
     if mode != "iterative":
         raise ValueError(f"mode must be 'closed_form' or 'iterative', got {mode!r}")
 
-    s = (a + a.T) / 2.0
-    k = (a - a.T) / 2.0
-    inner = np.block([[2.0 * s, c[:, None]], [c[None, :], np.zeros((1, 1))]])
-    rhs = np.vstack([2.0 * k, np.zeros((1, m))])
-    sol, _ = solve_refined(inner, rhs, context="inner saddle KKT")
-    g_map = sol[:m, :]
-    h = s + g_map.T @ s @ g_map
-    h = (h + h.T) / 2.0
-    outer = np.block([[2.0 * h, c[:, None]], [c[None, :], np.zeros((1, 1))]])
-    out_rhs = np.concatenate([np.zeros(m), [1.0]])
-    out_sol, _ = solve_refined(outer, out_rhs, context="outer saddle KKT")
-    f_d = out_sol[:m]
-    g_d = g_map @ f_d
-    value = float(f_d @ h @ f_d)
+    if m == 1:
+        f_d, g_d = 1.0 / c, np.zeros(1)
+        value = float(a[0, 0] / (c[0] * c[0]))
+        min_eig = float(a[0, 0])
+    else:
+        f_d, g_d, value, min_eig = _nested_saddle(a, c)
     rf, rg = _stationarity(a, c, f_d, g_d)
     residuals = {
         "constraint_f": abs(float(c @ f_d) - 1.0),
         "constraint_g": abs(float(c @ g_d)),
         "stationarity_f": rf,
         "stationarity_g": rg,
-        "subspace_min_eig": _subspace_min_eig(s, c),
+        "subspace_min_eig": min_eig,
     }
     return SaddleSolution(value, embed(mask, f_d), embed(mask, g_d), residuals, "iterative")
 
 
-def _subspace_min_eig(s: np.ndarray, c: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part on {c}-orthogonal vectors."""
-    if s.shape[0] == 1:
-        return float(s[0, 0])
-    z = scipy.linalg.null_space(c[None, :])
-    lam = scipy.linalg.eigh(z.T @ s @ z, eigvals_only=True)
-    return float(lam[0])
+def _reflector(c: np.ndarray):
+    """Householder reflector P = I - tau v v^T with P c = sigma e_1, |sigma| = |c|.
+
+    Returns (v, tau, sigma); the sign of sigma is opposite to c_0, so that
+    v_0 = c_0 - sigma involves no cancellation.
+    """
+    sigma = -np.copysign(np.linalg.norm(c), c[0])
+    v = c.copy()
+    v[0] -= sigma
+    return v, 2.0 / float(v @ v), sigma
+
+
+def _reflect(v: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
+    """P x for a vector x."""
+    return x - (tau * float(v @ x)) * v
+
+
+def _reflect_both_sides(v: np.ndarray, tau: float, a: np.ndarray) -> np.ndarray:
+    """P a P as a new C-ordered array, by two rank-1 updates in place.
+
+    The updates act on the Fortran-ordered transpose: (A P)^T = A^T - tau v (A v)^T,
+    then (P A P)^T = (A P)^T - tau ((A P)^T v) v^T.
+    """
+    (ger,) = scipy.linalg.get_blas_funcs(("ger",), (a,))
+    at = ger(-tau, v, a @ v, a=a.T.copy(order="F"), overwrite_a=True)
+    at = ger(-tau, at @ v, v, a=at, overwrite_a=True)
+    return at.T
+
+
+def _nested_saddle(a: np.ndarray, c: np.ndarray):
+    """The inf-sup on one reflector, for a domain of two or more states.
+
+    With P c = sigma e_1 and A^ = P A P, both constraints fix the first
+    coordinate: f^_1 = 1/sigma and g^_1 = 0. Index 2 marks the coordinates
+    after the first, S^ and K^ are the symmetric and antisymmetric parts of
+    A^, and L L^T = S^_22. The inner supremum is g^_2 = S^_22^{-1} K^_2: f^,
+    which leaves the outer quadratic H^ = S^ + W^T W with W = L^{-1} K^_2:,
+    minimized by the Cholesky solve H^_22 f^_2 = -H^_21 / sigma. S^_22 is the
+    symmetric part on {c}-orthogonal vectors in the basis P e_2, ..., P e_m.
+    Returns (f, g, value, smallest eigenvalue of S^_22).
+    """
+    v, tau, sigma = _reflector(c)
+    ah = _reflect_both_sides(v, tau, a)
+    sh = ah + ah.T
+    sh *= 0.5
+    ah -= sh  # now K^
+    inner = RefinedSPD(sh[1:, 1:], "inner saddle")
+    w = inner.lower_solve(ah[1:, :])  # written over K^
+    hh = w.T @ w
+    del ah, w
+    hh += sh
+    fh = np.empty(c.shape[0])
+    fh[0] = 1.0 / sigma
+    fh[1:] = RefinedSPD(hh[1:, 1:], "outer saddle").solve(hh[1:, 0] * -fh[0])
+    value = float(fh @ hh @ fh)
+    del hh
+    f_d = _reflect(v, tau, fh)
+    kf = _reflect(v, tau, (a @ f_d - f_d @ a) / 2.0)
+    gh = np.zeros_like(fh)
+    gh[1:] = inner.solve(kf[1:])
+    g_d = _reflect(v, tau, gh)
+    # finite: its Cholesky factor passed the gate
+    lam = scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
+    return f_d, g_d, value, float(lam[0])
 
 
 def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
@@ -227,10 +281,11 @@ def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     restricted matrix gives the minimum 1 / (c^T S^{-1} c).
     """
     _idx, a, _xi_d, c = _saddle_inputs(chain, mask, beta, xi)
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > STRUCTURAL_TOL * scale:
+    if np.abs(a - a.T).max() > STRUCTURAL_TOL * np.abs(a).max():
         raise NonReversibleError("symmetric_inf needs a symmetric form")
-    y, _ = solve_refined((a + a.T) / 2.0, c, context="symmetric infimum solve")
+    s = a + a.T
+    s *= 0.5
+    y = RefinedSPD(s, "symmetric infimum solve").solve(c)
     return 1.0 / float(c @ y)
 
 
@@ -252,7 +307,9 @@ def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) 
     idx = mask.indices
     mu_d = chain.mu[idx]
     a0 = form_matrix(chain.q[np.ix_(idx, idx)], mu_d, 0.0)
-    s_beta = (a0 + a0.T) / 2.0 - beta * np.diag(mu_d)
-    c = mu_d.copy()
-    y, _ = solve_refined(s_beta, c, context="exponential-moment infimum solve")
-    return max(1.0 / float(c @ y), 0.0)
+    s_beta = a0 + a0.T
+    del a0
+    s_beta *= 0.5
+    s_beta.flat[:: idx.shape[0] + 1] -= beta * mu_d
+    y = RefinedSPD(s_beta, "exponential-moment infimum solve").solve(mu_d)
+    return max(1.0 / float(mu_d @ y), 0.0)

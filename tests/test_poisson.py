@@ -17,7 +17,7 @@ from exitlab import (
     exit_mean,
     solve_poisson,
 )
-from exitlab._linalg import RefinedCholesky, RefinedLU
+from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
 from exitlab.poisson import DomainSystem
 from conftest import (
     example_cases,
@@ -315,3 +315,32 @@ def test_non_finite_source_is_rejected(bad, reversible, side):
     xi[2] = bad
     with pytest.raises(ValueError, match="finite"):
         solve_poisson(chain, mask, 0.5, xi, side=side)
+
+
+def test_refined_spd_names_its_context_and_condition():
+    with pytest.raises(SingularSystemError, match="outer saddle") as err:
+        RefinedSPD(np.diag([1.0, -1.0]), "outer saddle")
+    assert err.value.cond_estimate == np.inf
+    with pytest.raises(SingularSystemError, match="inner saddle") as err:
+        RefinedSPD(np.diag([1.0, 1e-17]), "inner saddle")
+    assert 1e14 < err.value.cond_estimate < np.inf
+    with pytest.raises(SingularSystemError):
+        RefinedSPD(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+
+
+def test_refined_spd_solves_on_a_view_without_changing_it():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((9, 9))
+    whole = x @ x.T + 9.0 * np.eye(9)
+    before = whole.copy()
+    block = whole[1:, 1:]
+    spd = RefinedSPD(block)
+    b = rng.standard_normal(8)
+    y = spd.solve(b)
+    np.testing.assert_array_equal(whole, before)
+    assert np.abs(block @ y - b).max() <= 1e-14 * np.abs(b).max()
+    lower = np.linalg.cholesky(block)
+    rhs = rng.standard_normal((8, 3))
+    x = spd.lower_solve(rhs.copy())
+    np.testing.assert_allclose(lower @ x, rhs, rtol=0.0, atol=1e-13)
+    assert 1.0 <= spd.cond < 1e3

@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from exitlab import (
     DegenerateSourceError,
     DomainMask,
     Measure,
     NonReversibleError,
+    birth_death,
     complete_graph,
     construct_optimizers,
     dirichlet_pair,
@@ -251,7 +253,7 @@ def test_iterative_mode_never_touches_the_resolvent(rng, monkeypatch):
     closed = saddle_value(chain, mask, 0.8, xi, mode="closed_form")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the nested-KKT route reached a restricted resolvent solve")
+        raise AssertionError("the nested route reached a restricted resolvent solve")
 
     for name in ("DomainSystem", "RefinedLU", "solve_poisson"):
         monkeypatch.setattr(exitlab.poisson, name, refuse)
@@ -336,3 +338,113 @@ def test_variational_routes_hold_no_n_by_n_array():
             tracemalloc.stop()
         # the form on D is m^2 doubles; an n x n form matrix would be n^2
         assert peak < 0.1 * n * n * 8, name
+
+
+def _dense_kkt_saddle(a, c):
+    """The nested route as two bordered KKT systems, each solved by LU, with
+    the subspace eigenvalue from a null-space basis and a full eigh."""
+    m = c.shape[0]
+    s = (a + a.T) / 2.0
+    k = (a - a.T) / 2.0
+    inner = np.block([[2.0 * s, c[:, None]], [c[None, :], np.zeros((1, 1))]])
+    g_map = scipy.linalg.solve(inner, np.vstack([2.0 * k, np.zeros((1, m))]))[:m]
+    h = s + g_map.T @ s @ g_map
+    h = (h + h.T) / 2.0
+    outer = np.block([[2.0 * h, c[:, None]], [c[None, :], np.zeros((1, 1))]])
+    f = scipy.linalg.solve(outer, np.concatenate([np.zeros(m), [1.0]]))[:m]
+    if m == 1:
+        lam = s[0, 0]
+    else:
+        z = scipy.linalg.null_space(c[None, :])
+        lam = scipy.linalg.eigh(z.T @ s @ z, eigvals_only=True)[0]
+    return float(f @ h @ f), f, g_map @ f, float(lam)
+
+
+def _ledger_case(seed=1):
+    """The birth-death chain, domain and source of the benchmark's ledger
+    workload (800 states, 400 on the domain)."""
+    rng = np.random.default_rng([seed, 1])
+    m = rng.uniform(0.5, 2.0, 800)
+    c = rng.uniform(0.5, 2.0, 799)
+    domain = np.sort(rng.choice(800, 400, replace=False))
+    xi = rng.uniform(0.5, 2.0, 400)
+    chain = birth_death(c / m[:-1], c / m[1:])
+    return chain, DomainMask.from_states(domain, 800), xi
+
+
+def _assert_matches_dense_kkt(chain, mask, beta, xi):
+    idx = mask.indices
+    a = form_matrix(chain.q[np.ix_(idx, idx)], chain.mu[idx], beta)
+    value, f, g, lam = _dense_kkt_saddle(a, chain.mu[idx] * xi)
+    sol = saddle_value(chain, mask, beta, xi, mode="iterative")
+    scale = np.abs(f).max()
+    assert sol.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    # g vanishes in exact arithmetic where the form is symmetric on D, so
+    # both optimizers are compared on the scale of f
+    assert np.abs(sol.f_star[idx] - f).max() <= 1e-12 * scale
+    assert np.abs(sol.g_star[idx] - g).max() <= 1e-12 * scale
+    assert sol.residuals["subspace_min_eig"] == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 34, 60])
+def test_iterative_route_matches_the_dense_kkt_reference(m):
+    rng = np.random.default_rng(700 + m)
+    n = m + int(rng.integers(2, 6))
+    chain = random_nonsymmetric_chain(rng, n)
+    mask = DomainMask.from_states(rng.permutation(n)[:m], n)
+    xi = rng.uniform(-1.0, 1.0, m)
+    xi[0] = 1.0  # a signed source, away from zero on at least one state
+    for beta in (0.05, 1.0, 20.0):
+        _assert_matches_dense_kkt(chain, mask, beta, xi)
+
+
+def test_iterative_route_matches_the_dense_kkt_reference_on_the_ledger():
+    chain, mask, xi = _ledger_case()
+    for beta in (0.005, 0.5):
+        _assert_matches_dense_kkt(chain, mask, beta, xi)
+
+
+def test_iterative_single_state_keeps_its_values():
+    sol = saddle_value(single_state_chain(), DomainMask.full(1), 1.0, [1], mode="iterative")
+    assert sol.value == 3.0
+    assert sol.residuals["subspace_min_eig"] == 3.0
+    np.testing.assert_array_equal(sol.f_star, [1.0])
+    np.testing.assert_array_equal(sol.g_star, [0.0])
+    # value = a_00 / c^2 with a_00 = mu (beta - q) and c = mu xi
+    sol = saddle_value(make_chain([[-2.0]], [2.0]), DomainMask.full(1), 1.0, [0.3], mode="iterative")
+    assert sol.value == pytest.approx(6.0 / 0.36, rel=1e-15)
+    assert sol.residuals["subspace_min_eig"] == 6.0
+    np.testing.assert_array_equal(sol.g_star, [0.0])
+
+
+def test_iterative_route_makes_no_lu_and_no_null_space(monkeypatch):
+    import exitlab._linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nested route made an LU or a null-space SVD")
+
+    monkeypatch.setattr(exitlab._linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+    rng = np.random.default_rng(31)
+    chain = random_nonsymmetric_chain(rng, 9)
+    mask = random_proper_mask(rng, 9)
+    xi = rng.uniform(0.2, 1.0, mask.size)
+    sol = saddle_value(chain, mask, 1.0, xi, mode="iterative")
+    assert sol.residuals["subspace_min_eig"] > 0.0
+
+
+def test_iterative_route_peak_memory_at_m_400():
+    m = 400
+    rng = np.random.default_rng(12)
+    chain = random_nonsymmetric_chain(rng, m + 20)
+    mask = DomainMask.from_states(rng.permutation(m + 20)[:m], m + 20)
+    xi = rng.uniform(0.2, 1.0, m)
+    chain.beta0  # a cached fact of the chain, not of the route
+    tracemalloc.start()
+    try:
+        saddle_value(chain, mask, 1.0, xi, mode="iterative")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * m * m * 8
