@@ -106,21 +106,28 @@ class RefinedCholesky(_Refined):
 
     def __init__(self, sym, shift: float, root, q, context: str = "solve"):
         n = sym.shape[0]
-        # 1-norms of shift*I - q and of its transpose, for the refinement stop
-        mag = np.abs(q)
-        mag.flat[:: n + 1] = np.abs(shift - np.diag(q))
-        self._norms = (float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max()))
-        del mag
+        # 1-norms of shift*I - q and of its transpose, for the refinement stop.
+        # q is a generator block, nonnegative off the diagonal, so a column's
+        # (row's) off-diagonal magnitudes sum to its sum less q_xx: no n x n
+        # buffer of magnitudes is needed
+        diag = np.diag(q)
+        pivot = np.abs(shift - diag)
+        self._norms = (
+            float((q.sum(axis=0) - diag + pivot).max()),
+            float((q.sum(axis=1) - diag + pivot).max()),
+        )
         s = np.array(sym, dtype=float)
         s.flat[:: n + 1] += shift
-        potrf, potrs, pocon = get_lapack_funcs(("potrf", "potrs", "pocon"), (s,))
-        snorm = np.linalg.norm(s, 1)
-        # S is symmetric, so its transpose is the same matrix in Fortran order
+        potrf, potrs, pocon, lange = get_lapack_funcs(("potrf", "potrs", "pocon", "lange"), (s,))
+        # S is symmetric, so its transpose is the same matrix in Fortran
+        # order: LAPACK reads its norm and factors it in place, uncopied
+        snorm = lange("1", s.T)
         factor, info = potrf(s.T, lower=True, clean=False, overwrite_a=True)
         if info != 0:
             raise NotPositiveDefiniteError(f"{context}: not positive definite (potrf info {info})")
         rcond, _ = pocon(factor, snorm, uplo="L")
-        if not np.isfinite(factor).all() or rcond < SINGULAR_RCOND:
+        # min and max propagate NaN, so this tests every entry without a mask
+        if not (np.isfinite(factor.min()) and np.isfinite(factor.max())) or rcond < SINGULAR_RCOND:
             raise NotPositiveDefiniteError(f"{context}: Cholesky rcond {rcond:.3e} too small or not finite")
         self.cond = 1.0 / float(rcond)
         log.debug("%s: n=%d Cholesky cond~%.3e", context, n, self.cond)

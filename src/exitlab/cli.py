@@ -28,8 +28,9 @@ from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
     GridModelSpec,
-    _check_family_parts,
+    _check_family_part,
     _check_scales,
+    _check_shared_measure,
     antisym_perturb,
     build_chain,
     discretize_jump_diffusion,
@@ -304,11 +305,18 @@ def _aggregates(system, mu, betas):
     return lap, mean
 
 
+def _slack(a: float, b: float) -> float:
+    """Rounding allowed between two computed values: MONOTONE_TOL relative to
+    the larger magnitude, unfloored, so rescaling time keeps every verdict."""
+    return MONOTONE_TOL * max(abs(a), abs(b))
+
+
 def _monotone(seq, increasing: bool) -> bool:
-    """True when seq never moves against the given direction beyond MONOTONE_TOL."""
+    """True when seq never moves against the given direction beyond the slack
+    of each neighbouring pair."""
     if increasing:
-        return not any(b < a - MONOTONE_TOL for a, b in zip(seq, seq[1:]))
-    return not any(b > a + MONOTONE_TOL for a, b in zip(seq, seq[1:]))
+        return not any(b < a - _slack(a, b) for a, b in zip(seq, seq[1:]))
+    return not any(b > a + _slack(a, b) for a, b in zip(seq, seq[1:]))
 
 
 def _sweep_csv(keys, rows, betas) -> str:
@@ -337,9 +345,9 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
             lap, mean = _aggregates(pos, chain.mu, cfg.betas)
             lap_neg, mean_neg = _aggregates(neg, chain.mu, cfg.betas)
             for beta in cfg.betas:
-                if abs(lap[beta] - lap_neg[beta]) > MONOTONE_TOL:
+                if abs(lap[beta] - lap_neg[beta]) > _slack(lap[beta], lap_neg[beta]):
                     ok = False
-            if abs(mean - mean_neg) > MONOTONE_TOL:
+            if abs(mean - mean_neg) > _slack(mean, mean_neg):
                 ok = False
             rows.append({"k": k, "laplace": lap, "mean": mean})
         keys = ["k"]
@@ -349,21 +357,29 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
     else:
         # each point's system is kappa*A_D + epsilon*B_D for the two parts
         # restricted once, the same block as restricting scaled_family(...).q;
-        # the configured chain is never read, and the domain needs only the grid
+        # the configured chain is never read, and the domain needs only the
+        # grid. One part is assembled at a time: it is checked, its measure
+        # and restricted block kept, and the whole chain dropped before the next
         mask = _domain_mask(cfg, grid_points(spec).shape[0], spec)
-        diff = discretize_jump_diffusion(replace(spec, kappa=1.0, epsilon=0.0))
-        jump = discretize_jump_diffusion(replace(spec, kappa=0.0, epsilon=1.0))
+        block = np.ix_(mask.indices, mask.indices)
+        parts = []
+        for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
+            part = discretize_jump_diffusion(replace(spec, **scales))
+            _check_family_part(part)
+            parts.append((part.mu, part.q[block]))
+            del part
+        (mu, diff_d), (jump_mu, jump_d) = parts
+        _check_shared_measure(mu, jump_mu)
+        mu_d = mu[mask.indices]
         kappas = [float(v) for v in sweep["kappa"]]
         epsilons = [float(v) for v in sweep["epsilon"]]
-        _check_family_parts(diff, jump)
-        block = np.ix_(mask.indices, mask.indices)
-        diff_d, jump_d, mu_d = diff.q[block], jump.q[block], diff.mu[mask.indices]
         table = {}
         for kap in kappas:
             for eps in epsilons:
                 _check_scales(kap, eps)
                 system = DomainSystem.from_restricted(mask, kap * diff_d + eps * jump_d, mu_d)
-                lap, mean = _aggregates(system, diff.mu, cfg.betas)
+                lap, mean = _aggregates(system, mu, cfg.betas)
+                del system  # free this point's blocks before the next point forms its own
                 table[(kap, eps)] = {"kappa": kap, "epsilon": eps, "laplace": lap, "mean": mean}
                 rows.append(table[(kap, eps)])
         keys = ["kappa", "epsilon"]

@@ -33,10 +33,22 @@ __all__ = [
 ]
 
 
+# Rows per tile of the detailed-balance check: two 64 x n buffers at a time.
+_BALANCE_TILE_ROWS = 64
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _adopt_or_freeze(a) -> np.ndarray:
+    """``a`` itself when it is a plain float64 array that owns its data and
+    is already read-only, so no one else can write it; a frozen copy otherwise."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
+    return _freeze(a)
 
 
 def _row_scale(q: np.ndarray) -> np.ndarray:
@@ -108,13 +120,16 @@ class Generator:
     ``require_submarkov=False``. Duals of chains whose measure is not
     subinvariant can carry positive row sums and remain useful diagnostic
     objects; user-facing chains always enforce the check.
+
+    A float64 matrix that owns its data and is read-only is adopted as is;
+    any other input is copied once, and the frozen copy is validated.
     """
 
     matrix: np.ndarray
     require_submarkov: bool = True
 
     def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
+        q = _adopt_or_freeze(self.matrix)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"generator matrix must be square, got shape {q.shape}")
         # min and max propagate NaN, so this tests every entry without a copy
@@ -131,7 +146,7 @@ class Generator:
                 raise ValueError(
                     f"row sums must be nonpositive (max {rows.max():.3e})"
                 )
-        object.__setattr__(self, "matrix", _freeze(q))
+        object.__setattr__(self, "matrix", q)
 
     @property
     def size(self) -> int:
@@ -179,12 +194,22 @@ class Chain:
     @cached_property
     def reversible(self) -> bool:
         """Detailed balance: diag(mu) Q symmetric within STRUCTURAL_TOL times
-        max|mu_x q_xy| (unfloored, so scaling mu leaves the verdict unchanged)."""
-        mq = self.mu[:, None] * self.q
-        scale = np.abs(mq).max()
-        d = mq - mq.T
-        np.abs(d, out=d)
-        return bool(d.max() <= STRUCTURAL_TOL * scale)
+        max|mu_x q_xy| (unfloored, so scaling mu leaves the verdict unchanged).
+
+        Checked a tile of rows at a time, so no n x n temporary is made; each
+        entry is still mu_x q_xy - mu_y q_yx, and the verdict that of the
+        whole matrix at once.
+        """
+        q, mu = self.q, self.mu
+        scale = worst = 0.0
+        for lo in range(0, self.n_states, _BALANCE_TILE_ROWS):
+            hi = lo + _BALANCE_TILE_ROWS
+            d = mu[lo:hi, None] * q[lo:hi]
+            # np.maximum, not max(), so a NaN from an overflowed product propagates
+            scale = np.maximum(scale, np.maximum(d.max(), -d.min()))
+            d -= (mu[:, None] * q[:, lo:hi]).T
+            worst = np.maximum(worst, np.abs(d, out=d).max())
+        return bool(worst <= STRUCTURAL_TOL * scale)
 
     @cached_property
     def form_spectrum(self) -> np.ndarray:

@@ -224,22 +224,30 @@ def _check_scales(kappa: float, epsilon: float) -> None:
         raise ValueError("scales must be nonnegative and not both zero")
 
 
-def _check_family_parts(diff_part: Chain, jump_part: Chain) -> None:
-    """The parts share states and measure and are both reversible, so every
-    nonnegative combination of them is a reversible generator for that measure."""
-    if diff_part.n_states != jump_part.n_states:
-        raise ValueError("parts must share the state space")
-    if np.abs(diff_part.mu - jump_part.mu).max() > STRUCTURAL_TOL * max(1.0, diff_part.mu.max()):
-        raise ValueError("parts must share the measure")
-    if not (diff_part.reversible and jump_part.reversible):
+def _check_family_part(part: Chain) -> None:
+    """A part of the scaled family must be reversible, so that every
+    nonnegative combination of parts sharing its measure is reversible too."""
+    if not part.reversible:
         raise ValueError("both parts must be reversible")
+
+
+def _check_shared_measure(mu_a: np.ndarray, mu_b: np.ndarray) -> None:
+    """The parts share states and measure, to STRUCTURAL_TOL relative to the
+    largest weight (unfloored, so scaling both measures keeps the verdict)."""
+    if mu_a.shape != mu_b.shape:
+        raise ValueError("parts must share the state space")
+    if np.abs(mu_a - mu_b).max() > STRUCTURAL_TOL * mu_a.max():
+        raise ValueError("parts must share the measure")
 
 
 def scaled_family(diff_part: Chain, jump_part: Chain, kappa: float, epsilon: float) -> Chain:
     """Chain with generator kappa*Q_diff + epsilon*Q_jump on shared states."""
     _check_scales(kappa, epsilon)
-    _check_family_parts(diff_part, jump_part)
+    _check_shared_measure(diff_part.mu, jump_part.mu)
+    _check_family_part(diff_part)
+    _check_family_part(jump_part)
     q = kappa * diff_part.q + epsilon * jump_part.q
+    q.setflags(write=False)  # a fresh array, adopted by Generator uncopied
     return Chain(Generator(q), diff_part.measure, diff_part.labels)
 
 
@@ -415,8 +423,8 @@ def _jump_table(spec: GridModelSpec, shape):
     dist[0, 0] = np.inf  # the singular cell has no lattice rate
     rates = np.where(dist <= r_cut, c * dist ** (-(d + alpha)) * h**d, 0.0)
     # every offset of the cutoff disc, in row-major order over its square
-    offsets = np.meshgrid(*(np.arange(-r, r + 1) for r in reach), indexing="ij")
-    disc = rates[np.abs(offsets[0]), np.abs(offsets[1])].ravel()
+    abs0, abs1 = (np.abs(np.arange(-r, r + 1)) for r in reach)
+    disc = rates[abs0[:, None], abs1[None, :]].ravel()
     if d == 1:
         second_moment = 2 * c * (h / 2) ** (2 - alpha) / (2 - alpha)
         tail = 2 * c * r_cut ** (-alpha) / alpha
@@ -496,6 +504,7 @@ def _assemble(spec: GridModelSpec):
         diag -= spec.epsilon * total
 
     np.fill_diagonal(q, diag)
+    q.setflags(write=False)  # handed to Generator, which adopts it uncopied
     return pts, q
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures: bundled example chains and random chain factories."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def random_proper_mask(rng, n) -> DomainMask:
     size = int(rng.integers(1, n))
     states = rng.permutation(n)[:size]
     return DomainMask.from_states(states, n)
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes of the allocations made while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def mu_dot(chain: Chain, vec) -> float:

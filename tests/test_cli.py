@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from exitlab.cli import main
+from conftest import traced_peak
 
 
 def write_config(path, doc):
@@ -122,6 +123,65 @@ def test_scale_sweep_monotone(tmp_path):
     doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert doc["passed"] is True
     assert len(doc["rows"]) == 9
+
+
+@pytest.mark.parametrize("omega", [[0, 1], [0, 1, 2, 3]])
+def test_flow_sweep_verdict_holds_at_any_time_scale(tmp_path, omega):
+    # rate c gives the generator c*Q: Laplace at beta = c is the same, and the
+    # mean exit times scale by 1/c; at c = 1e-9 they are about 1e10, where an
+    # absolute tolerance of 1e-10 failed the k / -k comparison on rounding alone
+    docs = {}
+    for rate in (1.0, 1e-9):
+        cfg = {
+            "model": {"builder": "cycle_flow", "params": {"n": 6, "rate": rate}},
+            "omega": omega,
+            "betas": [rate],
+            "commands": ["sweep"],
+            "sweep": {"kind": "flow", "values": [0.0, 0.5 * rate, rate]},
+            "output": str(tmp_path / f"out{rate!r}"),
+            "formats": ["json"],
+        }
+        assert main(["run", "--config", write_config(tmp_path / f"exp{rate!r}.json", cfg)]) == 0
+        docs[rate] = json.loads((tmp_path / f"out{rate!r}" / "sweep.json").read_text())
+        assert docs[rate]["monotone"] is True
+    for fast, slow in zip(docs[1.0]["rows"], docs[1e-9]["rows"]):
+        assert slow["mean"] == pytest.approx(1e9 * fast["mean"], rel=1e-12)
+        assert slow["laplace"]["1e-09"] == pytest.approx(fast["laplace"]["1.0"], rel=1e-12)
+
+
+def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
+    # the grid-sweep-h20 workload: h = 1/20 on [-1, 1]^2, n = 1521 states
+    cfg = {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {
+                "dimension": 2,
+                "domain_box": [[-1.0, 1.0], [-1.0, 1.0]],
+                "mesh_h": 0.05,
+                "alpha": 1.0,
+                "kappa": 1.0,
+                "epsilon": 1.0,
+            },
+        },
+        "omega": {"box": [[-0.75, 0.75], [-0.75, 0.75]]},
+        "betas": [0.5, 2.0],
+        "commands": ["sweep"],
+        "sweep": {
+            "kind": "scale",
+            "kappa": [1.9315567874960198, 1.865807453291266, 1.8249967352207208],
+            "epsilon": [1.2888376625992444, 3.33217228111877, 0.43656206346933946],
+        },
+        "output": str(tmp_path / "out"),
+        "formats": ["json", "csv"],
+    }
+    path = write_config(tmp_path / "exp.json", cfg)
+    status, peak = traced_peak(lambda: main(["run", "--config", path]))
+    assert status == 0
+    n = 39 * 39
+    # one part's n^2 generator and the two restricted blocks at a time; both
+    # parts alive through every point, with their detailed-balance
+    # temporaries, read 4.0 n^2
+    assert peak <= 1.7 * n * n * 8
 
 
 def test_mc_command(tmp_path):
@@ -298,11 +358,12 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch):
     from exitlab.forms import Chain
 
-    checked = []
+    checked, seen = [], []
     prop = vars(Chain)["reversible"]
     original = prop.func
 
     def counting(chain):
+        seen.append(chain)  # held, so a freed part's id is never reused
         checked.append(id(chain))
         return original(chain)
 

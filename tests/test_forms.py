@@ -19,7 +19,8 @@ from exitlab import (
     validate_assumption_a,
 )
 from exitlab.forms import _off_diagonal, _sector_constant, _sector_sigma, form_matrix
-from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain
+from exitlab.defaults import STRUCTURAL_TOL
+from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain, traced_peak
 
 
 def test_dual_is_transpose_under_uniform_measure():
@@ -365,3 +366,94 @@ def test_validation_holds_at_most_two_copies_of_the_chain(rng):
     # in a Generator (an F-ordered product, its sign-test copy and the
     # frozen copy) reached 3 n^2
     assert peak <= 2 * n * n * 8
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda base: base,
+        lambda base: _read_only(base[:]),
+        lambda base: _read_only(base.astype(np.float32)),
+    ],
+    ids=["writable", "read_only_view_of_writable_base", "read_only_float32"],
+)
+def test_generator_copies_an_array_others_can_write_or_of_another_dtype(make):
+    base = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    q = make(base)
+    g = Generator(q)
+    assert g.matrix.dtype == np.float64 and not g.matrix.flags.writeable
+    assert not np.shares_memory(g.matrix, q) and not np.shares_memory(g.matrix, base)
+    base[0, 1] = 5.0  # a later write to the caller's array does not reach the generator
+    assert g.matrix[0, 1] == 1.0
+
+
+def test_generator_validates_an_adopted_array():
+    q = _read_only(np.array([[-1.0, -1.0], [2.0, -2.0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Generator(q)
+
+
+def test_generator_adopts_an_owned_read_only_array_without_a_copy():
+    n = 400
+    q = np.full((n, n), 1.0)
+    np.fill_diagonal(q, -(n - 1.0))
+    g, peak = traced_peak(lambda: Generator(_read_only(q)))
+    assert np.shares_memory(g.matrix, q)
+    assert peak < 0.1 * n * n * 8
+
+
+def _dense_reversible(chain) -> bool:
+    """Detailed balance over the whole matrix at once, the formula the tiled
+    check must reproduce."""
+    mq = chain.mu[:, None] * chain.q
+    return bool(np.abs(mq - mq.T).max() <= STRUCTURAL_TOL * np.abs(mq).max())
+
+
+def _unbalanced(chain, x, y, ratio):
+    """The chain with q_xy raised (and q_xx lowered) so that
+    |mu_x q_xy - mu_y q_yx| grows by ``ratio`` times the detailed-balance
+    threshold; x and y lie in different row tiles."""
+    mq = chain.mu[:, None] * chain.q
+    delta = ratio * STRUCTURAL_TOL * np.abs(mq).max() / chain.mu[x]
+    q = chain.q.copy()
+    q[x, y] += delta
+    q[x, x] -= delta
+    return Chain(Generator(q), chain.measure)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_reversible_chain(np.random.default_rng(5), 150),
+        lambda: random_nonsymmetric_chain(np.random.default_rng(6), 150),
+        lambda: _unbalanced(random_reversible_chain(np.random.default_rng(7), 150), 3, 140, 0.5),
+        lambda: _unbalanced(random_reversible_chain(np.random.default_rng(7), 150), 3, 140, 2.0),
+        lambda: _unbalanced(random_reversible_chain(np.random.default_rng(7), 150), 140, 3, 0.999),
+        lambda: _unbalanced(random_reversible_chain(np.random.default_rng(7), 150), 140, 3, 1.001),
+    ],
+    ids=["reversible", "nonsymmetric", "below_threshold", "above_threshold", "just_below", "just_above"],
+)
+def test_tiled_detailed_balance_matches_the_dense_formula(build):
+    chain = build()
+    assert chain.reversible == _dense_reversible(chain)
+
+
+def test_near_threshold_chains_fall_on_both_sides():
+    base = random_reversible_chain(np.random.default_rng(7), 150)
+    assert _unbalanced(base, 3, 140, 0.5).reversible
+    assert not _unbalanced(base, 3, 140, 2.0).reversible
+
+
+def test_detailed_balance_check_holds_no_n_by_n_temporary():
+    n = 1024
+    chain = random_reversible_chain(np.random.default_rng(8), n)
+    fresh = Chain(chain.generator, chain.measure)  # no cached verdict yet
+    verdict, peak = traced_peak(lambda: fresh.reversible)
+    assert verdict
+    # two row tiles of 64 x n; the whole-matrix formula held 3 n^2
+    assert peak <= 0.3 * n * n * 8

@@ -23,7 +23,7 @@ from exitlab import (
     weighted_graph,
 )
 from exitlab.models import fractional_kernel_constant
-from conftest import mu_dot, random_reversible_chain
+from conftest import mu_dot, random_reversible_chain, traced_peak
 
 
 def stable_exit_mean_coefficient(d: int, alpha: float) -> float:
@@ -406,6 +406,47 @@ def test_scaled_family_rejects_measure_mismatch():
     )
     with pytest.raises(ValueError):
         scaled_family(a, b, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_scaled_family_measure_check_follows_the_measure_scale(scale):
+    rng = np.random.default_rng(9)
+    w = scale * rng.uniform(0.5, 2.0, 6)
+    cond = rng.uniform(0.2, 1.0, (6, 6))
+    cond = cond + cond.T
+    a = weighted_graph(cond, w)
+    # relative differences of 1e-6 in the weights; a floor of 1 on the
+    # tolerance passed them at scale 1e-20
+    shifted = w * (1.0 + 1e-6 * np.linspace(-1.0, 1.0, 6))
+    with pytest.raises(ValueError, match="parts must share the measure"):
+        scaled_family(a, weighted_graph(cond, shifted), 1.0, 1.0)
+    # rounding of the weights themselves passes at every scale
+    same = weighted_graph(2.0 * cond, w * (1.0 + 2e-16))
+    assert scaled_family(a, same, 1.0, 1.0).reversible
+
+
+def test_scaled_family_checks_keep_their_order():
+    a = discretize_jump_diffusion(GridModelSpec(dimension=1, domain_box=((0.0, 1.0),), mesh_h=0.125))
+    ring, flow = cycle_flow(3, 1.0)
+    flowed = antisym_perturb(ring, flow, 0.5)
+    with pytest.raises(ValueError, match="state space"):
+        scaled_family(a, flowed, 1.0, 1.0)
+    with pytest.raises(ValueError, match="must be reversible"):
+        scaled_family(ring, flowed, 1.0, 1.0)
+    with pytest.raises(ValueError, match="must be reversible"):
+        scaled_family(flowed, ring, 1.0, 1.0)
+
+
+def test_grid_assembly_holds_one_copy_of_the_generator():
+    spec = GridModelSpec(
+        dimension=2, domain_box=((-1.0, 1.0), (-1.0, 1.0)), mesh_h=0.05, kappa=1.0, epsilon=1.0
+    )
+    chain, peak = traced_peak(lambda: discretize_jump_diffusion(spec))
+    n = chain.n_states
+    assert n == 39 * 39
+    # q is assembled once, frozen and adopted by Generator; a copy would
+    # read 2 n^2
+    assert peak <= 1.1 * n * n * 8
 
 
 def reference_generator(spec: GridModelSpec) -> np.ndarray:

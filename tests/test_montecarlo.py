@@ -272,8 +272,22 @@ def test_samples_csv():
     assert lines[0] == "path,tau,censored"
     assert lines[1] == "0,0.5,0"
     assert lines[2] == "1,1.25,1"
-    # rows are joined a block of paths at a time
+    # rows are formatted a chunk of paths at a time, across a block boundary
     tau = np.arange(BLOCK + 2) / 4.0
     lines = ExitSamples(tau=tau, censored=tau == BLOCK / 4.0).to_csv().splitlines()
     assert len(lines) == BLOCK + 3
     assert lines[BLOCK : BLOCK + 3] == [f"{BLOCK - 1},{(BLOCK - 1) / 4.0!r},0", f"{BLOCK},{BLOCK / 4.0!r},1", f"{BLOCK + 1},{(BLOCK + 1) / 4.0!r},0"]
+
+
+def test_samples_csv_matches_the_per_row_format():
+    # whole chunks and a partial last one: censored rows, tiny and large times
+    rng = np.random.default_rng(17)
+    n = 2 * BLOCK + 123
+    tau = rng.exponential(1.0, n)
+    tau[::5] = 1e6
+    tau[7], tau[BLOCK + 1], tau[-1] = 1e-7, 1e-7, 1e6
+    censored = tau == 1e6
+    expected = "path,tau,censored\n" + "".join(
+        f"{i},{t!r},{c:d}\n" for i, (t, c) in enumerate(zip(tau.tolist(), censored.tolist()))
+    )
+    assert ExitSamples(tau=tau, censored=censored).to_csv() == expected

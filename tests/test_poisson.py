@@ -27,6 +27,7 @@ from conftest import (
     random_proper_mask,
     random_reversible_chain,
     single_state_chain,
+    traced_peak,
     two_state_killed_chain,
 )
 
@@ -288,6 +289,31 @@ def test_shift_below_minus_lambda0_falls_back_to_lu():
     u_lu, ut_lu = _lu_route(system, shift, xi_d)
     np.testing.assert_array_equal(u, u_lu)
     np.testing.assert_array_equal(ut, ut_lu)
+
+
+def _restricted_cholesky_inputs(n=600, m=400):
+    rng = np.random.default_rng(12)
+    chain = random_reversible_chain(rng, n, killing=True)
+    system = DomainSystem(chain, DomainMask.from_states(rng.permutation(n)[:m], n))
+    return system.sym_d, np.sqrt(system.mu_d), system.q_d
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, -0.05])
+def test_restricted_cholesky_norms_are_those_of_the_shifted_matrix(shift):
+    sym, root, q_d = _restricted_cholesky_inputs()
+    factors = RefinedCholesky(sym, shift, root, q_d)
+    a = shift * np.eye(q_d.shape[0]) - q_d
+    np.testing.assert_allclose(factors._anorm(False), np.linalg.norm(a, 1), rtol=1e-13)
+    np.testing.assert_allclose(factors._anorm(True), np.linalg.norm(a, np.inf), rtol=1e-13)
+
+
+def test_restricted_cholesky_holds_no_buffer_besides_its_factor():
+    sym, root, q_d = _restricted_cholesky_inputs()
+    m = q_d.shape[0]
+    _, peak = traced_peak(lambda: RefinedCholesky(sym, 0.5, root, q_d))
+    # the factor is m^2 doubles; a buffer of |q| beside it read 2 m^2, and a
+    # boolean finiteness mask of the factor 1.125 m^2
+    assert peak <= 1.05 * m * m * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
