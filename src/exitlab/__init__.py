@@ -49,12 +49,10 @@ from .poisson import (
 from .spectral import (
     BoundEntry,
     BoundLedger,
-    SpectralReport,
     bounds_report,
     dirichlet_pair,
     lyapunov_delta,
     spectral_gap,
-    spectral_report,
 )
 from .variational import (
     DegenerateSourceError,
@@ -91,13 +89,11 @@ __all__ = [
     "saddle_value",
     "symmetric_inf",
     "exp_moment_inf",
-    "SpectralReport",
     "BoundEntry",
     "BoundLedger",
     "dirichlet_pair",
     "spectral_gap",
     "lyapunov_delta",
-    "spectral_report",
     "bounds_report",
     "GridModelSpec",
     "FlowMatrix",

@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-# Rows per tile of the detailed-balance check: two 64 x n buffers at a time.
-_BALANCE_TILE_ROWS = 64
+# Rows per tile of the symmetry test: two 64 x n buffers at a time.
+_SYMMETRY_TILE_ROWS = 64
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -55,6 +55,32 @@ def _row_scale(q: np.ndarray) -> np.ndarray:
     """Per-row scale of a row-sum check: the rounding of a row sum grows with
     the row's largest rate, which is |q_xx| on a sub-Markov row."""
     return np.maximum(1.0, np.abs(np.diag(q)))
+
+
+def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
+    """Whether diag(mu) m is symmetric (antisymmetric with ``anti``) within
+    STRUCTURAL_TOL times max|diag(mu) m|, with no floor, so scaling m or mu
+    leaves the verdict unchanged. No mu means mu = 1.
+
+    Checked a tile of rows at a time, so no n x n temporary is made; each
+    entry is still d_xy - d_yx (d_xy + d_yx), and the verdict that of the
+    whole matrix at once.
+    """
+    if mu is None:
+        mu = np.ones(m.shape[0])
+    scale = worst = 0.0
+    for lo in range(0, m.shape[0], _SYMMETRY_TILE_ROWS):
+        hi = lo + _SYMMETRY_TILE_ROWS
+        d = mu[lo:hi, None] * m[lo:hi]
+        # np.maximum, not max(), so a NaN from an overflowed product propagates
+        scale = np.maximum(scale, np.maximum(d.max(), -d.min()))
+        mirror = (mu[:, None] * m[:, lo:hi]).T
+        if anti:
+            d += mirror
+        else:
+            d -= mirror
+        worst = np.maximum(worst, np.abs(d, out=d).max())
+    return bool(worst <= STRUCTURAL_TOL * scale)
 
 
 def _is_conservative(q: np.ndarray) -> bool:
@@ -193,23 +219,8 @@ class Chain:
 
     @cached_property
     def reversible(self) -> bool:
-        """Detailed balance: diag(mu) Q symmetric within STRUCTURAL_TOL times
-        max|mu_x q_xy| (unfloored, so scaling mu leaves the verdict unchanged).
-
-        Checked a tile of rows at a time, so no n x n temporary is made; each
-        entry is still mu_x q_xy - mu_y q_yx, and the verdict that of the
-        whole matrix at once.
-        """
-        q, mu = self.q, self.mu
-        scale = worst = 0.0
-        for lo in range(0, self.n_states, _BALANCE_TILE_ROWS):
-            hi = lo + _BALANCE_TILE_ROWS
-            d = mu[lo:hi, None] * q[lo:hi]
-            # np.maximum, not max(), so a NaN from an overflowed product propagates
-            scale = np.maximum(scale, np.maximum(d.max(), -d.min()))
-            d -= (mu[:, None] * q[:, lo:hi]).T
-            worst = np.maximum(worst, np.abs(d, out=d).max())
-        return bool(worst <= STRUCTURAL_TOL * scale)
+        """Detailed balance: diag(mu) Q symmetric, by ``_is_symmetric``."""
+        return _is_symmetric(self.q, self.mu)
 
     @cached_property
     def form_spectrum(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import STRUCTURAL_TOL
-from .forms import Chain, Generator, Measure, _as_vector, _freeze
+from .forms import Chain, Generator, Measure, _as_vector, _freeze, _is_symmetric, _off_diagonal
 
 __all__ = [
     "GridModelSpec",
@@ -102,7 +102,7 @@ def weighted_graph(conductances, measure) -> Chain:
     c = np.asarray(conductances, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("conductance matrix must be square")
-    if np.abs(c - c.T).max() > STRUCTURAL_TOL * max(1.0, np.abs(c).max()):
+    if not _is_symmetric(c):
         raise ValueError("conductances must be symmetric")
     if c.min() < 0:
         raise ValueError("conductances must be nonnegative")
@@ -131,7 +131,8 @@ class FlowMatrix:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("flow matrix must be square")
-        scale = max(1.0, np.abs(g).max())
+        # unfloored, so scaling the flow leaves the verdicts unchanged
+        scale = np.abs(g).max()
         if np.abs(np.diag(g)).max() > STRUCTURAL_TOL * scale:
             raise ValueError("flow matrix must have zero diagonal")
         if np.abs(g.sum(axis=1)).max() > STRUCTURAL_TOL * scale:
@@ -139,9 +140,7 @@ class FlowMatrix:
         object.__setattr__(self, "gamma", _freeze(g))
 
     def is_antisymmetric_for(self, measure: Measure) -> bool:
-        mg = measure.weights[:, None] * self.gamma
-        scale = max(1.0, np.abs(mg).max())
-        return bool(np.abs(mg + mg.T).max() <= STRUCTURAL_TOL * scale)
+        return _is_symmetric(self.gamma, measure.weights, anti=True)
 
 
 def flow_from_cycles(cycles, measure: Measure, weights=None) -> FlowMatrix:
@@ -201,21 +200,27 @@ def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
         raise ValueError("flow size does not match the chain")
     if not flow.is_antisymmetric_for(base.measure):
         raise ValueError("flow is not antisymmetric for the base measure")
-    off_q = base.q.copy()
-    np.fill_diagonal(off_q, np.inf)
-    g = np.abs(flow.gamma)
-    active = g > STRUCTURAL_TOL
-    k_max = float(np.min(off_q[active] / g[active])) if active.any() else float("inf")
+    # k_max, then the rates, in one n x n buffer: off-diagonal views of it
+    # and of Q hold the ratios q_xy / |gamma_xy|, and no other n x n array
+    # of doubles is made
+    q = np.abs(flow.gamma)
+    off = _off_diagonal(q)
+    active = off > STRUCTURAL_TOL
+    np.divide(_off_diagonal(base.q), off, out=off, where=active)
+    k_max = float(np.min(off, where=active, initial=np.inf))
+    del active
     if abs(k) > k_max + STRUCTURAL_TOL:
         raise ValueError(
             f"flow strength |k|={abs(k):g} exceeds k_max={k_max:g} "
             "(off-diagonal rate would turn negative)"
         )
-    q = base.q + k * flow.gamma
+    np.multiply(flow.gamma, k, out=q)
+    q += base.q
     # at |k| = k_max an off-diagonal hits zero; clear rounding dust
-    off_mask = ~np.eye(base.n_states, dtype=bool)
-    tiny = off_mask & (q > -STRUCTURAL_TOL) & (q < 0)
-    q[tiny] = 0.0
+    dust = off > -STRUCTURAL_TOL
+    dust &= off < 0
+    off[dust] = 0.0
+    q.setflags(write=False)  # a fresh array, adopted by Generator uncopied
     return Chain(Generator(q), base.measure, base.labels)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import NotPositiveDefiniteError, RefinedCholesky, RefinedLU, SingularSystemError
+from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
 from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float
 
@@ -209,7 +209,7 @@ class DomainSystem:
         if self.reversible:
             try:
                 return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context)
-            except NotPositiveDefiniteError:
+            except SingularSystemError:
                 pass
         a = np.negative(self.q_d)
         a.flat[:: self.mask.size + 1] += shift
@@ -304,7 +304,9 @@ class DomainSystem:
             phi_d = -phi_d + 0.0
         phi = embed(self.mask, phi_d)
         phi.setflags(write=False)
-        gap = COMPARISON_RTOL * max(1.0, abs(lam[0]))
+        # relative to lambda0, unfloored, so the count survives a change of
+        # time scale; no tighter than eigh's rounding, a few eps * |lambda_max|
+        gap = max(COMPARISON_RTOL * abs(lam[0]), 16.0 * np.finfo(float).eps * abs(lam[-1]))
         return Dirichlet(max(float(lam[0]), 0.0), phi, int(np.sum(lam <= lam[0] + gap)))
 
 

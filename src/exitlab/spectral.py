@@ -21,17 +21,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
-from .forms import Chain, _as_vector, _freeze, _json_float
+from .forms import Chain, _as_vector, _json_float
 from .poisson import DomainMask, DomainSystem, NonReversibleError
 
 __all__ = [
-    "SpectralReport",
     "BoundEntry",
     "BoundLedger",
     "dirichlet_pair",
     "spectral_gap",
     "lyapunov_delta",
-    "spectral_report",
     "bounds_report",
 ]
 
@@ -92,52 +90,6 @@ def lyapunov_delta(chain: Chain, mask: DomainMask, varphi) -> float:
         raise ValueError("Lyapunov function must vanish outside the domain")
     lphi = chain.q @ phi
     return float(-np.max(lphi[inside] / phi[inside]))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralReport:
-    """lambda0, its eigenfunction, the gap, and the outside mass."""
-
-    lambda0: float
-    phi: np.ndarray
-    lambda1: float | None
-    pi_omega_c: float
-    lyapunov_delta: float | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _freeze(self.phi))
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "phi": self.phi.tolist(),
-            "lambda1": self.lambda1,
-            "pi_omega_c": self.pi_omega_c,
-            "lyapunov_delta": self.lyapunov_delta,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-
-def spectral_report(chain: Chain, mask: DomainMask, lyapunov=None) -> SpectralReport:
-    """Assemble the spectral quantities of one domain, validating identities."""
-    lam0, phi = dirichlet_pair(chain, mask)
-    mu = chain.mu
-    form_phi = float(phi @ (-(chain.q.T * mu[None, :])) @ phi)
-    norm_phi = float(np.sum(mu * phi * phi))
-    if abs(form_phi - lam0 * norm_phi) > WEAK_IDENTITY_TOL * max(1.0, abs(form_phi)):
-        raise AssertionError("eigenfunction fails form(phi,phi) = lambda0 * pi(phi^2)")
-    pi_out = float(np.sum(mu[~mask.inside]))
-    lam1 = None
-    try:
-        lam1 = spectral_gap(chain)
-    except (ValueError, NonReversibleError):
-        pass
-    if lam1 is not None and pi_out > 0 and lam0 < lam1 * pi_out - WEAK_IDENTITY_TOL:
-        raise AssertionError("lambda0 fell below lambda1 * pi(complement)")
-    delta = lyapunov_delta(chain, mask, lyapunov) if lyapunov is not None else None
-    return SpectralReport(lam0, phi, lam1, pi_out, delta)
 
 
 @dataclass(frozen=True, eq=False)

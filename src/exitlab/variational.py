@@ -27,9 +27,8 @@ from .defaults import (
     SADDLE_CHECK_SEED,
     SADDLE_CHECK_TOL,
     SPECTRAL_EDGE_MARGIN,
-    STRUCTURAL_TOL,
 )
-from .forms import Chain, Measure, _as_vector, _freeze, form_matrix
+from .forms import Chain, Measure, _as_vector, _freeze, _is_symmetric, form_matrix
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _restrict_source, embed
 
 __all__ = [
@@ -281,7 +280,7 @@ def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     restricted matrix gives the minimum 1 / (c^T S^{-1} c).
     """
     _idx, a, _xi_d, c = _saddle_inputs(chain, mask, beta, xi)
-    if np.abs(a - a.T).max() > STRUCTURAL_TOL * np.abs(a).max():
+    if not _is_symmetric(a):
         raise NonReversibleError("symmetric_inf needs a symmetric form")
     s = a + a.T
     s *= 0.5

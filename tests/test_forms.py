@@ -18,7 +18,7 @@ from exitlab import (
     spectral_gap,
     validate_assumption_a,
 )
-from exitlab.forms import _off_diagonal, _sector_constant, _sector_sigma, form_matrix
+from exitlab.forms import _is_symmetric, _off_diagonal, _sector_constant, _sector_sigma, form_matrix
 from exitlab.defaults import STRUCTURAL_TOL
 from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain, traced_peak
 
@@ -457,3 +457,29 @@ def test_detailed_balance_check_holds_no_n_by_n_temporary():
     assert verdict
     # two row tiles of 64 x n; the whole-matrix formula held 3 n^2
     assert peak <= 0.3 * n * n * 8
+
+
+def _dense_is_symmetric(m, mu, anti) -> bool:
+    """The symmetry test over the whole matrix at once."""
+    d = m if mu is None else mu[:, None] * m
+    diff = d + d.T if anti else d - d.T
+    return bool(np.abs(diff).max() <= STRUCTURAL_TOL * np.abs(d).max())
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_tiled_symmetry_test_matches_the_dense_formula(n, anti, weighted, ratio):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    d = a - a.T if anti else a + a.T
+    mu = rng.uniform(0.5, 2.0, n) if weighted else None
+    m = d if mu is None else d / mu[:, None]
+    # move one entry of the last row tile, mirrored in the first, by
+    # ``ratio`` times the threshold
+    dm = m if mu is None else mu[:, None] * m
+    m[n - 1, 0] += ratio * STRUCTURAL_TOL * np.abs(dm).max() / (1.0 if mu is None else mu[n - 1])
+    verdict = _is_symmetric(m, mu, anti)
+    assert verdict == _dense_is_symmetric(m, mu, anti)
+    assert verdict == (ratio < 1.0)

@@ -14,8 +14,8 @@ from exitlab import (
     exit_mean,
     lyapunov_delta,
     spectral_gap,
-    spectral_report,
 )
+from exitlab.poisson import DomainSystem
 from conftest import (
     make_chain,
     mu_dot,
@@ -61,6 +61,17 @@ def test_dirichlet_eigen_residual(rng):
         resid = (-lom) @ phi[idx] - lam0 * phi[idx]
         w = chain.mu[idx]
         assert np.sqrt(np.sum(w * resid**2)) <= 1e-10 * np.sqrt(np.sum(w * phi[idx] ** 2))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_dirichlet_multiplicity_does_not_depend_on_the_time_scale(c):
+    chain = random_reversible_chain(np.random.default_rng(0), 8)
+    mask = random_proper_mask(np.random.default_rng(0), 8)
+    scaled = Chain(Generator(c * chain.q), chain.measure)
+    assert DomainSystem(scaled, mask).dirichlet.multiplicity == 1
+    # two identical uncoupled states: a double bottom eigenvalue at any scale
+    path = Chain(Generator(c * np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])), C3.measure)
+    assert DomainSystem(path, DomainMask.from_states([0, 2], 3)).dirichlet.multiplicity == 2
 
 
 def test_dirichlet_variational_characterization(rng):
@@ -188,20 +199,13 @@ def test_lyapunov_delta_rejects_bad_function():
         lyapunov_delta(C3, MASK01, np.array([1.0, 1.0, 0.5]))
 
 
-def test_spectral_report_fields():
-    rep = spectral_report(C3, MASK01, lyapunov=np.array([1.0, 1.0, 0.0]))
-    assert rep.lambda0 == pytest.approx(1.0, abs=1e-12)
-    assert rep.lambda1 == pytest.approx(3.0, abs=1e-12)
-    assert rep.pi_omega_c == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert rep.lyapunov_delta == pytest.approx(1.0, abs=1e-14)
-    assert rep.lambda0 >= rep.lambda1 * rep.pi_omega_c - 1e-10
-    doc = rep.to_dict()
-    assert len(doc["phi"]) == 3
-
-
 def test_bounds_report_three_state_equalities():
-    ledger = bounds_report(C3, MASK01, [0.5, 1.0])
+    ledger = bounds_report(C3, MASK01, [0.5, 1.0], lyapunov=np.array([1.0, 1.0, 0.0]))
     assert ledger.all_satisfied()
+    assert ledger.meta["lambda0"] == pytest.approx(1.0, abs=1e-12)
+    assert ledger.meta["lambda1"] == pytest.approx(3.0, abs=1e-12)
+    assert ledger.meta["pi_omega_c"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert ledger.meta["lyapunov_delta"] == pytest.approx(1.0, abs=1e-14)
     by_key = {(e.name, e.beta): e for e in ledger.entries}
     lower = by_key[("exp_moment_lower_eigenfunction", 0.5)]
     assert lower.lhs == pytest.approx(5.0 / 3.0, abs=1e-12)
@@ -219,6 +223,7 @@ def test_bounds_report_three_state_equalities():
     mean_low = by_key[("mean_lower_eigenfunction", None)]
     assert abs(mean_low.slack) <= 1e-12
     gap = by_key[("lambda0_vs_gap", None)]
+    assert gap.satisfied and not gap.skipped
     assert abs(gap.slack) <= 1e-12
 
 
