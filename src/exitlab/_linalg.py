@@ -1,4 +1,4 @@
-"""Dense solve helpers shared by the solver modules."""
+"""Solve helpers shared by the solver modules: dense and banded kernels."""
 from __future__ import annotations
 
 import logging
@@ -10,6 +10,42 @@ from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_fac
 from .defaults import REFINE_MAX_SWEEPS, REFINE_TARGET, SINGULAR_RCOND
 
 log = logging.getLogger(__name__)
+
+# A symmetric matrix of order m and bandwidth b is factored on its band when
+# b * BAND_FRACTION < m. Banded LAPACK costs O(m b^2) against the dense
+# O(m^3), but the blocked dense kernels catch up as the band widens: for a
+# Cholesky and its condition estimate at m = 841 with one BLAS thread, the
+# band took 0.4 times the dense time at b = m/8, about the same at b = m/4
+# and 1.5 times it at b = m/3.
+BAND_FRACTION = 8
+
+
+def _bandwidth(a: np.ndarray) -> int:
+    """Smallest b with a[i, j] == 0 whenever |i - j| > b, for a square a.
+
+    O(1) when a corner entry is nonzero, as in every dense block; one scan
+    of the nonzero pattern otherwise. A NaN counts as nonzero.
+    """
+    m = a.shape[0]
+    if m < 2 or a[m - 1, 0] != 0 or a[0, m - 1] != 0:
+        return max(m - 1, 0)
+    nz = a != 0
+    first = nz.argmax(axis=1)
+    last = m - 1 - nz[:, ::-1].argmax(axis=1)
+    reach = np.maximum(np.arange(m) - first, last - np.arange(m))
+    return int(reach[nz.any(axis=1)].max(initial=0))
+
+
+def _banded(b: int, m: int) -> bool:
+    """Whether a matrix of order m and bandwidth b takes the banded kernels."""
+    return b * BAND_FRACTION < m
+
+
+def _tridiagonal(b: int, m: int) -> bool:
+    """Whether a symmetric matrix of order m and bandwidth b takes the
+    tridiagonal eigensolvers. Wider bands stay dense: scipy's banded
+    eigenvector driver forms an m x m matrix of its own."""
+    return b <= 1 and _banded(b, m)
 
 
 class SingularSystemError(ValueError):
@@ -32,14 +68,16 @@ def _gate(context: str, kind: str, factor: np.ndarray, rcond: float, info: int =
     rcond falls below SINGULAR_RCOND.
     """
     cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
+    # a factor is square or in band storage, one column per row of the matrix
+    size = factor.shape[1]
     # min and max propagate NaN, so this tests every entry without a mask
     if info != 0 or not (np.isfinite(factor.min()) and np.isfinite(factor.max())) or rcond < SINGULAR_RCOND:
         raise SingularSystemError(
-            f"{context}: matrix of size {factor.shape[0]} is {kind} "
+            f"{context}: matrix of size {size} is {kind} "
             f"(condition estimate ~ {cond:.3e})",
             cond_estimate=cond,
         )
-    log.debug("%s: n=%d cond~%.3e", context, factor.shape[0], cond)
+    log.debug("%s: n=%d cond~%.3e", context, size, cond)
     return cond
 
 
@@ -104,14 +142,22 @@ class RefinedSPD(_Refined):
 
     ``a`` must be exactly symmetric. It may be a view; it is not modified,
     and solves of a x = b refine against it. ``lower_solve(b)`` applies
-    L^{-1} to a matrix b in place. Raises SingularSystemError when the
-    factorization fails, the factor is not finite, or the reciprocal
-    condition falls below SINGULAR_RCOND.
+    L^{-1} to a matrix b. Raises SingularSystemError when the factorization
+    fails, the factor is not finite, or the reciprocal condition falls below
+    SINGULAR_RCOND.
+
+    The kernels follow the bandwidth b of ``a`` in its given order: the
+    banded ones when b * BAND_FRACTION < m, the dense ones otherwise. Both
+    pass the same gate and refine against the same dense ``a``.
     """
 
     def __init__(self, a: np.ndarray, context: str = "solve"):
         self.a = a
-        self._cholesky(a, context, overwrite=False)
+        b = _bandwidth(a)
+        if _banded(b, a.shape[0]):
+            self._band_cholesky(a, b, 0.0, context)
+        else:
+            self._cholesky(a, context, overwrite=False)
 
     def _cholesky(self, s: np.ndarray, context: str, overwrite: bool) -> None:
         """Factor the exactly symmetric s, gate it, and keep its 1-norm.
@@ -125,7 +171,39 @@ class RefinedSPD(_Refined):
         factor, info = potrf(s.T, lower=True, clean=False, overwrite_a=overwrite)
         rcond = pocon(factor, self._norm, uplo="L")[0] if info == 0 else 0.0
         self.cond = _gate(context, "not numerically positive definite", factor, rcond, info)
-        self._factor = factor
+        self._factor, self._is_band = factor, False
+
+    def _band_cholesky(self, s: np.ndarray, b: int, shift: float, context: str) -> None:
+        """Factor s + shift*I for an exactly symmetric s of bandwidth b, gate
+        it, and keep its 1-norm, all in O(m b^2); s is read only on its band.
+
+        The factor is in LAPACK's lower band storage, (b+1, m): row k holds
+        diagonal -k, s[j+k, j] at column j. LAPACK has ``pbcon`` but scipy
+        does not expose it, so rcond comes from ``gbcon`` on an LU
+        (``gbtrf``) of the same band in general band storage: rows b..3b
+        hold the band, A[i, j] at row 2b + i - j, and the b rows above are
+        the LU's fill.
+        """
+        m = s.shape[0]
+        band = np.zeros((b + 1, m), order="F")
+        for k in range(b + 1):
+            band[k, : m - k] = np.diagonal(s, -k)
+        band[0] += shift
+        pbtrf, gbtrf, gbcon, self._potrs = get_lapack_funcs(("pbtrf", "gbtrf", "gbcon", "pbtrs"), (band,))
+        full = np.zeros((3 * b + 1, m), order="F")
+        full[2 * b :] = band
+        for k in range(1, b + 1):
+            full[2 * b - k, k:] = band[k, : m - k]
+        # the fill rows are still zero: column sums of |full| are the matrix's
+        self._norm = float(np.abs(full).sum(axis=0).max())
+        factor, info = pbtrf(band, lower=1, overwrite_ab=1)
+        rcond = 0.0
+        if info == 0:
+            lu, piv, lu_info = gbtrf(full, b, b, overwrite_ab=1)
+            if lu_info == 0:
+                rcond = gbcon(b, b, lu, piv, self._norm)[0]
+        self.cond = _gate(context, "not numerically positive definite", factor, rcond, info)
+        self._factor, self._is_band = factor, True
 
     def _anorm(self, trans: bool) -> float:
         return self._norm
@@ -134,16 +212,22 @@ class RefinedSPD(_Refined):
         return self.a @ x
 
     def _direct(self, b, trans: bool) -> np.ndarray:
+        # potrs and pbtrs take the same arguments
         x, _ = self._potrs(self._factor, b, lower=True)
         return x
 
     def lower_solve(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b for a C-ordered matrix b, one triangular solve with no
-        refinement, written over b.
+        refinement.
 
-        b^T is Fortran-ordered, so BLAS solves X L^T = b^T in b's memory
-        and X^T = L^{-1} b.
+        Dense: b^T is Fortran-ordered, so BLAS solves X L^T = b^T in b's
+        memory and X^T = L^{-1} b, written over b. Banded: ``tbtrs`` on
+        the band factor, into a new array.
         """
+        if self._is_band:
+            (tbtrs,) = get_lapack_funcs(("tbtrs",), (self._factor,))
+            x, _ = tbtrs(self._factor, b, uplo="L")
+            return x
         (trsm,) = get_blas_funcs(("trsm",), (b,))
         xt = trsm(1.0, self._factor, b.T, side=1, lower=1, trans_a=1, overwrite_b=True)
         return xt.T
@@ -157,11 +241,13 @@ class RefinedCholesky(RefinedSPD):
     R = diag(root). That shifted matrix S is factored by Cholesky in a
     buffer of its own, and the solves are x = R^{-1} S^{-1} R b and, for the
     transpose, x = R S^{-1} R^{-1} b. Refinement runs against q itself.
-    ``cond`` is the 1-norm condition estimate of S; the gate is that of
-    RefinedSPD.
+    ``cond`` is the 1-norm condition estimate of S; the gate and the choice
+    of kernels are those of RefinedSPD, from ``bandwidth``, the bandwidth of
+    ``sym`` (found when not given). A banded S is built from ``sym``'s
+    diagonals, so its factor allocates no m x m buffer.
     """
 
-    def __init__(self, sym, shift: float, root, q, context: str = "solve"):
+    def __init__(self, sym, shift: float, root, q, context: str = "solve", bandwidth: int | None = None):
         # 1-norms of shift*I - q and of its transpose, for the refinement stop.
         # q is a generator block, nonnegative off the diagonal, so a column's
         # (row's) off-diagonal magnitudes sum to its sum less q_xx: no n x n
@@ -172,9 +258,13 @@ class RefinedCholesky(RefinedSPD):
             float((q.sum(axis=0) - diag + pivot).max()),
             float((q.sum(axis=1) - diag + pivot).max()),
         )
-        s = np.array(sym, dtype=float)
-        s.flat[:: s.shape[0] + 1] += shift
-        self._cholesky(s, context, overwrite=True)
+        b = _bandwidth(sym) if bandwidth is None else bandwidth
+        if _banded(b, sym.shape[0]):
+            self._band_cholesky(sym, b, shift, context)
+        else:
+            s = np.array(sym, dtype=float)
+            s.flat[:: s.shape[0] + 1] += shift
+            self._cholesky(s, context, overwrite=True)
         self.shift, self.root, self.q = shift, root, q
 
     def _anorm(self, trans: bool) -> float:

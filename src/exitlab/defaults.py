@@ -23,8 +23,10 @@ SADDLE_CHECK_DIRECTIONS = 50
 SADDLE_CHECK_TOL = 1e-8
 SADDLE_CHECK_SEED = 20260808
 
-# Exponential moments within this distance of the Dirichlet eigenvalue are
-# reported infinite instead of as meaningless huge numbers.
+# Exponential moments at shifts within this fraction of the Dirichlet
+# eigenvalue (or of another spectral edge) below it are reported infinite
+# instead of as meaningless huge numbers. Relative, so rescaling time keeps
+# every verdict.
 SPECTRAL_EDGE_MARGIN = 1e-9
 
 # Iterative refinement of LU and Cholesky solves.

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from ._linalg import _bandwidth, _tridiagonal
 from .defaults import MARKOV_TOL, STRUCTURAL_TOL
 
 __all__ = [
@@ -229,7 +230,15 @@ class Chain:
         Under detailed balance sym(A0) = M(-Q), so these are also the
         eigenvalues of -Q in the mu-weighted inner product: one eigensolve
         gives the lower bound beta0 and the spectral gap nu_1.
+
+        When ``_linalg._tridiagonal`` holds for Q, it holds for the pencil
+        scaled by the diagonal M, M^{-1/2} sym(A0) M^{-1/2}, whose values
+        then come from the tridiagonal ``sterf``; otherwise from a dense
+        generalized ``eigh``.
         """
+        if _tridiagonal(_bandwidth(self.q), self.n_states):
+            d, e = _scaled_pencil(self.q, self.mu)
+            return _freeze(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
         a0 = form_matrix(self.q, self.mu, 0.0)
         sym0 = a0 + a0.T
         del a0
@@ -275,6 +284,14 @@ class Chain:
     @classmethod
     def from_json(cls, text: str) -> "Chain":
         return cls.from_dict(json.loads(text))
+
+
+def _scaled_pencil(q: np.ndarray, mu: np.ndarray):
+    """Diagonal and subdiagonal of M^{-1/2} sym(A0) M^{-1/2} for a tridiagonal
+    q: sym(A0) has diagonal -q_ii mu_i and entries
+    -(q_{i,i+1} mu_i + q_{i+1,i} mu_{i+1}) / 2 beside it."""
+    below = np.diagonal(q, 1) * mu[:-1] + np.diagonal(q, -1) * mu[1:]
+    return 0.0 - np.diagonal(q), below / (-2.0 * np.sqrt(mu[:-1] * mu[1:]))
 
 
 def dual_generator(chain: Chain) -> Generator:

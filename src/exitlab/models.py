@@ -79,10 +79,11 @@ def birth_death(up, down, measure=None) -> Chain:
         raise ValueError("birth and death rates must be positive")
     n = up.shape[0] + 1
     q = np.zeros((n, n))
-    for i in range(n - 1):
-        q[i, i + 1] = up[i]
-        q[i + 1, i] = down[i]
+    i = np.arange(n - 1)
+    q[i, i + 1] = up
+    q[i + 1, i] = down
     np.fill_diagonal(q, -q.sum(axis=1))
+    q.setflags(write=False)  # adopted by Generator, not copied
     if measure is None:
         w = np.ones(n)
         for i in range(n - 1):

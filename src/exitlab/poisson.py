@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError
-from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
+from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError, _bandwidth, _tridiagonal
+from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
 from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float
 
 __all__ = [
@@ -120,6 +120,13 @@ def _restrict_source(mask: DomainMask, xi, n_states: int) -> np.ndarray:
     )
 
 
+def _below_edge(beta: float, edge: float) -> bool:
+    """Whether beta lies below a spectral edge (lambda0, lambda1 * pi(D^c) or
+    a Lyapunov ratio) by more than SPECTRAL_EDGE_MARGIN relative to the edge.
+    Relative, so rescaling time, Q -> cQ and beta -> c*beta, keeps the verdict."""
+    return beta < edge * (1.0 - SPECTRAL_EDGE_MARGIN)
+
+
 def _symmetrized(q_d: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
     """M^{1/2} (-L_D) M^{-1/2} for a reversible chain, symmetrized."""
     root = np.sqrt(mu_d)
@@ -195,6 +202,12 @@ class DomainSystem:
         sym.setflags(write=False)
         return sym
 
+    @cached_property
+    def sym_bandwidth(self) -> int:
+        """Bandwidth of ``sym_d`` in the domain's state order, which picks the
+        kernels of its factors and of its eigensolve."""
+        return _bandwidth(self.sym_d)
+
     def _require_exit(self) -> None:
         if not self.exit_possible:
             raise ExitImpossibleError(
@@ -208,7 +221,9 @@ class DomainSystem:
         context = f"restricted solve (beta={shift:g})"
         if self.reversible:
             try:
-                return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context)
+                return RefinedCholesky(
+                    self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth
+                )
             except SingularSystemError:
                 pass
         a = np.negative(self.q_d)
@@ -268,7 +283,7 @@ class DomainSystem:
         if not self.reversible:
             raise NonReversibleError("exponential moments need a reversible chain")
         self._require_exit()
-        if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
+        if not _below_edge(beta, lambda0):
             return embed(self.mask, np.full(self.mask.size, np.inf), fill=1.0)
         return embed(self.mask, 1.0 + beta * self.resolvent_one(-beta), fill=1.0)
 
@@ -294,10 +309,22 @@ class DomainSystem:
 
     @cached_property
     def dirichlet(self) -> Dirichlet:
+        """Every eigenvalue of ``sym_d`` and the bottom eigenvector: by the
+        tridiagonal drivers (``sterf`` for the values) when
+        ``_linalg._tridiagonal`` holds for ``sym_d``, by a dense ``eigh``
+        otherwise."""
         if not self.reversible:
             raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
-        lam, vec = scipy.linalg.eigh(self.sym_d)
-        if lam[0] < -WEAK_IDENTITY_TOL:
+        if _tridiagonal(self.sym_bandwidth, self.mask.size):
+            d, e = np.diagonal(self.sym_d), np.diagonal(self.sym_d, -1)
+            lam = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+            _, vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        else:
+            lam, vec = scipy.linalg.eigh(self.sym_d)
+        # a backward-stable eigensolve rounds a zero eigenvalue to a few
+        # eps * |lambda_max|, so lambda0 >= 0 is checked at that scale
+        rounding = 16.0 * np.finfo(float).eps * abs(lam[-1])
+        if lam[0] < -rounding:
             raise AssertionError(f"Dirichlet eigenvalue turned negative: {lam[0]:.3e}")
         phi_d = vec[:, 0] / np.sqrt(self.mu_d)
         if float(np.sum(self.mu_d * phi_d)) < 0:
@@ -305,8 +332,8 @@ class DomainSystem:
         phi = embed(self.mask, phi_d)
         phi.setflags(write=False)
         # relative to lambda0, unfloored, so the count survives a change of
-        # time scale; no tighter than eigh's rounding, a few eps * |lambda_max|
-        gap = max(COMPARISON_RTOL * abs(lam[0]), 16.0 * np.finfo(float).eps * abs(lam[-1]))
+        # time scale; no tighter than the eigensolve's rounding
+        gap = max(COMPARISON_RTOL * abs(lam[0]), rounding)
         return Dirichlet(max(float(lam[0]), 0.0), phi, int(np.sum(lam <= lam[0] + gap)))
 
 
@@ -348,7 +375,8 @@ def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float, lambda0: float)
 
     Requires a reversible chain. ``lambda0`` is the smallest Dirichlet
     eigenvalue of the restriction (see the spectral module); for beta
-    within SPECTRAL_EDGE_MARGIN of it the moment is reported infinite.
+    within SPECTRAL_EDGE_MARGIN * lambda0 of it the moment is reported
+    infinite.
     Outside the domain the exit time is 0 and the moment is 1.
     """
     return DomainSystem(chain, mask).exp_moment(beta, lambda0)

@@ -20,9 +20,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
+from .defaults import COMPARISON_RTOL, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
 from .forms import Chain, _as_vector, _json_float
-from .poisson import DomainMask, DomainSystem, NonReversibleError
+from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge
 
 __all__ = [
     "BoundEntry",
@@ -212,7 +212,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
         beta = float(beta)
         # +inf at or past the edge; below it, one cached solve serves every entry
         exp_pi = float(np.sum(mu * system.exp_moment(beta, lam0)))
-        if beta < lam0 - SPECTRAL_EDGE_MARGIN:
+        if _below_edge(beta, lam0):
             entries.append(
                 _checked("exp_moment_upper_lambda0", beta, exp_pi, 1 + beta / (lam0 - beta), +1)
             )
@@ -232,7 +232,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
             entries.append(_skipped("exp_moment_upper_gap", beta, lam1_reason))
         elif pi_out <= 0:
             entries.append(_skipped("exp_moment_upper_gap", beta, "pi(complement) = 0"))
-        elif beta >= lam1 * pi_out - SPECTRAL_EDGE_MARGIN:
+        elif not _below_edge(beta, lam1 * pi_out):
             entries.append(
                 _skipped("exp_moment_upper_gap", beta, "beta >= lambda1 * pi(complement)")
             )
@@ -252,7 +252,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
             )
         )
         if delta is not None:
-            if beta < delta - SPECTRAL_EDGE_MARGIN:
+            if _below_edge(beta, delta):
                 entries.append(
                     _checked(
                         "exp_moment_upper_lyapunov", beta, exp_pi, 1 + beta / (delta - beta), +1
@@ -275,7 +275,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
         entries.append(_skipped("lambda0_vs_gap", None, "pi(complement) = 0"))
     else:
         entries.append(_checked("lambda0_vs_gap", None, lam0, lam1 * pi_out, -1))
-    if lam0 > 1.0 + SPECTRAL_EDGE_MARGIN:
+    if _below_edge(1.0, lam0):
         exp_one = float(np.sum(mu * system.exp_moment(1.0, lam0)))
         lap_one = float(np.sum(mu * system.laplace(1.0)))
         entries.append(

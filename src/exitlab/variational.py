@@ -26,10 +26,9 @@ from .defaults import (
     SADDLE_CHECK_DIRECTIONS,
     SADDLE_CHECK_SEED,
     SADDLE_CHECK_TOL,
-    SPECTRAL_EDGE_MARGIN,
 )
 from .forms import Chain, Measure, _as_vector, _freeze, _is_symmetric, form_matrix
-from .poisson import DomainMask, DomainSystem, NonReversibleError, _restrict_source, embed
+from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge, _restrict_source, embed
 
 __all__ = [
     "SaddleSolution",
@@ -301,7 +300,7 @@ def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) 
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
     if not chain.measure.normalized:
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")
-    if beta >= lambda0 - SPECTRAL_EDGE_MARGIN:
+    if not _below_edge(beta, lambda0):
         return 0.0
     idx = mask.indices
     mu_d = chain.mu[idx]

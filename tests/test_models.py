@@ -52,6 +52,21 @@ def test_birth_death_detailed_balance():
     np.testing.assert_allclose(mq, mq.T, atol=1e-15)
 
 
+def test_birth_death_matches_the_loop_and_builds_one_n_by_n_array():
+    n = 400
+    rng = np.random.default_rng(8)
+    up, down = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n - 1)
+    chain, peak = traced_peak(lambda: birth_death(up, down))
+    reference = np.zeros((n, n))
+    for i in range(n - 1):
+        reference[i, i + 1] = up[i]
+        reference[i + 1, i] = down[i]
+    np.fill_diagonal(reference, -reference.sum(axis=1))
+    assert chain.q.tobytes() == reference.tobytes()
+    # q itself, adopted by Generator; a second copy would read 2 n^2
+    assert peak <= 1.1 * n * n * 8
+
+
 def test_weighted_graph_detailed_balance(rng):
     n = 5
     c = rng.uniform(0.0, 1.0, (n, n))
