@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .defaults import COMPARISON_RTOL
 from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
@@ -43,7 +44,6 @@ from .spectral import bounds_ledger
 from .variational import exp_moment_inf, saddle_value, symmetric_inf
 
 MONOTONE_TOL = 1e-10
-AGREE_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -241,6 +241,11 @@ def _cmd_exit(system, cfg, digest, out_dir):
     return True
 
 
+def _agree(a: float, b: float) -> bool:
+    """Two routes agree within COMPARISON_RTOL of the larger magnitude, unfloored."""
+    return abs(a - b) <= COMPARISON_RTOL * max(abs(a), abs(b))
+
+
 def _cmd_variational(system, cfg, digest, out_dir):
     chain, mask = system.chain, system.mask
     ok = True
@@ -249,7 +254,7 @@ def _cmd_variational(system, cfg, digest, out_dir):
     for beta in cfg.betas:
         closed = saddle_value(chain, mask, beta, xi, mode="closed_form")
         iterative = saddle_value(chain, mask, beta, xi, mode="iterative")
-        agree = abs(closed.value - iterative.value) <= AGREE_RTOL * max(1.0, abs(closed.value))
+        agree = _agree(closed.value, iterative.value)
         entry = {
             "closed_form": closed.to_dict(),
             "iterative": iterative.to_dict(),
@@ -258,7 +263,7 @@ def _cmd_variational(system, cfg, digest, out_dir):
         if chain.reversible:
             sym = symmetric_inf(chain, mask, beta, xi)
             entry["symmetric_inf"] = sym
-            agree_sym = abs(sym - closed.value) <= AGREE_RTOL * max(1.0, abs(sym))
+            agree_sym = _agree(sym, closed.value)
             entry["symmetric_agrees"] = agree_sym
             agree = agree and agree_sym
         blocks[repr(beta)] = entry
@@ -278,7 +283,7 @@ def _cmd_expmoment(system, cfg, digest, out_dir):
         moments = system.exp_moment(beta, lam0)
         agg = float(np.sum(chain.mu * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
-        agree = abs(inf_value - via_exit) <= AGREE_RTOL * max(1.0, abs(inf_value))
+        agree = _agree(inf_value, via_exit)
         blocks[repr(beta)] = {
             "inf_value": inf_value,
             "via_exit_route": via_exit,

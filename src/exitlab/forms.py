@@ -53,9 +53,30 @@ def _adopt_or_freeze(a) -> np.ndarray:
 
 
 def _row_scale(q: np.ndarray) -> np.ndarray:
-    """Per-row scale of a row-sum check: the rounding of a row sum grows with
-    the row's largest rate, which is |q_xx| on a sub-Markov row."""
-    return np.maximum(1.0, np.abs(np.diag(q)))
+    """Per-row scale of a row-sum check, unfloored: the rounding of a row sum
+    grows with the row's largest rate, which is |q_xx| on a sub-Markov row."""
+    return np.abs(np.diagonal(q))
+
+
+def _rate_scale(q: np.ndarray) -> float:
+    """Scale of an off-diagonal sign check, unfloored: the largest |q_xx|."""
+    return float(_row_scale(q).max(initial=0.0))
+
+
+def _symmetrized(q: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sym(M^{1/2} (-Q) M^{-1/2}) of a square block Q with weights mu.
+
+    Its eigenvalues are those of the pencil sym(A0) v = nu M v, for any
+    chain; for a reversible one the similarity is already symmetric. Two
+    n x n buffers at most.
+    """
+    root = np.sqrt(mu)
+    b = root[:, None] / root[None, :]
+    b *= q
+    np.negative(b, out=b)
+    sym = b + b.T
+    sym /= 2.0
+    return sym
 
 
 def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
@@ -85,7 +106,7 @@ def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = Fals
 
 
 def _is_conservative(q: np.ndarray) -> bool:
-    """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
+    """Every row sums to zero within STRUCTURAL_TOL * |q_xx|."""
     return bool(np.all(np.abs(q.sum(axis=1)) <= STRUCTURAL_TOL * _row_scale(q)))
 
 
@@ -163,7 +184,7 @@ class Generator:
         if q.size and not (np.isfinite(q.min()) and np.isfinite(q.max())):
             raise ValueError("generator rates must be finite")
         off = _off_diagonal(q)
-        if off.size and off.min() < -STRUCTURAL_TOL:
+        if off.size and off.min() < -STRUCTURAL_TOL * _rate_scale(q):
             raise ValueError(
                 f"off-diagonal rates must be nonnegative (min {off.min():.3e})"
             )
@@ -227,28 +248,23 @@ class Chain:
     def form_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues nu of the pencil sym(A0) v = nu M v (read-only).
 
-        Under detailed balance sym(A0) = M(-Q), so these are also the
-        eigenvalues of -Q in the mu-weighted inner product: one eigensolve
-        gives the lower bound beta0 and the spectral gap nu_1.
+        They are the eigenvalues of the mu-similarity M^{-1/2} sym(A0) M^{-1/2}
+        = sym(M^{1/2}(-Q)M^{-1/2}) (``_symmetrized``). Under detailed balance
+        sym(A0) = M(-Q), so these are also the eigenvalues of -Q in the
+        mu-weighted inner product: one eigensolve gives the lower bound beta0
+        and the spectral gap nu_1.
 
-        When ``_linalg._tridiagonal`` holds for Q, it holds for the pencil
-        scaled by the diagonal M, M^{-1/2} sym(A0) M^{-1/2}, whose values
-        then come from the tridiagonal ``sterf``; otherwise from a dense
-        generalized ``eigh``.
+        When ``_linalg._tridiagonal`` holds for Q, it holds for the
+        similarity, whose values then come from the tridiagonal ``sterf``;
+        otherwise from a dense standard ``eigh``.
         """
         if _tridiagonal(_bandwidth(self.q), self.n_states):
             d, e = _scaled_pencil(self.q, self.mu)
             return _freeze(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
-        a0 = form_matrix(self.q, self.mu, 0.0)
-        sym0 = a0 + a0.T
-        del a0
-        sym0 /= 2.0
-        # both matrices are exactly symmetric, so their transposes are the
-        # same matrices in Fortran order, which eigh may overwrite uncopied
-        nu = scipy.linalg.eigh(
-            sym0.T, np.diag(self.mu).T, eigvals_only=True, overwrite_a=True, overwrite_b=True
-        )
-        return _freeze(nu)
+        sym = _symmetrized(self.q, self.mu)
+        # exactly symmetric, so its transpose is the same matrix in Fortran
+        # order, which eigh may overwrite uncopied
+        return _freeze(scipy.linalg.eigh(sym.T, eigvals_only=True, overwrite_a=True))
 
     @cached_property
     def beta0(self) -> float:
@@ -257,7 +273,7 @@ class Chain:
         return float(max(0.0, -self.form_spectrum[0]))
 
     def is_conservative(self) -> bool:
-        """Every row sums to zero within STRUCTURAL_TOL * max(1, |q_xx|)."""
+        """Every row sums to zero within STRUCTURAL_TOL * |q_xx|."""
         return _is_conservative(self.q)
 
     def to_dict(self) -> dict:
@@ -401,7 +417,8 @@ def validate_assumption_a(chain: Chain, beta_probe: float) -> ValidationReport:
     mu-weighted inner product. The sector constant is evaluated at
     ``beta_probe``; probes at or below the estimate report +inf together
     with a violation entry. Sign checks cover off-diagonal nonnegativity
-    and row-sum nonpositivity of the generator and of its dual.
+    and row-sum nonpositivity of the generator and of its dual, each within
+    MARKOV_TOL times the largest |q_xx| (the dual has the same diagonal).
     """
     beta0 = chain.beta0
     violations = _markov_violations(chain.q, "primal")
@@ -411,8 +428,9 @@ def validate_assumption_a(chain: Chain, beta_probe: float) -> ValidationReport:
     else:
         sector = float("inf")
         violations.append(("sector_probe_not_above_beta0", float(beta0 - beta_probe)))
-    primal_ok = all(mag <= MARKOV_TOL for name, mag in violations if name.startswith("primal"))
-    dual_ok = all(mag <= MARKOV_TOL for name, mag in violations if name.startswith("dual"))
+    tol = MARKOV_TOL * _rate_scale(chain.q)
+    primal_ok = all(mag <= tol for name, mag in violations if name.startswith("primal"))
+    dual_ok = all(mag <= tol for name, mag in violations if name.startswith("dual"))
     return ValidationReport(
         beta0_estimate=beta0,
         sector_constant=sector,

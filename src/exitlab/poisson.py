@@ -25,7 +25,7 @@ import scipy.linalg
 
 from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError, _bandwidth, _tridiagonal
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float
+from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float, _symmetrized
 
 __all__ = [
     "DomainMask",
@@ -125,13 +125,6 @@ def _below_edge(beta: float, edge: float) -> bool:
     a Lyapunov ratio) by more than SPECTRAL_EDGE_MARGIN relative to the edge.
     Relative, so rescaling time, Q -> cQ and beta -> c*beta, keeps the verdict."""
     return beta < edge * (1.0 - SPECTRAL_EDGE_MARGIN)
-
-
-def _symmetrized(q_d: np.ndarray, mu_d: np.ndarray) -> np.ndarray:
-    """M^{1/2} (-L_D) M^{-1/2} for a reversible chain, symmetrized."""
-    root = np.sqrt(mu_d)
-    b = -(q_d * (root[:, None] / root[None, :]))
-    return (b + b.T) / 2.0
 
 
 class Dirichlet(NamedTuple):

@@ -3,11 +3,13 @@
 All eigenproblems are for reversible chains, so real symmetric solvers
 apply: the Dirichlet problem is symmetrized by the similarity
 M^{1/2} (-L_D) M^{-1/2}, and the spectral gap is read from the chain's
-cached pencil spectrum (``Chain.form_spectrum``). The ledger checks every
+cached spectrum (``Chain.form_spectrum``). The ledger checks every
 inequality tying exit-time functionals to the Dirichlet eigenvalue lambda0
 of the restriction, the spectral gap lambda1 of the full chain, and a
-Lyapunov ratio delta when a Lyapunov function is supplied. Inapplicable
-bounds are recorded as skipped with a reason, never as failures.
+Lyapunov ratio delta when a Lyapunov function is supplied. Each bound
+needs one spectral edge (lambda0, lambda1 * pi(D^c) or delta); where that
+edge is missing, or an exponential moment's shift is not below it, the
+bound is recorded as skipped with the reason, never as a failure.
 """
 from __future__ import annotations
 
@@ -70,8 +72,8 @@ def spectral_gap(chain: Chain) -> float:
         raise ValueError("spectral gap needs at least two states")
     nu = chain.form_spectrum
     # eigh is backward stable: the bottom eigenvalue carries rounding of the
-    # order of the largest one
-    if abs(nu[0]) > WEAK_IDENTITY_TOL * max(1.0, abs(nu[-1])):
+    # order of the largest one, and no floor, so c*Q keeps the verdict
+    if abs(nu[0]) > WEAK_IDENTITY_TOL * abs(nu[-1]):
         raise AssertionError(f"bottom eigenvalue of a conservative chain is {nu[0]:.3e}, not 0")
     return float(nu[1])
 
@@ -96,8 +98,9 @@ def lyapunov_delta(chain: Chain, mask: DomainMask, varphi) -> float:
 class BoundEntry:
     """One checked inequality: lhs vs rhs with signed slack.
 
-    ``slack`` is oriented so that satisfied means slack >= -1e-9; skipped
-    entries carry a reason and no verdict.
+    ``slack`` is oriented so that satisfied means slack >= 0, up to
+    COMPARISON_RTOL of the larger side; skipped entries carry a reason and
+    no verdict.
     """
 
     name: str
@@ -123,13 +126,35 @@ class BoundEntry:
 
 
 def _checked(name, beta, lhs, rhs, orient) -> BoundEntry:
-    """orient=+1 checks lhs <= rhs (slack rhs-lhs), -1 checks lhs >= rhs."""
+    """orient=+1 checks lhs <= rhs (slack rhs-lhs), -1 checks lhs >= rhs.
+
+    A shortfall passes within COMPARISON_RTOL of the larger magnitude of the
+    two sides, unfloored; an infinite one never does.
+    """
     slack = (rhs - lhs) if orient > 0 else (lhs - rhs)
-    return BoundEntry(name, beta, float(lhs), float(rhs), bool(slack >= -COMPARISON_RTOL), float(slack))
+    ok = slack >= -COMPARISON_RTOL * max(abs(lhs), abs(rhs)) and slack > -np.inf
+    return BoundEntry(name, beta, float(lhs), float(rhs), bool(ok), float(slack))
 
 
 def _skipped(name, beta, reason) -> BoundEntry:
     return BoundEntry(name, beta, None, None, None, None, skipped=True, reason=reason)
+
+
+def _entry(name, beta, edge, lhs, rhs, orient) -> BoundEntry:
+    """The one applicability rule of the ledger.
+
+    ``edge`` is (label, value), the value being the reason when the edge is
+    missing, and then the entry is skipped with it. An exponential-moment
+    bound also needs beta below the edge (``_below_edge``), and skips with
+    "beta >= label" otherwise. Only an applicable entry evaluates
+    ``rhs(value)``, so no rhs is computed at or past its pole.
+    """
+    label, value = edge
+    if isinstance(value, str):
+        return _skipped(name, beta, value)
+    if name.startswith("exp_moment") and not _below_edge(beta, value):
+        return _skipped(name, beta, f"beta >= {label}")
+    return _checked(name, beta, lhs, rhs(value), orient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,100 +224,47 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     ratio = pi_phi**2 / pi_phi2
     try:
         lam1 = spectral_gap(chain)
+        gap = lam1 * pi_out if pi_out > 0 else "pi(complement) = 0"
     except (ValueError, NonReversibleError) as err:
-        lam1 = None
-        lam1_reason = str(err)
+        lam1, gap = None, str(err)
     delta = lyapunov_delta(chain, mask, lyapunov) if lyapunov is not None else None
-
-    mean_vec = system.mean()
-    mean_pi = float(np.sum(mu * mean_vec))
+    # each bound's spectral edge: (label, its value or the reason it is missing)
+    edge0, edge_gap = ("lambda0", lam0), ("lambda1 * pi(complement)", gap)
+    edge_lyap = ("delta", "no Lyapunov function" if delta is None else delta)
+    mean_pi = float(np.sum(mu * system.mean()))
 
     entries: list[BoundEntry] = []
     for beta in betas:
         beta = float(beta)
         # +inf at or past the edge; below it, one cached solve serves every entry
         exp_pi = float(np.sum(mu * system.exp_moment(beta, lam0)))
-        if _below_edge(beta, lam0):
-            entries.append(
-                _checked("exp_moment_upper_lambda0", beta, exp_pi, 1 + beta / (lam0 - beta), +1)
-            )
-            entries.append(
-                _checked(
-                    "exp_moment_lower_eigenfunction",
-                    beta,
-                    exp_pi,
-                    1 + beta * ratio / (lam0 - beta),
-                    -1,
-                )
-            )
-        else:
-            entries.append(_skipped("exp_moment_upper_lambda0", beta, "beta >= lambda0"))
-            entries.append(_skipped("exp_moment_lower_eigenfunction", beta, "beta >= lambda0"))
-        if lam1 is None:
-            entries.append(_skipped("exp_moment_upper_gap", beta, lam1_reason))
-        elif pi_out <= 0:
-            entries.append(_skipped("exp_moment_upper_gap", beta, "pi(complement) = 0"))
-        elif not _below_edge(beta, lam1 * pi_out):
-            entries.append(
-                _skipped("exp_moment_upper_gap", beta, "beta >= lambda1 * pi(complement)")
-            )
-        else:
-            entries.append(
-                _checked(
-                    "exp_moment_upper_gap", beta, exp_pi, 1 + beta / (lam1 * pi_out - beta), +1
-                )
-            )
         lap_pi = float(np.sum(mu * system.laplace(beta)))
-        entries.append(
-            _checked("laplace_lower_lambda0", beta, lap_pi, 1 - beta / (lam0 + beta), -1)
-        )
-        entries.append(
-            _checked(
-                "laplace_upper_eigenfunction", beta, lap_pi, 1 - beta * ratio / (lam0 + beta), +1
-            )
-        )
-        if delta is not None:
-            if _below_edge(beta, delta):
-                entries.append(
-                    _checked(
-                        "exp_moment_upper_lyapunov", beta, exp_pi, 1 + beta / (delta - beta), +1
-                    )
-                )
-            else:
-                entries.append(_skipped("exp_moment_upper_lyapunov", beta, "beta >= delta"))
-            entries.append(
-                _checked("laplace_lower_lyapunov", beta, lap_pi, 1 - beta / (delta + beta), -1)
-            )
-        else:
-            entries.append(_skipped("exp_moment_upper_lyapunov", beta, "no Lyapunov function"))
-            entries.append(_skipped("laplace_lower_lyapunov", beta, "no Lyapunov function"))
+        rows = [
+            ("exp_moment_upper_lambda0", edge0, exp_pi, lambda e: 1 + beta / (e - beta), +1),
+            ("exp_moment_lower_eigenfunction", edge0, exp_pi, lambda e: 1 + beta * ratio / (e - beta), -1),
+            ("exp_moment_upper_gap", edge_gap, exp_pi, lambda e: 1 + beta / (e - beta), +1),
+            ("laplace_lower_lambda0", edge0, lap_pi, lambda e: 1 - beta / (e + beta), -1),
+            ("laplace_upper_eigenfunction", edge0, lap_pi, lambda e: 1 - beta * ratio / (e + beta), +1),
+            ("exp_moment_upper_lyapunov", edge_lyap, exp_pi, lambda e: 1 + beta / (e - beta), +1),
+            ("laplace_lower_lyapunov", edge_lyap, lap_pi, lambda e: 1 - beta / (e + beta), -1),
+        ]
+        entries += [_entry(name, beta, *row) for name, *row in rows]
 
-    entries.append(_checked("mean_upper_lambda0", None, mean_pi, 1.0 / lam0, +1))
-    entries.append(_checked("mean_lower_eigenfunction", None, mean_pi, ratio / lam0, -1))
-    if lam1 is None:
-        entries.append(_skipped("lambda0_vs_gap", None, lam1_reason))
-    elif pi_out <= 0:
-        entries.append(_skipped("lambda0_vs_gap", None, "pi(complement) = 0"))
-    else:
-        entries.append(_checked("lambda0_vs_gap", None, lam0, lam1 * pi_out, -1))
+    rows = [
+        ("mean_upper_lambda0", edge0, mean_pi, lambda e: 1.0 / e, +1),
+        ("mean_lower_eigenfunction", edge0, mean_pi, lambda e: ratio / e, -1),
+        ("lambda0_vs_gap", edge_gap, lam0, lambda e: e, -1),
+    ]
+    entries += [_entry(name, None, *row) for name, *row in rows]
+    # evaluated at beta = 1, so its two solves are paid only where it applies
     if _below_edge(1.0, lam0):
         exp_one = float(np.sum(mu * system.exp_moment(1.0, lam0)))
         lap_one = float(np.sum(mu * system.laplace(1.0)))
-        entries.append(
-            _checked(
-                "odd_moment_series",
-                None,
-                (exp_one - lap_one) / 2.0,
-                lam0 / ((lam0 - 1.0) * (lam0 + 1.0)),
-                +1,
-            )
-        )
+        odd = (exp_one - lap_one) / 2.0, lam0 / ((lam0 - 1.0) * (lam0 + 1.0))
+        entries.append(_checked("odd_moment_series", None, *odd, +1))
     else:
         entries.append(_skipped("odd_moment_series", None, "lambda0 <= 1"))
-    if delta is not None:
-        entries.append(_checked("mean_upper_lyapunov", None, mean_pi, 1.0 / delta, +1))
-    else:
-        entries.append(_skipped("mean_upper_lyapunov", None, "no Lyapunov function"))
+    entries.append(_entry("mean_upper_lyapunov", None, edge_lyap, mean_pi, lambda e: 1.0 / e, +1))
 
     meta = {
         "lambda0": lam0,

@@ -304,7 +304,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
 
     import exitlab.poisson
 
-    factored, dirichlet_eighs, full_eighs, pencils = [], [], [], []
+    factored, dirichlet_eighs, full_eighs, generalized = [], [], [], []
 
     # every restricted factorization, by shift: Cholesky on this reversible
     # chain, LU wherever that falls back
@@ -326,7 +326,7 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
         if np.shape(a) == (4, 4):
             full_eighs.append(a)
         if b is not None:
-            pencils.append(a)
+            generalized.append(a)
         return eigh(a, b, *args, **kwargs)
 
     monkeypatch.setattr(exitlab.poisson, "RefinedLU", CountingLU)
@@ -342,17 +342,53 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     assert len(dirichlet_eighs) == 1
-    # beta0 is a fact of the chain: validate and every beta's saddle
-    # share one generalized eigensolve sym(A0) v = lambda M v
-    assert len(pencils) == 1
-    # that pencil spectrum also gives the spectral gap of bounds, and the
-    # sector constant of a reversible chain needs no eigensolve
+    # beta0 is a fact of the chain: validate and every beta's saddle share
+    # one standard eigensolve of the mu-similarity sym(M^{1/2}(-Q)M^{-1/2}),
+    # never a generalized one of the pencil sym(A0) v = lambda M v
+    assert generalized == []
+    # that spectrum also gives the spectral gap of bounds, and the sector
+    # constant of a reversible chain needs no eigensolve
     assert len(full_eighs) == 1
     # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
     # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
     # factorization per beta for its primal and adjoint solves
     distinct = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
     assert sorted(factored) == sorted(distinct + [0.25, 0.5])
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-10])
+def test_route_agreement_is_relative_at_any_time_scale(tmp_path, monkeypatch, c):
+    # every second route reads twice the first: a 100% disagreement, which a
+    # floor of 1 on the scale let through once the values were of order 1e-10
+    import dataclasses
+
+    import exitlab.cli
+
+    saddle, sym_inf, exp_inf = exitlab.cli.saddle_value, exitlab.cli.symmetric_inf, exitlab.cli.exp_moment_inf
+
+    def doubled_iterative(*args, mode, **kwargs):
+        sol = saddle(*args, mode=mode, **kwargs)
+        return dataclasses.replace(sol, value=2.0 * sol.value) if mode == "iterative" else sol
+
+    monkeypatch.setattr(exitlab.cli, "saddle_value", doubled_iterative)
+    monkeypatch.setattr(exitlab.cli, "symmetric_inf", lambda *args: 2.0 * sym_inf(*args))
+    monkeypatch.setattr(exitlab.cli, "exp_moment_inf", lambda *args: 2.0 * exp_inf(*args))
+    beta = 0.5 * c
+    cfg = {
+        "model": {"builder": "complete_graph", "params": {"n": 3, "rate": c}},
+        "omega": [0, 1],
+        "betas": [beta],
+        "commands": ["variational", "expmoment"],
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 1
+    saddle_block = json.loads((tmp_path / "out" / "variational.json").read_text())["saddle"][repr(beta)]
+    assert not saddle_block["modes_agree"]
+    assert not saddle_block["symmetric_agrees"]
+    exp_block = json.loads((tmp_path / "out" / "expmoment.json").read_text())["exp_moment"][repr(beta)]
+    assert exp_block["inf_value"] > 0.0
+    assert not exp_block["agree"]
 
 
 def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch):

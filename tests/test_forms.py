@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from exitlab import (
     Chain,
+    DomainMask,
     Generator,
     Measure,
     antisym_perturb,
@@ -15,6 +16,7 @@ from exitlab import (
     cycle_flow,
     dual_generator,
     eval_form,
+    exit_mean,
     spectral_gap,
     validate_assumption_a,
 )
@@ -217,6 +219,32 @@ def test_row_sum_check_scales_with_the_diagonal_only():
     Generator(np.array([[-1e3, 1e3 + 1e-10], [0.0, 0.0]]))
     leaky = make_chain([[-1e3, 1e3 - 1e-8], [0.0, 0.0]], [1.0, 1.0])
     assert not leaky.is_conservative()
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_row_sums_read_killing_at_any_time_scale(c):
+    # kills at 10% of its rate; a row-sum scale floored at 1 read c*Q as
+    # conservative at c = 1e-12 and its exit as impossible
+    chain = make_chain(c * np.array([[-1.1, 1.0], [1.0, -1.0]]), [0.5, 0.5], normalized=True)
+    assert not chain.is_conservative()
+    np.testing.assert_allclose(exit_mean(chain, DomainMask.full(2)), [20.0 / c, 21.0 / c], rtol=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_negative_rates_are_rejected_at_any_time_scale(c):
+    # -0.1 is 10% of the diagonal, not rounding, however small c is
+    q = c * np.array([[-1.0, 1.1, -0.1], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]])
+    with pytest.raises(ValueError, match="off-diagonal"):
+        Generator(q)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_dual_sign_check_follows_the_time_scale(c):
+    # the dual Q^T has a row sum of +c: a violation at every time scale
+    chain = make_chain(c * np.array([[-1.0, 1.0], [2.0, -2.0]]), [0.5, 0.5])
+    report = validate_assumption_a(chain, beta_probe=1.0)
+    assert report.primal_markov_ok
+    assert not report.dual_markov_ok
 
 
 def _sector_by_eigh_and_norm(chain, probe):

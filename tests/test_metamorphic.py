@@ -108,7 +108,7 @@ def _scaled(chain, c):
     return Chain(Generator(c * chain.q), chain.measure)
 
 
-@pytest.mark.parametrize("c", [1.0, 1e-12])
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e12])
 def test_exp_moment_edge_does_not_depend_on_the_time_scale(c):
     chain = random_reversible_chain(np.random.default_rng(0), 8)
     mask = random_proper_mask(np.random.default_rng(0), 8)
@@ -123,11 +123,23 @@ def test_exp_moment_edge_does_not_depend_on_the_time_scale(c):
     np.testing.assert_allclose(moment, expected, rtol=1e-10)
     inf_value = exp_moment_inf(scaled, mask, beta, lam0_c)
     assert inf_value == pytest.approx(c * exp_moment_inf(chain, mask, 0.3 * lam0, lam0), rel=1e-10)
-    # odd_moment_series is evaluated at beta = 1, not at a scaled shift
-    def skips(ledger):
-        return [(e.name, e.skipped, e.reason) for e in ledger.entries if e.name != "odd_moment_series"]
+    # every verdict and skip reason of the ledger, with a Lyapunov function
+    # (the mean exit time, so delta scales by c) and shifts below, at and
+    # past lambda0; odd_moment_series is evaluated at beta = 1, not at a
+    # scaled shift
+    def verdicts(ledger):
+        return [
+            (e.name, e.satisfied, e.skipped, e.reason)
+            for e in ledger.entries
+            if e.name != "odd_moment_series"
+        ]
 
-    assert skips(bounds_report(scaled, mask, [beta])) == skips(bounds_report(chain, mask, [0.3 * lam0]))
+    def ledger(ch, lam):
+        return bounds_report(ch, mask, [0.3 * lam, lam, 2.0 * lam], lyapunov=exit_mean(ch, mask))
+
+    expected = verdicts(ledger(chain, lam0))
+    assert verdicts(ledger(scaled, lam0_c)) == expected
+    assert {e[2] for e in expected} == {True, False}
 
 
 @pytest.mark.parametrize("c", [1.0, 1e12])

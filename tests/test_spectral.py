@@ -6,6 +6,7 @@ from exitlab import (
     Chain,
     DomainMask,
     Generator,
+    Measure,
     NonReversibleError,
     bounds_report,
     complete_graph,
@@ -16,6 +17,7 @@ from exitlab import (
     spectral_gap,
 )
 from exitlab.poisson import DomainSystem
+from exitlab.spectral import _checked
 from conftest import (
     make_chain,
     mu_dot,
@@ -152,6 +154,26 @@ def test_spectral_gap_reducibility_does_not_depend_on_the_time_scale(c):
     chain = random_reversible_chain(np.random.default_rng(0), 6)
     scaled = Chain(Generator(c * chain.q), chain.measure)
     assert spectral_gap(scaled) / (c * spectral_gap(chain)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_gap_checks_the_bottom_eigenvalue_at_the_chain_scale(monkeypatch):
+    # a bottom eigenvalue at a tenth of the top one is no rounding; a floor
+    # of 1 on the scale let it through once the rates were small
+    chain = Chain(Generator(1e-12 * C3.q), Measure(C3.mu, normalized=True))
+    monkeypatch.setitem(chain.__dict__, "form_spectrum", 1e-12 * np.array([0.3, 3.0, 3.0]))
+    with pytest.raises(AssertionError, match="bottom eigenvalue"):
+        spectral_gap(chain)
+
+
+def test_ledger_slack_is_relative_to_the_larger_side():
+    # an upper bound of 1e-9 against an lhs of 2e-9 is off by half
+    assert not _checked("upper", None, 2e-9, 1e-9, +1).satisfied
+    # a shortfall of 1e-10 relative passes at any magnitude
+    assert _checked("upper", None, 1e12 * (1 + 1e-10), 1e12, +1).satisfied
+    assert _checked("lower", None, 1e-12, 1e-12 * (1 + 1e-10), -1).satisfied
+    # an infinite shortfall never passes; an infinite surplus always does
+    assert not _checked("upper", None, np.inf, 1.0, +1).satisfied
+    assert _checked("lower", None, np.inf, 1.0, -1).satisfied
 
 
 def test_spectral_gap_rejects_a_single_state():
