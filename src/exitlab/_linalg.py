@@ -217,12 +217,12 @@ class RefinedSPD(_Refined):
         return x
 
     def lower_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^{-1} b for a C-ordered matrix b, one triangular solve with no
-        refinement.
+        """L^{-1} b for a matrix b, one triangular solve with no refinement.
 
-        Dense: b^T is Fortran-ordered, so BLAS solves X L^T = b^T in b's
-        memory and X^T = L^{-1} b, written over b. Banded: ``tbtrs`` on
-        the band factor, into a new array.
+        Dense: for a C-ordered b, b^T is Fortran-ordered, so BLAS solves
+        X L^T = b^T in b's memory and X^T = L^{-1} b, written over b; any
+        other b is copied first. Banded: ``tbtrs`` on the band factor, into
+        a new array.
         """
         if self._is_band:
             (tbtrs,) = get_lapack_funcs(("tbtrs",), (self._factor,))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .defaults import COMPARISON_RTOL
+from .defaults import COMPARISON_RTOL, MONOTONE_TOL
 from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
@@ -42,8 +42,6 @@ from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
 from .poisson import DomainMask, DomainSystem
 from .spectral import bounds_ledger
 from .variational import exp_moment_inf, saddle_value, symmetric_inf
-
-MONOTONE_TOL = 1e-10
 
 
 class ConfigError(ValueError):

@@ -18,6 +18,9 @@ WEAK_IDENTITY_TOL = 1e-10
 # Relative tolerance for spectral / optimization value comparisons.
 COMPARISON_RTOL = 1e-9
 
+# Relative tolerance for sweep verdicts (monotone steps, k / -k evenness).
+MONOTONE_TOL = 1e-10
+
 # Sampled verification of the saddle inequalities.
 SADDLE_CHECK_DIRECTIONS = 50
 SADDLE_CHECK_TOL = 1e-8

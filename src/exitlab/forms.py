@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import _bandwidth, _tridiagonal
+from ._linalg import RefinedSPD, SingularSystemError, _bandwidth, _tridiagonal
 from .defaults import MARKOV_TOL, STRUCTURAL_TOL
 
 __all__ = [
@@ -349,17 +349,17 @@ def _sector_sigma(chain: Chain, probe: float) -> float:
     shifted symmetric part S = sym(A0) + probe*M is positive definite. The
     supremum is the largest singular value of L^{-1} A0 L^{-T}, with
     S = L L^T the Cholesky factorization; it shares its singular values
-    with S^{-1/2} A0 S^{-1/2}. A failed factorization reports +inf.
+    with S^{-1/2} A0 S^{-1/2}. A factor that fails the gate of RefinedSPD
+    reports +inf.
     """
     a0 = form_matrix(chain.q, chain.mu, 0.0)
     try:
-        low = scipy.linalg.cholesky((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), lower=True)
-    except np.linalg.LinAlgError:
+        low = RefinedSPD((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), "sector constant")
+    except SingularSystemError:
         return float("inf")
-    half = scipy.linalg.solve_triangular(low, a0, lower=True)
+    half = low.lower_solve(a0)
     # (L^{-1} A0 L^{-T})^T, which has the same singular values
-    b = scipy.linalg.solve_triangular(low, half.T, lower=True)
-    return float(scipy.linalg.svdvals(b)[0])
+    return float(scipy.linalg.svdvals(low.lower_solve(half.T))[0])
 
 
 def _sector_constant(chain: Chain, probe: float) -> float:

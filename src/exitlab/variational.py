@@ -84,33 +84,36 @@ def construct_optimizers(u, u_dual, xi, measure: Measure):
     f_star = (w + w~)/2 and g_star = (w - w~)/2. All vectors are full
     length; u and u_dual vanish outside the domain.
     """
-    uv = _as_vector(u, len(measure), "u")
-    ud = _as_vector(u_dual, len(measure), "u_dual")
-    xv = _as_vector(xi, len(measure), "xi")
-    terms = measure.weights * xv * uv
+    n = len(measure)
+    return _optimizers(
+        _as_vector(u, n, "u"), _as_vector(u_dual, n, "u_dual"), _as_vector(xi, n, "xi"), measure.weights
+    )
+
+
+def _optimizers(u, u_dual, xi, weights):
+    """The pair of ``construct_optimizers`` from vectors of one length, full
+    or on the domain, and the matching weights."""
+    terms = weights * xi * u
     pairing = float(np.sum(terms))
     if abs(pairing) <= 1e-15 * float(np.abs(terms).sum()):
         raise DegenerateSourceError("source xi pairs to zero against the solution")
-    w = uv / pairing
-    wt = ud / pairing
+    w = u / pairing
+    wt = u_dual / pairing
     return (w + wt) / 2.0, (w - wt) / 2.0
 
 
-def _saddle_inputs(chain: Chain, mask: DomainMask, beta: float, xi):
-    """Shared setup: the form matrix on the domain, weighted source, admissibility."""
+def _saddle_inputs(system: DomainSystem, beta: float, xi):
+    """Shared setup: admissibility, the form matrix on D, the source on D and c = mu_D xi_D."""
+    chain = system.chain
     if beta <= chain.beta0:
         raise ValueError(
             f"shift beta={beta:g} must exceed the lower-bound estimate "
             f"{chain.beta0:g}; the inner quadratic is indefinite otherwise"
         )
-    idx = mask.indices
-    mu_d = chain.mu[idx]
-    a = form_matrix(chain.q[np.ix_(idx, idx)], mu_d, beta)
-    xi_d = _restrict_source(mask, xi, chain.n_states)
+    xi_d = _restrict_source(system.mask, xi, chain.n_states)
     if np.abs(xi_d).max() <= 0.0:
         raise ValueError("source xi vanishes on the domain")
-    c = mu_d * xi_d
-    return idx, a, xi_d, c
+    return form_matrix(system.q_d, system.mu_d, beta), xi_d, system.mu_d * xi_d
 
 
 def _project(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -137,14 +140,19 @@ def _sampled_saddle_check(a, c, f_d, g_d, value) -> float:
     return worst
 
 
-def _stationarity(a, c, f_d, g_d):
-    """Norms of the projected gradients S f + K^T g and K f - S g, where S
-    and K are the symmetric and antisymmetric parts of a, from a@f, f@a,
-    a@g and g@a."""
+def _residuals(a, c, f_d, g_d, **route) -> dict:
+    """Constraint defects of the pair, the norms of its projected gradients
+    S f + K^T g and K f - S g, where S and K are the symmetric and
+    antisymmetric parts of a, from a@f, f@a, a@g and g@a, and last the
+    route's own entry."""
     af, fa, ag, ga = a @ f_d, f_d @ a, a @ g_d, g_d @ a
-    rf = np.linalg.norm(_project(c, (af + fa - ag + ga) / 2.0))
-    rg = np.linalg.norm(_project(c, (af - fa - ag - ga) / 2.0))
-    return float(rf), float(rg)
+    return {
+        "constraint_f": abs(float(c @ f_d) - 1.0),
+        "constraint_g": abs(float(c @ g_d)),
+        "stationarity_f": float(np.linalg.norm(_project(c, (af + fa - ag + ga) / 2.0))),
+        "stationarity_g": float(np.linalg.norm(_project(c, (af - fa - ag - ga) / 2.0))),
+        **route,
+    }
 
 
 def saddle_value(
@@ -166,43 +174,28 @@ def saddle_value(
     exceeds the lower-bound estimate (which makes the symmetric part
     positive definite).
     """
-    idx, a, xi_d, c = _saddle_inputs(chain, mask, beta, xi)
-    m = idx.shape[0]
+    system = DomainSystem(chain, mask)
+    a, xi_d, c = _saddle_inputs(system, beta, xi)
     if mode == "closed_form":
-        u_d, ut_d = DomainSystem(chain, mask).solve(beta, xi_d, ("primal", "dual"))
-        f_full, g_full = construct_optimizers(
-            embed(mask, u_d), embed(mask, ut_d), embed(mask, xi_d), chain.measure
-        )
+        u_d, ut_d = system.solve(beta, xi_d, ("primal", "dual"))
+        f_d, g_d = _optimizers(u_d, ut_d, xi_d, system.mu_d)
         value = 1.0 / float(c @ u_d)
-        f_d, g_d = f_full[idx], g_full[idx]
         worst = _sampled_saddle_check(a, c, f_d, g_d, value)
-        rf, rg = _stationarity(a, c, f_d, g_d)
-        residuals = {
-            "constraint_f": abs(float(c @ f_d) - 1.0),
-            "constraint_g": abs(float(c @ g_d)),
-            "stationarity_f": rf,
-            "stationarity_g": rg,
-            "sampled_check_violation": worst,
-        }
-        return SaddleSolution(value, f_full, g_full, residuals, "closed_form")
+        residuals = _residuals(a, c, f_d, g_d, sampled_check_violation=worst)
+        return SaddleSolution(value, embed(mask, f_d), embed(mask, g_d), residuals, "closed_form")
 
     if mode != "iterative":
         raise ValueError(f"mode must be 'closed_form' or 'iterative', got {mode!r}")
+    # the nested route reads only the form: free the system's cached Q_D
+    del system
 
-    if m == 1:
+    if c.shape[0] == 1:
         f_d, g_d = 1.0 / c, np.zeros(1)
         value = float(a[0, 0] / (c[0] * c[0]))
         min_eig = float(a[0, 0])
     else:
         f_d, g_d, value, min_eig = _nested_saddle(a, c)
-    rf, rg = _stationarity(a, c, f_d, g_d)
-    residuals = {
-        "constraint_f": abs(float(c @ f_d) - 1.0),
-        "constraint_g": abs(float(c @ g_d)),
-        "stationarity_f": rf,
-        "stationarity_g": rg,
-        "subspace_min_eig": min_eig,
-    }
+    residuals = _residuals(a, c, f_d, g_d, subspace_min_eig=min_eig)
     return SaddleSolution(value, embed(mask, f_d), embed(mask, g_d), residuals, "iterative")
 
 
@@ -272,19 +265,25 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     return f_d, g_d, value, float(lam[0])
 
 
+def _symmetric_minimum(s: np.ndarray, c: np.ndarray, context: str) -> float:
+    """1 / (c^T S^{-1} c), the minimum of f^T s f over {c^T f = 1}, for S the
+    symmetric part of s, which must be positive definite. S is written over s."""
+    s += s.T  # numpy reads an overlapping operand as if it were copied
+    s *= 0.5
+    y = RefinedSPD(s, context).solve(c)
+    return 1.0 / float(c @ y)
+
+
 def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     """inf of form(f, f) over {<xi,f>_mu = 1, f = 0 outside the domain}.
 
     Valid for symmetric forms only; a single linear solve through the
     restricted matrix gives the minimum 1 / (c^T S^{-1} c).
     """
-    _idx, a, _xi_d, c = _saddle_inputs(chain, mask, beta, xi)
+    a, _xi_d, c = _saddle_inputs(DomainSystem(chain, mask), beta, xi)
     if not _is_symmetric(a):
         raise NonReversibleError("symmetric_inf needs a symmetric form")
-    s = a + a.T
-    s *= 0.5
-    y = RefinedSPD(s, "symmetric infimum solve").solve(c)
-    return 1.0 / float(c @ y)
+    return _symmetric_minimum(a, c, "symmetric infimum solve")
 
 
 def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> float:
@@ -302,12 +301,9 @@ def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) 
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")
     if not _below_edge(beta, lambda0):
         return 0.0
-    idx = mask.indices
-    mu_d = chain.mu[idx]
-    a0 = form_matrix(chain.q[np.ix_(idx, idx)], mu_d, 0.0)
-    s_beta = a0 + a0.T
-    del a0
-    s_beta *= 0.5
-    s_beta.flat[:: idx.shape[0] + 1] -= beta * mu_d
-    y = RefinedSPD(s_beta, "exponential-moment infimum solve").solve(mu_d)
-    return max(1.0 / float(mu_d @ y), 0.0)
+    system = DomainSystem(chain, mask)
+    mu_d = system.mu_d
+    s = form_matrix(system.q_d, mu_d, 0.0)
+    del system  # and its cached Q_D, before the solve
+    s.flat[:: mu_d.shape[0] + 1] -= beta * mu_d
+    return max(_symmetric_minimum(s, mu_d, "exponential-moment infimum solve"), 0.0)

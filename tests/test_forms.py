@@ -270,6 +270,29 @@ def test_non_reversible_sector_matches_the_eigh_route(chain, offset):
     assert _sector_constant(chain, probe) == pytest.approx(max(1.0, expected), rel=1e-12)
 
 
+def test_sector_constant_factors_through_the_package_cholesky(monkeypatch):
+    chain = antisym_perturb(*cycle_flow(6), 0.9)
+    probe = chain.beta0 + 0.5
+    expected = max(1.0, _sector_by_eigh_and_norm(chain, probe))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sector constant bypassed RefinedSPD")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    report = validate_assumption_a(chain, beta_probe=probe)
+    assert report.sector_constant > 1.0
+    assert report.sector_constant == pytest.approx(expected, rel=1e-12)
+
+
+def test_sector_reads_infinite_when_its_factor_fails_the_gate():
+    chain = antisym_perturb(*cycle_flow(6), 0.9)
+    # just above beta0 the shifted symmetric part still factors, but its
+    # reciprocal condition, about 1e-15, is below SINGULAR_RCOND
+    report = validate_assumption_a(chain, beta_probe=chain.beta0 + 3e-15)
+    assert report.sector_constant == float("inf")
+
+
 def test_reversible_validation_makes_no_eigensolve(rng, monkeypatch):
     chain = random_reversible_chain(rng, 30)
     beta0 = chain.beta0

@@ -255,9 +255,12 @@ def test_iterative_mode_never_touches_the_resolvent(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the nested route reached a restricted resolvent solve")
 
-    for name in ("DomainSystem", "RefinedLU", "solve_poisson"):
+    # both routes read Q_D and mu_D from a DomainSystem; only its solves and
+    # factors are the resolvent
+    for name in ("solve", "_factor"):
+        monkeypatch.setattr(exitlab.poisson.DomainSystem, name, refuse)
+    for name in ("RefinedLU", "RefinedCholesky", "solve_poisson"):
         monkeypatch.setattr(exitlab.poisson, name, refuse)
-    monkeypatch.setattr(exitlab.variational, "DomainSystem", refuse)
     with pytest.raises(AssertionError, match="resolvent"):
         saddle_value(chain, mask, 0.8, xi, mode="closed_form")
     iterative = saddle_value(chain, mask, 0.8, xi, mode="iterative")
@@ -447,4 +450,6 @@ def test_iterative_route_peak_memory_at_m_400():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * m * m * 8
+    # measured at 5.01 m^2; holding the restricted block Q_D past building
+    # the form adds one m^2
+    assert peak <= 5.1 * m * m * 8
