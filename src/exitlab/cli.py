@@ -424,6 +424,11 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
     return ok
 
 
+def _within_3_se(mc: float, se: float, exact: float) -> bool:
+    # no absolute floor: at 1e12 times the rates a floor of 1e-12 dwarfs 3 SE
+    return abs(mc - exact) <= 3 * se
+
+
 def _cmd_mc(system, cfg, digest, out_dir):
     chain = system.chain
     mc = cfg.mc
@@ -445,12 +450,12 @@ def _cmd_mc(system, cfg, digest, out_dir):
         weights = np.zeros(chain.n_states)
         weights[int(start)] = 1.0
     exact_mean = float(weights @ system.mean())
-    ok = abs(est.mean[0] - exact_mean) <= 3 * est.mean[1] + 1e-12
+    ok = _within_3_se(*est.mean, exact_mean)
     checks = {"mean": {"mc": est.mean[0], "se": est.mean[1], "exact": exact_mean}}
     for beta in cfg.betas:
         exact_lap = float(weights @ system.laplace(beta))
         mc_lap, se = est.laplace[beta]
-        ok = ok and abs(mc_lap - exact_lap) <= 3 * se + 1e-12
+        ok = ok and _within_3_se(mc_lap, se, exact_lap)
         checks[f"laplace_beta_{beta!r}"] = {"mc": mc_lap, "se": se, "exact": exact_lap}
     doc = _stamp({"estimate": est.to_dict(), "checks": checks, "passed": ok}, digest)
     _emit(out_dir, "mc", doc, cfg.formats, csv_text=samples.to_csv())

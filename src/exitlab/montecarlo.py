@@ -1,14 +1,13 @@
 """Path simulation to exit, as a stochastic cross-check of the exact solves.
 
 Holding times are exponential at the total outflow rate (killing defect
-included); jumps are categorical. Paths run in lockstep blocks of BLOCK:
-block b draws each step's exponentials and uniforms, the full block wide,
-from a counter-based Philox stream keyed by (seed, b), and path i reads
-column i mod BLOCK, so its sample depends only on (seed, i), not on how many
-paths run beside it. A path still inside after HORIZON lockstep steps
-finishes alone on its own stream keyed by (seed, i | 2**63), so a few slow
-paths do not keep a whole block drawing. Paths that have not exited by the
-censoring time max_time are recorded at max_time with a censor flag.
+included); jumps are categorical. Paths run in lockstep blocks of BLOCK
+columns, path i in column i mod BLOCK of block i // BLOCK, on a
+counter-based Philox stream keyed by (seed, block). Each step draws for the
+block's live columns only, so a block costs what its paths do. Once no more
+than STRAGGLERS columns live, the real paths among them finish alone, each
+on its own stream keyed by (seed, i | 2**63). Paths that have not exited by
+the censoring time max_time are recorded at max_time with a censor flag.
 """
 from __future__ import annotations
 
@@ -35,8 +34,10 @@ HEAVY_TAIL_MASS_LIMIT = 0.20
 
 # Paths stepped together on one (seed, block index) stream.
 BLOCK = 8192
-# Lockstep steps per block; a path still inside after them finishes alone.
-HORIZON = 256
+# A block steps in lockstep while more of its columns than this live.
+STRAGGLERS = 32
+# Exponentials, then uniforms, per chunk of a straggler's own stream.
+STRAGGLER_CHUNK = 256
 # Marks a straggler's (seed, path index) key, so it never equals a block key.
 _STRAGGLER_BIT = 1 << 63
 # Paths per formatted chunk of the samples CSV, small enough that writing
@@ -146,24 +147,18 @@ def _jump_table(q: np.ndarray, inside: np.ndarray) -> _JumpTable:
 
 
 def _lockstep_block(rng, x, tau, cens, table: _JumpTable, max_time: float):
-    """Step the paths of one block together for up to HORIZON steps.
+    """Step the columns of one block together while more than STRAGGLERS
+    of them live, drawing for the live columns only.
 
-    ``x`` holds each column's start state; finished paths are written into
-    ``tau`` and ``cens``. Every step draws the full block width, so a
-    column's draws do not depend on which columns still live. Returns the
-    columns still inside, with their states and times.
+    ``x`` holds each column's start state; finished columns are written into
+    ``tau`` and ``cens``. Returns the columns still inside, with their
+    states and times.
     """
     live = np.flatnonzero(table.inside[x])
     x, t = x[live], np.zeros(live.size)
-    e = np.empty(BLOCK)
-    u = np.empty(BLOCK)
-    for _ in range(HORIZON):
-        if live.size == 0:
-            break
-        rng.standard_exponential(out=e)
-        rng.random(out=u)
-        t = t + e[live] * table.inv_rate[x]
-        j = np.searchsorted(table.keys, x + u[live], side="right")
+    while live.size > STRAGGLERS:
+        t += rng.standard_exponential(live.size) * table.inv_rate[x]
+        j = np.searchsorted(table.keys, x + rng.random(live.size), side="right")
         x = table.targets[np.minimum(j, table.last[x])]
         over = ~(t <= max_time)
         done = over | ~table.inside[x]
@@ -176,17 +171,17 @@ def _lockstep_block(rng, x, tau, cens, table: _JumpTable, max_time: float):
     return live, x, t
 
 
-def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float):
-    """Run each path past the lockstep horizon on its own stream, in chunks
-    of HORIZON exponentials then HORIZON uniforms; returns (tau, censored)
-    per path."""
+def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float, taus, cens):
+    """Run each straggler on its own stream, in chunks of STRAGGLER_CHUNK
+    exponentials then STRAGGLER_CHUNK uniforms, and write its exit time
+    and censor flag into ``taus`` and ``cens``."""
     keys = table.keys.tolist()
     targets, last = table.targets.tolist(), table.last.tolist()
     inv_rate, inside = table.inv_rate.tolist(), table.inside.tolist()
 
     def finish(rng, x, t):
         while True:
-            for e, u in zip(rng.standard_exponential(HORIZON).tolist(), rng.random(HORIZON).tolist()):
+            for e, u in zip(rng.standard_exponential(STRAGGLER_CHUNK).tolist(), rng.random(STRAGGLER_CHUNK).tolist()):
                 t += e * inv_rate[x]
                 if not t <= max_time:
                     return max_time, True
@@ -194,37 +189,42 @@ def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float):
                 if not inside[x]:
                     return t, False
 
-    return [finish(_philox(seed, p | _STRAGGLER_BIT), x, t) for p, x, t in zip(paths, xs, ts)]
+    for p, x, t in zip(paths, xs, ts):
+        taus[p], cens[p] = finish(_philox(seed, p | _STRAGGLER_BIT), x, t)
 
 
 def _simulate_paths(table: _JumpTable, start_state, start_cum, config: McConfig):
     n_paths = config.n_paths
-    taus = np.zeros(n_paths)
-    cens = np.zeros(n_paths, dtype=bool)
+    # whole blocks: the phantom columns of the last one finish past n_paths
+    taus = np.zeros(-(-n_paths // BLOCK) * BLOCK)
+    cens = np.zeros(taus.size, dtype=bool)
     off_start = False
     for lo in range(0, n_paths, BLOCK):
-        hi = min(lo + BLOCK, n_paths)
         rng = _philox(config.seed, lo // BLOCK)
         if start_state is None:
-            x = np.searchsorted(start_cum, rng.random(BLOCK)[: hi - lo], side="right")
+            x = np.searchsorted(start_cum, rng.random(BLOCK), side="right")
         else:
-            x = np.full(hi - lo, start_state)
-        off_start = off_start or not table.inside[x].all()
-        live, x, t = _lockstep_block(rng, x, taus[lo:hi], cens[lo:hi], table, config.max_time)
-        if live.size:
-            paths = (lo + live).tolist()
-            finished = _finish_paths(config.seed, paths, x.tolist(), t.tolist(), table, config.max_time)
-            for path, (tau, censored) in zip(paths, finished):
-                taus[path], cens[path] = tau, censored
-    return taus, cens, off_start
+            x = np.full(BLOCK, start_state)
+        off_start = off_start or not table.inside[x[: n_paths - lo]].all()
+        live, x, t = _lockstep_block(rng, x, taus[lo : lo + BLOCK], cens[lo : lo + BLOCK], table, config.max_time)
+        real = live < n_paths - lo
+        paths = (lo + live[real]).tolist()
+        _finish_paths(config.seed, paths, x[real].tolist(), t[real].tolist(), table, config.max_time, taus, cens)
+    return taus[:n_paths], cens[:n_paths], off_start
 
 
 def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> ExitSamples:
     """Simulate exit times of n_paths independent trajectories.
 
-    Deterministic given the seed; the first k paths do not depend on
-    n_paths. A start outside the domain yields zero samples and sets the
-    flag instead of raising.
+    Deterministic given the seed; path i's sample depends only on (seed, i),
+    never on n_paths. The last block runs all BLOCK columns, those past
+    n_paths as phantoms whose results are dropped. Each step draws one
+    exponential per live column, phantoms included, then one uniform per
+    live column, handed out in ascending column order. Once no more than
+    STRAGGLERS columns live, each real path still inside finishes alone.
+    The phantoms' cost: a few paths on a chain with long paths step a whole
+    block. A start outside the domain yields zero samples and sets the flag
+    instead of raising.
     """
     n = chain.n_states
     if np.isscalar(config.start):

@@ -202,6 +202,58 @@ def test_mc_command(tmp_path):
     assert (tmp_path / "out" / "mc.csv").exists()
 
 
+def test_mc_check_has_no_absolute_floor():
+    from exitlab.cli import _within_3_se
+
+    # the mean of mc-bd12's chain at 1e12 times its rates: an 11% error is
+    # 32 SE, which a floor of 1e-12 let through
+    assert not _within_3_se(1.1 * 8.8e-12, 3e-14, 8.8e-12)
+    # a start outside the domain: every sample and the exact mean are zero
+    assert _within_3_se(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bias", [None, "mean", "laplace"])
+def test_mc_verdicts_do_not_depend_on_the_time_scale(tmp_path, monkeypatch, bias):
+    # mc-bd12's seed-1 chain, unscaled and at 1e12 times its rates, started
+    # inside and outside the domain; a biased estimate must fail at both scales
+    import dataclasses
+
+    import exitlab.cli
+
+    estimate = exitlab.cli.estimate_exit_functionals
+
+    def biased(samples, betas):
+        est = estimate(samples, betas)
+        if bias == "mean":
+            return dataclasses.replace(est, mean=(1.1 * est.mean[0], est.mean[1]))
+        if bias == "laplace":
+            return dataclasses.replace(est, laplace={b: (1.1 * v, se) for b, (v, se) in est.laplace.items()})
+        return est
+
+    monkeypatch.setattr(exitlab.cli, "estimate_exit_functionals", biased)
+    r = np.random.default_rng([1, 3]).uniform(0.5, 2.0, 12)
+    verdicts = {}
+    for c in (1.0, 1e12):
+        for start in (6, 0):
+            out = tmp_path / f"out-{c:g}-{start}"
+            cfg = {
+                "model": {"builder": "birth_death", "params": {"up": (c * r[:-1]).tolist(), "down": (c * r[1:]).tolist()}},
+                "omega": list(range(2, 10)),
+                "betas": [0.1 * c],
+                "commands": ["mc"],
+                "mc": {"n_paths": 5000, "seed": 1, "start": start},
+                "output": str(out),
+                "formats": ["json"],
+            }
+            code = main(["run", "--config", write_config(tmp_path / "exp.json", cfg)])
+            passed = json.loads((out / "mc.json").read_text())["passed"]
+            assert code == (0 if passed else 1)
+            verdicts[c, start] = passed
+    assert verdicts[1.0, 6] == verdicts[1e12, 6] == (bias is None)
+    # outside the domain every sample is zero, so only a biased Laplace value fails
+    assert verdicts[1.0, 0] == verdicts[1e12, 0] == (bias != "laplace")
+
+
 @pytest.mark.parametrize("start", [1.9, "1", True])
 def test_non_integer_mc_start_rejected(tmp_path, capsys, start):
     cfg = {

@@ -1,16 +1,19 @@
+import bisect
+
 import numpy as np
 import pytest
 
 from exitlab import (
     DomainMask,
     McConfig,
+    birth_death,
     complete_graph,
     estimate_exit_functionals,
     exit_mean,
     simulate_exit_times,
 )
 from exitlab import montecarlo
-from exitlab.montecarlo import BLOCK, HORIZON, ExitSamples
+from exitlab.montecarlo import BLOCK, STRAGGLER_CHUNK, STRAGGLERS, ExitSamples
 from conftest import make_chain, random_reversible_chain, single_state_chain, two_state_killed_chain
 
 
@@ -26,7 +29,7 @@ def metastable_chain():
 
 @pytest.fixture
 def stragglers(monkeypatch):
-    """Collects the paths that run past the lockstep horizon."""
+    """Collects the paths handed to the scalar straggler loop."""
     seen = []
     finish = montecarlo._finish_paths
 
@@ -88,7 +91,7 @@ def test_path_prefix_holds_across_a_block_boundary():
     assert not np.array_equal(full.tau[BLOCK : 2 * BLOCK], full.tau[:BLOCK])
 
 
-def test_metastable_mean_and_prefix_past_the_horizon(stragglers):
+def test_metastable_mean_and_prefix_for_stragglers(stragglers):
     chain, mask = metastable_chain()
     full = simulate_exit_times(chain, mask, McConfig(n_paths=20_000, seed=5, start=0))
     est = estimate_exit_functionals(full, ())
@@ -98,47 +101,129 @@ def test_metastable_mean_and_prefix_past_the_horizon(stragglers):
     k = BLOCK + 3000
     stragglers.clear()
     short = simulate_exit_times(chain, mask, McConfig(n_paths=k, seed=5, start=0))
-    # paths on both sides of the block boundary ran past the lockstep horizon
+    # paths on both sides of the block boundary finished alone
     assert min(stragglers) < BLOCK <= max(stragglers) < k
     assert np.array_equal(full.tau[:k], short.tau)
     assert np.array_equal(full.censored[:k], short.censored)
 
 
-def reference_exit_time(chain, mask, seed, path, start):
-    """Path-by-path statement of the stream rule, for a chain without
-    killing: steps draw the full block width from the (seed, block) stream,
-    and after HORIZON of them the path reads chunks of HORIZON exponentials
-    then HORIZON uniforms from its own (seed, path | 2**63) stream."""
-    block, col = divmod(path, BLOCK)
-    q = chain.q
+def _philox(seed, key):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+
+
+def reference_block(chain, mask, seed, block, n_real, start):
+    """Column-by-column statement of the stream rule, for a chain without
+    killing and a start inside the domain. Block ``block`` runs all BLOCK
+    columns, those from ``n_real`` on as phantoms. While more than
+    STRAGGLERS columns live, each step draws one exponential per live
+    column, then one uniform per live column, from the (seed, block) stream,
+    and hands them out in ascending column order. Each real column still
+    live then reads chunks of STRAGGLER_CHUNK exponentials, then
+    STRAGGLER_CHUNK uniforms, from its own (seed, path | 2**63) stream.
+    Returns the real columns' exit times and the paths that finished alone."""
+    n, q = chain.n_states, chain.q
+    cumprob = [(np.cumsum(np.where(np.arange(n) == x, 0.0, q[x])) / -q[x, x]).tolist() for x in range(n)]
+    inside = mask.inside.tolist()
 
     def jump(x, t, e, u):
-        rates = np.where(np.arange(chain.n_states) == x, 0.0, q[x])
-        t += e * (1.0 / -q[x, x])
-        j = int(np.searchsorted(np.cumsum(rates) / -q[x, x], u, side="right"))
-        return min(j, chain.n_states - 1), t
+        return min(bisect.bisect_right(cumprob[x], u), n - 1), t + e * (1.0 / -q[x, x])
 
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    x, t = start, 0.0
-    for _ in range(HORIZON):
-        x, t = jump(x, t, g.standard_exponential(BLOCK)[col], g.random(BLOCK)[col])
-        if not mask.inside[x]:
-            return t
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, path | 1 << 63], dtype=np.uint64)))
-    while True:
-        for e, u in zip(g.standard_exponential(HORIZON), g.random(HORIZON)):
-            x, t = jump(x, t, e, u)
-            if not mask.inside[x]:
-                return t
+    g = _philox(seed, block)
+    xs, ts, tau = [start] * BLOCK, [0.0] * BLOCK, {}
+    live = list(range(BLOCK))
+    while len(live) > STRAGGLERS:
+        draws = zip(g.standard_exponential(len(live)).tolist(), g.random(len(live)).tolist())
+        for col, (e, u) in zip(live, draws):
+            xs[col], ts[col] = jump(xs[col], ts[col], e, u)
+            if not inside[xs[col]]:
+                tau[col] = ts[col]
+        live = [col for col in live if col not in tau]
+    late = [block * BLOCK + col for col in live if col < n_real]
+    for path in late:
+        g = _philox(seed, path | 1 << 63)
+        col = path % BLOCK
+        x, t = xs[col], ts[col]
+        while col not in tau:
+            for e, u in zip(g.standard_exponential(STRAGGLER_CHUNK), g.random(STRAGGLER_CHUNK)):
+                x, t = jump(x, t, e, u)
+                if not inside[x]:
+                    tau[col] = t
+                    break
+    return [tau[col] for col in range(n_real)], late
 
 
-def test_lockstep_matches_the_path_by_path_reference(stragglers):
-    chain, mask = metastable_chain()
-    samples = simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK + 2000, seed=5, start=0))
-    late = [p for p in stragglers if p >= BLOCK][:2]
-    assert late
-    for path in [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1] + late:
-        assert samples.tau[path] == reference_exit_time(chain, mask, 5, path, 0)
+def test_lockstep_matches_the_column_by_column_reference(stragglers):
+    # half the paths exit at each step, so a block steps in lockstep about
+    # eight times, and the partial block's real paths fall to STRAGGLERS
+    # about two steps before its phantoms do
+    chain = complete_graph(3, 1.0)
+    mask = DomainMask.from_states([0, 1], 3)
+    n_paths = BLOCK + 2000
+    samples = simulate_exit_times(chain, mask, McConfig(n_paths=n_paths, seed=5, start=0))
+    tau0, late0 = reference_block(chain, mask, 5, 0, BLOCK, 0)
+    tau1, late1 = reference_block(chain, mask, 5, 1, n_paths - BLOCK, 0)
+    # stragglers on both sides of the block boundary
+    assert late0 and late1
+    assert sorted(stragglers) == late0 + late1
+    # every path bit for bit: both ends of the partial block, BLOCK and
+    # n_paths - 1, and every straggler among them
+    assert samples.tau.tolist() == tau0 + tau1
+
+
+def mc_bd12_seed_1():
+    """The chain, domain and start of the benchmark's mc-bd12 at seed 1."""
+    r = np.random.default_rng([1, 3]).uniform(0.5, 2.0, 12)
+    return birth_death(r[:-1], r[1:]), DomainMask.from_states(range(2, 10), 12), 6
+
+
+def test_draws_follow_the_live_count(monkeypatch):
+    calls = []
+
+    class Counting:
+        def __init__(self, key, g):
+            self.key, self.g = key, g
+
+        def standard_exponential(self, size):
+            calls.append((self.key, "e", size))
+            return self.g.standard_exponential(size)
+
+        def random(self, size):
+            calls.append((self.key, "u", size))
+            return self.g.random(size)
+
+    philox = montecarlo._philox
+    monkeypatch.setattr(montecarlo, "_philox", lambda seed, key: Counting(key, philox(seed, key)))
+    chain, mask, start = mc_bd12_seed_1()
+    simulate_exit_times(chain, mask, McConfig(n_paths=50_000, seed=1, start=start))
+    blocks = -(-50_000 // BLOCK)
+    steps = {b: [size for key, kind, size in calls if key == b and kind == "e"] for b in range(blocks)}
+    for b, sizes in steps.items():
+        # each step draws L exponentials, then L uniforms; L starts at the
+        # full block, phantoms included, and never falls to STRAGGLERS. A
+        # fixed start takes no start draw.
+        assert [(kind, size) for key, kind, size in calls if key == b] == [
+            (kind, size) for size in sizes for kind in "eu"
+        ]
+        assert sizes[0] == BLOCK
+        assert all(now >= after > STRAGGLERS for now, after in zip(sizes, sizes[1:]))
+    straggler_draws = [size for key, kind, size in calls if key >= blocks]
+    assert set(straggler_draws) <= {STRAGGLER_CHUNK}
+    total = sum(size for key, kind, size in calls)
+    assert total == sum(2 * sum(sizes) for sizes in steps.values()) + sum(straggler_draws)
+    # the full-width rule drew 16.1 M values here
+    assert total < 3_000_000
+
+
+def test_at_most_stragglers_paths_per_block_finish_alone(stragglers):
+    # a symmetric walk exits {1, ..., 32} from 17 after 17 * 16 = 272 jumps
+    # on average, past any fixed step cap of 256
+    chain = birth_death(np.ones(33), np.ones(33))
+    mask = DomainMask.from_states(range(1, 33), 34)
+    samples = simulate_exit_times(chain, mask, McConfig(n_paths=4000, seed=3, start=17))
+    # one block, its phantoms counted towards the switch
+    assert 0 < len(stragglers) <= STRAGGLERS
+    est = estimate_exit_functionals(samples, ())
+    assert abs(est.mean[0] - exit_mean(chain, mask)[17]) <= 3 * est.mean[1]
 
 
 def test_distribution_start_draws_from_the_block_stream():
