@@ -6,8 +6,9 @@ Usage:
 
 The config names a model builder, a domain, shifts, and a command list;
 each command writes a JSON and/or CSV report embedding the config hash and
-tool version. The process exits 0 exactly when every requested invariant
-check passed.
+tool version. A command that does not apply to the chain writes a report
+with the reason and is listed as skipped; the process exits 0 exactly when
+every check that ran passed.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .models import (
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
 from .poisson import DomainMask, DomainSystem
 from .spectral import bounds_ledger
-from .variational import exp_moment_inf, saddle_value, symmetric_inf
+from .variational import closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
 
 
 class ConfigError(ValueError):
@@ -245,21 +246,22 @@ def _agree(a: float, b: float) -> bool:
 
 
 def _cmd_variational(system, cfg, digest, out_dir):
-    chain, mask = system.chain, system.mask
     ok = True
     blocks = {}
-    xi = np.asarray(cfg.xi, dtype=float) if cfg.xi is not None else np.ones(mask.size)
+    xi = np.asarray(cfg.xi, dtype=float) if cfg.xi is not None else np.ones(system.mask.size)
     for beta in cfg.betas:
-        closed = saddle_value(chain, mask, beta, xi, mode="closed_form")
-        iterative = saddle_value(chain, mask, beta, xi, mode="iterative")
+        # one form on D serves the three routes; each factors its own matrix
+        a, xi_d, c = saddle_form(system, beta, xi)
+        closed = closed_form_route(system, beta, a, xi_d, c)
+        iterative = nested_route(system.mask, a, c)
         agree = _agree(closed.value, iterative.value)
         entry = {
             "closed_form": closed.to_dict(),
             "iterative": iterative.to_dict(),
             "modes_agree": agree,
         }
-        if chain.reversible:
-            sym = symmetric_inf(chain, mask, beta, xi)
+        if system.reversible:
+            sym = symmetric_route(a, c)
             entry["symmetric_inf"] = sym
             agree_sym = _agree(sym, closed.value)
             entry["symmetric_agrees"] = agree_sym
@@ -272,14 +274,13 @@ def _cmd_variational(system, cfg, digest, out_dir):
 
 
 def _cmd_expmoment(system, cfg, digest, out_dir):
-    chain, mask = system.chain, system.mask
     lam0 = system.dirichlet.lambda0
     ok = True
     blocks = {}
     for beta in cfg.betas:
-        inf_value = exp_moment_inf(chain, mask, beta, lam0)
+        inf_value = exp_moment_route(system, beta, lam0)
         moments = system.exp_moment(beta, lam0)
-        agg = float(np.sum(chain.mu * moments))
+        agg = float(np.sum(system.chain.mu * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
         agree = _agree(inf_value, via_exit)
         blocks[repr(beta)] = {
@@ -501,6 +502,19 @@ def _line_chart_svg(xs, series: dict, title: str = "") -> str:
     return "\n".join(parts)
 
 
+def _skip_reason(cmd: str, chain) -> str | None:
+    """Why a command does not apply to the chain, or None when it does: the
+    exponential-moment formulas and the bound ledger are stated for
+    reversible chains with a probability measure."""
+    if cmd not in ("expmoment", "bounds"):
+        return None
+    if not chain.reversible:
+        return "needs a reversible chain"
+    if not chain.measure.normalized:
+        return "needs a normalized (probability) measure"
+    return None
+
+
 _DISPATCH = {
     "validate": _cmd_validate,
     "exit": _cmd_exit,
@@ -522,14 +536,20 @@ def run(cfg: ExperimentConfig, digest: str, out_dir: Path, plots: bool = False) 
         chain = build_chain(cfg.model) if spec is None else discretize_jump_diffusion(spec)
         return DomainSystem(chain, _domain_mask(cfg, chain.n_states, spec))
 
-    statuses = {}
+    statuses, skipped = {}, {}
     for cmd in cfg.commands:
         if cmd == "sweep":
             statuses[cmd] = _cmd_sweep(system, spec, cfg, digest, out_dir, plots)
+        elif reason := _skip_reason(cmd, system().chain):
+            skipped[cmd] = reason
+            _emit(out_dir, cmd, _stamp({"skipped": True, "reason": reason, "passed": None}, digest), cfg.formats)
         else:
             statuses[cmd] = _DISPATCH[cmd](system(), cfg, digest, out_dir)
     overall = all(statuses.values())
-    summary = _stamp({"commands": statuses, "passed": overall}, digest)
+    summary = {"commands": statuses, "passed": overall}
+    if skipped:  # absent otherwise, so such a run's summary keeps its bytes
+        summary["skipped"] = skipped
+    summary = _stamp(summary, digest)
     (out_dir / "run_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if overall else 1
 

@@ -37,6 +37,11 @@ __all__ = [
     "saddle_value",
     "symmetric_inf",
     "exp_moment_inf",
+    "saddle_form",
+    "closed_form_route",
+    "nested_route",
+    "symmetric_route",
+    "exp_moment_route",
 ]
 
 
@@ -102,8 +107,9 @@ def _optimizers(u, u_dual, xi, weights):
     return (w + wt) / 2.0, (w - wt) / 2.0
 
 
-def _saddle_inputs(system: DomainSystem, beta: float, xi):
-    """Shared setup: admissibility, the form matrix on D, the source on D and c = mu_D xi_D."""
+def saddle_form(system: DomainSystem, beta: float, xi):
+    """Admissibility, then the data every route reads and none writes: the
+    form matrix on D at beta (read-only), the source on D and c = mu_D xi_D."""
     chain = system.chain
     if beta <= chain.beta0:
         raise ValueError(
@@ -113,7 +119,9 @@ def _saddle_inputs(system: DomainSystem, beta: float, xi):
     xi_d = _restrict_source(system.mask, xi, chain.n_states)
     if np.abs(xi_d).max() <= 0.0:
         raise ValueError("source xi vanishes on the domain")
-    return form_matrix(system.q_d, system.mu_d, beta), xi_d, system.mu_d * xi_d
+    a = form_matrix(system.q_d, system.mu_d, beta)
+    a.setflags(write=False)
+    return a, xi_d, system.mu_d * xi_d
 
 
 def _project(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -174,21 +182,28 @@ def saddle_value(
     exceeds the lower-bound estimate (which makes the symmetric part
     positive definite).
     """
-    system = DomainSystem(chain, mask)
-    a, xi_d, c = _saddle_inputs(system, beta, xi)
-    if mode == "closed_form":
-        u_d, ut_d = system.solve(beta, xi_d, ("primal", "dual"))
-        f_d, g_d = _optimizers(u_d, ut_d, xi_d, system.mu_d)
-        value = 1.0 / float(c @ u_d)
-        worst = _sampled_saddle_check(a, c, f_d, g_d, value)
-        residuals = _residuals(a, c, f_d, g_d, sampled_check_violation=worst)
-        return SaddleSolution(value, embed(mask, f_d), embed(mask, g_d), residuals, "closed_form")
-
-    if mode != "iterative":
+    if mode == "iterative":
+        # the nested route reads only the form: the system and its Q_D end with saddle_form
+        a, _xi_d, c = saddle_form(DomainSystem(chain, mask), beta, xi)
+        return nested_route(mask, a, c)
+    if mode != "closed_form":
         raise ValueError(f"mode must be 'closed_form' or 'iterative', got {mode!r}")
-    # the nested route reads only the form: free the system's cached Q_D
-    del system
+    system = DomainSystem(chain, mask)
+    return closed_form_route(system, beta, *saddle_form(system, beta, xi))
 
+
+def closed_form_route(system: DomainSystem, beta: float, a, xi_d, c) -> SaddleSolution:
+    """The closed form of ``saddle_value`` from ``saddle_form(system, beta, xi)``."""
+    u_d, ut_d = system.solve(beta, xi_d, ("primal", "dual"))
+    f_d, g_d = _optimizers(u_d, ut_d, xi_d, system.mu_d)
+    value = 1.0 / float(c @ u_d)
+    worst = _sampled_saddle_check(a, c, f_d, g_d, value)
+    residuals = _residuals(a, c, f_d, g_d, sampled_check_violation=worst)
+    return SaddleSolution(value, embed(system.mask, f_d), embed(system.mask, g_d), residuals, "closed_form")
+
+
+def nested_route(mask: DomainMask, a, c) -> SaddleSolution:
+    """The nested route of ``saddle_value`` from the form on D and c alone."""
     if c.shape[0] == 1:
         f_d, g_d = 1.0 / c, np.zeros(1)
         value = float(a[0, 0] / (c[0] * c[0]))
@@ -280,10 +295,15 @@ def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     Valid for symmetric forms only; a single linear solve through the
     restricted matrix gives the minimum 1 / (c^T S^{-1} c).
     """
-    a, _xi_d, c = _saddle_inputs(DomainSystem(chain, mask), beta, xi)
+    a, _xi_d, c = saddle_form(DomainSystem(chain, mask), beta, xi)
+    return symmetric_route(a, c)
+
+
+def symmetric_route(a, c) -> float:
+    """``symmetric_inf`` from the form on D and c, in a factorization of its own."""
     if not _is_symmetric(a):
         raise NonReversibleError("symmetric_inf needs a symmetric form")
-    return _symmetric_minimum(a, c, "symmetric infimum solve")
+    return _symmetric_minimum(a.copy(), c, "symmetric infimum solve")
 
 
 def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> float:
@@ -293,17 +313,20 @@ def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) 
     restriction the infimum is 0. Requires a reversible chain with a
     probability measure.
     """
+    return exp_moment_route(DomainSystem(chain, mask), beta, lambda0)
+
+
+def exp_moment_route(system: DomainSystem, beta: float, lambda0: float) -> float:
+    """``exp_moment_inf`` on a system, from its Q_D and mu_D."""
     if beta <= 0:
         raise ValueError("exp_moment_inf needs beta > 0")
-    if not chain.reversible:
+    if not system.chain.reversible:
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
-    if not chain.measure.normalized:
+    if not system.chain.measure.normalized:
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")
     if not _below_edge(beta, lambda0):
         return 0.0
-    system = DomainSystem(chain, mask)
     mu_d = system.mu_d
     s = form_matrix(system.q_d, mu_d, 0.0)
-    del system  # and its cached Q_D, before the solve
     s.flat[:: mu_d.shape[0] + 1] -= beta * mu_d
     return max(_symmetric_minimum(s, mu_d, "exponential-moment infimum solve"), 0.0)

@@ -40,6 +40,7 @@ def test_run_three_state_bounds(tmp_path):
     report = json.loads((out / "run_report.json").read_text())
     assert report["passed"] is True
     assert set(report["commands"]) == {"validate", "exit", "variational", "expmoment", "bounds"}
+    assert "skipped" not in report  # listed only when a command was skipped
     doc = json.loads((out / "bounds.json").read_text())
     assert doc["config_sha256"]
     assert doc["tool_version"]
@@ -416,15 +417,15 @@ def test_route_agreement_is_relative_at_any_time_scale(tmp_path, monkeypatch, c)
 
     import exitlab.cli
 
-    saddle, sym_inf, exp_inf = exitlab.cli.saddle_value, exitlab.cli.symmetric_inf, exitlab.cli.exp_moment_inf
+    nested, sym_inf, exp_inf = exitlab.cli.nested_route, exitlab.cli.symmetric_route, exitlab.cli.exp_moment_route
 
-    def doubled_iterative(*args, mode, **kwargs):
-        sol = saddle(*args, mode=mode, **kwargs)
-        return dataclasses.replace(sol, value=2.0 * sol.value) if mode == "iterative" else sol
+    def doubled_iterative(*args):
+        sol = nested(*args)
+        return dataclasses.replace(sol, value=2.0 * sol.value)
 
-    monkeypatch.setattr(exitlab.cli, "saddle_value", doubled_iterative)
-    monkeypatch.setattr(exitlab.cli, "symmetric_inf", lambda *args: 2.0 * sym_inf(*args))
-    monkeypatch.setattr(exitlab.cli, "exp_moment_inf", lambda *args: 2.0 * exp_inf(*args))
+    monkeypatch.setattr(exitlab.cli, "nested_route", doubled_iterative)
+    monkeypatch.setattr(exitlab.cli, "symmetric_route", lambda *args: 2.0 * sym_inf(*args))
+    monkeypatch.setattr(exitlab.cli, "exp_moment_route", lambda *args: 2.0 * exp_inf(*args))
     beta = 0.5 * c
     cfg = {
         "model": {"builder": "complete_graph", "params": {"n": 3, "rate": c}},
@@ -624,3 +625,109 @@ def test_full_mask_sweep_exits_through_a_weighted_killed_part(tmp_path, monkeypa
     # with the killed part at weight 0, only the conservative part is left
     cfg = scale_sweep_config(tmp_path, "all", [1.0], [0.0, 1.0])
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 3
+
+
+def ledger_config(tmp_path, seed=1):
+    """The benchmark's ledger-bd800 config: a birth-death chain of 800
+    states, a domain of 400, four shifts and a source on the domain."""
+    rng = np.random.default_rng([seed, 1])
+    m = rng.uniform(0.5, 2.0, 800)
+    c = rng.uniform(0.5, 2.0, 799)
+    domain = np.sort(rng.choice(800, 400, replace=False))
+    xi = rng.uniform(0.5, 2.0, 400)
+    return {
+        "model": {"builder": "birth_death", "params": {"up": (c / m[:-1]).tolist(), "down": (c / m[1:]).tolist()}},
+        "omega": [int(i) for i in domain],
+        "betas": [0.005, 0.01, 0.02, 0.5],
+        "xi": xi.tolist(),
+        "commands": ["validate", "exit", "variational", "expmoment", "bounds"],
+        "output": str(tmp_path / "out"),
+        "formats": ["json", "csv"],
+    }
+
+
+def test_a_run_restricts_once(tmp_path, monkeypatch):
+    import exitlab.forms
+    import exitlab.poisson
+    import exitlab.variational
+
+    calls = {"q_d": 0, "symmetrized": 0, "form_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    prop = vars(exitlab.poisson.DomainSystem)["q_d"]
+    monkeypatch.setattr(prop, "func", counted("q_d", prop.func))
+    symmetrized = counted("symmetrized", exitlab.forms._symmetrized)
+    form_matrix = counted("form_matrix", exitlab.forms.form_matrix)
+    for module in (exitlab.forms, exitlab.poisson):
+        monkeypatch.setattr(module, "_symmetrized", symmetrized)
+    for module in (exitlab.forms, exitlab.variational):
+        monkeypatch.setattr(module, "form_matrix", form_matrix)
+    cfg = ledger_config(tmp_path)
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    # one Q_D and one S_0 for the run; one form on D per shift for the three
+    # saddle routes, and one per shift below lambda0 for expmoment
+    assert calls["q_d"] == 1
+    assert calls["symmetrized"] == 1
+    below = sum(1 for b in json.loads((tmp_path / "out" / "expmoment.json").read_text())["exp_moment"].values()
+                if b["inf_value"] > 0.0)
+    assert calls["form_matrix"] == len(cfg["betas"]) + below <= 7
+
+
+def grid_config(tmp_path, drift):
+    """A 1D grid with killing: non-reversible with a drift, and reversible
+    without one; its measure is h, not a probability."""
+    params = {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 0.125, "k": 1.0}
+    if drift:
+        params["b"] = [1.0]
+    return {
+        "model": {"builder": "grid_jump_diffusion", "params": params},
+        "omega": "all",
+        "betas": [0.5, 1.0],
+        "commands": ["validate", "exit", "variational", "expmoment", "bounds"],
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+
+
+@pytest.mark.parametrize(
+    "drift, reason", [(True, "needs a reversible chain"), (False, "needs a normalized (probability) measure")]
+)
+def test_commands_that_do_not_apply_are_skipped(tmp_path, drift, reason):
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", grid_config(tmp_path, drift))]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bounds.json", "exit.json", "expmoment.json", "run_report.json", "validate.json", "variational.json"
+    ]
+    for cmd in ("expmoment", "bounds"):
+        doc = json.loads((out / f"{cmd}.json").read_text())
+        assert (doc["skipped"], doc["reason"], doc["passed"]) == (True, reason, None)
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["skipped"] == {"expmoment": reason, "bounds": reason}
+    assert report["commands"] == {"validate": True, "exit": True, "variational": True}
+    assert report["passed"] is True
+    variational = json.loads((out / "variational.json").read_text())
+    assert ("symmetric_inf" in variational["saddle"]["0.5"]) is not drift
+
+
+def test_a_failed_check_beside_skipped_commands_fails_the_run(tmp_path, monkeypatch):
+    import dataclasses
+
+    import exitlab.cli
+
+    nested = exitlab.cli.nested_route
+
+    def doubled(*args):
+        sol = nested(*args)
+        return dataclasses.replace(sol, value=2.0 * sol.value)
+
+    monkeypatch.setattr(exitlab.cli, "nested_route", doubled)
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", grid_config(tmp_path, True))]) == 1
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["commands"]["variational"] is False
+    assert set(report["skipped"]) == {"expmoment", "bounds"}

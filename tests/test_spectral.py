@@ -25,6 +25,7 @@ from conftest import (
     random_proper_mask,
     random_reversible_chain,
     single_state_chain,
+    traced_peak,
 )
 
 C3 = complete_graph(3, 1.0)
@@ -136,6 +137,52 @@ def test_spectral_gap_rejects_reducible():
     chain = make_chain(q, np.full(4, 0.25), normalized=True)
     with pytest.raises(ValueError, match="reducible"):
         spectral_gap(chain)
+
+
+def test_spectral_gap_counts_components_across_row_tiles():
+    # three blocks spread over 70 states, so each meets several row tiles:
+    # a dense one, a path and a pair, joined only within themselves
+    rng = np.random.default_rng(4)
+    n = 70
+    perm = rng.permutation(n)
+    blocks = [perm[:40], perm[40:68], perm[68:]]
+    c = np.zeros((n, n))
+    c[np.ix_(blocks[0], blocks[0])] = rng.uniform(0.2, 1.0, (40, 40))
+    c[blocks[1][:-1], blocks[1][1:]] = rng.uniform(0.2, 1.0, 27)
+    c[blocks[2][0], blocks[2][1]] = 0.5
+    c = c + c.T
+    np.fill_diagonal(c, 0.0)
+    np.fill_diagonal(c, -c.sum(axis=1))
+    chain = make_chain(c, np.full(n, 1.0 / n), normalized=True)
+    with pytest.raises(ValueError, match=r"reducible \(3 components\)"):
+        spectral_gap(chain)
+
+
+@pytest.mark.parametrize("n", [1, 17, 50])
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.6])
+def test_component_count_matches_the_whole_graph(n, density):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from exitlab.spectral import _component_count
+
+    rng = np.random.default_rng(int(1000 * density) + n)
+    q = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    # rates far below STRUCTURAL_TOL * |q_xx| are no edges, wherever they lie
+    q += 1e-15 * (rng.uniform(size=(n, n)) < 0.5)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1) - 1.0)
+    whole = q > 1e-12 * np.abs(np.diag(q))[:, None]
+    assert _component_count(q) == connected_components(csr_matrix(whole), directed=False)[0]
+
+
+def test_spectral_gap_peak_memory_at_n_400():
+    n = 400
+    chain = random_reversible_chain(np.random.default_rng(3), n)
+    chain.form_spectrum, chain.reversible  # cached facts of the chain
+    _, peak = traced_peak(lambda: spectral_gap(chain))
+    # the reducibility test read the whole n x n support at once at 5.0 n^2
+    assert peak <= 2 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [50, 800])
