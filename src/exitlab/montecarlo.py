@@ -44,6 +44,9 @@ _STRAGGLER_BIT = 1 << 63
 # 50k paths adds nothing to the run's peak resident memory (chunks of BLOCK
 # paths raised it by about 0.4 MiB).
 _CSV_ROWS = 1024
+# Rows of the generator read at a time while the jump table is built: a
+# tile's weights, mask and branch indices stay small next to the table.
+_TABLE_TILE_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,32 +110,93 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class _JumpTable:
     """Flat CSR jump table: row x holds the keys ``x + cumprob`` of its
-    branches and their targets, -1 for the killing branch. ``inside`` has
-    one more entry, False, so ``inside[-1]`` reads the cemetery."""
+    branches, capped at x + 1, in ``keys[first[x] : last[x] + 1]``, and their
+    targets, -1 for the killing branch, in the smallest signed integer type
+    that holds them. The last key of row x is exactly x + 1, so the keys are
+    sorted across rows and a draw ``x + u`` lands in row x. ``window`` is the
+    smallest power of two at least the widest row's count of keys before its
+    last; ``keys`` ends with ``window`` entries of +inf, so a window search
+    from any row's first key stays inside the array. ``inside`` has one more
+    entry, False, so ``inside[-1]`` reads the cemetery."""
 
     inv_rate: np.ndarray
     keys: np.ndarray
     targets: np.ndarray
+    first: np.ndarray
     last: np.ndarray
+    window: int
     inside: np.ndarray
+
+    def jump(self, x, v):
+        """Next states of columns in states ``x`` with draws ``v = x + u``:
+        the target of the first key of row x above v, or of the row's last
+        branch if none is. A binary search of log2(window) passes over the
+        window that starts at ``first[x]``, then one more compare: the rows
+        are sorted, so it counts the same keys at most v as ``searchsorted``
+        over the whole table, up to the clamp at ``last[x]``."""
+        keys = self.keys
+        base = self.first.take(x)
+        h = self.window // 2
+        while h:
+            base += h * (keys.take(base + (h - 1)) <= v)
+            h //= 2
+        base += keys.take(base) <= v
+        # narrow targets, widened once here rather than at every gather by x
+        return self.targets.take(np.minimum(base, self.last.take(x), out=base)).astype(np.intp)
+
+    def scalar_jump(self):
+        """``jump`` for one column at a time: bisects row x, read through
+        memoryviews of the table, so no array is copied."""
+        keys, targets = memoryview(self.keys), memoryview(self.targets)
+        first, last = memoryview(self.first), memoryview(self.last)
+
+        def jump(x: int, v: float) -> int:
+            return targets[bisect.bisect_right(keys, v, first[x], last[x])]
+
+        return jump
+
+
+def _branch_weights(q, kill, rate, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the branch weights: the off-diagonal rates, then the
+    killing rate, with no negative entries."""
+    n = q.shape[0]
+    w = np.empty((hi - lo, n + 1))
+    w[:, :n] = q[lo:hi]
+    w[:, n] = kill[lo:hi]
+    w[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+    # validation admits off-diagonal rates that are negative rounding noise
+    w[w < 0.0] = 0.0
+    # a state that cannot move gets one (never taken) branch, so no row is empty
+    w[rate[lo:hi] <= 0.0, n] = 1.0
+    return w
 
 
 def _jump_table(q: np.ndarray, inside: np.ndarray) -> _JumpTable:
+    """The jump table of generator ``q``, built _TABLE_TILE_ROWS rows at a
+    time: one pass counts each row's branches, a second writes them."""
     n = q.shape[0]
     rate = -np.diag(q)
     kill = -q.sum(axis=1)
     # a killing rate within rounding noise of the row's scale is no branch
     kill = np.where(kill > STRUCTURAL_TOL * np.abs(rate), kill, 0.0)
-    w = np.hstack([q, kill[:, None]])
-    w[np.arange(n), np.arange(n)] = 0.0
-    # validation admits off-diagonal rates that are negative rounding noise
-    w[w < 0.0] = 0.0
-    # a state that cannot move gets one (never taken) branch, so no row is empty
-    w[rate <= 0.0, n] = 1.0
-    rows, cols = np.nonzero(w > 0.0)
-    np.cumsum(w, axis=1, out=w)
-    keys = rows + w[rows, cols] / np.where(rate > 0.0, rate, 1.0)[rows]
-    last = np.cumsum(np.bincount(rows, minlength=n)) - 1
+    tiles = [(lo, min(lo + _TABLE_TILE_ROWS, n)) for lo in range(0, n, _TABLE_TILE_ROWS)]
+    counts = np.concatenate([np.count_nonzero(_branch_weights(q, kill, rate, lo, hi) > 0.0, axis=1) for lo, hi in tiles])
+    last = np.cumsum(counts) - 1
+    first = last - (counts - 1)
+    window = 1 << max(int(counts.max()) - 2, 0).bit_length()
+    keys = np.full(last[-1] + 1 + window, np.inf)
+    targets = np.empty(last[-1] + 1, dtype=np.min_scalar_type(-n))
+    scale = np.where(rate > 0.0, rate, 1.0)
+    for lo, hi in tiles:
+        w = _branch_weights(q, kill, rate, lo, hi)
+        rows, cols = np.nonzero(w > 0.0)
+        np.cumsum(w, axis=1, out=w)
+        rows += lo
+        # a branch whose share is below rounding can push an earlier key
+        # past x + 1; capped, every row is sorted
+        span = slice(first[lo], last[hi - 1] + 1)
+        keys[span] = np.minimum(rows + w[rows - lo, cols] / scale[rows], rows + 1.0)
+        targets[span] = np.where(cols == n, -1, cols)
     # row x ends at exactly x + 1, so every draw x + u with u < 1 lands in it
     keys[last] = np.arange(1, n + 1, dtype=float)
     with np.errstate(divide="ignore"):
@@ -140,8 +204,10 @@ def _jump_table(q: np.ndarray, inside: np.ndarray) -> _JumpTable:
     return _JumpTable(
         inv_rate=inv_rate,
         keys=keys,
-        targets=np.where(cols == n, -1, cols),
+        targets=targets,
+        first=first,
         last=last,
+        window=window,
         inside=np.append(inside, False),
     )
 
@@ -157,17 +223,19 @@ def _lockstep_block(rng, x, tau, cens, table: _JumpTable, max_time: float):
     live = np.flatnonzero(table.inside[x])
     x, t = x[live], np.zeros(live.size)
     while live.size > STRAGGLERS:
-        t += rng.standard_exponential(live.size) * table.inv_rate[x]
-        j = np.searchsorted(table.keys, x + rng.random(live.size), side="right")
-        x = table.targets[np.minimum(j, table.last[x])]
+        t += rng.standard_exponential(live.size) * table.inv_rate.take(x)
+        x = table.jump(x, x + rng.random(live.size))
         over = ~(t <= max_time)
-        done = over | ~table.inside[x]
-        if done.any():
-            cols = live[done]
-            tau[cols] = np.where(over[done], max_time, t[done])
-            cens[cols] = over[done]
-            keep = ~done
-            live, x, t = live[keep], x[keep], t[keep]
+        done = over | ~table.inside.take(x)
+        # one index array per mask, gathered by take: a boolean index
+        # recounts its mask on every use
+        gone = np.flatnonzero(done)
+        if gone.size:
+            cols, over = live.take(gone), over.take(gone)
+            tau[cols] = np.where(over, max_time, t.take(gone))
+            cens[cols] = over
+            keep = np.flatnonzero(~done)
+            live, x, t = live.take(keep), x.take(keep), t.take(keep)
     return live, x, t
 
 
@@ -175,9 +243,8 @@ def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float, 
     """Run each straggler on its own stream, in chunks of STRAGGLER_CHUNK
     exponentials then STRAGGLER_CHUNK uniforms, and write its exit time
     and censor flag into ``taus`` and ``cens``."""
-    keys = table.keys.tolist()
-    targets, last = table.targets.tolist(), table.last.tolist()
-    inv_rate, inside = table.inv_rate.tolist(), table.inside.tolist()
+    jump = table.scalar_jump()
+    inv_rate, inside = memoryview(table.inv_rate), memoryview(table.inside)
 
     def finish(rng, x, t):
         while True:
@@ -185,7 +252,7 @@ def _finish_paths(seed: int, paths, xs, ts, table: _JumpTable, max_time: float, 
                 t += e * inv_rate[x]
                 if not t <= max_time:
                     return max_time, True
-                x = targets[min(bisect.bisect_right(keys, x + u), last[x])]
+                x = jump(x, x + u)
                 if not inside[x]:
                     return t, False
 

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from exitlab import (
     simulate_exit_times,
 )
 from exitlab import montecarlo
+from exitlab.defaults import STRUCTURAL_TOL
 from exitlab.montecarlo import BLOCK, STRAGGLER_CHUNK, STRAGGLERS, ExitSamples
-from conftest import make_chain, random_reversible_chain, single_state_chain, two_state_killed_chain
+from conftest import make_chain, random_reversible_chain, single_state_chain, traced_peak, two_state_killed_chain
 
 
 def metastable_chain():
@@ -112,21 +114,35 @@ def _philox(seed, key):
 
 
 def reference_block(chain, mask, seed, block, n_real, start):
-    """Column-by-column statement of the stream rule, for a chain without
-    killing and a start inside the domain. Block ``block`` runs all BLOCK
-    columns, those from ``n_real`` on as phantoms. While more than
-    STRAGGLERS columns live, each step draws one exponential per live
-    column, then one uniform per live column, from the (seed, block) stream,
-    and hands them out in ascending column order. Each real column still
-    live then reads chunks of STRAGGLER_CHUNK exponentials, then
-    STRAGGLER_CHUNK uniforms, from its own (seed, path | 2**63) stream.
-    Returns the real columns' exit times and the paths that finished alone."""
-    n, q = chain.n_states, chain.q
-    cumprob = [(np.cumsum(np.where(np.arange(n) == x, 0.0, q[x])) / -q[x, x]).tolist() for x in range(n)]
+    """Column-by-column statement of the stream rule, for a start inside the
+    domain, states inside that can all move, and paths that exit before
+    max_time. Row x's branches are its positive off-diagonal rates in column
+    order, then its killing rate if that is above rounding noise; their keys
+    are x + (cumulative rate) / (total rate), capped at x + 1, and the last
+    is exactly x + 1. A jump with uniform u takes the first branch whose key
+    is above x + u, or the last. Block ``block`` runs all BLOCK columns,
+    those from ``n_real`` on as phantoms. While more than STRAGGLERS columns
+    live, each step draws one exponential per live column, then one uniform
+    per live column, from the (seed, block) stream, and hands them out in
+    ascending column order. Each real column still live then reads chunks
+    of STRAGGLER_CHUNK exponentials, then STRAGGLER_CHUNK uniforms, from its
+    own (seed, path | 2**63) stream. Returns the real columns' exit times
+    and the paths that finished alone."""
+    q, rows = chain.q.tolist(), {}
+    for x in np.flatnonzero(mask.inside).tolist():
+        rate, kill = -q[x][x], -float(chain.q[x].sum())
+        branches = [(y, r) for y, r in enumerate(q[x]) if y != x and r > 0.0]
+        if kill > STRUCTURAL_TOL * rate:
+            branches.append((-1, kill))
+        keys = [min(x + c / rate, x + 1.0) for c in itertools.accumulate(r for _, r in branches)]
+        keys[-1] = x + 1.0
+        rows[x] = 1.0 / rate, keys, [y for y, _ in branches]
     inside = mask.inside.tolist()
 
     def jump(x, t, e, u):
-        return min(bisect.bisect_right(cumprob[x], u), n - 1), t + e * (1.0 / -q[x, x])
+        inv_rate, keys, targets = rows[x]
+        y = targets[min(bisect.bisect_right(keys, x + u), len(keys) - 1)]
+        return y, t + e * inv_rate, y >= 0 and inside[y]
 
     g = _philox(seed, block)
     xs, ts, tau = [start] * BLOCK, [0.0] * BLOCK, {}
@@ -134,8 +150,8 @@ def reference_block(chain, mask, seed, block, n_real, start):
     while len(live) > STRAGGLERS:
         draws = zip(g.standard_exponential(len(live)).tolist(), g.random(len(live)).tolist())
         for col, (e, u) in zip(live, draws):
-            xs[col], ts[col] = jump(xs[col], ts[col], e, u)
-            if not inside[xs[col]]:
+            xs[col], ts[col], stays = jump(xs[col], ts[col], e, u)
+            if not stays:
                 tau[col] = ts[col]
         live = [col for col in live if col not in tau]
     late = [block * BLOCK + col for col in live if col < n_real]
@@ -144,9 +160,9 @@ def reference_block(chain, mask, seed, block, n_real, start):
         col = path % BLOCK
         x, t = xs[col], ts[col]
         while col not in tau:
-            for e, u in zip(g.standard_exponential(STRAGGLER_CHUNK), g.random(STRAGGLER_CHUNK)):
-                x, t = jump(x, t, e, u)
-                if not inside[x]:
+            for e, u in zip(g.standard_exponential(STRAGGLER_CHUNK).tolist(), g.random(STRAGGLER_CHUNK).tolist()):
+                x, t, stays = jump(x, t, e, u)
+                if not stays:
                     tau[col] = t
                     break
     return [tau[col] for col in range(n_real)], late
@@ -168,6 +184,87 @@ def test_lockstep_matches_the_column_by_column_reference(stragglers):
     # every path bit for bit: both ends of the partial block, BLOCK and
     # n_paths - 1, and every straggler among them
     assert samples.tau.tolist() == tau0 + tau1
+
+
+def several_widths_chain():
+    """Row x keeps about (x + 1) / n of its neighbours and row 0 none, and
+    every row has a killing branch: rows of 1 to n branches."""
+    rng = np.random.default_rng(4)
+    n = 20
+    q = rng.uniform(0.2, 1.0, (n, n)) * (rng.random((n, n)) < np.linspace(0.05, 1.0, n)[:, None])
+    q[0] = 0.0
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1) - rng.uniform(0.1, 0.6, n))
+    return make_chain(q, np.ones(n)), DomainMask.from_states(range(0, n, 2), n), 18
+
+
+def tiny_branch_chain():
+    """State 0 leaves at rate 0.3 = -q_00, but its first two rates sum to
+    0.30000000000000004, and its last branch has a share of 1e-17."""
+    q = np.zeros((4, 4))
+    q[0] = [-0.3, 0.1, 0.2, 3e-18]
+    q[1] = [1.0, -2.0, 1.0, 0.0]
+    return make_chain(q, np.ones(4)), DomainMask.from_states([0, 1], 4), 0
+
+
+@pytest.mark.parametrize("case", [several_widths_chain, tiny_branch_chain])
+def test_lockstep_and_stragglers_match_the_reference_on_any_row(case, stragglers):
+    chain, mask, start = case()
+    samples = simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK, seed=2, start=start))
+    tau, late = reference_block(chain, mask, 2, 0, BLOCK, start)
+    assert late and stragglers == late
+    assert samples.tau.tolist() == tau
+
+
+def test_a_branch_below_rounding_leaves_its_row_sorted():
+    chain, mask, _ = tiny_branch_chain()
+    table = montecarlo._jump_table(chain.q, mask.inside)
+    # uncapped, the key of the second branch of row 0 is 1.0000000000000002
+    assert table.keys[: table.last[0] + 1].tolist() == [0.1 / 0.3, 1.0, 1.0]
+    assert np.all(table.keys[1:] >= table.keys[:-1])
+
+
+def random_jump_table(rng, n):
+    """A table over n states whose rows have 1 to n branches: state 0 has
+    them all, a killing branch included, state 1 is immovable, and half the
+    others have a killing branch."""
+    q = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 1.0, n)[:, None])
+    kill = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.5)
+    q[0], kill[0] = rng.uniform(0.1, 1.0, n), 0.5
+    q[1:2], kill[1:2] = 0.0, 0.0
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1) - kill)
+    return montecarlo._jump_table(q, np.ones(n, dtype=bool))
+
+
+# with n = 2, 5 and 9 state 0 has exactly window keys before its last
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+def test_row_searches_are_the_clamped_global_search(n):
+    rng = np.random.default_rng(n)
+    states = np.arange(n)
+    # the largest uniform draw, 1 - 2**-53, takes x + u to x + 1 for x >= 1
+    rounded = states[1:] + (1.0 - 2.0**-53)
+    assert np.array_equal(rounded, states[1:] + 1.0)
+    for _ in range(5):
+        table = random_jump_table(rng, n)
+        rows = np.repeat(states, table.last - table.first + 1)
+        # uniform draws, v equal to each key (the last of a row is x + 1), v = x
+        x = np.concatenate([np.repeat(states, 50), rows, states, states[1:]])
+        v = np.concatenate([x[: 50 * n] + rng.random(50 * n), table.keys[: rows.size], states, rounded])
+        want = table.targets[np.minimum(np.searchsorted(table.keys, v, side="right"), table.last[x])]
+        assert np.array_equal(table.jump(x, v), want)
+        jump = table.scalar_jump()
+        assert [jump(a, b) for a, b in zip(x.tolist(), v.tolist())] == want.tolist()
+
+
+def test_simulation_peak_memory_at_n_400():
+    n = 400
+    chain = random_reversible_chain(np.random.default_rng(3), n)
+    mask = DomainMask.from_states(range(n // 2), n)
+    _, peak = traced_peak(lambda: simulate_exit_times(chain, mask, McConfig(n_paths=BLOCK, seed=1, start=0)))
+    # building the whole table at once and copying it into lists per block
+    # peaked at 8.52 n^2
+    assert peak <= 2 * n * n * 8
 
 
 def mc_bd12_seed_1():
