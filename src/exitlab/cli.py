@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass, replace
@@ -119,10 +120,8 @@ def load_config(path: str):
                 fail("$.omega.box", f"each entry must be a numeric [lo, hi] with lo < hi, got {edge!r}")
 
     betas = doc.get("betas", [1.0])
-    if not isinstance(betas, list) or not betas or any(
-        not isinstance(b, (int, float)) or b <= 0 for b in betas
-    ):
-        fail("$.betas", "must be a nonempty list of positive numbers")
+    if not isinstance(betas, list) or not betas or any(not _finite_number(b) or b <= 0 for b in betas):
+        fail("$.betas", "must be a nonempty list of finite positive numbers")
 
     commands = doc.get("commands", [])
     if not isinstance(commands, list) or not commands:
@@ -155,8 +154,8 @@ def load_config(path: str):
             fail("$.mc.start", f"must be a state index, 'pi', or a distribution, got {start!r}")
 
     xi = doc.get("xi")
-    if xi is not None and not isinstance(xi, list):
-        fail("$.xi", "must be a list of numbers")
+    if xi is not None and not (isinstance(xi, list) and all(_finite_number(v) for v in xi)):
+        fail("$.xi", "must be a list of finite numbers")
 
     cfg = ExperimentConfig(
         model=model,
@@ -170,6 +169,15 @@ def load_config(path: str):
         mc=doc.get("mc"),
     )
     return cfg, digest
+
+
+def _finite_number(v) -> bool:
+    """A JSON number that converts to a finite float: not a bool, NaN, an
+    infinity or an int past the float range."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _grid_params(params: dict) -> dict:
@@ -207,9 +215,34 @@ def _stamp(doc: dict, digest: str) -> dict:
     return doc
 
 
+_SCALARS = (str, int, float, type(None))
+
+
+def _dumps(doc, indent: str = "") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte, for a
+    document nested ``indent`` deep.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder. Here a dict
+    with str keys recurses in sorted key order, and a scalar or a flat list
+    of scalars goes through the C encoder, whose item separator lays out the
+    list's lines. Anything else falls back to ``json.dumps``, re-indented:
+    a JSON string never holds a raw newline.
+    """
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc and all(isinstance(k, str) for k in doc):
+        items = ",\n".join(f"{inner}{json.dumps(k)}: {_dumps(doc[k], inner)}" for k in sorted(doc))
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(doc, _SCALARS):
+        return json.dumps(doc)
+    if isinstance(doc, (list, tuple)) and doc and all(isinstance(x, _SCALARS) for x in doc):
+        items = json.dumps(doc, separators=(",\n" + inner, ": "))[1:-1]
+        return f"[\n{inner}{items}\n{indent}]"
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(out_dir: Path, name: str, doc: dict, formats, csv_text: str | None = None):
     if "json" in formats:
-        (out_dir / f"{name}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        (out_dir / f"{name}.json").write_text(_dumps(doc) + "\n")
     if "csv" in formats and csv_text is not None:
         (out_dir / f"{name}.csv").write_text(csv_text)
 
@@ -550,7 +583,7 @@ def run(cfg: ExperimentConfig, digest: str, out_dir: Path, plots: bool = False) 
     if skipped:  # absent otherwise, so such a run's summary keeps its bytes
         summary["skipped"] = skipped
     summary = _stamp(summary, digest)
-    (out_dir / "run_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out_dir / "run_report.json").write_text(_dumps(summary) + "\n")
     return 0 if overall else 1
 
 

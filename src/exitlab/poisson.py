@@ -405,14 +405,15 @@ class ExitFunctionals:
             )
 
     def to_dict(self, labels=None) -> dict:
+        moments = self.exp_moment
+        if moments is not None:  # a finite vector converts in one tolist
+            moments = moments.tolist() if np.isfinite(moments).all() else [_json_float(x) for x in moments]
         doc = {
             "beta": self.beta,
             "u_beta": self.u_beta.tolist(),
             "laplace": self.laplace.tolist(),
             "mean": self.mean.tolist(),
-            "exp_moment": None
-            if self.exp_moment is None
-            else [_json_float(x) for x in self.exp_moment],
+            "exp_moment": moments,
             "aggregate_mu": self.aggregate_mu,
         }
         if labels is not None:
@@ -423,20 +424,20 @@ class ExitFunctionals:
         return json.dumps(self.to_dict(labels=labels), **kwargs)
 
     def to_csv(self, labels=None) -> str:
-        """CSV with one row per state: state, laplace, mean, exp_moment."""
+        """CSV with one row per state: state, laplace, mean, exp_moment.
+
+        Each column is formatted at once; an infinite moment reads ``inf``
+        (the moment is at least 1), and a missing one leaves its cell empty.
+        """
         n = self.laplace.shape[0]
-        names = list(labels) if labels is not None else [str(i) for i in range(n)]
+        names = labels if labels is not None else map(str, range(n))
+        moments = [""] * n if self.exp_moment is None else map(repr, self.exp_moment.tolist())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["state", "laplace", "mean", "exp_moment"])
-        for i in range(n):
-            exp_cell = ""
-            if self.exp_moment is not None:
-                x = self.exp_moment[i]
-                exp_cell = "inf" if np.isinf(x) else repr(float(x))
-            writer.writerow(
-                [names[i], repr(float(self.laplace[i])), repr(float(self.mean[i])), exp_cell]
-            )
+        writer.writerows(
+            zip(names, map(repr, self.laplace.tolist()), map(repr, self.mean.tolist()), moments)
+        )
         return buf.getvalue()
 
 

@@ -253,23 +253,31 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     which leaves the outer quadratic H^ = S^ + W^T W with W = L^{-1} K^_2:,
     minimized by the Cholesky solve H^_22 f^_2 = -H^_21 / sigma. S^_22 is the
     symmetric part on {c}-orthogonal vectors in the basis P e_2, ..., P e_m.
+    On a form symmetric within STRUCTURAL_TOL (``_is_symmetric``), K^ is
+    rounding alone and the supremum is at g = 0: H^ = S^, and the outer
+    solve reuses L.
     Returns (f, g, value, smallest eigenvalue of S^_22).
     """
     v, tau, sigma = _reflector(c)
     ah = _reflect_both_sides(v, tau, a)
     sh = ah + ah.T
     sh *= 0.5
-    ah -= sh  # now K^
     inner = RefinedSPD(sh[1:, 1:], "inner saddle")
-    w = inner.lower_solve(ah[1:, :])  # written over K^
-    hh = w.T @ w
-    del ah, w
-    hh += sh
+    if _is_symmetric(a):
+        del ah
+        hh, outer = sh, inner
+    else:
+        ah -= sh  # now K^
+        w = inner.lower_solve(ah[1:, :])  # written over K^
+        hh = w.T @ w
+        del ah, w
+        hh += sh
+        outer = RefinedSPD(hh[1:, 1:], "outer saddle")
     fh = np.empty(c.shape[0])
     fh[0] = 1.0 / sigma
-    fh[1:] = RefinedSPD(hh[1:, 1:], "outer saddle").solve(hh[1:, 0] * -fh[0])
+    fh[1:] = outer.solve(hh[1:, 0] * -fh[0])
     value = float(fh @ hh @ fh)
-    del hh
+    del hh, outer  # the outer factor and H^, unless they are the inner ones
     f_d = _reflect(v, tau, fh)
     kf = _reflect(v, tau, (a @ f_d - f_d @ a) / 2.0)
     gh = np.zeros_like(fh)

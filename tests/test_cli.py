@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exitlab.cli import main
+from exitlab.cli import _dumps, main
 from conftest import traced_peak
 
 
@@ -324,6 +326,52 @@ def test_bad_betas_rejected(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "exp.json", cfg)
     assert main(["run", "--config", cfg_path]) == 2
     assert "$.betas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("betas", [float("nan")]),
+        ("betas", [0.5, float("inf")]),
+        ("betas", [True]),
+        ("xi", ["a", 1]),
+        ("xi", [float("nan"), 1.0, 1.0]),
+        ("xi", [1.0, float("-inf"), 1.0]),
+        ("xi", [True, 1.0, 1.0]),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_or_boolean_numbers_rejected(tmp_path, capsys, field, values, command):
+    cfg = bounds_config(tmp_path)
+    cfg[field] = values
+    assert main([command, "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert f"$.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), -0.0, 5e-324, 1e16, 1e-5, float("inf"), float("-inf")]))
+_STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(["é", "\u2028", '"\\/\n\t\x00', "(0.25,0.5)"]))
+_DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _STRINGS),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_STRINGS, kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DOCUMENTS)
+def test_report_writer_equals_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_writer_falls_back_on_non_str_keys():
+    doc = {"a": {2: [0.5, None], 1: {"x": [1, 2]}}, "b": [{"k": (3, "é")}, []], "c": {}}
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _dumps({1.5: "x", 0: [1.0]}) == json.dumps({1.5: "x", 0: [1.0]}, indent=2, sort_keys=True)
 
 
 def test_box_domain_on_grid(tmp_path):

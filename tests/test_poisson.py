@@ -1,14 +1,19 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from exitlab import (
     DomainMask,
+    GridModelSpec,
     ExitImpossibleError,
     SingularSystemError,
     NonReversibleError,
     RecurrentRestrictionError,
     complete_graph,
     dirichlet_pair,
+    discretize_jump_diffusion,
     dual_generator,
     eval_form,
     exit_exp_moment,
@@ -219,6 +224,37 @@ def test_exit_functionals_infinite_moment_serializes():
     assert np.all(np.isinf(fns.exp_moment))
     assert "inf" in fns.to_csv()
     assert fns.to_dict()["exp_moment"] == ["inf", "inf"]
+
+
+def _csv_row_by_row(fns, labels=None) -> str:
+    """``ExitFunctionals.to_csv`` as one ``writerow`` per state."""
+    n = fns.laplace.shape[0]
+    names = list(labels) if labels is not None else [str(i) for i in range(n)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["state", "laplace", "mean", "exp_moment"])
+    for i in range(n):
+        exp_cell = ""
+        if fns.exp_moment is not None:
+            x = fns.exp_moment[i]
+            exp_cell = "inf" if np.isinf(x) else repr(float(x))
+        writer.writerow([names[i], repr(float(fns.laplace[i])), repr(float(fns.mean[i])), exp_cell])
+    return buf.getvalue()
+
+
+def test_functionals_csv_equals_the_row_by_row_writer():
+    spec = GridModelSpec(dimension=2, domain_box=((0.0, 1.0), (0.0, 1.0)), mesh_h=0.25, epsilon=0.0)
+    chain = discretize_jump_diffusion(spec)
+    mask = DomainMask(chain.mu > 0)
+    labels = chain.state_labels()
+    assert "," in labels[0]  # "(x,y)" labels are quoted
+    lam0 = dirichlet_pair(chain, mask)[0]
+    for beta, lambda0 in ((0.5, None), (0.5 * lam0, lam0), (2.0 * lam0, lam0)):
+        fns = exit_functionals(chain, mask, beta, lambda0=lambda0)
+        for names in (labels, None):
+            assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
+    assert np.isinf(fns.exp_moment).all()
+    assert fns.to_csv().splitlines()[1].endswith(",inf")
 
 
 def test_exit_functionals_identity_holds_at_tiny_beta():

@@ -21,6 +21,7 @@ from exitlab import (
     solve_poisson,
     symmetric_inf,
 )
+from exitlab._linalg import RefinedSPD
 from exitlab.defaults import SADDLE_CHECK_DIRECTIONS, SADDLE_CHECK_SEED
 from exitlab.forms import form_matrix
 from exitlab.variational import _sampled_saddle_check
@@ -435,6 +436,35 @@ def test_iterative_route_makes_no_lu_and_no_null_space(monkeypatch):
     xi = rng.uniform(0.2, 1.0, mask.size)
     sol = saddle_value(chain, mask, 1.0, xi, mode="iterative")
     assert sol.residuals["subspace_min_eig"] > 0.0
+
+
+def test_symmetric_nested_route_factors_once(monkeypatch):
+    import exitlab.variational
+
+    counts = {"factors": 0, "lower_solves": 0}
+
+    class Counted(RefinedSPD):
+        def __init__(self, *args, **kwargs):
+            counts["factors"] += 1
+            super().__init__(*args, **kwargs)
+
+        def lower_solve(self, b):
+            counts["lower_solves"] += 1
+            return super().lower_solve(b)
+
+    monkeypatch.setattr(exitlab.variational, "RefinedSPD", Counted)
+
+    def nested(chain, mask, xi):
+        counts.update(factors=0, lower_solves=0)
+        saddle_value(chain, mask, 0.5, xi, mode="iterative")
+        return counts["factors"], counts["lower_solves"]
+
+    # a symmetric form: the sup stage is skipped and the outer solve reuses L
+    assert nested(*_ledger_case()) == (1, 0)
+    rng = np.random.default_rng(41)
+    chain = random_nonsymmetric_chain(rng, 12)
+    mask = random_proper_mask(rng, 12)
+    assert nested(chain, mask, rng.uniform(0.2, 1.0, mask.size)) == (2, 1)
 
 
 def test_iterative_route_peak_memory_at_m_400():
