@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import logging
+import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
@@ -60,18 +62,21 @@ class SingularSystemError(ValueError):
         self.cond_estimate = cond_estimate
 
 
-def _gate(context: str, kind: str, factor: np.ndarray, rcond: float, info: int = 0) -> float:
-    """The condition estimate 1/rcond of a factored matrix.
+def _finite(factor: np.ndarray) -> bool:
+    """Whether every entry of a factor is finite; min and max propagate NaN,
+    so this tests every entry without a mask."""
+    return bool(np.isfinite(factor.min()) and np.isfinite(factor.max()))
 
-    Raises SingularSystemError, saying the matrix is ``kind``, when the
-    factorization failed (``info`` not 0), the factor is not finite, or
-    rcond falls below SINGULAR_RCOND.
+
+def _gate(context: str, kind: str, size: int, rcond: float, ok: bool = True) -> float:
+    """The condition estimate 1/rcond of a factored matrix of order ``size``.
+
+    Raises SingularSystemError, saying the matrix is ``kind``, when ``ok``
+    is false (the factorization failed, or what the caller checked is not
+    finite) or rcond falls below SINGULAR_RCOND.
     """
     cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
-    # a factor is square or in band storage, one column per row of the matrix
-    size = factor.shape[1]
-    # min and max propagate NaN, so this tests every entry without a mask
-    if info != 0 or not (np.isfinite(factor.min()) and np.isfinite(factor.max())) or rcond < SINGULAR_RCOND:
+    if not ok or rcond < SINGULAR_RCOND:
         raise SingularSystemError(
             f"{context}: matrix of size {size} is {kind} "
             f"(condition estimate ~ {cond:.3e})",
@@ -122,7 +127,7 @@ class RefinedLU(_Refined):
         lu = self._factors[0]
         (gecon,) = get_lapack_funcs(("gecon",), (self.a,))
         rcond, _ = gecon(lu, self._norms[False], norm="1")
-        self.cond = _gate(context, "numerically singular", lu, rcond)
+        self.cond = _gate(context, "numerically singular", lu.shape[0], rcond, _finite(lu))
 
     def _anorm(self, trans: bool) -> float:
         if trans not in self._norms:
@@ -134,6 +139,18 @@ class RefinedLU(_Refined):
 
     def _direct(self, b, trans: bool) -> np.ndarray:
         return lu_solve(self._factors, b, trans=int(trans), check_finite=False)
+
+
+def _lower_band(s: np.ndarray, b: int, shift: float = 0.0) -> np.ndarray:
+    """s + shift*I for an exactly symmetric s of bandwidth b, in LAPACK's
+    lower band storage (b+1, m): row k holds diagonal -k, s[j+k, j] at
+    column j. s is read only on its band."""
+    m = s.shape[0]
+    band = np.zeros((b + 1, m), order="F")
+    for k in range(b + 1):
+        band[k, : m - k] = np.diagonal(s, -k)
+    band[0] += shift
+    return band
 
 
 class RefinedSPD(_Refined):
@@ -148,62 +165,58 @@ class RefinedSPD(_Refined):
 
     The kernels follow the bandwidth b of ``a`` in its given order: the
     banded ones when b * BAND_FRACTION < m, the dense ones otherwise. Both
-    pass the same gate and refine against the same dense ``a``.
+    pass the same gate and refine against the same dense ``a``. The dense
+    condition estimate is ``pocon``'s. LAPACK has ``pbcon`` but scipy does
+    not expose it, so the banded one is ``gbcon``'s, on an LU (``gbtrf``) of
+    the same band in general band storage: rows b..3b hold the band, A[i, j]
+    at row 2b + i - j, and the b rows above are the LU's fill, all in
+    O(m b^2).
     """
 
     def __init__(self, a: np.ndarray, context: str = "solve"):
         self.a = a
-        b = _bandwidth(a)
-        if _banded(b, a.shape[0]):
-            self._band_cholesky(a, b, 0.0, context)
+        m, b = a.shape[0], _bandwidth(a)
+        if _banded(b, m):
+            band = _lower_band(a, b)
+            full = np.zeros((3 * b + 1, m), order="F")
+            full[2 * b :] = band
+            for k in range(1, b + 1):
+                full[2 * b - k, k:] = band[k, : m - k]
+            # the fill rows are still zero: column sums of |full| are the matrix's
+            self._norm = float(np.abs(full).sum(axis=0).max())
+            info = self._factorize(band, band=True, overwrite=True)
+            rcond = 0.0
+            if info == 0:
+                gbtrf, gbcon = get_lapack_funcs(("gbtrf", "gbcon"), (full,))
+                lu, piv, lu_info = gbtrf(full, b, b, overwrite_ab=1)
+                if lu_info == 0:
+                    rcond = gbcon(b, b, lu, piv, self._norm)[0]
         else:
-            self._cholesky(a, context, overwrite=False)
+            pocon, lange = get_lapack_funcs(("pocon", "lange"), (a,))
+            self._norm = lange("1", a.T)
+            info = self._factorize(a.T, band=False, overwrite=False)
+            rcond = pocon(self._factor, self._norm, uplo="L")[0] if info == 0 else 0.0
+        ok = info == 0 and _finite(self._factor)
+        self.cond = _gate(context, "not numerically positive definite", m, rcond, ok)
 
-    def _cholesky(self, s: np.ndarray, context: str, overwrite: bool) -> None:
-        """Factor the exactly symmetric s, gate it, and keep its 1-norm.
+    def _factorize(self, s: np.ndarray, band: bool, overwrite: bool) -> int:
+        """Factor s by Cholesky, keep the factor and its solver, and return
+        LAPACK's info.
 
-        s^T is the same matrix, and Fortran-ordered when s is C-ordered, so
-        LAPACK reads it uncopied; with ``overwrite`` the factor is written
-        over s, otherwise into a copy.
+        Dense: s is the matrix, read in place when Fortran-ordered; an
+        exactly symmetric C-ordered matrix is passed as its transpose, which
+        is the same matrix. With ``overwrite`` the factor is written over s,
+        otherwise into a copy. Banded: s is ``_lower_band`` storage, and the
+        factor is written over it.
         """
-        potrf, pocon, lange, self._potrs = get_lapack_funcs(("potrf", "pocon", "lange", "potrs"), (s,))
-        self._norm = lange("1", s.T)
-        factor, info = potrf(s.T, lower=True, clean=False, overwrite_a=overwrite)
-        rcond = pocon(factor, self._norm, uplo="L")[0] if info == 0 else 0.0
-        self.cond = _gate(context, "not numerically positive definite", factor, rcond, info)
-        self._factor, self._is_band = factor, False
-
-    def _band_cholesky(self, s: np.ndarray, b: int, shift: float, context: str) -> None:
-        """Factor s + shift*I for an exactly symmetric s of bandwidth b, gate
-        it, and keep its 1-norm, all in O(m b^2); s is read only on its band.
-
-        The factor is in LAPACK's lower band storage, (b+1, m): row k holds
-        diagonal -k, s[j+k, j] at column j. LAPACK has ``pbcon`` but scipy
-        does not expose it, so rcond comes from ``gbcon`` on an LU
-        (``gbtrf``) of the same band in general band storage: rows b..3b
-        hold the band, A[i, j] at row 2b + i - j, and the b rows above are
-        the LU's fill.
-        """
-        m = s.shape[0]
-        band = np.zeros((b + 1, m), order="F")
-        for k in range(b + 1):
-            band[k, : m - k] = np.diagonal(s, -k)
-        band[0] += shift
-        pbtrf, gbtrf, gbcon, self._potrs = get_lapack_funcs(("pbtrf", "gbtrf", "gbcon", "pbtrs"), (band,))
-        full = np.zeros((3 * b + 1, m), order="F")
-        full[2 * b :] = band
-        for k in range(1, b + 1):
-            full[2 * b - k, k:] = band[k, : m - k]
-        # the fill rows are still zero: column sums of |full| are the matrix's
-        self._norm = float(np.abs(full).sum(axis=0).max())
-        factor, info = pbtrf(band, lower=1, overwrite_ab=1)
-        rcond = 0.0
-        if info == 0:
-            lu, piv, lu_info = gbtrf(full, b, b, overwrite_ab=1)
-            if lu_info == 0:
-                rcond = gbcon(b, b, lu, piv, self._norm)[0]
-        self.cond = _gate(context, "not numerically positive definite", factor, rcond, info)
-        self._factor, self._is_band = factor, True
+        if band:
+            pbtrf, self._potrs = get_lapack_funcs(("pbtrf", "pbtrs"), (s,))
+            self._factor, info = pbtrf(s, lower=1, overwrite_ab=1)
+        else:
+            potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (s,))
+            self._factor, info = potrf(s, lower=True, clean=False, overwrite_a=overwrite)
+        self._is_band = band
+        return info
 
     def _anorm(self, trans: bool) -> float:
         return self._norm
@@ -233,39 +246,83 @@ class RefinedSPD(_Refined):
         return xt.T
 
 
+class ShiftFree(NamedTuple):
+    """What a RefinedCholesky reads of ``sym`` and ``q`` besides the factor,
+    none of it changed by the shift: the diagonal of q and the sums of its
+    off-diagonal entries by column and by row, and the diagonal of sym and
+    the sums of its off-diagonal entries by column. O(m) to keep, O(m^2)
+    once to compute."""
+
+    q_diag: np.ndarray
+    q_col_off: np.ndarray
+    q_row_off: np.ndarray
+    sym_diag: np.ndarray
+    sym_col_off: np.ndarray
+
+    @classmethod
+    def of(cls, sym: np.ndarray, q: np.ndarray) -> "ShiftFree":
+        q_diag, sym_diag = np.diag(q), np.diag(sym)
+        # an infinite diagonal entry leaves a NaN sum, which the gate rejects
+        with np.errstate(invalid="ignore"):
+            return cls(
+                q_diag,
+                q.sum(axis=0) - q_diag,
+                q.sum(axis=1) - q_diag,
+                sym_diag,
+                sym.sum(axis=0) - sym_diag,
+            )
+
+
 class RefinedCholesky(RefinedSPD):
     """Solves (shift*I - q) x = b, or its transpose, for a vector b when the
     matrix is similar to a symmetric positive definite one.
 
     ``sym`` is symmetric with R (shift*I - q) R^{-1} = sym + shift*I for
-    R = diag(root). That shifted matrix S is factored by Cholesky in a
-    buffer of its own, and the solves are x = R^{-1} S^{-1} R b and, for the
-    transpose, x = R S^{-1} R^{-1} b. Refinement runs against q itself.
-    ``cond`` is the 1-norm condition estimate of S; the gate and the choice
-    of kernels are those of RefinedSPD, from ``bandwidth``, the bandwidth of
+    R = diag(root), and its off-diagonal entries are <= 0, as they are when
+    q is a generator block. That shifted matrix S is factored by Cholesky in
+    a buffer of its own, and the solves are x = R^{-1} S^{-1} R b and, for
+    the transpose, x = R S^{-1} R^{-1} b. Refinement runs against q itself.
+    The kernels are those of RefinedSPD, from ``bandwidth``, the bandwidth of
     ``sym`` (found when not given). A banded S is built from ``sym``'s
     diagonals, so its factor allocates no m x m buffer.
+
+    ``cond`` is the 1-norm condition number of S from one solve y = S^{-1} 1:
+    S is a Z-matrix, so once its Cholesky succeeds it is a nonsingular
+    M-matrix, S^{-1} >= 0, and ||S^{-1}||_1 = max|y|. On such a matrix the
+    number is exact; on one with a positive off-diagonal entry it is a lower
+    bound, as ``pocon``'s is. The 1-norm of S and those of shift*I - q come
+    from ``sums`` (``ShiftFree.of(sym, q)`` when not given) in O(m). Raises
+    SingularSystemError when the factorization fails, the norm of S or y is
+    not finite, max|y| <= 0, or 1/cond falls below SINGULAR_RCOND. A finite
+    S that Cholesky factors has a finite factor, since |L_ij| <= sqrt(S_ii).
     """
 
-    def __init__(self, sym, shift: float, root, q, context: str = "solve", bandwidth: int | None = None):
-        # 1-norms of shift*I - q and of its transpose, for the refinement stop.
-        # q is a generator block, nonnegative off the diagonal, so a column's
-        # (row's) off-diagonal magnitudes sum to its sum less q_xx: no n x n
-        # buffer of magnitudes is needed
-        diag = np.diag(q)
-        pivot = np.abs(shift - diag)
-        self._norms = (
-            float((q.sum(axis=0) - diag + pivot).max()),
-            float((q.sum(axis=1) - diag + pivot).max()),
-        )
+    def __init__(self, sym, shift: float, root, q, context: str = "solve",
+                 bandwidth: int | None = None, sums: ShiftFree | None = None):
+        sums = ShiftFree.of(sym, q) if sums is None else sums
+        # 1-norms of shift*I - q and of its transpose, for the refinement stop,
+        # and of S: both are Z-matrices, so a column's (row's) off-diagonal
+        # magnitudes sum to minus its off-diagonal sum
+        pivot = np.abs(shift - sums.q_diag)
+        self._norms = (float((sums.q_col_off + pivot).max()), float((sums.q_row_off + pivot).max()))
+        self._norm = float((np.abs(sums.sym_diag + shift) - sums.sym_col_off).max())
+        m = sym.shape[0]
         b = _bandwidth(sym) if bandwidth is None else bandwidth
-        if _banded(b, sym.shape[0]):
-            self._band_cholesky(sym, b, shift, context)
+        if _banded(b, m):
+            info = self._factorize(_lower_band(sym, b, shift), band=True, overwrite=True)
         else:
             s = np.array(sym, dtype=float)
-            s.flat[:: s.shape[0] + 1] += shift
-            self._cholesky(s, context, overwrite=True)
+            s.flat[:: m + 1] += shift
+            info = self._factorize(s.T, band=False, overwrite=True)
         self.shift, self.root, self.q = shift, root, q
+        ok = info == 0 and math.isfinite(self._norm)
+        y_max = float(np.abs(RefinedSPD._direct(self, np.ones(m), False)).max()) if ok else 0.0
+        ok = ok and math.isfinite(y_max) and y_max > 0
+        cond = self._norm * y_max if ok else math.inf
+        # a zero norm can only come from positive off-diagonal entries; it
+        # reads as singular, as an overflowed product does through 1/inf
+        rcond = 1.0 / cond if cond else 0.0
+        self.cond = _gate(context, "not numerically positive definite", m, rcond, ok)
 
     def _anorm(self, trans: bool) -> float:
         return self._norms[trans]

@@ -32,7 +32,6 @@ from .models import (
     BUILDERS,
     GridModelSpec,
     _check_family_part,
-    _check_scales,
     _check_shared_measure,
     antisym_perturb,
     build_chain,
@@ -104,7 +103,7 @@ def load_config(path: str):
     omega = doc.get("omega", "all")
     if not (
         omega == "all"
-        or (isinstance(omega, list) and all(isinstance(i, int) for i in omega))
+        or (isinstance(omega, list) and all(type(i) is int for i in omega))
         or (isinstance(omega, dict) and "box" in omega)
     ):
         fail("$.omega", "must be 'all', a list of state indices, or {'box': [[lo, hi], ...]}")
@@ -134,16 +133,28 @@ def load_config(path: str):
     if not isinstance(formats, list) or not set(formats) <= {"json", "csv"} or not formats:
         fail("$.formats", "must be a nonempty subset of ['json', 'csv']")
 
+    sweep = doc.get("sweep")
     if "sweep" in commands:
-        sweep = doc.get("sweep")
         if not isinstance(sweep, dict) or sweep.get("kind") not in ("flow", "scale"):
             fail("$.sweep", "must be an object with kind 'flow' or 'scale'")
-        if sweep["kind"] == "flow" and not sweep.get("values"):
-            fail("$.sweep.values", "flow sweep needs a list of strengths")
-        if sweep["kind"] == "scale" and not (sweep.get("kappa") and sweep.get("epsilon")):
-            fail("$.sweep", "scale sweep needs 'kappa' and 'epsilon' lists")
-        if sweep["kind"] == "scale" and model["builder"] != "grid_jump_diffusion":
-            fail("$.sweep", "scale sweep needs the grid_jump_diffusion builder")
+
+        def numbers(key):
+            values = sweep.get(key)
+            if not (isinstance(values, list) and values and all(_finite_number(v) for v in values)):
+                fail(f"$.sweep.{key}", "must be a nonempty list of finite numbers")
+            return [float(v) for v in values]
+
+        if sweep["kind"] == "flow":
+            sweep = {**sweep, "values": numbers("values")}
+        else:
+            if model["builder"] != "grid_jump_diffusion":
+                fail("$.sweep", "scale sweep needs the grid_jump_diffusion builder")
+            sweep = {**sweep, "kappa": numbers("kappa"), "epsilon": numbers("epsilon")}
+            for key in ("kappa", "epsilon"):
+                if min(sweep[key]) < 0:
+                    fail(f"$.sweep.{key}", "scales must be nonnegative")
+            if 0.0 in sweep["kappa"] and 0.0 in sweep["epsilon"]:
+                fail("$.sweep", "a zero kappa meets a zero epsilon: scales must not both be zero")
 
     if "mc" in commands:
         mc = doc.get("mc")
@@ -165,7 +176,7 @@ def load_config(path: str):
         output=doc.get("output"),
         formats=tuple(sorted(set(formats))),
         xi=None if xi is None else tuple(float(v) for v in xi),
-        sweep=doc.get("sweep"),
+        sweep=sweep,
         mc=doc.get("mc"),
     )
     return cfg, digest
@@ -375,8 +386,7 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         chain, mask = system.chain, system.mask
         cycle = sweep.get("cycle", list(range(chain.n_states)))
         flow = flow_from_cycles([cycle], chain.measure)
-        values = [float(k) for k in sweep["values"]]
-        for k in values:
+        for k in sweep["values"]:
             # the perturbed chains keep the measure of the base
             pos, neg = (DomainSystem(antisym_perturb(chain, flow, s), mask) for s in (k, -k))
             lap, mean = _aggregates(pos, chain.mu, cfg.betas)
@@ -408,12 +418,10 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         (mu, diff_d), (jump_mu, jump_d) = parts
         _check_shared_measure(mu, jump_mu)
         mu_d = mu[mask.indices]
-        kappas = [float(v) for v in sweep["kappa"]]
-        epsilons = [float(v) for v in sweep["epsilon"]]
+        kappas, epsilons = sweep["kappa"], sweep["epsilon"]
         table = {}
         for kap in kappas:
             for eps in epsilons:
-                _check_scales(kap, eps)
                 system = DomainSystem.from_restricted(mask, kap * diff_d + eps * jump_d, mu_d)
                 lap, mean = _aggregates(system, mu, cfg.betas)
                 del system  # free this point's blocks before the next point forms its own

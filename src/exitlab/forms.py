@@ -34,8 +34,8 @@ __all__ = [
 ]
 
 
-# Rows per tile of the symmetry test: two 64 x n buffers at a time.
-_SYMMETRY_TILE_ROWS = 64
+# Side of a square tile of the symmetry test: two 128 x 128 buffers at a time.
+_SYMMETRY_TILE = 128
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -71,11 +71,11 @@ def _symmetrized(q: np.ndarray, mu: np.ndarray) -> np.ndarray:
     n x n buffers at most.
     """
     root = np.sqrt(mu)
-    b = root[:, None] / root[None, :]
+    # dividing by -root negates exactly, and halving by 0.5 is exact too
+    b = root[:, None] / -root[None, :]
     b *= q
-    np.negative(b, out=b)
     sym = b + b.T
-    sym /= 2.0
+    sym *= 0.5
     return sym
 
 
@@ -84,24 +84,29 @@ def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = Fals
     STRUCTURAL_TOL times max|diag(mu) m|, with no floor, so scaling m or mu
     leaves the verdict unchanged. No mu means mu = 1.
 
-    Checked a tile of rows at a time, so no n x n temporary is made; each
-    entry is still d_xy - d_yx (d_xy + d_yx), and the verdict that of the
-    whole matrix at once.
+    Checked over square tile pairs, tile (I, J) against tile (J, I)^T for
+    I <= J, so no n x n temporary is made and both tiles are read along
+    their rows; each entry is still d_xy - d_yx (d_xy + d_yx), and the
+    verdict that of the whole matrix at once.
     """
+    n = m.shape[0]
     if mu is None:
-        mu = np.ones(m.shape[0])
+        mu = np.ones(n)
     scale = worst = 0.0
-    for lo in range(0, m.shape[0], _SYMMETRY_TILE_ROWS):
-        hi = lo + _SYMMETRY_TILE_ROWS
-        d = mu[lo:hi, None] * m[lo:hi]
-        # np.maximum, not max(), so a NaN from an overflowed product propagates
-        scale = np.maximum(scale, np.maximum(d.max(), -d.min()))
-        mirror = (mu[:, None] * m[:, lo:hi]).T
-        if anti:
-            d += mirror
-        else:
-            d -= mirror
-        worst = np.maximum(worst, np.abs(d, out=d).max())
+    for lo in range(0, n, _SYMMETRY_TILE):
+        rows = slice(lo, lo + _SYMMETRY_TILE)
+        for col in range(lo, n, _SYMMETRY_TILE):
+            cols = slice(col, col + _SYMMETRY_TILE)
+            d = mu[rows, None] * m[rows, cols]
+            mirror = mu[cols, None] * m[cols, rows]
+            # np.maximum, not max(), so a NaN from an overflowed product propagates
+            for tile in (d, mirror):
+                scale = np.maximum(scale, np.maximum(tile.max(), -tile.min()))
+            if anti:
+                d += mirror.T
+            else:
+                d -= mirror.T
+            worst = np.maximum(worst, np.abs(d, out=d).max())
     return bool(worst <= STRUCTURAL_TOL * scale)
 
 

@@ -524,10 +524,14 @@ def discretize_jump_diffusion(spec: GridModelSpec) -> Chain:
     pts, q = _assemble(spec)
     _check_ellipticity(spec, pts)
     h_d = spec.mesh_h**spec.dimension
-    labels = tuple(
-        "(" + ",".join(f"{v:.10g}" for v in p) + ")" for p in pts
-    )
-    return Chain(Generator(q), Measure(np.full(pts.shape[0], h_d)), labels)
+    return Chain(Generator(q), Measure(np.full(pts.shape[0], h_d)), _point_labels(pts))
+
+
+def _point_labels(pts: np.ndarray) -> tuple[str, ...]:
+    """"(x,y,...)" per row of pts, each coordinate as f"{v:.10g}" writes it,
+    formatted by one % over all the rows."""
+    row = "(" + ",".join(["%.10g"] * pts.shape[1]) + ")\n"
+    return tuple((row * pts.shape[0] % tuple(pts.ravel().tolist())).split("\n")[:-1])
 
 
 # ---------------------------------------------------------------------------

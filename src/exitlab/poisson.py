@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError, _bandwidth, _tridiagonal
+from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth, _tridiagonal
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
 from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float, _symmetrized
 
@@ -141,8 +141,9 @@ class Dirichlet(NamedTuple):
 class DomainSystem:
     """The restricted system (s*I - Q_D) u = xi of one chain and domain.
 
-    Package-internal. Computes Q_D, mu_D and whether exit is possible at
-    most once, on first use. Caches, per instance, the solution of
+    Package-internal. Computes Q_D, mu_D, whether exit is possible and the
+    shift-free sums of the Cholesky route at most once, on first use.
+    Caches, per instance, the solution of
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
     eigendecomposition; factors never outlive their solve.
     Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
@@ -196,6 +197,12 @@ class DomainSystem:
         return sym
 
     @cached_property
+    def shift_free(self) -> ShiftFree:
+        """The sums of ``q_d`` and ``sym_d`` that every shift's Cholesky
+        factor reads, computed once for all of them."""
+        return ShiftFree.of(self.sym_d, self.q_d)
+
+    @cached_property
     def sym_bandwidth(self) -> int:
         """Bandwidth of ``sym_d`` in the domain's state order, which picks the
         kernels of its factors and of its eigensolve."""
@@ -215,7 +222,7 @@ class DomainSystem:
         if self.reversible:
             try:
                 return RefinedCholesky(
-                    self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth
+                    self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth, self.shift_free
                 )
             except SingularSystemError:
                 pass

@@ -779,3 +779,47 @@ def test_a_failed_check_beside_skipped_commands_fails_the_run(tmp_path, monkeypa
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["commands"]["variational"] is False
     assert set(report["skipped"]) == {"expmoment", "bounds"}
+
+
+@pytest.mark.parametrize(
+    "sweep, anchor",
+    [
+        ({"kind": "flow", "values": [float("nan"), 1.0]}, "$.sweep.values"),
+        ({"kind": "flow", "values": [True, 1.0]}, "$.sweep.values"),
+        ({"kind": "flow", "values": []}, "$.sweep.values"),
+        ({"kind": "flow", "values": "1.0"}, "$.sweep.values"),
+        ({"kind": "scale", "kappa": ["x"], "epsilon": [1.0]}, "$.sweep.kappa"),
+        ({"kind": "scale", "kappa": [1.0, True], "epsilon": [1.0]}, "$.sweep.kappa"),
+        ({"kind": "scale", "kappa": [-0.5, 1.0], "epsilon": [1.0]}, "$.sweep.kappa"),
+        ({"kind": "scale", "kappa": [1.0], "epsilon": [float("inf")]}, "$.sweep.epsilon"),
+        ({"kind": "scale", "kappa": [1.0], "epsilon": []}, "$.sweep.epsilon"),
+        ({"kind": "scale", "kappa": [1.0], "epsilon": None}, "$.sweep.epsilon"),
+        ({"kind": "scale", "kappa": [0.0, 1.0], "epsilon": [1.0, 0]}, "$.sweep"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweep_numbers_are_checked_before_the_run(tmp_path, capsys, sweep, anchor, command):
+    cfg = scale_sweep_config(tmp_path, "all", [1.0], [1.0])
+    cfg["sweep"] = sweep
+    assert main([command, "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert f": {anchor}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_boolean_state_index_is_rejected(tmp_path, capsys, command):
+    cfg = bounds_config(tmp_path)
+    cfg["omega"] = [True, 2]
+    assert main([command, "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert "$.omega" in capsys.readouterr().err
+
+
+def test_sweep_config_carries_floats(tmp_path):
+    from exitlab.cli import load_config
+
+    cfg, _ = load_config(write_config(tmp_path / "a.json", scale_sweep_config(tmp_path, "all", [1, 2], [0, 1.5])))
+    assert cfg.sweep["kappa"] == [1.0, 2.0] and cfg.sweep["epsilon"] == [0.0, 1.5]
+    flow = {**bounds_config(tmp_path), "commands": ["sweep"], "sweep": {"kind": "flow", "values": [0, 1]}}
+    cfg_flow, _ = load_config(write_config(tmp_path / "b.json", flow))
+    for v in cfg.sweep["kappa"] + cfg.sweep["epsilon"] + cfg_flow.sweep["values"]:
+        assert type(v) is float

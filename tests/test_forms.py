@@ -20,7 +20,7 @@ from exitlab import (
     spectral_gap,
     validate_assumption_a,
 )
-from exitlab.forms import _is_symmetric, _off_diagonal, _sector_constant, _sector_sigma, form_matrix
+from exitlab.forms import _SYMMETRY_TILE, _is_symmetric, _off_diagonal, _sector_constant, _sector_sigma, form_matrix
 from exitlab.defaults import STRUCTURAL_TOL
 from conftest import make_chain, random_nonsymmetric_chain, random_reversible_chain, traced_peak
 
@@ -506,7 +506,7 @@ def test_detailed_balance_check_holds_no_n_by_n_temporary():
     fresh = Chain(chain.generator, chain.measure)  # no cached verdict yet
     verdict, peak = traced_peak(lambda: fresh.reversible)
     assert verdict
-    # two row tiles of 64 x n; the whole-matrix formula held 3 n^2
+    # two square tiles of 128 x 128; the whole-matrix formula held 3 n^2
     assert peak <= 0.3 * n * n * 8
 
 
@@ -534,3 +534,25 @@ def test_tiled_symmetry_test_matches_the_dense_formula(n, anti, weighted, ratio)
     verdict = _is_symmetric(m, mu, anti)
     assert verdict == _dense_is_symmetric(m, mu, anti)
     assert verdict == (ratio < 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2 * _SYMMETRY_TILE + 40).filter(lambda n: n % _SYMMETRY_TILE),
+    seed=st.integers(0, 2**32 - 1),
+    anti=st.booleans(),
+    weighted=st.booleans(),
+    ratio=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0]) | st.floats(0.5, 2.0),
+    moved=st.integers(1, 4),
+)
+def test_tiled_symmetry_test_agrees_with_the_whole_matrix(n, seed, anti, weighted, ratio, moved):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    d = a - a.T if anti else a + a.T
+    mu = rng.uniform(0.5, 2.0, n) if weighted else None
+    m = d if mu is None else d / mu[:, None]
+    threshold = STRUCTURAL_TOL * np.abs(d).max()
+    # move a few entries, anywhere, by about ``ratio`` times the threshold
+    for i, j in rng.integers(0, n, (moved, 2)):
+        m[i, j] += rng.choice([-1.0, 1.0]) * ratio * threshold / (1.0 if mu is None else mu[i])
+    assert _is_symmetric(m, mu, anti) == _dense_is_symmetric(m, mu, anti)

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 import exitlab._linalg as linalg
-from exitlab import DomainMask, RecurrentRestrictionError, SingularSystemError
+from conftest import random_reversible_chain
+from exitlab import Chain, DomainMask, Generator, Measure, RecurrentRestrictionError, SingularSystemError
 from exitlab._linalg import RefinedCholesky, RefinedSPD, _banded, _bandwidth, _tridiagonal
 from exitlab.poisson import DomainSystem
 
@@ -143,3 +144,98 @@ def test_conservative_tridiagonal_block_is_recurrent():
     assert system.sym_bandwidth == 1 and _banded(1, m)
     with pytest.raises(RecurrentRestrictionError):
         system.mean()
+
+
+def _killed_restriction(banded: bool, seed: int = 21) -> DomainSystem:
+    """A reversible chain with killing on a domain of 40 states: a random
+    dense chain, or a birth-death chain whose restriction is tridiagonal."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    if banded:
+        m = rng.uniform(0.5, 2.0, n)
+        c = rng.uniform(0.5, 2.0, n - 1)
+        q = np.diag(c / m[:-1], 1) + np.diag(c / m[1:], -1)
+        q[np.diag_indices(n)] = -q.sum(axis=1) - rng.uniform(0.0, 0.2, n)
+        chain = Chain(Generator(q), Measure(m))
+        mask = DomainMask.from_states(range(10, 50), n)
+    else:
+        chain = random_reversible_chain(rng, n, killing=True)
+        mask = DomainMask.from_states(rng.permutation(n)[:40], n)
+    system = DomainSystem(chain, mask)
+    assert _banded(system.sym_bandwidth, mask.size) == banded
+    return system
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("where", ["half_lambda0_below", "zero", "half"])
+def test_restricted_cholesky_condition_is_the_exact_one_norm_condition(seed, banded, where):
+    system = _killed_restriction(banded, seed)
+    shift = {"half_lambda0_below": -system.dirichlet.lambda0 / 2.0, "zero": 0.0, "half": 0.5}[where]
+    s = system.sym_d + shift * np.eye(system.mask.size)
+    exact = np.linalg.cond(s, 1)
+    # by the cached sums of the system, and from sym and q alone
+    for factors in (
+        system._factor(shift),
+        RefinedCholesky(system.sym_d, shift, np.sqrt(system.mu_d), system.q_d),
+    ):
+        assert isinstance(factors, RefinedCholesky) and factors._is_band == banded
+        assert factors._norm == pytest.approx(np.linalg.norm(s, 1), rel=1e-13)
+        assert factors.cond == pytest.approx(exact, rel=1e-10)
+
+
+def _non_finite_sym(where: str, m: int = 40) -> np.ndarray:
+    sym = _band_matrix(m, 1, np.random.default_rng(6))
+    if where == "nan_off_diagonal":
+        sym[20, 21] = sym[21, 20] = np.nan
+    elif where == "minus_inf_off_diagonal":
+        sym[20, 21] = sym[21, 20] = -np.inf
+    elif where == "nan_diagonal":
+        sym[20, 20] = np.nan
+    else:  # an infinite last pivot: Cholesky succeeds, and S^{-1} 1 is finite
+        sym[m - 1, m - 1] = np.inf
+    return sym
+
+
+@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("where", ["nan_off_diagonal", "minus_inf_off_diagonal", "nan_diagonal", "inf_last_pivot"])
+def test_non_finite_sym_is_rejected_by_the_restricted_cholesky(banded, where, monkeypatch):
+    if not banded:
+        monkeypatch.setattr(linalg, "_banded", lambda b, m: False)
+    sym = _non_finite_sym(where)
+    with pytest.raises(SingularSystemError, match="not numerically positive definite"):
+        RefinedCholesky(sym, 0.5, np.ones(sym.shape[0]), -sym, "solve", 1)
+
+
+def test_conservative_dense_block_is_recurrent():
+    rng = np.random.default_rng(9)
+    m = 30
+    c = rng.uniform(0.5, 2.0, (m, m))
+    q_d = c + c.T
+    q_d[np.diag_indices(m)] = 0.0
+    q_d[np.diag_indices(m)] = -q_d.sum(axis=1)
+    system = DomainSystem.from_restricted(DomainMask.from_states(range(m), m + 8), q_d, np.ones(m))
+    assert not _banded(system.sym_bandwidth, m)
+    with pytest.raises(SingularSystemError, match="not numerically positive definite"):
+        RefinedCholesky(system.sym_d, 0.0, np.ones(m), q_d)
+    with pytest.raises(RecurrentRestrictionError):
+        system.mean()
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_restricted_cholesky_asks_lapack_for_no_condition_estimator(banded, monkeypatch):
+    requested = []
+    get = linalg.get_lapack_funcs
+
+    def spy(names, arrays=()):
+        requested.extend(names)
+        return get(names, arrays)
+
+    monkeypatch.setattr(linalg, "get_lapack_funcs", spy)
+    system = _killed_restriction(banded)
+    RefinedCholesky(system.sym_d, 0.5, np.sqrt(system.mu_d), system.q_d)
+    assert requested and not {"pocon", "lange", "gbtrf", "gbcon"} & set(requested)
+    # the symmetric factor of a general matrix keeps its estimator
+    requested.clear()
+    RefinedSPD(system.sym_d + 0.5 * np.eye(system.mask.size))
+    assert ({"gbtrf", "gbcon"} if banded else {"pocon", "lange"}) <= set(requested)

@@ -24,7 +24,7 @@ from exitlab import (
     scaled_family,
     weighted_graph,
 )
-from exitlab.models import fractional_kernel_constant
+from exitlab.models import _point_labels, fractional_kernel_constant
 from conftest import mu_dot, random_reversible_chain, traced_peak
 
 
@@ -593,3 +593,26 @@ def test_assembly_matches_the_stencil_definitions(spec):
     q = discretize_jump_diffusion(spec).q
     ref = reference_generator(spec)
     assert np.abs(q - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _f_string_labels(pts) -> tuple:
+    return tuple("(" + ",".join(f"{v:.10g}" for v in p) + ")" for p in pts)
+
+
+def test_grid_labels_are_the_formatted_points():
+    spec = GridModelSpec(dimension=2, domain_box=((-1.0, 1.0), (-0.5, 1.0)), mesh_h=0.125, epsilon=0.0)
+    chain = discretize_jump_diffusion(spec)
+    assert chain.labels == _f_string_labels(grid_points(spec))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[-0.0, 1e-300], [5e300, -5e300], [0.1 + 0.2, 1.0 / 3.0], [123456789012.5, -1e-5]],
+        [[-0.0], [1e-300], [5e300]],
+        np.zeros((0, 2)),
+    ],
+)
+def test_point_labels_match_the_f_string_formula(pts):
+    pts = np.asarray(pts, dtype=float)
+    assert _point_labels(pts) == _f_string_labels(pts)
