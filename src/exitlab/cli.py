@@ -7,18 +7,20 @@ Usage:
 The config names a model builder, a domain, shifts, and a command list;
 each command writes a JSON and/or CSV report embedding the config hash and
 tool version. A command that does not apply to the chain writes a report
-with the reason and is listed as skipped; the process exits 0 exactly when
-every check that ran passed.
+with the reason and is listed as skipped. ``validate`` builds what ``run``
+would read, without solving. The process exits 0 when every check that ran
+passed, 1 when one failed, 2 on a config or usage error and 3 on an internal
+or solver error.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,6 +32,7 @@ from .defaults import COMPARISON_RTOL, MONOTONE_TOL
 from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
+    FlowMatrix,
     GridModelSpec,
     _check_family_part,
     _check_shared_measure,
@@ -40,7 +43,7 @@ from .models import (
     grid_points,
 )
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
-from .poisson import DomainMask, DomainSystem
+from .poisson import DomainMask, DomainSystem, _restrict_source
 from .spectral import bounds_ledger
 from .variational import closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
 
@@ -49,24 +52,44 @@ class ConfigError(ValueError):
     """Config rejected; the message carries a file-and-path anchor."""
 
 
+@contextmanager
+def _at(anchor: str):
+    """Turn a TypeError or ValueError raised while a config part becomes its
+    object into a ConfigError anchored at that part."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{anchor}: {err}") from err
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Flow strengths and the flow's cycle, or the two scale axes."""
+
+    kind: str
+    values: tuple = ()
+    cycle: tuple | None = None  # every state in order when None
+    kappa: tuple = ()
+    epsilon: tuple = ()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: dict
+    spec: GridModelSpec | None  # the parameters of a grid model
     omega: object
     betas: tuple
     commands: tuple
     output: str | None
     formats: tuple
     xi: tuple | None
-    sweep: dict | None
-    mc: dict | None
-
-
-_KNOWN_COMMANDS = ("validate", "exit", "variational", "expmoment", "bounds", "sweep", "mc")
+    sweep: SweepConfig | None
+    mc: McConfig | None
+    mc_start_pi: bool = False  # start from the normalized measure, read off the chain
 
 
 def load_config(path: str):
-    """Parse and statically validate a config file.
+    """Parse a config file into its typed parts; no chain is built.
 
     Returns (config, sha256-of-file-bytes). Parse and semantic errors raise
     ConfigError with a line- or path-anchored message.
@@ -79,107 +102,114 @@ def load_config(path: str):
         raise ConfigError(f"{path}: not UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: $: config must be a JSON object")
+    try:
+        return _parse(doc), digest
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
-    def fail(anchor, msg):
-        raise ConfigError(f"{path}: {anchor}: {msg}")
+
+def _parse(doc) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("$: config must be a JSON object")
 
     model = doc.get("model")
-    if not isinstance(model, dict) or "builder" not in model:
-        fail("$.model", "must be an object with a 'builder' name")
+    if not isinstance(model, dict) or not isinstance(model.get("builder"), str):
+        raise ConfigError("$.model: must be an object with a 'builder' name")
     if model["builder"] not in BUILDERS:
-        fail("$.model.builder", f"unknown builder {model['builder']!r} "
-             f"(known: {', '.join(sorted(BUILDERS))})")
+        known = ", ".join(sorted(BUILDERS))
+        raise ConfigError(f"$.model.builder: unknown builder {model['builder']!r} (known: {known})")
     params = model.get("params", {})
     if not isinstance(params, dict):
-        fail("$.model.params", "must be an object")
+        raise ConfigError("$.model.params: must be an object")
+    spec = None
     if model["builder"] == "grid_jump_diffusion":
-        try:
-            GridModelSpec(**_grid_params(params))
-        except (TypeError, ValueError) as err:
-            fail("$.model.params", str(err))
+        with _at("$.model.params"):
+            spec = GridModelSpec(**params)
 
     omega = doc.get("omega", "all")
-    if not (
-        omega == "all"
-        or (isinstance(omega, list) and all(type(i) is int for i in omega))
-        or (isinstance(omega, dict) and "box" in omega)
-    ):
-        fail("$.omega", "must be 'all', a list of state indices, or {'box': [[lo, hi], ...]}")
+    indices = isinstance(omega, list) and all(type(i) is int for i in omega)  # ints, not bools
+    if not (omega == "all" or indices or (isinstance(omega, dict) and "box" in omega)):
+        raise ConfigError("$.omega: must be 'all', a list of state indices, or {'box': [[lo, hi], ...]}")
     if isinstance(omega, dict):
-        if model["builder"] != "grid_jump_diffusion":
-            fail("$.omega", "a box domain needs the grid_jump_diffusion builder")
-        box, dimension = omega["box"], params["dimension"]
-        if not isinstance(box, list) or len(box) != dimension:
-            fail("$.omega.box", f"must list one [lo, hi] pair per grid axis ({dimension})")
+        if spec is None:
+            raise ConfigError("$.omega: a box domain needs the grid_jump_diffusion builder")
+        box = omega["box"]
+        if not isinstance(box, list) or len(box) != spec.dimension:
+            raise ConfigError(f"$.omega.box: must list one [lo, hi] pair per grid axis ({spec.dimension})")
         for edge in box:
             numeric = isinstance(edge, list) and all(type(v) in (int, float) for v in edge)
             if not (numeric and len(edge) == 2 and edge[0] < edge[1]):
-                fail("$.omega.box", f"each entry must be a numeric [lo, hi] with lo < hi, got {edge!r}")
+                raise ConfigError(f"$.omega.box: each entry must be a numeric [lo, hi] with lo < hi, got {edge!r}")
 
     betas = doc.get("betas", [1.0])
     if not isinstance(betas, list) or not betas or any(not _finite_number(b) or b <= 0 for b in betas):
-        fail("$.betas", "must be a nonempty list of finite positive numbers")
+        raise ConfigError("$.betas: must be a nonempty list of finite positive numbers")
+    betas = tuple(float(b) for b in betas)
 
     commands = doc.get("commands", [])
     if not isinstance(commands, list) or not commands:
-        fail("$.commands", "must be a nonempty list")
+        raise ConfigError("$.commands: must be a nonempty list")
     for c in commands:
-        if c not in _KNOWN_COMMANDS:
-            fail("$.commands", f"unknown command {c!r} (known: {', '.join(_KNOWN_COMMANDS)})")
+        if not (isinstance(c, str) and c in _DISPATCH):
+            raise ConfigError(f"$.commands: unknown command {c!r} (known: {', '.join(_DISPATCH)})")
 
     formats = doc.get("formats", ["json", "csv"])
-    if not isinstance(formats, list) or not set(formats) <= {"json", "csv"} or not formats:
-        fail("$.formats", "must be a nonempty subset of ['json', 'csv']")
+    if not isinstance(formats, list) or not formats or any(f not in ("json", "csv") for f in formats):
+        raise ConfigError("$.formats: must be a nonempty subset of ['json', 'csv']")
 
-    sweep = doc.get("sweep")
+    sweep = None
     if "sweep" in commands:
-        if not isinstance(sweep, dict) or sweep.get("kind") not in ("flow", "scale"):
-            fail("$.sweep", "must be an object with kind 'flow' or 'scale'")
+        raw = doc.get("sweep")
+        if not isinstance(raw, dict) or raw.get("kind") not in ("flow", "scale"):
+            raise ConfigError("$.sweep: must be an object with kind 'flow' or 'scale'")
 
         def numbers(key):
-            values = sweep.get(key)
+            values = raw.get(key)
             if not (isinstance(values, list) and values and all(_finite_number(v) for v in values)):
-                fail(f"$.sweep.{key}", "must be a nonempty list of finite numbers")
-            return [float(v) for v in values]
+                raise ConfigError(f"$.sweep.{key}: must be a nonempty list of finite numbers")
+            return tuple(float(v) for v in values)
 
-        if sweep["kind"] == "flow":
-            sweep = {**sweep, "values": numbers("values")}
+        if raw["kind"] == "flow":
+            cycle = raw.get("cycle")
+            if not (cycle is None or isinstance(cycle, list) and all(type(i) is int for i in cycle)):
+                raise ConfigError("$.sweep.cycle: must be a list of state indices")
+            sweep = SweepConfig("flow", values=numbers("values"), cycle=None if cycle is None else tuple(cycle))
         else:
-            if model["builder"] != "grid_jump_diffusion":
-                fail("$.sweep", "scale sweep needs the grid_jump_diffusion builder")
-            sweep = {**sweep, "kappa": numbers("kappa"), "epsilon": numbers("epsilon")}
+            if spec is None:
+                raise ConfigError("$.sweep: scale sweep needs the grid_jump_diffusion builder")
+            sweep = SweepConfig("scale", kappa=numbers("kappa"), epsilon=numbers("epsilon"))
             for key in ("kappa", "epsilon"):
-                if min(sweep[key]) < 0:
-                    fail(f"$.sweep.{key}", "scales must be nonnegative")
-            if 0.0 in sweep["kappa"] and 0.0 in sweep["epsilon"]:
-                fail("$.sweep", "a zero kappa meets a zero epsilon: scales must not both be zero")
+                if min(getattr(sweep, key)) < 0:
+                    raise ConfigError(f"$.sweep.{key}: scales must be nonnegative")
+            if 0.0 in sweep.kappa and 0.0 in sweep.epsilon:
+                raise ConfigError("$.sweep: a zero kappa meets a zero epsilon: scales must not both be zero")
 
+    mc, mc_start_pi = None, False
     if "mc" in commands:
-        mc = doc.get("mc")
-        if not isinstance(mc, dict) or "n_paths" not in mc or "seed" not in mc:
-            fail("$.mc", "must be an object with 'n_paths' and 'seed'")
-        start = mc.get("start", 0)
-        if not (start == "pi" or isinstance(start, list) or type(start) is int):
-            fail("$.mc.start", f"must be a state index, 'pi', or a distribution, got {start!r}")
+        raw = doc.get("mc")
+        if not isinstance(raw, dict) or "n_paths" not in raw or "seed" not in raw:
+            raise ConfigError("$.mc: must be an object with 'n_paths' and 'seed'")
+        with _at("$.mc"):  # start 0 until the start is checked at its own anchor; "pi" needs the chain
+            mc = McConfig(raw["n_paths"], raw["seed"], 0, betas, raw.get("max_time", 1e6))
+        start = raw.get("start", 0)
+        mc_start_pi = start == "pi"
+        if not mc_start_pi:
+            with _at("$.mc.start"):
+                mc = replace(mc, start=start)
 
     xi = doc.get("xi")
     if xi is not None and not (isinstance(xi, list) and all(_finite_number(v) for v in xi)):
-        fail("$.xi", "must be a list of finite numbers")
+        raise ConfigError("$.xi: must be a list of finite numbers")
 
-    cfg = ExperimentConfig(
-        model=model,
-        omega=omega,
-        betas=tuple(float(b) for b in betas),
-        commands=tuple(commands),
-        output=doc.get("output"),
-        formats=tuple(sorted(set(formats))),
-        xi=None if xi is None else tuple(float(v) for v in xi),
-        sweep=sweep,
-        mc=doc.get("mc"),
+    output = doc.get("output")
+    if not (output is None or isinstance(output, str)):
+        raise ConfigError("$.output: must be a directory path")
+
+    return ExperimentConfig(
+        model=model, spec=spec, omega=omega, betas=betas, commands=tuple(commands), output=output,
+        formats=tuple(sorted(set(formats))), xi=None if xi is None else tuple(float(v) for v in xi),
+        sweep=sweep, mc=mc, mc_start_pi=mc_start_pi,
     )
-    return cfg, digest
 
 
 def _finite_number(v) -> bool:
@@ -191,32 +221,57 @@ def _finite_number(v) -> bool:
         return False
 
 
-def _grid_params(params: dict) -> dict:
-    out = dict(params)
-    if "domain_box" in out:
-        out["domain_box"] = tuple(tuple(edge) for edge in out["domain_box"])
-    if "ellipticity" in out and out["ellipticity"] is not None:
-        out["ellipticity"] = tuple(out["ellipticity"])
-    return out
+@dataclass(frozen=True)
+class Prepared:
+    """What the commands of one run read, built before any report is written."""
+
+    system: DomainSystem | None  # None when a scale sweep is the only command
+    mask: DomainMask
+    xi: np.ndarray  # the variational source on the domain
+    flow: FlowMatrix | None
+    mc: McConfig | None
+    mc_weights: np.ndarray | None  # the start distribution of mc
 
 
-def _grid_spec(cfg: ExperimentConfig) -> GridModelSpec | None:
-    if cfg.model["builder"] != "grid_jump_diffusion":
-        return None
-    return GridModelSpec(**_grid_params(cfg.model.get("params", {})))
+def prepare(cfg: ExperimentConfig) -> Prepared:
+    """Build the chain, domain, source, flow and Monte Carlo settings of a
+    config, with no solve and no eigensolve.
 
-
-def _domain_mask(cfg: ExperimentConfig, n_states: int, spec) -> DomainMask:
-    omega = cfg.omega
-    if omega == "all":
-        return DomainMask.full(n_states)
-    if isinstance(omega, list):
-        return DomainMask.from_states(omega, n_states)
-    pts = grid_points(spec)
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(omega["box"]):
-        inside &= (pts[:, axis] > lo) & (pts[:, axis] < hi)
-    return DomainMask(inside)
+    A scale sweep assembles its own two parts, so when it is the only
+    command no chain is built: the domain needs only the grid points. A
+    TypeError or ValueError raised while a config part becomes its object
+    is a ConfigError anchored at that part.
+    """
+    scale_only = set(cfg.commands) == {"sweep"} and cfg.sweep.kind == "scale"
+    chain = pts = None
+    with _at("$.model.params"):
+        if not scale_only:
+            chain = build_chain(cfg.model) if cfg.spec is None else discretize_jump_diffusion(cfg.spec)
+        if scale_only or isinstance(cfg.omega, dict):
+            pts = grid_points(cfg.spec)
+    n = pts.shape[0] if chain is None else chain.n_states
+    with _at("$.omega"):
+        if cfg.omega == "all":
+            mask = DomainMask.full(n)
+        elif isinstance(cfg.omega, list):
+            mask = DomainMask.from_states(cfg.omega, n)
+        else:
+            inside = np.ones(n, dtype=bool)
+            for axis, (lo, hi) in enumerate(cfg.omega["box"]):
+                inside &= (pts[:, axis] > lo) & (pts[:, axis] < hi)
+            mask = DomainMask(inside)
+    with _at("$.xi"):
+        xi = np.ones(mask.size) if cfg.xi is None else _restrict_source(mask, cfg.xi, n)
+    flow = mc = weights = None
+    if cfg.sweep is not None and cfg.sweep.kind == "flow":
+        with _at("$.sweep.cycle"):
+            flow = flow_from_cycles([range(n) if cfg.sweep.cycle is None else cfg.sweep.cycle], chain.measure)
+    if cfg.mc is not None:
+        mc = replace(cfg.mc, start=(chain.mu / chain.mu.sum()).tolist()) if cfg.mc_start_pi else cfg.mc
+        with _at("$.mc.start"):
+            weights = mc.start_weights(n)
+    system = None if chain is None else DomainSystem(chain, mask)
+    return Prepared(system, mask, xi, flow, mc, weights)
 
 
 def _stamp(doc: dict, digest: str) -> dict:
@@ -258,19 +313,17 @@ def _emit(out_dir: Path, name: str, doc: dict, formats, csv_text: str | None = N
         (out_dir / f"{name}.csv").write_text(csv_text)
 
 
-def _cmd_validate(system, cfg, digest, out_dir):
-    report = validate_assumption_a(system.chain, beta_probe=max(cfg.betas))
-    ok = bool(
-        report.primal_markov_ok
-        and report.dual_markov_ok
-        and np.isfinite(report.sector_constant)
-    )
-    doc = _stamp({"report": report.to_dict(), "passed": ok}, digest)
-    _emit(out_dir, "validate", doc, cfg.formats)
-    return ok
+# Each command returns (passed, report document, CSV text or None).
 
 
-def _cmd_exit(system, cfg, digest, out_dir):
+def _cmd_validate(prep, cfg):
+    report = validate_assumption_a(prep.system.chain, beta_probe=max(cfg.betas))
+    ok = bool(report.primal_markov_ok and report.dual_markov_ok and np.isfinite(report.sector_constant))
+    return ok, {"report": report.to_dict(), "passed": ok}, None
+
+
+def _cmd_exit(prep, cfg):
+    system = prep.system
     chain = system.chain
     lam0 = system.dirichlet.lambda0 if chain.reversible else None
     blocks = {}
@@ -279,9 +332,7 @@ def _cmd_exit(system, cfg, digest, out_dir):
         fns = system.functionals(beta, xi=None, lambda0=lam0)
         blocks[repr(beta)] = fns.to_dict(labels=chain.state_labels())
         csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=chain.state_labels()))
-    doc = _stamp({"exit_functionals": blocks, "lambda0": lam0}, digest)
-    _emit(out_dir, "exit", doc, cfg.formats, csv_text="".join(csv_parts))
-    return True
+    return True, {"exit_functionals": blocks, "lambda0": lam0}, "".join(csv_parts)
 
 
 def _agree(a: float, b: float) -> bool:
@@ -289,21 +340,17 @@ def _agree(a: float, b: float) -> bool:
     return abs(a - b) <= COMPARISON_RTOL * max(abs(a), abs(b))
 
 
-def _cmd_variational(system, cfg, digest, out_dir):
+def _cmd_variational(prep, cfg):
+    system = prep.system
     ok = True
     blocks = {}
-    xi = np.asarray(cfg.xi, dtype=float) if cfg.xi is not None else np.ones(system.mask.size)
     for beta in cfg.betas:
         # one form on D serves the three routes; each factors its own matrix
-        a, xi_d, c = saddle_form(system, beta, xi)
+        a, xi_d, c = saddle_form(system, beta, prep.xi)
         closed = closed_form_route(system, beta, a, xi_d, c)
         iterative = nested_route(system.mask, a, c)
         agree = _agree(closed.value, iterative.value)
-        entry = {
-            "closed_form": closed.to_dict(),
-            "iterative": iterative.to_dict(),
-            "modes_agree": agree,
-        }
+        entry = {"closed_form": closed.to_dict(), "iterative": iterative.to_dict(), "modes_agree": agree}
         if system.reversible:
             sym = symmetric_route(a, c)
             entry["symmetric_inf"] = sym
@@ -312,12 +359,11 @@ def _cmd_variational(system, cfg, digest, out_dir):
             agree = agree and agree_sym
         blocks[repr(beta)] = entry
         ok = ok and agree
-    doc = _stamp({"saddle": blocks, "passed": ok}, digest)
-    _emit(out_dir, "variational", doc, cfg.formats)
-    return ok
+    return ok, {"saddle": blocks, "passed": ok}, None
 
 
-def _cmd_expmoment(system, cfg, digest, out_dir):
+def _cmd_expmoment(prep, cfg):
+    system = prep.system
     lam0 = system.dirichlet.lambda0
     ok = True
     blocks = {}
@@ -327,23 +373,15 @@ def _cmd_expmoment(system, cfg, digest, out_dir):
         agg = float(np.sum(system.chain.mu * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
         agree = _agree(inf_value, via_exit)
-        blocks[repr(beta)] = {
-            "inf_value": inf_value,
-            "via_exit_route": via_exit,
-            "agree": agree,
-        }
+        blocks[repr(beta)] = {"inf_value": inf_value, "via_exit_route": via_exit, "agree": agree}
         ok = ok and agree
-    doc = _stamp({"lambda0": lam0, "exp_moment": blocks, "passed": ok}, digest)
-    _emit(out_dir, "expmoment", doc, cfg.formats)
-    return ok
+    return ok, {"lambda0": lam0, "exp_moment": blocks, "passed": ok}, None
 
 
-def _cmd_bounds(system, cfg, digest, out_dir):
-    ledger = bounds_ledger(system, cfg.betas)
+def _cmd_bounds(prep, cfg):
+    ledger = bounds_ledger(prep.system, cfg.betas)
     ok = ledger.all_satisfied()
-    doc = _stamp({"ledger": ledger.to_dict(), "passed": ok}, digest)
-    _emit(out_dir, "bounds", doc, cfg.formats, csv_text=ledger.to_csv())
-    return ok
+    return ok, {"ledger": ledger.to_dict(), "passed": ok}, ledger.to_csv()
 
 
 def _aggregates(system, mu, betas):
@@ -377,18 +415,16 @@ def _sweep_csv(keys, rows, betas) -> str:
     return "".join(",".join(cells) + "\n" for cells in lines)
 
 
-def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
+def _cmd_sweep(prep, cfg):
     sweep = cfg.sweep
+    mask = prep.mask
     rows = []
     ok = True
-    if sweep["kind"] == "flow":
-        system = get_system()
-        chain, mask = system.chain, system.mask
-        cycle = sweep.get("cycle", list(range(chain.n_states)))
-        flow = flow_from_cycles([cycle], chain.measure)
-        for k in sweep["values"]:
+    if sweep.kind == "flow":
+        chain = prep.system.chain
+        for k in sweep.values:
             # the perturbed chains keep the measure of the base
-            pos, neg = (DomainSystem(antisym_perturb(chain, flow, s), mask) for s in (k, -k))
+            pos, neg = (DomainSystem(antisym_perturb(chain, prep.flow, s), mask) for s in (k, -k))
             lap, mean = _aggregates(pos, chain.mu, cfg.betas)
             lap_neg, mean_neg = _aggregates(neg, chain.mu, cfg.betas)
             for beta in cfg.betas:
@@ -400,25 +436,23 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         keys = ["k"]
         # Laplace grows and the mean falls with the flow strength |k|
         sequences = [[rows[i] for i in np.argsort([abs(r["k"]) for r in rows])]]
-        x_axis = [r["k"] for r in rows]
     else:
         # each point's system is kappa*A_D + epsilon*B_D for the two parts
         # restricted once, the same block as restricting scaled_family(...).q;
-        # the configured chain is never read, and the domain needs only the
-        # grid. One part is assembled at a time: it is checked, its measure
-        # and restricted block kept, and the whole chain dropped before the next
-        mask = _domain_mask(cfg, grid_points(spec).shape[0], spec)
+        # the configured chain is never read. One part is assembled at a
+        # time: it is checked, its measure and restricted block kept, and the
+        # whole chain dropped before the next
         block = np.ix_(mask.indices, mask.indices)
         parts = []
         for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
-            part = discretize_jump_diffusion(replace(spec, **scales))
+            part = discretize_jump_diffusion(replace(cfg.spec, **scales))
             _check_family_part(part)
             parts.append((part.mu, part.q[block]))
             del part
         (mu, diff_d), (jump_mu, jump_d) = parts
         _check_shared_measure(mu, jump_mu)
         mu_d = mu[mask.indices]
-        kappas, epsilons = sweep["kappa"], sweep["epsilon"]
+        kappas, epsilons = sweep.kappa, sweep.epsilon
         table = {}
         for kap in kappas:
             for eps in epsilons:
@@ -431,39 +465,26 @@ def _cmd_sweep(get_system, spec, cfg, digest, out_dir, plots):
         # Laplace grows and the mean falls along either scale axis
         sequences = [[table[(k, eps)] for k in sorted(kappas)] for eps in epsilons]
         sequences += [[table[(kap, e)] for e in sorted(epsilons)] for kap in kappas]
-        x_axis = list(range(len(rows)))
     for seq in sequences:
         for beta in cfg.betas:
             ok = ok and _monotone([r["laplace"][beta] for r in seq], increasing=True)
         ok = ok and _monotone([r["mean"] for r in seq], increasing=False)
-    csv_text = _sweep_csv(keys, rows, cfg.betas)
+    doc_rows = [{**r, "laplace": {repr(b): v for b, v in r["laplace"].items()}} for r in rows]
+    doc = {"kind": sweep.kind, "rows": doc_rows, "monotone": ok, "passed": ok}
+    return ok, doc, _sweep_csv(keys, rows, cfg.betas)
 
-    doc = _stamp(
-        {
-            "kind": sweep["kind"],
-            "rows": [
-                {
-                    **{k: v for k, v in r.items() if k != "laplace"},
-                    "laplace": {repr(b): v for b, v in r["laplace"].items()},
-                }
-                for r in rows
-            ],
-            "monotone": ok,
-            "passed": ok,
-        },
-        digest,
-    )
-    _emit(out_dir, "sweep", doc, cfg.formats, csv_text=csv_text)
-    if plots:
-        try:
-            series = {"mean": [r["mean"] for r in rows]}
-            for beta in cfg.betas:
-                series[f"laplace beta={beta:g}"] = [r["laplace"][beta] for r in rows]
-            svg = _line_chart_svg(x_axis, series, title=f"{sweep['kind']} sweep")
-            (out_dir / "sweep.svg").write_text(svg)
-        except Exception:  # plotting must never affect the exit status
-            pass
-    return ok
+
+def _plot_sweep(out_dir: Path, doc: dict, betas) -> None:
+    """sweep.svg: the mean and the Laplace aggregates along the sweep's rows."""
+    rows = doc["rows"]
+    try:
+        xs = [r["k"] for r in rows] if doc["kind"] == "flow" else range(len(rows))
+        series = {"mean": [r["mean"] for r in rows]}
+        for beta in betas:
+            series[f"laplace beta={beta:g}"] = [r["laplace"][repr(beta)] for r in rows]
+        (out_dir / "sweep.svg").write_text(_line_chart_svg(xs, series, title=f"{doc['kind']} sweep"))
+    except Exception:  # plotting must never affect the exit status
+        pass
 
 
 def _within_3_se(mc: float, se: float, exact: float) -> bool:
@@ -471,26 +492,10 @@ def _within_3_se(mc: float, se: float, exact: float) -> bool:
     return abs(mc - exact) <= 3 * se
 
 
-def _cmd_mc(system, cfg, digest, out_dir):
-    chain = system.chain
-    mc = cfg.mc
-    start = mc.get("start", 0)
-    if start == "pi":
-        start = (chain.mu / chain.mu.sum()).tolist()
-    config = McConfig(
-        n_paths=int(mc["n_paths"]),
-        seed=int(mc["seed"]),
-        start=start,
-        betas=cfg.betas,
-        max_time=float(mc.get("max_time", 1e6)),
-    )
-    samples = simulate_exit_times(chain, system.mask, config)
+def _cmd_mc(prep, cfg):
+    system, weights = prep.system, prep.mc_weights
+    samples = simulate_exit_times(system.chain, system.mask, prep.mc)
     est = estimate_exit_functionals(samples, cfg.betas)
-    if isinstance(start, list):
-        weights = np.asarray(start)
-    else:
-        weights = np.zeros(chain.n_states)
-        weights[int(start)] = 1.0
     exact_mean = float(weights @ system.mean())
     ok = _within_3_se(*est.mean, exact_mean)
     checks = {"mean": {"mc": est.mean[0], "se": est.mean[1], "exact": exact_mean}}
@@ -499,9 +504,7 @@ def _cmd_mc(system, cfg, digest, out_dir):
         mc_lap, se = est.laplace[beta]
         ok = ok and _within_3_se(mc_lap, se, exact_lap)
         checks[f"laplace_beta_{beta!r}"] = {"mc": mc_lap, "se": se, "exact": exact_lap}
-    doc = _stamp({"estimate": est.to_dict(), "checks": checks, "passed": ok}, digest)
-    _emit(out_dir, "mc", doc, cfg.formats, csv_text=samples.to_csv())
-    return ok
+    return ok, {"estimate": est.to_dict(), "checks": checks, "passed": ok}, samples.to_csv()
 
 
 def _line_chart_svg(xs, series: dict, title: str = "") -> str:
@@ -543,15 +546,15 @@ def _line_chart_svg(xs, series: dict, title: str = "") -> str:
     return "\n".join(parts)
 
 
-def _skip_reason(cmd: str, chain) -> str | None:
+def _skip_reason(cmd: str, system) -> str | None:
     """Why a command does not apply to the chain, or None when it does: the
     exponential-moment formulas and the bound ledger are stated for
     reversible chains with a probability measure."""
     if cmd not in ("expmoment", "bounds"):
         return None
-    if not chain.reversible:
+    if not system.reversible:
         return "needs a reversible chain"
-    if not chain.measure.normalized:
+    if not system.chain.measure.normalized:
         return "needs a normalized (probability) measure"
     return None
 
@@ -562,30 +565,25 @@ _DISPATCH = {
     "variational": _cmd_variational,
     "expmoment": _cmd_expmoment,
     "bounds": _cmd_bounds,
+    "sweep": _cmd_sweep,
     "mc": _cmd_mc,
 }
 
 
 def run(cfg: ExperimentConfig, digest: str, out_dir: Path, plots: bool = False) -> int:
     """Execute the configured commands; 0 iff every requested check passed."""
+    prep = prepare(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _grid_spec(cfg)
-
-    @functools.cache
-    def system() -> DomainSystem:
-        """The configured chain on its domain, built when a command first reads it."""
-        chain = build_chain(cfg.model) if spec is None else discretize_jump_diffusion(spec)
-        return DomainSystem(chain, _domain_mask(cfg, chain.n_states, spec))
-
     statuses, skipped = {}, {}
     for cmd in cfg.commands:
-        if cmd == "sweep":
-            statuses[cmd] = _cmd_sweep(system, spec, cfg, digest, out_dir, plots)
-        elif reason := _skip_reason(cmd, system().chain):
+        if reason := _skip_reason(cmd, prep.system):
             skipped[cmd] = reason
-            _emit(out_dir, cmd, _stamp({"skipped": True, "reason": reason, "passed": None}, digest), cfg.formats)
+            doc, csv_text = {"skipped": True, "reason": reason, "passed": None}, None
         else:
-            statuses[cmd] = _DISPATCH[cmd](system(), cfg, digest, out_dir)
+            statuses[cmd], doc, csv_text = _DISPATCH[cmd](prep, cfg)
+        _emit(out_dir, cmd, _stamp(doc, digest), cfg.formats, csv_text)
+        if cmd == "sweep" and plots:
+            _plot_sweep(out_dir, doc, cfg.betas)
     overall = all(statuses.values())
     summary = {"commands": statuses, "passed": overall}
     if skipped:  # absent otherwise, so such a run's summary keeps its bytes
@@ -602,7 +600,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--plots", action="store_true")
-    p_val = sub.add_parser("validate", help="parse and statically check a config")
+    p_val = sub.add_parser("validate", help="check that a config builds, without solving")
     p_val.add_argument("--config", required=True)
     args = parser.parse_args(argv)
 
@@ -614,19 +612,17 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    if args.command == "validate":
-        print(f"ok: {args.config} (sha256 {digest[:12]})")
-        return 0
-
-    out = args.out or cfg.output
-    if out is None:
+    if args.command == "run" and not (args.out or cfg.output):
         print("error: no output directory (set $.output or pass --out)", file=sys.stderr)
         return 2
     try:
-        return run(cfg, digest, Path(out), plots=args.plots)
+        if args.command == "validate":
+            prepare(cfg)
+            print(f"ok: {args.config} (sha256 {digest[:12]})")
+            return 0
+        return run(cfg, digest, Path(args.out or cfg.output), plots=args.plots)
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {args.config}: {err}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

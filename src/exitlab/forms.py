@@ -398,9 +398,6 @@ class ValidationReport:
             "violations": [[name, mag] for name, mag in self.violations],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def _json_float(x: float):
     """Finite floats pass through; infinities serialize as the string 'inf'."""

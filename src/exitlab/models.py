@@ -160,6 +160,8 @@ def flow_from_cycles(cycles, measure: Measure, weights=None) -> FlowMatrix:
         cyc = [int(v) for v in cyc]
         if len(cyc) < 3:
             raise ValueError("a flow cycle needs at least three states")
+        if not all(0 <= v < n for v in cyc):
+            raise ValueError("flow cycle state out of range")
         if len(set(cyc)) != len(cyc):
             raise ValueError("a flow cycle must not repeat states")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -298,25 +300,32 @@ class GridModelSpec:
     ellipticity: tuple | None = None
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+        if isinstance(self.dimension, (bool, float)) or self.dimension not in (1, 2):
+            raise ValueError(f"dimension must be the integer 1 or 2, got {self.dimension!r}")
         box = tuple((float(lo), float(hi)) for lo, hi in self.domain_box)
         if len(box) != self.dimension:
             raise ValueError("domain_box must list one (lo, hi) pair per axis")
         for lo, hi in box:
-            if not hi > lo:
-                raise ValueError("each box edge needs hi > lo")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError("each box edge needs finite lo < hi")
         object.__setattr__(self, "domain_box", box)
-        if self.mesh_h <= 0:
+        if not self.mesh_h > 0:
             raise ValueError("mesh_h must be positive")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if self.kappa < 0 or self.epsilon < 0:
-            raise ValueError("kappa and epsilon must be nonnegative")
+        if not (0 <= self.kappa < math.inf and 0 <= self.epsilon < math.inf):
+            raise ValueError("kappa and epsilon must be finite and nonnegative")
         if self.kappa == 0 and self.epsilon == 0:
             raise ValueError("kappa and epsilon must not both vanish")
-        if self.jump_cutoff_radius is not None and self.jump_cutoff_radius <= 0:
+        if not math.isfinite(self.k):
+            raise ValueError("drift strength k must be finite")
+        if self.jump_cutoff_radius is not None and not self.jump_cutoff_radius > 0:
             raise ValueError("jump_cutoff_radius must be positive")
+        # constant coefficients are checked here; fields are checked at assembly
+        if not callable(self.a):
+            _diffusion_values(self, None)
+        if not callable(self.b):
+            _drift_values(self, None)
 
     @property
     def diameter(self) -> float:
@@ -360,7 +369,7 @@ def _diffusion_values(spec: GridModelSpec, point) -> np.ndarray:
         arr = np.full(spec.dimension, float(arr[0]))
     if arr.size != spec.dimension:
         raise ValueError("coefficient field must be scalar or one value per axis")
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("diffusion coefficient must be positive")
     return arr
 
@@ -376,6 +385,8 @@ def _drift_values(spec: GridModelSpec, point) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(val, dtype=float))
     if arr.size != spec.dimension:
         raise ValueError("drift field must return one component per axis")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("drift field must be finite")
     return arr
 
 
@@ -538,24 +549,12 @@ def _point_labels(pts: np.ndarray) -> tuple[str, ...]:
 # config-driven dispatch
 
 
-def _build_grid(params: dict) -> Chain:
-    return discretize_jump_diffusion(GridModelSpec(**params))
-
-
-def _build_cycle_flow(params: dict) -> Chain:
-    chain, _flow = cycle_flow(**params)
-    return chain
-
-
 BUILDERS = {
     "complete_graph": lambda params: complete_graph(**params),
     "birth_death": lambda params: birth_death(**params),
-    "weighted_graph": lambda params: weighted_graph(
-        np.asarray(params["conductances"], dtype=float),
-        np.asarray(params["measure"], dtype=float),
-    ),
-    "cycle_flow": _build_cycle_flow,
-    "grid_jump_diffusion": _build_grid,
+    "weighted_graph": lambda params: weighted_graph(**params),
+    "cycle_flow": lambda params: cycle_flow(**params)[0],
+    "grid_jump_diffusion": lambda params: discretize_jump_diffusion(GridModelSpec(**params)),
 }
 
 

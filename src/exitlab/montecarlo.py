@@ -12,7 +12,7 @@ the censoring time max_time are recorded at max_time with a censor flag.
 from __future__ import annotations
 
 import bisect
-import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +60,33 @@ class McConfig:
     max_time: float = 1e6
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        if isinstance(self.max_time, bool) or not (isinstance(self.max_time, numbers.Real) and self.max_time > 0):
+            raise ValueError(f"max_time must be a positive number, got {self.max_time!r}")
+        start = self.start
+        if isinstance(start, bool) or not (isinstance(start, (int, np.integer)) or np.ndim(start) == 1):
+            raise ValueError(f"start must be an integer state index or a distribution, got {start!r}")
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+
+    def start_weights(self, n_states: int) -> np.ndarray:
+        """The start as a distribution over n_states states, a unit vector for
+        a state index; raises ValueError when it does not fit the chain."""
+        if np.ndim(self.start) == 0:
+            if not 0 <= self.start < n_states:
+                raise ValueError("start state out of range")
+            weights = np.zeros(n_states)
+            weights[self.start] = 1.0
+            return weights
+        weights = np.asarray(self.start, dtype=float)
+        if weights.shape != (n_states,) or not (weights >= 0).all() or not abs(weights.sum() - 1.0) <= 1e-9:
+            raise ValueError("start distribution must be a probability vector over states")
+        return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,20 +315,12 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
     block. A start outside the domain yields zero samples and sets the flag
     instead of raising.
     """
-    n = chain.n_states
-    if np.isscalar(config.start):
-        if isinstance(config.start, bool) or not isinstance(config.start, (int, np.integer)):
-            raise ValueError(f"start state must be an integer index, got {config.start!r}")
-        start_state = int(config.start)
-        if not 0 <= start_state < n:
-            raise ValueError("start state out of range")
-        start_cum = None
+    weights = config.start_weights(chain.n_states)
+    if np.ndim(config.start) == 0:
+        start_state, start_cum = int(config.start), None
     else:
-        dist = np.asarray(config.start, dtype=float)
-        if dist.shape != (n,) or dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-9:
-            raise ValueError("start distribution must be a probability vector over states")
         start_state = None
-        start_cum = np.cumsum(dist)
+        start_cum = np.cumsum(weights)
         start_cum[-1] = 1.0
 
     table = _jump_table(chain.q, mask.inside)
@@ -343,9 +357,6 @@ class McEstimate:
             "n_censored": self.n_censored,
             "exp_moment_lower_bound": self.exp_moment_lower_bound,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _finite_or_inf(x: float):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -426,9 +425,6 @@ class ExitFunctionals:
         if labels is not None:
             doc["states"] = list(labels)
         return doc
-
-    def to_json(self, labels=None, **kwargs) -> str:
-        return json.dumps(self.to_dict(labels=labels), **kwargs)
 
     def to_csv(self, labels=None) -> str:
         """CSV with one row per state: state, laplace, mean, exp_moment.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,9 +197,6 @@ class BoundLedger:
 
     def to_dict(self) -> dict:
         return {"meta": dict(self.meta), "entries": [e.to_dict() for e in self.entries]}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -15,7 +15,6 @@ exponential-moment infimum with its hinge at the Dirichlet eigenvalue.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,6 @@ class SaddleSolution:
             "residuals": dict(self.residuals),
             "method": self.method,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def construct_optimizers(u, u_dual, xi, measure: Measure):

@@ -818,8 +818,120 @@ def test_sweep_config_carries_floats(tmp_path):
     from exitlab.cli import load_config
 
     cfg, _ = load_config(write_config(tmp_path / "a.json", scale_sweep_config(tmp_path, "all", [1, 2], [0, 1.5])))
-    assert cfg.sweep["kappa"] == [1.0, 2.0] and cfg.sweep["epsilon"] == [0.0, 1.5]
+    assert cfg.sweep.kappa == (1.0, 2.0) and cfg.sweep.epsilon == (0.0, 1.5)
     flow = {**bounds_config(tmp_path), "commands": ["sweep"], "sweep": {"kind": "flow", "values": [0, 1]}}
     cfg_flow, _ = load_config(write_config(tmp_path / "b.json", flow))
-    for v in cfg.sweep["kappa"] + cfg.sweep["epsilon"] + cfg_flow.sweep["values"]:
+    for v in cfg.sweep.kappa + cfg.sweep.epsilon + cfg_flow.sweep.values:
         assert type(v) is float
+
+
+def small_config(tmp_path, **changes):
+    """A 3-state complete graph config with the given top-level fields changed."""
+    cfg = {
+        "model": {"builder": "complete_graph", "params": {"n": 3, "rate": 1.0}},
+        "omega": [0, 1],
+        "betas": [0.5],
+        "commands": ["exit"],
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    return {**cfg, **changes}
+
+
+def grid_1d(**params):
+    return {"builder": "grid_jump_diffusion", "params": {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 0.25, **params}}
+
+
+def mc_part(**fields):
+    return {"commands": ["mc"], "mc": {"n_paths": 10, "seed": 1, **fields}}
+
+
+# Configs whose faults only the library constructors find: validate must
+# build each part, as run does, to reject them
+_BUILD_ERRORS = {
+    "n_paths-not-a-number": (mc_part(n_paths="abc"), "$.mc"),
+    "n_paths-zero": (mc_part(n_paths=0), "$.mc"),
+    "max_time-not-a-number": (mc_part(max_time="x"), "$.mc"),
+    "seed-not-an-integer": (mc_part(seed=1.7), "$.mc"),
+    "start-out-of-range": (mc_part(start=7), "$.mc.start"),
+    "start-distribution-of-strings": (mc_part(start=["a", 1, 2]), "$.mc.start"),
+    "params-missing-rate": ({"model": {"builder": "complete_graph", "params": {"n": 3}}}, "$.model.params"),
+    "params-extra-key": ({"model": {"builder": "complete_graph", "params": {"n": 3, "rate": 1.0, "zz": 1}}}, "$.model.params"),
+    "params-n-a-string": ({"model": {"builder": "complete_graph", "params": {"n": "3", "rate": 1.0}}}, "$.model.params"),
+    "params-rate-nan": ({"model": {"builder": "complete_graph", "params": {"n": 3, "rate": float("nan")}}}, "$.model.params"),
+    "measure-with-a-string": (
+        {"model": {"builder": "birth_death", "params": {"up": [1.0, 1.0], "down": [1.0, 1.0], "measure": [1, "x", 1]}}},
+        "$.model.params",
+    ),
+    "mesh-does-not-divide": ({"model": grid_1d(mesh_h=0.3)}, "$.model.params"),
+    "diffusion-a-string": ({"model": grid_1d(a="x")}, "$.model.params"),
+    "dimension-a-float": ({"model": grid_1d(dimension=1.0)}, "$.model.params"),
+    "omega-out-of-range": ({"omega": [0, 9]}, "$.omega"),
+    "xi-of-the-wrong-length": ({"xi": [1.0, 1.0, 1.0, 1.0]}, "$.xi"),
+    "cycle-with-a-string": ({"commands": ["sweep"], "sweep": {"kind": "flow", "values": [0.1], "cycle": ["x", 1]}}, "$.sweep.cycle"),
+    "output-not-a-path": ({"output": 5}, "$.output"),
+}
+
+
+@pytest.mark.parametrize("changes, anchor", _BUILD_ERRORS.values(), ids=_BUILD_ERRORS)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_validate_rejects_what_run_cannot_build(tmp_path, capsys, changes, anchor, command):
+    cfg = small_config(tmp_path, **changes)
+    assert main([command, "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert f": {anchor}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaves(doc, path=()):
+    """Paths to the scalar leaves of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is None:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+_VALID = [
+    {
+        "model": {"builder": "complete_graph", "params": {"n": 3, "rate": 1.0}},
+        "omega": [0, 1],
+        "betas": [0.5],
+        "xi": [1.0, 2.0],
+        "commands": ["validate", "exit", "variational", "sweep", "mc"],
+        "sweep": {"kind": "flow", "values": [0.1], "cycle": [0, 1, 2]},
+        "mc": {"n_paths": 50, "seed": 1, "start": 0, "max_time": 1e6},
+        "output": "out",
+        "formats": ["json"],
+    },
+    {
+        "model": {
+            "builder": "grid_jump_diffusion",
+            "params": {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 0.25, "a": 1.0, "k": 0.0, "alpha": 1.0, "kappa": 1.0, "epsilon": 1.0},
+        },
+        "omega": {"box": [[0.2, 0.8]]},
+        "betas": [0.5],
+        "commands": ["exit", "sweep"],
+        "sweep": {"kind": "scale", "kappa": [1.0, 2.0], "epsilon": [0.5]},
+        "output": "out",
+        "formats": ["json"],
+    },
+]
+_WRONG = [float("nan"), float("inf"), float("-inf"), True, False, "x", "", None, [], {}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_config_that_validates_runs_without_an_internal_error(tmp_path_factory, data):
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(_VALID))))
+    *parents, last = data.draw(st.sampled_from(list(_leaves(cfg))))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(st.sampled_from(_WRONG))
+    tmp = tmp_path_factory.mktemp("leaf")
+    path = write_config(tmp / "exp.json", cfg)
+    status = main(["validate", "--config", path])
+    if status != 2:
+        assert status == 0
+        assert main(["run", "--config", path, "--out", str(tmp / "out")]) in (0, 1)

@@ -439,6 +439,39 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_paths", "abc"),
+        ("n_paths", 10.0),
+        ("n_paths", True),
+        ("n_paths", 0),
+        ("seed", 1.7),
+        ("seed", "1"),
+        ("seed", False),
+        ("max_time", float("nan")),
+        ("max_time", "x"),
+        ("max_time", True),
+        ("max_time", -1.0),
+        ("start", None),
+        ("start", {"0": 1.0}),
+        ("start", [[0.5, 0.5]]),
+    ],
+)
+def test_config_checks_its_own_fields(field, value):
+    fields = {"n_paths": 10, "seed": 1, "start": 0, "max_time": 5.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        McConfig(**fields)
+
+
+def test_config_accepts_numpy_integers():
+    config = McConfig(n_paths=np.int64(10), seed=np.int32(3), start=np.int64(1))
+    chain = complete_graph(3, 1.0)
+    samples = simulate_exit_times(chain, DomainMask.from_states([0, 1], 3), config)
+    assert samples.n_paths == 10
+    assert np.array_equal(config.start_weights(3), [0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("start", [1.9, "1", True])
 def test_non_integer_start_state_rejected(start):
     chain = complete_graph(3, 1.0)
