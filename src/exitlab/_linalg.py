@@ -153,76 +153,31 @@ def _lower_band(s: np.ndarray, b: int, shift: float = 0.0) -> np.ndarray:
     return band
 
 
-class RefinedSPD(_Refined):
-    """Cholesky factor L L^T of a symmetric positive definite matrix ``a`` and
-    its 1-norm condition estimate ``cond``.
+class _Cholesky(_Refined):
+    """A Cholesky factor L L^T, its solves and its triangular solve.
+    Subclasses build the factor through ``_factorize`` and supply ``_apply``
+    and ``_anorm``."""
 
-    ``a`` must be exactly symmetric. It may be a view; it is not modified,
-    and solves of a x = b refine against it. ``lower_solve(b)`` applies
-    L^{-1} to a matrix b. Raises SingularSystemError when the factorization
-    fails, the factor is not finite, or the reciprocal condition falls below
-    SINGULAR_RCOND.
+    def _factorize(self, s: np.ndarray, band: int | None, shift: float = 0.0) -> int:
+        """Factor s + shift*I, for an exactly symmetric s, by Cholesky in a
+        buffer of its own, keep the factor and its solver, and return
+        LAPACK's info. s is not modified.
 
-    The kernels follow the bandwidth b of ``a`` in its given order: the
-    banded ones when b * BAND_FRACTION < m, the dense ones otherwise. Both
-    pass the same gate and refine against the same dense ``a``. The dense
-    condition estimate is ``pocon``'s. LAPACK has ``pbcon`` but scipy does
-    not expose it, so the banded one is ``gbcon``'s, on an LU (``gbtrf``) of
-    the same band in general band storage: rows b..3b hold the band, A[i, j]
-    at row 2b + i - j, and the b rows above are the LU's fill, all in
-    O(m b^2).
-    """
-
-    def __init__(self, a: np.ndarray, context: str = "solve"):
-        self.a = a
-        m, b = a.shape[0], _bandwidth(a)
-        if _banded(b, m):
-            band = _lower_band(a, b)
-            full = np.zeros((3 * b + 1, m), order="F")
-            full[2 * b :] = band
-            for k in range(1, b + 1):
-                full[2 * b - k, k:] = band[k, : m - k]
-            # the fill rows are still zero: column sums of |full| are the matrix's
-            self._norm = float(np.abs(full).sum(axis=0).max())
-            info = self._factorize(band, band=True, overwrite=True)
-            rcond = 0.0
-            if info == 0:
-                gbtrf, gbcon = get_lapack_funcs(("gbtrf", "gbcon"), (full,))
-                lu, piv, lu_info = gbtrf(full, b, b, overwrite_ab=1)
-                if lu_info == 0:
-                    rcond = gbcon(b, b, lu, piv, self._norm)[0]
-        else:
-            pocon, lange = get_lapack_funcs(("pocon", "lange"), (a,))
-            self._norm = lange("1", a.T)
-            info = self._factorize(a.T, band=False, overwrite=False)
-            rcond = pocon(self._factor, self._norm, uplo="L")[0] if info == 0 else 0.0
-        ok = info == 0 and _finite(self._factor)
-        self.cond = _gate(context, "not numerically positive definite", m, rcond, ok)
-
-    def _factorize(self, s: np.ndarray, band: bool, overwrite: bool) -> int:
-        """Factor s by Cholesky, keep the factor and its solver, and return
-        LAPACK's info.
-
-        Dense: s is the matrix, read in place when Fortran-ordered; an
-        exactly symmetric C-ordered matrix is passed as its transpose, which
-        is the same matrix. With ``overwrite`` the factor is written over s,
-        otherwise into a copy. Banded: s is ``_lower_band`` storage, and the
-        factor is written over it.
+        Dense when ``band`` is None: s is copied C-ordered, and its transpose,
+        Fortran-ordered and the same matrix, is factored in place. Banded
+        otherwise: s, of bandwidth ``band``, is read on its band into
+        ``_lower_band`` storage, so the factor allocates no m x m buffer.
         """
-        if band:
+        self._is_band = band is not None
+        if self._is_band:
             pbtrf, self._potrs = get_lapack_funcs(("pbtrf", "pbtrs"), (s,))
-            self._factor, info = pbtrf(s, lower=1, overwrite_ab=1)
-        else:
-            potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (s,))
-            self._factor, info = potrf(s, lower=True, clean=False, overwrite_a=overwrite)
-        self._is_band = band
+            self._factor, info = pbtrf(_lower_band(s, band, shift), lower=1, overwrite_ab=1)
+            return info
+        buf = np.array(s, dtype=float)
+        buf.flat[:: buf.shape[0] + 1] += shift
+        potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (buf,))
+        self._factor, info = potrf(buf.T, lower=True, clean=False, overwrite_a=True)
         return info
-
-    def _anorm(self, trans: bool) -> float:
-        return self._norm
-
-    def _apply(self, x, trans: bool) -> np.ndarray:
-        return self.a @ x
 
     def _direct(self, b, trans: bool) -> np.ndarray:
         # potrs and pbtrs take the same arguments
@@ -246,12 +201,40 @@ class RefinedSPD(_Refined):
         return xt.T
 
 
+class RefinedSPD(_Cholesky):
+    """Cholesky factor L L^T of a symmetric positive definite matrix ``a`` that
+    need not be a Z-matrix, as the nested saddle's reflected blocks are not,
+    and ``pocon``'s 1-norm condition estimate ``cond``.
+
+    ``a`` must be exactly symmetric. It may be a view; it is not modified,
+    and solves of a x = b refine against it. The kernels are the dense ones
+    whatever the bandwidth: a reflected block is dense. Raises
+    SingularSystemError when the factorization fails, the factor is not
+    finite, or the reciprocal condition falls below SINGULAR_RCOND.
+    """
+
+    def __init__(self, a: np.ndarray, context: str = "solve"):
+        self.a = a
+        pocon, lange = get_lapack_funcs(("pocon", "lange"), (a,))
+        self._norm = lange("1", a.T)
+        info = self._factorize(a, None)
+        rcond = pocon(self._factor, self._norm, uplo="L")[0] if info == 0 else 0.0
+        ok = info == 0 and _finite(self._factor)
+        self.cond = _gate(context, "not numerically positive definite", a.shape[0], rcond, ok)
+
+    def _anorm(self, trans: bool) -> float:
+        return self._norm
+
+    def _apply(self, x, trans: bool) -> np.ndarray:
+        return self.a @ x
+
+
 class ShiftFree(NamedTuple):
     """What a RefinedCholesky reads of ``sym`` and ``q`` besides the factor,
     none of it changed by the shift: the diagonal of q and the sums of its
     off-diagonal entries by column and by row, and the diagonal of sym and
     the sums of its off-diagonal entries by column. O(m) to keep, O(m^2)
-    once to compute."""
+    once to compute. Without q, those of q = -sym."""
 
     q_diag: np.ndarray
     q_col_off: np.ndarray
@@ -260,44 +243,45 @@ class ShiftFree(NamedTuple):
     sym_col_off: np.ndarray
 
     @classmethod
-    def of(cls, sym: np.ndarray, q: np.ndarray) -> "ShiftFree":
-        q_diag, sym_diag = np.diag(q), np.diag(sym)
+    def of(cls, sym: np.ndarray, q: np.ndarray | None = None) -> "ShiftFree":
+        sym_diag = np.diag(sym)
         # an infinite diagonal entry leaves a NaN sum, which the gate rejects
         with np.errstate(invalid="ignore"):
-            return cls(
-                q_diag,
-                q.sum(axis=0) - q_diag,
-                q.sum(axis=1) - q_diag,
-                sym_diag,
-                sym.sum(axis=0) - sym_diag,
-            )
+            sym_col_off = sym.sum(axis=0) - sym_diag
+            if q is None:
+                return cls(-sym_diag, -sym_col_off, -sym_col_off, sym_diag, sym_col_off)
+            q_diag = np.diag(q)
+            return cls(q_diag, q.sum(axis=0) - q_diag, q.sum(axis=1) - q_diag, sym_diag, sym_col_off)
 
 
-class RefinedCholesky(RefinedSPD):
-    """Solves (shift*I - q) x = b, or its transpose, for a vector b when the
-    matrix is similar to a symmetric positive definite one.
+class RefinedCholesky(_Cholesky):
+    """Cholesky factor of S = sym + shift*I for a symmetric Z-matrix ``sym``
+    (off-diagonal entries <= 0), its 1-norm condition number ``cond``, and
+    solves through it.
 
-    ``sym`` is symmetric with R (shift*I - q) R^{-1} = sym + shift*I for
-    R = diag(root), and its off-diagonal entries are <= 0, as they are when
-    q is a generator block. That shifted matrix S is factored by Cholesky in
-    a buffer of its own, and the solves are x = R^{-1} S^{-1} R b and, for
-    the transpose, x = R S^{-1} R^{-1} b. Refinement runs against q itself.
-    The kernels are those of RefinedSPD, from ``bandwidth``, the bandwidth of
-    ``sym`` (found when not given). A banded S is built from ``sym``'s
-    diagonals, so its factor allocates no m x m buffer.
+    Given neither ``q`` nor ``root``, solves are of S x = b, refined
+    against S itself. With ``q`` they are of (shift*I - q) x = b, or its
+    transpose, when R (shift*I - q) R^{-1} = S for R = diag(root) (R = I
+    when ``root`` is not given), as for a reversible generator block q:
+    x = R^{-1} S^{-1} R b and, for the transpose, x = R S^{-1} R^{-1} b,
+    refined against q itself.
+    S is factored in a buffer of its own, on its band when
+    b * BAND_FRACTION < m for ``bandwidth`` b, the bandwidth of ``sym``
+    (found when not given), and dense otherwise.
 
     ``cond`` is the 1-norm condition number of S from one solve y = S^{-1} 1:
     S is a Z-matrix, so once its Cholesky succeeds it is a nonsingular
     M-matrix, S^{-1} >= 0, and ||S^{-1}||_1 = max|y|. On such a matrix the
-    number is exact; on one with a positive off-diagonal entry it is a lower
-    bound, as ``pocon``'s is. The 1-norm of S and those of shift*I - q come
-    from ``sums`` (``ShiftFree.of(sym, q)`` when not given) in O(m). Raises
-    SingularSystemError when the factorization fails, the norm of S or y is
-    not finite, max|y| <= 0, or 1/cond falls below SINGULAR_RCOND. A finite
-    S that Cholesky factors has a finite factor, since |L_ij| <= sqrt(S_ii).
+    number is exact; on one with a positive off-diagonal entry it is only a
+    lower bound, which is why RefinedSPD keeps ``pocon``. The 1-norm of S
+    and those of shift*I - q come from ``sums`` (``ShiftFree.of(sym, q)``
+    when not given) in O(m). Raises SingularSystemError when the
+    factorization fails, the norm of S or y is not finite, max|y| <= 0, or
+    1/cond falls below SINGULAR_RCOND. A finite S that Cholesky factors has
+    a finite factor, since |L_ij| <= sqrt(S_ii).
     """
 
-    def __init__(self, sym, shift: float, root, q, context: str = "solve",
+    def __init__(self, sym, shift: float = 0.0, root=None, q=None, context: str = "solve",
                  bandwidth: int | None = None, sums: ShiftFree | None = None):
         sums = ShiftFree.of(sym, q) if sums is None else sums
         # 1-norms of shift*I - q and of its transpose, for the refinement stop,
@@ -308,15 +292,10 @@ class RefinedCholesky(RefinedSPD):
         self._norm = float((np.abs(sums.sym_diag + shift) - sums.sym_col_off).max())
         m = sym.shape[0]
         b = _bandwidth(sym) if bandwidth is None else bandwidth
-        if _banded(b, m):
-            info = self._factorize(_lower_band(sym, b, shift), band=True, overwrite=True)
-        else:
-            s = np.array(sym, dtype=float)
-            s.flat[:: m + 1] += shift
-            info = self._factorize(s.T, band=False, overwrite=True)
-        self.shift, self.root, self.q = shift, root, q
+        info = self._factorize(sym, b if _banded(b, m) else None, shift)
+        self.sym, self.shift, self.root, self.q = sym, shift, root, q
         ok = info == 0 and math.isfinite(self._norm)
-        y_max = float(np.abs(RefinedSPD._direct(self, np.ones(m), False)).max()) if ok else 0.0
+        y_max = float(np.abs(super()._direct(np.ones(m), False)).max()) if ok else 0.0
         ok = ok and math.isfinite(y_max) and y_max > 0
         cond = self._norm * y_max if ok else math.inf
         # a zero norm can only come from positive off-diagonal entries; it
@@ -328,8 +307,12 @@ class RefinedCholesky(RefinedSPD):
         return self._norms[trans]
 
     def _apply(self, x, trans: bool) -> np.ndarray:
+        if self.q is None:
+            return self.sym @ x + self.shift * x
         return self.shift * x - (self.q.T if trans else self.q) @ x
 
     def _direct(self, b, trans: bool) -> np.ndarray:
+        if self.root is None:
+            return super()._direct(b, trans)
         scale = (1.0 / self.root) if trans else self.root
         return super()._direct(scale * b, trans) / scale

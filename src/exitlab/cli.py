@@ -45,7 +45,7 @@ from .models import (
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
 from .poisson import DomainMask, DomainSystem, _restrict_source
 from .spectral import bounds_ledger
-from .variational import closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
+from .variational import _nonvanishing, closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
 
 
 class ConfigError(ValueError):
@@ -190,7 +190,7 @@ def _parse(doc) -> ExperimentConfig:
         if not isinstance(raw, dict) or "n_paths" not in raw or "seed" not in raw:
             raise ConfigError("$.mc: must be an object with 'n_paths' and 'seed'")
         with _at("$.mc"):  # start 0 until the start is checked at its own anchor; "pi" needs the chain
-            mc = McConfig(raw["n_paths"], raw["seed"], 0, betas, raw.get("max_time", 1e6))
+            mc = McConfig(raw["n_paths"], raw["seed"], 0, raw.get("max_time", 1e6))
         start = raw.get("start", 0)
         mc_start_pi = start == "pi"
         if not mc_start_pi:
@@ -239,8 +239,9 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
 
     A scale sweep assembles its own two parts, so when it is the only
     command no chain is built: the domain needs only the grid points. A
-    TypeError or ValueError raised while a config part becomes its object
-    is a ConfigError anchored at that part.
+    flow sweep's chain is perturbed once at its largest strength, and the
+    result dropped. A TypeError or ValueError raised while a config part
+    becomes its object is a ConfigError anchored at that part.
     """
     scale_only = set(cfg.commands) == {"sweep"} and cfg.sweep.kind == "scale"
     chain = pts = None
@@ -262,10 +263,16 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             mask = DomainMask(inside)
     with _at("$.xi"):
         xi = np.ones(mask.size) if cfg.xi is None else _restrict_source(mask, cfg.xi, n)
+        if "variational" in cfg.commands:
+            _nonvanishing(xi)
     flow = mc = weights = None
     if cfg.sweep is not None and cfg.sweep.kind == "flow":
         with _at("$.sweep.cycle"):
             flow = flow_from_cycles([range(n) if cfg.sweep.cycle is None else cfg.sweep.cycle], chain.measure)
+        # the strongest flow judges the base chain and every strength; on a
+        # reversible base only a strength can fail
+        with _at("$.sweep.values" if chain.reversible else "$.sweep"):
+            antisym_perturb(chain, flow, max(abs(k) for k in cfg.sweep.values))
     if cfg.mc is not None:
         mc = replace(cfg.mc, start=(chain.mu / chain.mu.sum()).tolist()) if cfg.mc_start_pi else cfg.mc
         with _at("$.mc.start"):

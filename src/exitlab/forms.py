@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from ._linalg import RefinedSPD, SingularSystemError, _bandwidth, _tridiagonal
+from ._linalg import RefinedCholesky, SingularSystemError, _bandwidth, _tridiagonal
 from .defaults import MARKOV_TOL, STRUCTURAL_TOL
 
 __all__ = [
@@ -354,12 +354,13 @@ def _sector_sigma(chain: Chain, probe: float) -> float:
     shifted symmetric part S = sym(A0) + probe*M is positive definite. The
     supremum is the largest singular value of L^{-1} A0 L^{-T}, with
     S = L L^T the Cholesky factorization; it shares its singular values
-    with S^{-1/2} A0 S^{-1/2}. A factor that fails the gate of RefinedSPD
-    reports +inf.
+    with S^{-1/2} A0 S^{-1/2}. S is a Z-matrix, its off-diagonal entries
+    -(mu_x q_xy + mu_y q_yx)/2 being <= 0, so RefinedCholesky factors it; a
+    factor that fails its gate reports +inf.
     """
     a0 = form_matrix(chain.q, chain.mu, 0.0)
     try:
-        low = RefinedSPD((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), "sector constant")
+        low = RefinedCholesky((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), context="sector constant")
     except SingularSystemError:
         return float("inf")
     half = low.lower_solve(a0)

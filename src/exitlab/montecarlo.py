@@ -56,7 +56,6 @@ class McConfig:
     n_paths: int
     seed: int
     start: object
-    betas: tuple = ()
     max_time: float = 1e6
 
     def __post_init__(self):
@@ -72,7 +71,6 @@ class McConfig:
         start = self.start
         if isinstance(start, bool) or not (isinstance(start, (int, np.integer)) or np.ndim(start) == 1):
             raise ValueError(f"start must be an integer state index or a distribution, got {start!r}")
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
 
     def start_weights(self, n_states: int) -> np.ndarray:
         """The start as a distribution over n_states states, a unit vector for

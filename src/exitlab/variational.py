@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import RefinedSPD
+from ._linalg import RefinedCholesky, RefinedSPD
 from .defaults import (
     SADDLE_CHECK_DIRECTIONS,
     SADDLE_CHECK_SEED,
@@ -103,6 +103,13 @@ def _optimizers(u, u_dual, xi, weights):
     return (w + wt) / 2.0, (w - wt) / 2.0
 
 
+def _nonvanishing(xi_d: np.ndarray) -> np.ndarray:
+    """The source on the domain, which the saddle needs nonzero there."""
+    if np.abs(xi_d).max() <= 0.0:
+        raise ValueError("source xi vanishes on the domain")
+    return xi_d
+
+
 def saddle_form(system: DomainSystem, beta: float, xi):
     """Admissibility, then the data every route reads and none writes: the
     form matrix on D at beta (read-only), the source on D and c = mu_D xi_D."""
@@ -112,9 +119,7 @@ def saddle_form(system: DomainSystem, beta: float, xi):
             f"shift beta={beta:g} must exceed the lower-bound estimate "
             f"{chain.beta0:g}; the inner quadratic is indefinite otherwise"
         )
-    xi_d = _restrict_source(system.mask, xi, chain.n_states)
-    if np.abs(xi_d).max() <= 0.0:
-        raise ValueError("source xi vanishes on the domain")
+    xi_d = _nonvanishing(_restrict_source(system.mask, xi, chain.n_states))
     a = form_matrix(system.q_d, system.mu_d, beta)
     a.setflags(write=False)
     return a, xi_d, system.mu_d * xi_d
@@ -286,10 +291,12 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
 
 def _symmetric_minimum(s: np.ndarray, c: np.ndarray, context: str) -> float:
     """1 / (c^T S^{-1} c), the minimum of f^T s f over {c^T f = 1}, for S the
-    symmetric part of s, which must be positive definite. S is written over s."""
+    symmetric part of s, which must be positive definite. S is written over
+    s. s is a form matrix on the domain, less a diagonal for the exponential
+    moment, so S is a Z-matrix."""
     s += s.T  # numpy reads an overlapping operand as if it were copied
     s *= 0.5
-    y = RefinedSPD(s, context).solve(c)
+    y = RefinedCholesky(s, context=context).solve(c)
     return 1.0 / float(c @ y)
 
 

@@ -261,12 +261,12 @@ def test_criterion_07_stable_exit_mean():
 def test_criterion_08_monte_carlo_oracle():
     with criterion(8, "Monte Carlo within 3 standard errors of the exact solves"):
         def run_check(chain, mask, seed):
-            config = McConfig(n_paths=100_000, seed=seed, start=0, betas=(0.5, 1.0))
-            samples = simulate_exit_times(chain, mask, config)
-            est = estimate_exit_functionals(samples, config.betas)
+            betas = (0.5, 1.0)
+            samples = simulate_exit_times(chain, mask, McConfig(n_paths=100_000, seed=seed, start=0))
+            est = estimate_exit_functionals(samples, betas)
             mean_exact = exit_mean(chain, mask)[0]
             checks = [abs(est.mean[0] - mean_exact) <= 3 * est.mean[1] + 1e-12]
-            for beta in config.betas:
+            for beta in betas:
                 exact = exit_laplace(chain, mask, beta)[0]
                 got, se = est.laplace[beta]
                 checks.append(abs(got - exact) <= 3 * se + 1e-12)
@@ -281,10 +281,10 @@ def test_criterion_08_monte_carlo_oracle():
                 ok, _ = run_check(chain, mask, seed=8002)
             assert ok, name
             again = simulate_exit_times(
-                chain, mask, McConfig(n_paths=1000, seed=8001, start=0, betas=(0.5,))
+                chain, mask, McConfig(n_paths=1000, seed=8001, start=0)
             )
             once = simulate_exit_times(
-                chain, mask, McConfig(n_paths=1000, seed=8001, start=0, betas=(0.5,))
+                chain, mask, McConfig(n_paths=1000, seed=8001, start=0)
             )
             assert np.array_equal(again.tau, once.tau)
 

@@ -882,6 +882,32 @@ def test_validate_rejects_what_run_cannot_build(tmp_path, capsys, changes, ancho
     assert not (tmp_path / "out").exists()
 
 
+# Configs that every constructor accepts but that a command's own library
+# check rejects: prepare runs that check, so validate rejects them too
+_COMMAND_ERRORS = {
+    "variational-source-vanishes": ({"xi": [0, 0], "commands": ["variational"]}, "$.xi"),
+    "flow-beyond-k_max": ({"commands": ["sweep"], "sweep": {"kind": "flow", "values": [1.0]}}, "$.sweep.values"),
+    "flow-on-a-drift-grid": (
+        {"model": grid_1d(b=[1.0], k=1.0), "commands": ["sweep"], "sweep": {"kind": "flow", "values": [0.1]}},
+        "$.sweep",
+    ),
+}
+
+
+@pytest.mark.parametrize("changes, anchor", _COMMAND_ERRORS.values(), ids=_COMMAND_ERRORS)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_validate_rejects_what_a_command_would_reject(tmp_path, capsys, changes, anchor, command):
+    cfg = small_config(tmp_path, **changes)
+    assert main([command, "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    assert f": {anchor}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_vanishing_source_is_judged_only_for_variational(tmp_path):
+    cfg = small_config(tmp_path, xi=[0, 0], commands=["exit"])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+
+
 def _leaves(doc, path=()):
     """Paths to the scalar leaves of a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None

@@ -276,7 +276,7 @@ def test_sector_constant_factors_through_the_package_cholesky(monkeypatch):
     expected = max(1.0, _sector_by_eigh_and_norm(chain, probe))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the sector constant bypassed RefinedSPD")
+        raise AssertionError("the sector constant bypassed RefinedCholesky")
 
     monkeypatch.setattr(scipy.linalg, "cholesky", forbidden)
     monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)

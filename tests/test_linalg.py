@@ -1,15 +1,20 @@
-"""The two kernel paths of the symmetric factors: the bandwidth that picks
-them, and the gate, solves and triangular solve of the banded one against
-the dense one on the same matrix."""
+"""The symmetric factors: the bandwidth that picks the kernels of a
+Z-matrix Cholesky, the gate, solves and triangular solve of its banded
+kernels against the dense ones on the same matrix, and the gate of each
+factor class."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 import exitlab._linalg as linalg
-from conftest import random_reversible_chain
+import exitlab.forms
+import exitlab.variational
+from conftest import random_nonsymmetric_chain, random_reversible_chain
 from exitlab import Chain, DomainMask, Generator, Measure, RecurrentRestrictionError, SingularSystemError
 from exitlab._linalg import RefinedCholesky, RefinedSPD, _banded, _bandwidth, _tridiagonal
+from exitlab.forms import _sector_sigma
 from exitlab.poisson import DomainSystem
+from exitlab.variational import exp_moment_inf, symmetric_inf
 
 
 def _reference_bandwidth(a) -> int:
@@ -76,13 +81,13 @@ def test_banded_factor_matches_the_dense_one(b, dense_kernels, monkeypatch):
     a = _band_matrix(40, b, rng)
     rhs = rng.standard_normal(40)
     block = rng.standard_normal((40, 5))
-    dense = RefinedSPD(a)
+    dense = RefinedCholesky(a)
     monkeypatch.undo()
-    band = RefinedSPD(a)
+    band = RefinedCholesky(a)
     assert band._is_band and not dense._is_band
-    assert band._norm == pytest.approx(dense._norm, rel=1e-15)
-    # two estimates of the same 1-norm condition number
-    assert band.cond == pytest.approx(dense.cond, rel=0.5)
+    assert band._norm == dense._norm == pytest.approx(np.linalg.norm(a, 1), rel=1e-15)
+    # the same exact 1-norm condition number, from one solve on each factor
+    assert band.cond == pytest.approx(dense.cond, rel=1e-12)
     np.testing.assert_allclose(band.solve(rhs), dense.solve(rhs), rtol=1e-13, atol=0.0)
     # lower_solve: tbtrs on the band against trsm on the dense factor
     np.testing.assert_allclose(
@@ -117,10 +122,10 @@ def test_non_positive_definite_band_raises_as_the_dense_kernel_does(dense_kernel
     a = _band_matrix(32, 1, np.random.default_rng(2))
     a[7, 7] = -1.0
     with pytest.raises(SingularSystemError) as dense:
-        RefinedSPD(a, "inner saddle")
+        RefinedCholesky(a, context="sector constant")
     monkeypatch.undo()
-    with pytest.raises(SingularSystemError, match="inner saddle") as band:
-        RefinedSPD(a, "inner saddle")
+    with pytest.raises(SingularSystemError, match="sector constant") as band:
+        RefinedCholesky(a, context="sector constant")
     assert band.value.cond_estimate == np.inf == dense.value.cond_estimate
     assert str(band.value) == str(dense.value)
     assert "matrix of size 32 is not numerically positive definite" in str(band.value)
@@ -132,7 +137,7 @@ def test_non_finite_band_is_rejected(bad):
     a[10, 11] = a[11, 10] = bad
     assert _banded(_bandwidth(a), 32)
     with pytest.raises(SingularSystemError):
-        RefinedSPD(a)
+        RefinedCholesky(a)
 
 
 def test_conservative_tridiagonal_block_is_recurrent():
@@ -235,7 +240,74 @@ def test_restricted_cholesky_asks_lapack_for_no_condition_estimator(banded, monk
     system = _killed_restriction(banded)
     RefinedCholesky(system.sym_d, 0.5, np.sqrt(system.mu_d), system.q_d)
     assert requested and not {"pocon", "lange", "gbtrf", "gbcon"} & set(requested)
-    # the symmetric factor of a general matrix keeps its estimator
+    # the symmetric factor of a general matrix keeps its estimator, at any bandwidth
     requested.clear()
     RefinedSPD(system.sym_d + 0.5 * np.eye(system.mask.size))
-    assert ({"gbtrf", "gbcon"} if banded else {"pocon", "lange"}) <= set(requested)
+    assert {"pocon", "lange"} <= set(requested)
+    assert not {"pbtrf", "gbtrf", "gbcon"} & set(requested)
+
+
+def _tridiagonal_drift_chain(m: int = 40) -> Chain:
+    """A killed nearest-neighbour chain under the counting measure with
+    unequal up and down rates: not reversible, and its form is tridiagonal."""
+    rng = np.random.default_rng(12)
+    q = np.diag(rng.uniform(0.5, 2.0, m - 1), 1) + np.diag(rng.uniform(0.1, 0.4, m - 1), -1)
+    q[np.diag_indices(m)] = -q.sum(axis=1) - rng.uniform(0.0, 0.2, m)
+    return Chain(Generator(q), Measure(np.ones(m)))
+
+
+def _z_matrix_route(route: str, banded: bool):
+    """A call that factors one symmetric Z-matrix through ``route``."""
+    if route == "sector_constant":
+        chain = _tridiagonal_drift_chain() if banded else random_nonsymmetric_chain(np.random.default_rng(3), 60)
+        assert not chain.reversible
+        return lambda: _sector_sigma(chain, chain.beta0 + 0.5)
+    system = _killed_restriction(banded)
+    if route == "symmetric_minimum":
+        return lambda: symmetric_inf(system.chain, system.mask, 0.5, np.ones(system.mask.size))
+    # a probability measure with the same generator, so still reversible
+    mu = system.chain.mu
+    chain = Chain(system.chain.generator, Measure(mu / mu.sum(), normalized=True))
+    lambda0 = DomainSystem(chain, system.mask).dirichlet.lambda0
+    return lambda: exp_moment_inf(chain, system.mask, lambda0 / 2.0, lambda0)
+
+
+@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("route", ["symmetric_minimum", "exp_moment_minimum", "sector_constant"])
+def test_z_matrix_factors_take_the_exact_one_solve_condition(route, banded, monkeypatch):
+    call = _z_matrix_route(route, banded)
+    built, requested = [], []
+    get = linalg.get_lapack_funcs
+
+    class Recorded(RefinedCholesky):
+        def __init__(self, sym, *args, **kwargs):
+            super().__init__(sym, *args, **kwargs)
+            built.append((np.array(sym) + self.shift * np.eye(sym.shape[0]), self))
+
+    def spy(names, arrays=()):
+        requested.extend(names)
+        return get(names, arrays)
+
+    monkeypatch.setattr(exitlab.variational, "RefinedCholesky", Recorded)
+    monkeypatch.setattr(exitlab.forms, "RefinedCholesky", Recorded)
+    monkeypatch.setattr(linalg, "get_lapack_funcs", spy)
+    call()
+    assert len(built) == 1
+    s, factors = built[0]
+    assert factors._is_band == banded
+    assert factors.cond == pytest.approx(np.linalg.cond(s, 1), rel=1e-10)
+    assert requested and not {"pocon", "lange", "gbtrf", "gbcon"} & set(requested)
+
+
+def test_refined_spd_rejects_a_tiny_eigenvalue_that_one_solve_cannot_see():
+    # eigenvalues 2 - 2^-53 on (1, 1) and 2^-53 on (1, -1): positive definite,
+    # Cholesky succeeds, but the positive off-diagonal entry makes it no
+    # Z-matrix, and S^{-1} 1 never meets the tiny eigenvalue
+    off = 1.0 - 2.0**-53
+    s = np.array([[1.0, off], [off, 1.0]])
+    assert np.linalg.eigvalsh(s)[0] > 0
+    one_solve = np.linalg.norm(s, 1) * np.abs(np.linalg.solve(s, np.ones(2))).max()
+    assert one_solve < 2.0
+    with pytest.raises(SingularSystemError, match="inner saddle") as err:
+        RefinedSPD(s, "inner saddle")
+    assert 1e16 < err.value.cond_estimate < np.inf

@@ -46,9 +46,9 @@ def stragglers(monkeypatch):
 def test_single_state_mean_and_laplace():
     chain = single_state_chain()
     mask = DomainMask.full(1)
-    config = McConfig(n_paths=100_000, seed=11, start=0, betas=(1.0,))
+    config = McConfig(n_paths=100_000, seed=11, start=0)
     samples = simulate_exit_times(chain, mask, config)
-    est = estimate_exit_functionals(samples, config.betas)
+    est = estimate_exit_functionals(samples, (1.0,))
     assert abs(est.mean[0] - 0.5) <= 3 * est.mean[1]
     mc_lap, se = est.laplace[1.0]
     assert abs(mc_lap - 2.0 / 3.0) <= 3 * se
@@ -58,13 +58,13 @@ def test_single_state_mean_and_laplace():
 def test_fixed_seed_is_bit_identical():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    config = McConfig(n_paths=2000, seed=42, start=0, betas=(0.5,))
+    config = McConfig(n_paths=2000, seed=42, start=0)
     a = simulate_exit_times(chain, mask, config)
     b = simulate_exit_times(chain, mask, config)
     assert np.array_equal(a.tau, b.tau)
     assert np.array_equal(a.censored, b.censored)
-    est_a = estimate_exit_functionals(a, config.betas)
-    est_b = estimate_exit_functionals(b, config.betas)
+    est_a = estimate_exit_functionals(a, (0.5,))
+    est_b = estimate_exit_functionals(b, (0.5,))
     assert est_a.mean == est_b.mean
     assert est_a.laplace == est_b.laplace
 
@@ -353,7 +353,7 @@ def test_rounding_noise_is_no_killing_branch():
 def test_three_state_mean_from_state_zero():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    config = McConfig(n_paths=100_000, seed=3, start=0, betas=())
+    config = McConfig(n_paths=100_000, seed=3, start=0)
     est = estimate_exit_functionals(simulate_exit_times(chain, mask, config), ())
     exact = exit_mean(chain, mask)[0]
     assert exact == pytest.approx(1.0, abs=1e-12)
@@ -363,9 +363,9 @@ def test_three_state_mean_from_state_zero():
 def test_stationary_start_exponential_moment():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    config = McConfig(n_paths=100_000, seed=5, start=chain.mu.tolist(), betas=(0.5,))
+    config = McConfig(n_paths=100_000, seed=5, start=chain.mu.tolist())
     samples = simulate_exit_times(chain, mask, config)
-    est = estimate_exit_functionals(samples, config.betas, exp_betas=(0.5,))
+    est = estimate_exit_functionals(samples, (0.5,), exp_betas=(0.5,))
     mc_exp, se, heavy = est.exp_moment[0.5]
     assert abs(mc_exp - 5.0 / 3.0) <= 3 * se
     assert not heavy
@@ -374,11 +374,11 @@ def test_stationary_start_exponential_moment():
 def test_start_outside_domain_gives_zero_samples():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    config = McConfig(n_paths=50, seed=1, start=2, betas=(1.0,))
+    config = McConfig(n_paths=50, seed=1, start=2)
     samples = simulate_exit_times(chain, mask, config)
     assert samples.start_off_domain
     assert np.all(samples.tau == 0.0)
-    est = estimate_exit_functionals(samples, config.betas)
+    est = estimate_exit_functionals(samples, (1.0,))
     assert est.mean[0] == 0.0
     assert est.laplace[1.0][0] == 1.0
 
@@ -386,8 +386,8 @@ def test_start_outside_domain_gives_zero_samples():
 def test_censoring_monotone_in_horizon():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    short = McConfig(n_paths=4000, seed=9, start=0, betas=(), max_time=0.5)
-    longer = McConfig(n_paths=4000, seed=9, start=0, betas=(), max_time=2.0)
+    short = McConfig(n_paths=4000, seed=9, start=0, max_time=0.5)
+    longer = McConfig(n_paths=4000, seed=9, start=0, max_time=2.0)
     s_short = simulate_exit_times(chain, mask, short)
     s_long = simulate_exit_times(chain, mask, longer)
     assert s_short.censored.sum() >= s_long.censored.sum()
@@ -403,7 +403,7 @@ def test_absorbing_inside_state_censors():
     from exitlab import Chain, Generator, Measure
 
     stuck = Chain(Generator(np.array([[0.0]])), Measure(np.ones(1)))
-    config = McConfig(n_paths=10, seed=2, start=0, betas=(), max_time=5.0)
+    config = McConfig(n_paths=10, seed=2, start=0, max_time=5.0)
     samples = simulate_exit_times(stuck, DomainMask.full(1), config)
     assert np.all(samples.censored)
     assert np.all(samples.tau == 5.0)
