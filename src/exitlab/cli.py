@@ -32,7 +32,6 @@ from .defaults import COMPARISON_RTOL, MONOTONE_TOL
 from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
-    FlowMatrix,
     GridModelSpec,
     _check_family_part,
     _check_shared_measure,
@@ -228,20 +227,22 @@ class Prepared:
     system: DomainSystem | None  # None when a scale sweep is the only command
     mask: DomainMask
     xi: np.ndarray  # the variational source on the domain
-    flow: FlowMatrix | None
+    family: tuple | None  # a sweep's (mu, mu_D, first, second): each point is c0*first + c1*second on D
     mc: McConfig | None
     mc_weights: np.ndarray | None  # the start distribution of mc
 
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
-    """Build the chain, domain, source, flow and Monte Carlo settings of a
-    config, with no solve and no eigensolve.
+    """Build the chain, domain, source, sweep family and Monte Carlo
+    settings of a config, with no solve and no eigensolve.
 
-    A scale sweep assembles its own two parts, so when it is the only
-    command no chain is built: the domain needs only the grid points. A
-    flow sweep's chain is perturbed once at its largest strength, and the
-    result dropped. A TypeError or ValueError raised while a config part
-    becomes its object is a ConfigError anchored at that part.
+    A scale sweep's family is its two parts, assembled at unit scale and
+    restricted to the domain, so when it is the only command no chain is
+    built: the domain needs only the grid points. A flow sweep's family is
+    the run system's Q_D and the flow restricted to the domain; the chain
+    perturbed once at the largest strength judges every strength, and is
+    dropped. A TypeError or ValueError raised while a config part becomes
+    its object is a ConfigError anchored at that part.
     """
     scale_only = set(cfg.commands) == {"sweep"} and cfg.sweep.kind == "scale"
     chain = pts = None
@@ -265,7 +266,9 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         xi = np.ones(mask.size) if cfg.xi is None else _restrict_source(mask, cfg.xi, n)
         if "variational" in cfg.commands:
             _nonvanishing(xi)
-    flow = mc = weights = None
+    system = None if chain is None else DomainSystem(chain, mask)
+    block = np.ix_(mask.indices, mask.indices)
+    family = mc = weights = None
     if cfg.sweep is not None and cfg.sweep.kind == "flow":
         with _at("$.sweep.cycle"):
             flow = flow_from_cycles([range(n) if cfg.sweep.cycle is None else cfg.sweep.cycle], chain.measure)
@@ -273,12 +276,27 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         # reversible base only a strength can fail
         with _at("$.sweep.values" if chain.reversible else "$.sweep"):
             antisym_perturb(chain, flow, max(abs(k) for k in cfg.sweep.values))
+        family = (chain.mu, system.mu_d, system.q_d, flow.gamma[block])
+    elif cfg.sweep is not None:
+        # one part is assembled at a time: it is checked, its measure and
+        # restricted block kept, and the whole chain dropped before the next
+        parts = []
+        for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
+            with _at("$.model.params"):
+                part = discretize_jump_diffusion(replace(cfg.spec, **scales))
+            with _at("$.sweep"):
+                _check_family_part(part)
+            parts.append((part.mu, part.q[block]))
+            del part
+        (mu, diff_d), (jump_mu, jump_d) = parts
+        with _at("$.sweep"):
+            _check_shared_measure(mu, jump_mu)
+        family = (mu, mu[mask.indices], diff_d, jump_d)
     if cfg.mc is not None:
         mc = replace(cfg.mc, start=(chain.mu / chain.mu.sum()).tolist()) if cfg.mc_start_pi else cfg.mc
         with _at("$.mc.start"):
             weights = mc.start_weights(n)
-    system = None if chain is None else DomainSystem(chain, mask)
-    return Prepared(system, mask, xi, flow, mc, weights)
+    return Prepared(system, mask, xi, family, mc, weights)
 
 
 def _stamp(doc: dict, digest: str) -> dict:
@@ -391,13 +409,6 @@ def _cmd_bounds(prep, cfg):
     return ok, {"ledger": ledger.to_dict(), "passed": ok}, ledger.to_csv()
 
 
-def _aggregates(system, mu, betas):
-    """<laplace, 1>_mu per beta and <mean, 1>_mu, for full-length weights mu."""
-    lap = {beta: float(np.sum(mu * system.laplace(beta))) for beta in betas}
-    mean = float(np.sum(mu * system.mean()))
-    return lap, mean
-
-
 def _slack(a: float, b: float) -> float:
     """Rounding allowed between two computed values: MONOTONE_TOL relative to
     the larger magnitude, unfloored, so rescaling time keeps every verdict."""
@@ -424,48 +435,37 @@ def _sweep_csv(keys, rows, betas) -> str:
 
 def _cmd_sweep(prep, cfg):
     sweep = cfg.sweep
-    mask = prep.mask
+    mu, mu_d, first, second = prep.family
+
+    def aggregates(c0, c1, reversible):
+        """<laplace, 1>_mu per beta and <mean, 1>_mu at the point
+        c0*first + c1*second, whose system is freed before the next point."""
+        system = DomainSystem.from_restricted(prep.mask, c0 * first + c1 * second, mu_d, reversible)
+        lap = {beta: float(np.sum(mu * system.laplace(beta))) for beta in cfg.betas}
+        return lap, float(np.sum(mu * system.mean()))
+
     rows = []
     ok = True
     if sweep.kind == "flow":
-        chain = prep.system.chain
         for k in sweep.values:
-            # the perturbed chains keep the measure of the base
-            pos, neg = (DomainSystem(antisym_perturb(chain, prep.flow, s), mask) for s in (k, -k))
-            lap, mean = _aggregates(pos, chain.mu, cfg.betas)
-            lap_neg, mean_neg = _aggregates(neg, chain.mu, cfg.betas)
-            for beta in cfg.betas:
-                if abs(lap[beta] - lap_neg[beta]) > _slack(lap[beta], lap_neg[beta]):
-                    ok = False
-            if abs(mean - mean_neg) > _slack(mean, mean_neg):
-                ok = False
+            # Q_D +- k*Gamma_D, the restriction of antisym_perturb(chain, flow, +-k);
+            # the flow keeps the measure and breaks reversibility unless k == 0
+            lap, mean = aggregates(1.0, k, k == 0)
+            lap_neg, mean_neg = aggregates(1.0, -k, k == 0)
+            pairs = [(lap[beta], lap_neg[beta]) for beta in cfg.betas] + [(mean, mean_neg)]
+            ok = ok and not any(abs(a - b) > _slack(a, b) for a, b in pairs)
             rows.append({"k": k, "laplace": lap, "mean": mean})
         keys = ["k"]
         # Laplace grows and the mean falls with the flow strength |k|
         sequences = [[rows[i] for i in np.argsort([abs(r["k"]) for r in rows])]]
     else:
-        # each point's system is kappa*A_D + epsilon*B_D for the two parts
-        # restricted once, the same block as restricting scaled_family(...).q;
-        # the configured chain is never read. One part is assembled at a
-        # time: it is checked, its measure and restricted block kept, and the
-        # whole chain dropped before the next
-        block = np.ix_(mask.indices, mask.indices)
-        parts = []
-        for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
-            part = discretize_jump_diffusion(replace(cfg.spec, **scales))
-            _check_family_part(part)
-            parts.append((part.mu, part.q[block]))
-            del part
-        (mu, diff_d), (jump_mu, jump_d) = parts
-        _check_shared_measure(mu, jump_mu)
-        mu_d = mu[mask.indices]
+        # kappa*A_D + epsilon*B_D, the same block as restricting
+        # scaled_family(...).q; the configured chain is never read
         kappas, epsilons = sweep.kappa, sweep.epsilon
         table = {}
         for kap in kappas:
             for eps in epsilons:
-                system = DomainSystem.from_restricted(mask, kap * diff_d + eps * jump_d, mu_d)
-                lap, mean = _aggregates(system, mu, cfg.betas)
-                del system  # free this point's blocks before the next point forms its own
+                lap, mean = aggregates(kap, eps, True)
                 table[(kap, eps)] = {"kappa": kap, "epsilon": eps, "laplace": lap, "mean": mean}
                 rows.append(table[(kap, eps)])
         keys = ["kappa", "epsilon"]

@@ -159,15 +159,15 @@ class DomainSystem:
     _ones: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_restricted(cls, mask: DomainMask, q_d: np.ndarray, mu_d: np.ndarray) -> "DomainSystem":
+    def from_restricted(cls, mask: DomainMask, q_d: np.ndarray, mu_d: np.ndarray, reversible: bool) -> "DomainSystem":
         """A system built from restricted data, with no chain behind it.
 
         ``q_d`` must be the restriction to the mask's states of a generator
-        that is reversible for a measure with weights ``mu_d`` there; the
-        caller has checked that.
+        with a measure of weights ``mu_d`` there; ``reversible`` says whether
+        that generator is reversible for it, which the caller has checked.
         """
         system = cls(None, mask)
-        system.__dict__.update(q_d=q_d, mu_d=mu_d, reversible=True)
+        system.__dict__.update(q_d=q_d, mu_d=mu_d, reversible=reversible)
         return system
 
     @cached_property

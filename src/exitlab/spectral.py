@@ -237,7 +237,7 @@ def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> Bound
 def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     """bounds_report on a prepared domain system (shares its solves and eigensolve)."""
     chain, mask = system.chain, system.mask
-    if not system.chain.reversible:
+    if not system.reversible:
         raise NonReversibleError("the bound ledger needs a reversible chain")
     if not chain.measure.normalized:
         raise ValueError("the bound ledger needs a normalized (probability) measure")

@@ -331,7 +331,7 @@ def exp_moment_route(system: DomainSystem, beta: float, lambda0: float) -> float
     """``exp_moment_inf`` on a system, from its Q_D and mu_D."""
     if beta <= 0:
         raise ValueError("exp_moment_inf needs beta > 0")
-    if not system.chain.reversible:
+    if not system.reversible:
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
     if not system.chain.measure.normalized:
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")

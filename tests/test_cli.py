@@ -187,6 +187,28 @@ def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
     assert peak <= 1.7 * n * n * 8
 
 
+@pytest.mark.parametrize("omega, bound", [("even", 5.5), ("all-but-0", 6.5)])
+def test_flow_sweep_peak_memory(tmp_path, omega, bound):
+    n = 400
+    cfg = {
+        "model": {"builder": "cycle_flow", "params": {"n": n, "rate": 1.0}},
+        "omega": list(range(0, n, 2)) if omega == "even" else list(range(1, n)),
+        "betas": [0.5, 2.0],
+        "commands": ["sweep"],
+        "sweep": {"kind": "flow", "values": [0, 0.25, 0.5, 1.0]},
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+    path = write_config(tmp_path / "exp.json", cfg)
+    status, peak = traced_peak(lambda: main(["run", "--config", path]))
+    assert status == 0
+    # building the chain peaks at 5.0 n^2; with D all but one state, the
+    # chain, Q_D and Gamma_D stay while one point's block and factor come
+    # and go. Two perturbed chains per strength, each with its own
+    # systems, read 7.35 and 10.35 n^2
+    assert peak <= bound * n * n * 8
+
+
 def test_mc_command(tmp_path):
     cfg = {
         "model": {"builder": "complete_graph", "params": {"n": 3, "rate": 1.0}},
@@ -613,9 +635,10 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
     monkeypatch.setattr(exitlab.cli, "scaled_family", counting_family, raising=False)
     from_restricted = DomainSystem.from_restricted.__func__
 
-    def capturing(cls, mask, q_d, mu_d, **facts):
+    def capturing(cls, mask, q_d, mu_d, reversible):
         blocks.append((mask.indices, q_d, mu_d))
-        return from_restricted(cls, mask, q_d, mu_d, **facts)
+        assert reversible is True
+        return from_restricted(cls, mask, q_d, mu_d, reversible=True)
 
     monkeypatch.setattr(DomainSystem, "from_restricted", classmethod(capturing))
     kappas, epsilons = [0.5, 1.0, 2.0], [0.0, 0.5, 1.0]
@@ -632,6 +655,52 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
         chain = scaled_family(diff, jump, kap, eps)
         assert np.array_equal(q_d, chain.q[np.ix_(idx, idx)])
         assert np.array_equal(mu_d, chain.mu[idx])
+
+
+def random_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)
+    return {"builder": "weighted_graph", "params": {"conductances": (c + c.T).tolist(), "measure": rng.uniform(0.5, 2.0, n).tolist()}}
+
+
+@pytest.mark.parametrize(
+    "model, omega",
+    [({"builder": "cycle_flow", "params": {"n": 6, "rate": 1.0}}, [0, 1, 2, 4]), (random_graph(12, 5), [1, 3, 4, 8, 9, 11])],
+)
+def test_flow_sweep_solves_restricted_blocks_without_building_chains(tmp_path, monkeypatch, model, omega):
+    import exitlab.cli
+    from exitlab.models import antisym_perturb, build_chain, flow_from_cycles
+    from exitlab.poisson import DomainSystem
+
+    perturbed, blocks = [], []
+
+    def counting(*args):
+        perturbed.append(args[2])
+        return antisym_perturb(*args)
+
+    monkeypatch.setattr(exitlab.cli, "antisym_perturb", counting)
+    from_restricted = DomainSystem.from_restricted.__func__
+
+    def capturing(cls, mask, q_d, mu_d, reversible):
+        blocks.append((mask.indices, q_d, mu_d, reversible))
+        return from_restricted(cls, mask, q_d, mu_d, reversible=reversible)
+
+    monkeypatch.setattr(DomainSystem, "from_restricted", classmethod(capturing))
+    values = [0.0, 0.25, -0.5, 0.125]
+    cfg = {**small_config(tmp_path, model=model, omega=omega, betas=[0.5, 2.0]), "commands": ["sweep"]}
+    cfg["sweep"] = {"kind": "flow", "values": values}
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    # one perturbation, at the largest strength, judges them all
+    assert perturbed == [0.5]
+    chain = build_chain(model)
+    flow = flow_from_cycles([range(chain.n_states)], chain.measure)
+    strengths = [s for k in values for s in (k, -k)]
+    assert len(blocks) == len(strengths)
+    for k, (idx, q_d, mu_d, reversible) in zip(strengths, blocks):
+        assert idx.tolist() == omega
+        assert np.array_equal(q_d, antisym_perturb(chain, flow, k).q[np.ix_(idx, idx)])
+        assert np.array_equal(mu_d, chain.mu[idx])
+        assert reversible is (k == 0)
 
 
 def conservative_parts(monkeypatch, jump_conservative):
@@ -866,6 +935,10 @@ _BUILD_ERRORS = {
     "mesh-does-not-divide": ({"model": grid_1d(mesh_h=0.3)}, "$.model.params"),
     "diffusion-a-string": ({"model": grid_1d(a="x")}, "$.model.params"),
     "dimension-a-float": ({"model": grid_1d(dimension=1.0)}, "$.model.params"),
+    "ellipticity-of-a-scale-sweep-part": (
+        {"model": grid_1d(ellipticity=[2.0, 3.0]), "commands": ["sweep"], "sweep": {"kind": "scale", "kappa": [1.0], "epsilon": [1.0]}},
+        "$.model.params",
+    ),
     "omega-out-of-range": ({"omega": [0, 9]}, "$.omega"),
     "xi-of-the-wrong-length": ({"xi": [1.0, 1.0, 1.0, 1.0]}, "$.xi"),
     "cycle-with-a-string": ({"commands": ["sweep"], "sweep": {"kind": "flow", "values": [0.1], "cycle": ["x", 1]}}, "$.sweep.cycle"),
@@ -889,6 +962,10 @@ _COMMAND_ERRORS = {
     "flow-beyond-k_max": ({"commands": ["sweep"], "sweep": {"kind": "flow", "values": [1.0]}}, "$.sweep.values"),
     "flow-on-a-drift-grid": (
         {"model": grid_1d(b=[1.0], k=1.0), "commands": ["sweep"], "sweep": {"kind": "flow", "values": [0.1]}},
+        "$.sweep",
+    ),
+    "scale-sweep-on-a-drift-grid": (
+        {"model": grid_1d(b=[1.0], k=1.0), "commands": ["sweep"], "sweep": {"kind": "scale", "kappa": [1.0], "epsilon": [1.0]}},
         "$.sweep",
     ),
 }

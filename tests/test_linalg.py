@@ -145,7 +145,7 @@ def test_conservative_tridiagonal_block_is_recurrent():
     rates = np.random.default_rng(4).uniform(0.5, 2.0, m - 1)
     q_d = np.diag(rates, 1) + np.diag(rates, -1)
     q_d[np.diag_indices(m)] = -q_d.sum(axis=1)
-    system = DomainSystem.from_restricted(DomainMask.from_states(range(m), m + 8), q_d, np.ones(m))
+    system = DomainSystem.from_restricted(DomainMask.from_states(range(m), m + 8), q_d, np.ones(m), reversible=True)
     assert system.sym_bandwidth == 1 and _banded(1, m)
     with pytest.raises(RecurrentRestrictionError):
         system.mean()
@@ -219,7 +219,7 @@ def test_conservative_dense_block_is_recurrent():
     q_d = c + c.T
     q_d[np.diag_indices(m)] = 0.0
     q_d[np.diag_indices(m)] = -q_d.sum(axis=1)
-    system = DomainSystem.from_restricted(DomainMask.from_states(range(m), m + 8), q_d, np.ones(m))
+    system = DomainSystem.from_restricted(DomainMask.from_states(range(m), m + 8), q_d, np.ones(m), reversible=True)
     assert not _banded(system.sym_bandwidth, m)
     with pytest.raises(SingularSystemError, match="not numerically positive definite"):
         RefinedCholesky(system.sym_d, 0.0, np.ones(m), q_d)

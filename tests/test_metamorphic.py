@@ -159,7 +159,7 @@ def test_dirichlet_bottom_of_a_conservative_chain_at_any_time_scale(kind, c):
 def test_dirichlet_rejects_a_negative_bottom_eigenvalue():
     # not sub-Markov: -Q_D has eigenvalues -2 and 0
     q_d = np.array([[1.0, 1.0], [1.0, 1.0]])
-    system = DomainSystem.from_restricted(DomainMask.full(2), q_d, np.ones(2))
+    system = DomainSystem.from_restricted(DomainMask.full(2), q_d, np.ones(2), reversible=True)
     with pytest.raises(AssertionError, match="negative"):
         system.dirichlet
 

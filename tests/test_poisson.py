@@ -360,7 +360,7 @@ def test_non_finite_matrices_are_rejected(bad):
         RefinedLU(a)
     # a reversible restricted system tries Cholesky first, then falls back
     q_d = -a
-    system = DomainSystem.from_restricted(DomainMask.full(3), q_d, np.ones(3))
+    system = DomainSystem.from_restricted(DomainMask.full(3), q_d, np.ones(3), reversible=True)
     with pytest.raises(SingularSystemError):
         system.solve(1.0, np.ones(3))
 
