@@ -376,11 +376,9 @@ def _cmd_variational(prep, cfg):
         iterative = nested_route(system.mask, a, c)
         agree = _agree(closed.value, iterative.value)
         entry = {"closed_form": closed.to_dict(), "iterative": iterative.to_dict(), "modes_agree": agree}
-        if system.reversible:
-            sym = symmetric_route(a, c)
-            entry["symmetric_inf"] = sym
-            agree_sym = _agree(sym, closed.value)
-            entry["symmetric_agrees"] = agree_sym
+        if system.reversible:  # its form on D is symmetric
+            entry["symmetric_inf"] = sym = symmetric_route(a, c)
+            entry["symmetric_agrees"] = agree_sym = _agree(sym, closed.value)
             agree = agree and agree_sym
         blocks[repr(beta)] = entry
         ok = ok and agree

@@ -256,8 +256,8 @@ class Chain:
         They are the eigenvalues of the mu-similarity M^{-1/2} sym(A0) M^{-1/2}
         = sym(M^{1/2}(-Q)M^{-1/2}) (``_symmetrized``). Under detailed balance
         sym(A0) = M(-Q), so these are also the eigenvalues of -Q in the
-        mu-weighted inner product: one eigensolve gives the lower bound beta0
-        and the spectral gap nu_1.
+        mu-weighted inner product, with the spectral gap nu_1. A non-reversible
+        chain reads its lower bound beta0 here too.
 
         When ``_linalg._tridiagonal`` holds for Q, it holds for the
         similarity, whose values then come from the tridiagonal ``sterf``;
@@ -274,8 +274,8 @@ class Chain:
     @cached_property
     def beta0(self) -> float:
         """Smallest shift making the symmetric part of the form nonnegative:
-        max(0, -nu_0) over the pencil spectrum."""
-        return float(max(0.0, -self.form_spectrum[0]))
+        0 for a reversible chain's Dirichlet form, max(0, -nu_0) otherwise."""
+        return 0.0 if self.reversible else float(max(0.0, -self.form_spectrum[0]))
 
     def is_conservative(self) -> bool:
         """Every row sums to zero within STRUCTURAL_TOL * |q_xx|."""
@@ -347,6 +347,18 @@ def form_matrix(q: np.ndarray, mu: np.ndarray, beta: float) -> np.ndarray:
     return a
 
 
+def _equilibrate(s: np.ndarray, *also: np.ndarray) -> np.ndarray:
+    """d = diag(s)^{-1/2}, with s and each matrix of ``also`` overwritten by
+    D x D: f = D f' moves no route's value, and gates on a unit diagonal read
+    the form's conditioning, not mu's range (van der Sluis, 1969). Not
+    M^{1/2}: that makes a reversible form the closed form's sym_d + beta*I."""
+    d = 1.0 / np.sqrt(np.diagonal(s))
+    for x in (s, *also):
+        x *= d
+        x *= d[:, None]
+    return d
+
+
 def _sector_sigma(chain: Chain, probe: float) -> float:
     """sup |form0(f,g)| / sqrt(form_probe(f,f) form_probe(g,g)), unfloored.
 
@@ -354,13 +366,16 @@ def _sector_sigma(chain: Chain, probe: float) -> float:
     shifted symmetric part S = sym(A0) + probe*M is positive definite. The
     supremum is the largest singular value of L^{-1} A0 L^{-T}, with
     S = L L^T the Cholesky factorization; it shares its singular values
-    with S^{-1/2} A0 S^{-1/2}. S is a Z-matrix, its off-diagonal entries
-    -(mu_x q_xy + mu_y q_yx)/2 being <= 0, so RefinedCholesky factors it; a
-    factor that fails its gate reports +inf.
+    with S^{-1/2} A0 S^{-1/2}, also once both are ``_equilibrate``d. S is a
+    Z-matrix, its off-diagonal entries -(mu_x q_xy + mu_y q_yx)/2 being <= 0,
+    so RefinedCholesky factors it; a factor that fails its gate reports +inf.
     """
     a0 = form_matrix(chain.q, chain.mu, 0.0)
+    s = (a0 + a0.T) / 2.0
+    s.flat[:: chain.n_states + 1] += probe * chain.mu
+    _equilibrate(s, a0)
     try:
-        low = RefinedCholesky((a0 + a0.T) / 2.0 + probe * np.diag(chain.mu), context="sector constant")
+        low = RefinedCholesky(s, context="sector constant")
     except SingularSystemError:
         return float("inf")
     half = low.lower_solve(a0)

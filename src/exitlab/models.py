@@ -398,7 +398,7 @@ def _check_ellipticity(spec: GridModelSpec, pts: np.ndarray) -> None:
         vals = _diffusion_values(spec, p)
         if vals.min() < lo - STRUCTURAL_TOL or vals.max() > hi + STRUCTURAL_TOL:
             raise ValueError(
-                f"coefficient at {tuple(p)} leaves the declared ellipticity "
+                f"coefficient at {tuple(p.tolist())} leaves the declared ellipticity "
                 f"range [{lo:g}, {hi:g}]"
             )
 

@@ -26,7 +26,7 @@ from .defaults import (
     SADDLE_CHECK_SEED,
     SADDLE_CHECK_TOL,
 )
-from .forms import Chain, Measure, _as_vector, _freeze, _is_symmetric, form_matrix
+from .forms import Chain, Measure, _as_vector, _equilibrate, _freeze, _is_symmetric, form_matrix
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge, _restrict_source, embed
 
 __all__ = [
@@ -55,7 +55,7 @@ class SaddleSolution:
     ``f_star`` attains the infimum, ``g_star`` the supremum; both vanish
     outside the domain exactly. ``residuals`` records constraint and
     stationarity defects plus, for the nested route, the smallest
-    eigenvalue of the symmetric part on the constraint subspace.
+    eigenvalue of the unit-diagonal symmetric part on the constraint subspace.
     """
 
     value: float
@@ -198,7 +198,8 @@ def closed_form_route(system: DomainSystem, beta: float, a, xi_d, c) -> SaddleSo
     u_d, ut_d = system.solve(beta, xi_d, ("primal", "dual"))
     f_d, g_d = _optimizers(u_d, ut_d, xi_d, system.mu_d)
     value = 1.0 / float(c @ u_d)
-    worst = _sampled_saddle_check(a, c, f_d, g_d, value)
+    # one state admits no perturbation: its sampled steps would be rounding alone
+    worst = _sampled_saddle_check(a, c, f_d, g_d, value) if c.shape[0] > 1 else 0.0
     residuals = _residuals(a, c, f_d, g_d, sampled_check_violation=worst)
     return SaddleSolution(value, embed(system.mask, f_d), embed(system.mask, g_d), residuals, "closed_form")
 
@@ -207,8 +208,7 @@ def nested_route(mask: DomainMask, a, c) -> SaddleSolution:
     """The nested route of ``saddle_value`` from the form on D and c alone."""
     if c.shape[0] == 1:
         f_d, g_d = 1.0 / c, np.zeros(1)
-        value = float(a[0, 0] / (c[0] * c[0]))
-        min_eig = float(a[0, 0])
+        value, min_eig = float(a[0, 0] / (c[0] * c[0])), 1.0  # the form scaled to unit diagonal is 1
     else:
         f_d, g_d, value, min_eig = _nested_saddle(a, c)
     residuals = _residuals(a, c, f_d, g_d, subspace_min_eig=min_eig)
@@ -233,38 +233,42 @@ def _reflect(v: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
 
 
 def _reflect_both_sides(v: np.ndarray, tau: float, a: np.ndarray) -> np.ndarray:
-    """P a P as a new C-ordered array, by two rank-1 updates in place.
+    """P a P, by two rank-1 updates written over a C-ordered a.
 
     The updates act on the Fortran-ordered transpose: (A P)^T = A^T - tau v (A v)^T,
     then (P A P)^T = (A P)^T - tau ((A P)^T v) v^T.
     """
     (ger,) = scipy.linalg.get_blas_funcs(("ger",), (a,))
-    at = ger(-tau, v, a @ v, a=a.T.copy(order="F"), overwrite_a=True)
+    at = ger(-tau, v, a @ v, a=a.T, overwrite_a=True)
     at = ger(-tau, at @ v, v, a=at, overwrite_a=True)
     return at.T
 
 
 def _nested_saddle(a: np.ndarray, c: np.ndarray):
-    """The inf-sup on one reflector, for a domain of two or more states.
+    """The inf-sup on one reflector, for a domain of two or more states, on
+    A' = D A D and c' = D c (``_equilibrate``, of a copy of A), f = D f'.
 
-    With P c = sigma e_1 and A^ = P A P, both constraints fix the first
+    With P c' = sigma e_1 and A^ = P A' P, both constraints fix the first
     coordinate: f^_1 = 1/sigma and g^_1 = 0. Index 2 marks the coordinates
     after the first, S^ and K^ are the symmetric and antisymmetric parts of
     A^, and L L^T = S^_22. The inner supremum is g^_2 = S^_22^{-1} K^_2: f^,
     which leaves the outer quadratic H^ = S^ + W^T W with W = L^{-1} K^_2:,
     minimized by the Cholesky solve H^_22 f^_2 = -H^_21 / sigma. S^_22 is the
     symmetric part on {c}-orthogonal vectors in the basis P e_2, ..., P e_m.
-    On a form symmetric within STRUCTURAL_TOL (``_is_symmetric``), K^ is
+    On A' symmetric within STRUCTURAL_TOL (``_is_symmetric``), K^ is
     rounding alone and the supremum is at g = 0: H^ = S^, and the outer
     solve reuses L.
     Returns (f, g, value, smallest eigenvalue of S^_22).
     """
-    v, tau, sigma = _reflector(c)
-    ah = _reflect_both_sides(v, tau, a)
+    ah = a.copy()
+    d = _equilibrate(ah)
+    symmetric = _is_symmetric(ah)
+    v, tau, sigma = _reflector(d * c)
+    ah = _reflect_both_sides(v, tau, ah)
     sh = ah + ah.T
     sh *= 0.5
     inner = RefinedSPD(sh[1:, 1:], "inner saddle")
-    if _is_symmetric(a):
+    if symmetric:
         del ah
         hh, outer = sh, inner
     else:
@@ -279,11 +283,11 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     fh[1:] = outer.solve(hh[1:, 0] * -fh[0])
     value = float(fh @ hh @ fh)
     del hh, outer  # the outer factor and H^, unless they are the inner ones
-    f_d = _reflect(v, tau, fh)
-    kf = _reflect(v, tau, (a @ f_d - f_d @ a) / 2.0)
+    f_d = d * _reflect(v, tau, fh)
+    kf = _reflect(v, tau, d * (a @ f_d - f_d @ a) / 2.0)  # K' f' = D K f
     gh = np.zeros_like(fh)
     gh[1:] = inner.solve(kf[1:])
-    g_d = _reflect(v, tau, gh)
+    g_d = d * _reflect(v, tau, gh)
     # finite: its Cholesky factor passed the gate
     lam = scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
     return f_d, g_d, value, float(lam[0])
@@ -291,9 +295,10 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
 
 def _symmetric_minimum(s: np.ndarray, c: np.ndarray, context: str) -> float:
     """1 / (c^T S^{-1} c), the minimum of f^T s f over {c^T f = 1}, for S the
-    symmetric part of s, which must be positive definite. S is written over
-    s. s is a form matrix on the domain, less a diagonal for the exponential
-    moment, so S is a Z-matrix."""
+    symmetric part of s, which must be positive definite: the same number
+    from S' = D S D and c' = D c (``_equilibrate``), written over s. s is a
+    form matrix on the domain, less a diagonal for the exponential moment."""
+    c = _equilibrate(s) * c
     s += s.T  # numpy reads an overlapping operand as if it were copied
     s *= 0.5
     y = RefinedCholesky(s, context=context).solve(c)
@@ -304,16 +309,16 @@ def symmetric_inf(chain: Chain, mask: DomainMask, beta: float, xi) -> float:
     """inf of form(f, f) over {<xi,f>_mu = 1, f = 0 outside the domain}.
 
     Valid for symmetric forms only; a single linear solve through the
-    restricted matrix gives the minimum 1 / (c^T S^{-1} c).
+    restricted form, scaled to unit diagonal, gives 1 / (c^T S^{-1} c).
     """
     a, _xi_d, c = saddle_form(DomainSystem(chain, mask), beta, xi)
+    if not _is_symmetric(a):
+        raise NonReversibleError("symmetric_inf needs a symmetric form")
     return symmetric_route(a, c)
 
 
 def symmetric_route(a, c) -> float:
-    """``symmetric_inf`` from the form on D and c, in a factorization of its own."""
-    if not _is_symmetric(a):
-        raise NonReversibleError("symmetric_inf needs a symmetric form")
+    """``symmetric_inf`` from a symmetric form on D and c, in a factorization of its own."""
     return _symmetric_minimum(a.copy(), c, "symmetric infimum solve")
 
 
@@ -337,7 +342,5 @@ def exp_moment_route(system: DomainSystem, beta: float, lambda0: float) -> float
         raise ValueError("exp_moment_inf needs a normalized (probability) measure")
     if not _below_edge(beta, lambda0):
         return 0.0
-    mu_d = system.mu_d
-    s = form_matrix(system.q_d, mu_d, 0.0)
-    s.flat[:: mu_d.shape[0] + 1] -= beta * mu_d
-    return max(_symmetric_minimum(s, mu_d, "exponential-moment infimum solve"), 0.0)
+    s = form_matrix(system.q_d, system.mu_d, -beta)
+    return max(_symmetric_minimum(s, system.mu_d, "exponential-moment infimum solve"), 0.0)

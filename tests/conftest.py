@@ -88,6 +88,19 @@ def random_nonsymmetric_chain(rng, n) -> Chain:
     return antisym_perturb(base, flow, float(rng.uniform(0.2, 0.8)) * k_max)
 
 
+def metastable_rates(n, s, seed):
+    """Up and down rates of a birth-death chain on n states, each drawn
+    log-uniform over s decades below 1: its detailed-balance measure spans
+    far more decades than its rates."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-s, 0, n - 1), 10.0 ** rng.uniform(-s, 0, n - 1)
+
+
+def chain_of(n, s, seed) -> Chain:
+    """The reversible birth-death chain of ``metastable_rates``."""
+    return birth_death(*metastable_rates(n, s, seed))
+
+
 def random_proper_mask(rng, n) -> DomainMask:
     size = int(rng.integers(1, n))
     states = rng.permutation(n)[:size]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitlab.cli import _dumps, main
-from conftest import traced_peak
+from exitlab.cli import _agree, _dumps, main
+from conftest import metastable_rates, traced_peak
 
 
 def write_config(path, doc):
@@ -465,12 +465,12 @@ def test_run_factors_each_shift_once_and_eigensolves_once(tmp_path, monkeypatch)
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     assert len(dirichlet_eighs) == 1
-    # beta0 is a fact of the chain: validate and every beta's saddle share
-    # one standard eigensolve of the mu-similarity sym(M^{1/2}(-Q)M^{-1/2}),
-    # never a generalized one of the pencil sym(A0) v = lambda M v
+    # beta0 of a reversible chain is 0 by theorem, so validate and the
+    # saddles make no eigensolve; bounds makes one standard eigensolve of the
+    # mu-similarity sym(M^{1/2}(-Q)M^{-1/2}) for the spectral gap, never a
+    # generalized one of the pencil sym(A0) v = lambda M v
     assert generalized == []
-    # that spectrum also gives the spectral gap of bounds, and the sector
-    # constant of a reversible chain needs no eigensolve
+    # and the sector constant of a reversible chain needs no eigensolve
     assert len(full_eighs) == 1
     # Laplace at beta, mean at 0, exponential moment at -beta, odd-moment
     # entry at +-1 (lambda0 = 2 > 1): each shift once; the saddle adds one
@@ -955,6 +955,13 @@ def test_validate_rejects_what_run_cannot_build(tmp_path, capsys, changes, ancho
     assert not (tmp_path / "out").exists()
 
 
+def test_ellipticity_error_prints_the_point_as_plain_floats(tmp_path, capsys):
+    cfg = small_config(tmp_path, model=grid_1d(ellipticity=[2.0, 3.0]))
+    assert main(["validate", "--config", write_config(tmp_path / "exp.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "$.model.params: coefficient at (0.25,) leaves the declared ellipticity range [2, 3]" in err
+
+
 # Configs that every constructor accepts but that a command's own library
 # check rejects: prepare runs that check, so validate rejects them too
 _COMMAND_ERRORS = {
@@ -1038,3 +1045,48 @@ def test_a_config_that_validates_runs_without_an_internal_error(tmp_path_factory
     if status != 2:
         assert status == 0
         assert main(["run", "--config", path, "--out", str(tmp / "out")]) in (0, 1)
+
+
+def metastable_config(tmp_path, n, s, seed, commands):
+    """A birth-death chain whose rates span s decades, so that its measure
+    spans many more, with D = states 1 to n - 2."""
+    up, down = metastable_rates(n, s, seed)
+    return {
+        "model": {"builder": "birth_death", "params": {"up": up.tolist(), "down": down.tolist()}},
+        "omega": list(range(1, n - 1)),
+        "betas": [0.5, 1.0],
+        "commands": commands,
+        "output": str(tmp_path / "out"),
+        "formats": ["json"],
+    }
+
+
+def test_variational_runs_on_a_chain_whose_measure_spans_many_decades(tmp_path):
+    # mu_D spans 1.4e-17 to 0.96: the raw form's gates read that range, so
+    # the nested and symmetric routes raised and the run exited 3
+    cfg = metastable_config(tmp_path, 40, 6, 1, ["validate", "exit", "variational"])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    saddle = json.loads((tmp_path / "out" / "variational.json").read_text())["saddle"]
+    for beta in ("0.5", "1.0"):
+        closed = saddle[beta]["closed_form"]["value"]
+        assert _agree(saddle[beta]["iterative"]["value"], closed)
+        assert _agree(saddle[beta]["symmetric_inf"], closed)
+
+
+@pytest.mark.parametrize("n, s", [(6, 0), (40, 6)])
+def test_variational_scans_each_form_for_symmetry_once(tmp_path, monkeypatch, n, s):
+    import exitlab.variational
+
+    scanned = []
+    is_symmetric = exitlab.variational._is_symmetric
+
+    def counting(m, *args, **kwargs):
+        scanned.append(m.shape)
+        return is_symmetric(m, *args, **kwargs)
+
+    monkeypatch.setattr(exitlab.variational, "_is_symmetric", counting)
+    cfg = metastable_config(tmp_path, n, s, 1, ["variational"])
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    # the nested route's one scan per beta; the symmetric route reads the
+    # system's reversibility
+    assert scanned == [(n - 2, n - 2)] * 2

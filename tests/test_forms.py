@@ -262,10 +262,18 @@ def _sector_by_eigh_and_norm(chain, probe):
     ids=["cycle6", "random200"],
 )
 @pytest.mark.parametrize("offset", [1e-3, 0.5])
-def test_non_reversible_sector_matches_the_eigh_route(chain, offset):
+def test_non_reversible_sector_matches_the_eigh_route(chain, offset, monkeypatch):
     assert not chain.reversible
     probe = chain.beta0 + offset
     expected = _sector_by_eigh_and_norm(chain, probe)
+    diag = np.diag
+
+    def extract_only(v, k=0):
+        if np.ndim(v) == 1:
+            raise AssertionError("the sector built an n x n diagonal matrix")
+        return diag(v, k)
+
+    monkeypatch.setattr(np, "diag", extract_only)
     assert _sector_sigma(chain, probe) == pytest.approx(expected, rel=1e-12)
     assert _sector_constant(chain, probe) == pytest.approx(max(1.0, expected), rel=1e-12)
 
@@ -294,25 +302,34 @@ def test_sector_reads_infinite_when_its_factor_fails_the_gate():
 
 
 def test_reversible_validation_makes_no_eigensolve(rng, monkeypatch):
-    chain = random_reversible_chain(rng, 30)
-    beta0 = chain.beta0
+    # the form of a reversible chain is a Dirichlet form: beta0 is 0 and the
+    # sector constant 1 by theorem, so fresh chains, dense or tridiagonal,
+    # are validated with no decomposition at all
+    chains = [
+        random_reversible_chain(rng, 30),
+        birth_death(up=np.linspace(0.5, 2.0, 11), down=np.linspace(1.5, 0.7, 11)),
+    ]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("validation of a reversible chain decomposed a matrix")
 
     for module, name in [
         (scipy.linalg, "eigh"),
+        (scipy.linalg, "eigvalsh_tridiagonal"),
         (scipy.linalg, "svd"),
         (scipy.linalg, "svdvals"),
         (scipy.linalg, "cholesky"),
         (np.linalg, "eigh"),
+        (np.linalg, "eigvalsh"),
         (np.linalg, "svd"),
         (np.linalg, "norm"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
-    report = validate_assumption_a(chain, beta_probe=beta0 + 0.5)
-    assert report.sector_constant == 1.0
-    assert report.beta0_estimate == beta0
+    for chain in chains:
+        report = validate_assumption_a(chain, beta_probe=0.5)
+        assert report.sector_constant == 1.0
+        assert report.beta0_estimate == 0.0
+        assert "form_spectrum" not in vars(chain)
 
 
 def test_form_spectrum_is_cached_read_only_and_gives_beta0():

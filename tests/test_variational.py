@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab import (
     DegenerateSourceError,
     DomainMask,
     Measure,
     NonReversibleError,
+    antisym_perturb,
     birth_death,
     complete_graph,
     construct_optimizers,
@@ -17,15 +20,20 @@ from exitlab import (
     exit_exp_moment,
     exit_laplace,
     exp_moment_inf,
+    flow_from_cycles,
     saddle_value,
     solve_poisson,
     symmetric_inf,
+    weighted_graph,
 )
 from exitlab._linalg import RefinedSPD
+from exitlab.cli import _agree
 from exitlab.defaults import SADDLE_CHECK_DIRECTIONS, SADDLE_CHECK_SEED
 from exitlab.forms import form_matrix
-from exitlab.variational import _sampled_saddle_check
+from exitlab.poisson import DomainSystem
+from exitlab.variational import _sampled_saddle_check, closed_form_route, nested_route, saddle_form, symmetric_route
 from conftest import (
+    chain_of,
     make_chain,
     mu_dot,
     random_nonsymmetric_chain,
@@ -346,7 +354,8 @@ def test_variational_routes_hold_no_n_by_n_array():
 
 def _dense_kkt_saddle(a, c):
     """The nested route as two bordered KKT systems, each solved by LU, with
-    the subspace eigenvalue from a null-space basis and a full eigh."""
+    the subspace eigenvalue from a null-space basis and a full eigh, of the
+    symmetric part scaled to unit diagonal, D S D, on {D c}-orthogonal vectors."""
     m = c.shape[0]
     s = (a + a.T) / 2.0
     k = (a - a.T) / 2.0
@@ -356,11 +365,13 @@ def _dense_kkt_saddle(a, c):
     h = (h + h.T) / 2.0
     outer = np.block([[2.0 * h, c[:, None]], [c[None, :], np.zeros((1, 1))]])
     f = scipy.linalg.solve(outer, np.concatenate([np.zeros(m), [1.0]]))[:m]
+    d = 1.0 / np.sqrt(np.diag(s))
+    scaled = d[:, None] * s * d[None, :]
     if m == 1:
-        lam = s[0, 0]
+        lam = scaled[0, 0]
     else:
-        z = scipy.linalg.null_space(c[None, :])
-        lam = scipy.linalg.eigh(z.T @ s @ z, eigvals_only=True)[0]
+        z = scipy.linalg.null_space((d * c)[None, :])
+        lam = scipy.linalg.eigh(z.T @ scaled @ z, eigvals_only=True)[0]
     return float(f @ h @ f), f, g_map @ f, float(lam)
 
 
@@ -411,13 +422,14 @@ def test_iterative_route_matches_the_dense_kkt_reference_on_the_ledger():
 def test_iterative_single_state_keeps_its_values():
     sol = saddle_value(single_state_chain(), DomainMask.full(1), 1.0, [1], mode="iterative")
     assert sol.value == 3.0
-    assert sol.residuals["subspace_min_eig"] == 3.0
+    # the form scaled to unit diagonal, whatever a_00
+    assert sol.residuals["subspace_min_eig"] == 1.0
     np.testing.assert_array_equal(sol.f_star, [1.0])
     np.testing.assert_array_equal(sol.g_star, [0.0])
     # value = a_00 / c^2 with a_00 = mu (beta - q) and c = mu xi
     sol = saddle_value(make_chain([[-2.0]], [2.0]), DomainMask.full(1), 1.0, [0.3], mode="iterative")
     assert sol.value == pytest.approx(6.0 / 0.36, rel=1e-15)
-    assert sol.residuals["subspace_min_eig"] == 6.0
+    assert sol.residuals["subspace_min_eig"] == 1.0
     np.testing.assert_array_equal(sol.g_star, [0.0])
 
 
@@ -483,3 +495,93 @@ def test_iterative_route_peak_memory_at_m_400():
     # measured at 5.01 m^2; holding the restricted block Q_D past building
     # the form adds one m^2
     assert peak <= 5.1 * m * m * 8
+
+
+def _inner(n):
+    """The domain of states 1 to n - 2 of an n-state chain."""
+    return DomainMask.from_states(range(1, n - 1), n)
+
+
+@pytest.mark.parametrize("n, s, seed", [(40, 6, 1), (40, 8, 1), (60, 12, 5)])
+def test_form_routes_agree_where_the_measure_spans_many_decades(n, s, seed):
+    # the symmetric part of the raw form has 1-norm condition 5.7e16, 2.5e22
+    # and 5.3e44 here, and its gates refused it; scaled to unit diagonal it
+    # has 1.4, 1.2 and 1.1
+    chain, mask, xi = chain_of(n, s, seed), _inner(n), np.ones(n - 2)
+    closed = saddle_value(chain, mask, 1.0, xi).value
+    assert _agree(saddle_value(chain, mask, 1.0, xi, mode="iterative").value, closed)
+    assert _agree(symmetric_inf(chain, mask, 1.0, xi), closed)
+
+
+@pytest.mark.parametrize("n, s, seed", [(40, 5, 1), (40, 6, 1), (40, 6, 2)])
+def test_exp_moment_inf_matches_the_exit_route_where_the_measure_spans_many_decades(n, s, seed):
+    chain, mask = chain_of(n, s, seed), _inner(n)
+    lam0 = dirichlet_pair(chain, mask)[0]
+    beta = lam0 / 2.0
+    agg = mu_dot(chain, exit_exp_moment(chain, mask, beta, lam0))
+    assert _agree(exp_moment_inf(chain, mask, beta, lam0), beta / (agg - 1.0))
+
+
+def _flow_ring(n, s, rng):
+    """A non-reversible ring: a measure and conductances log-uniform over s
+    decades, each conductance times the smaller measure of its two states so
+    that every rate is at most 1, and the unit cycle flow at a random
+    fraction of its largest admissible strength."""
+    mu = 10.0 ** rng.uniform(-s, 0, n)
+    ring = (np.arange(n), (np.arange(n) + 1) % n)
+    cond = np.zeros((n, n))
+    cond[ring] = 10.0 ** rng.uniform(-s, 0, n) * np.minimum(mu, np.roll(mu, -1))
+    cond += cond.T
+    measure = Measure(mu)
+    flow = flow_from_cycles([list(range(n))], measure)
+    return antisym_perturb(weighted_graph(cond, measure), flow, rng.uniform(0.2, 0.8) * cond[ring].min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    s=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.sampled_from([1e-2, 1.0, 1e2]),
+    ring=st.booleans(),
+)
+def test_form_routes_agree_with_the_closed_form_whatever_the_measure(n, s, seed, beta, ring):
+    # a birth-death chain's measure spans up to s*(n-1) decades, a ring's s;
+    # every route that factors a form scales it to unit diagonal first
+    if ring:
+        chain, mask = _flow_ring(n, s, np.random.default_rng(seed)), DomainMask.from_states(range(1, n), n)
+    else:
+        chain, mask = chain_of(n, s, seed), _inner(n)
+    system = DomainSystem(chain, mask)
+    a, xi_d, c = saddle_form(system, beta, np.ones(mask.size))
+    closed = closed_form_route(system, beta, a, xi_d, c).value
+    assert _agree(nested_route(mask, a, c).value, closed)
+    if system.reversible:
+        assert _agree(symmetric_route(a, c), closed)
+
+
+def test_symmetric_route_does_not_factor_the_closed_forms_matrix(monkeypatch):
+    # on a reversible chain M^{-1/2} S M^{-1/2} is sym_d + beta*I, the
+    # matrix of the closed form's Cholesky; a route that factored it would
+    # share that factorization's errors
+    import exitlab.variational
+
+    factored = []
+
+    class Capturing(exitlab.variational.RefinedCholesky):
+        def __init__(self, sym, *args, **kwargs):
+            factored.append(np.array(sym))
+            super().__init__(sym, *args, **kwargs)
+
+    monkeypatch.setattr(exitlab.variational, "RefinedCholesky", Capturing)
+    chain, mask, beta = chain_of(12, 2, 3), _inner(12), 0.5
+    system = DomainSystem(chain, mask)
+    assert system.reversible and np.ptp(np.log10(system.mu_d)) > 2.0
+    a, _xi_d, c = saddle_form(system, beta, np.ones(mask.size))
+    symmetric_route(a, c)
+    (matrix,) = factored
+    np.testing.assert_allclose(np.diag(matrix), 1.0, rtol=1e-15)
+    d = 1.0 / np.sqrt(np.diag(a))
+    np.testing.assert_allclose(matrix, d[:, None] * (a + a.T) / 2.0 * d[None, :], rtol=1e-14, atol=1e-16)
+    closed = system.sym_d + beta * np.eye(mask.size)
+    assert np.abs(matrix - closed).max() > 0.1 * np.abs(closed).max()
