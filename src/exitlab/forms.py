@@ -79,6 +79,30 @@ def _symmetrized(q: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return sym
 
 
+def _spectrum(q: np.ndarray, mu: np.ndarray, sym: np.ndarray | None = None, vector: bool = False):
+    """Ascending eigenvalues of ``sym`` = sym(M^{1/2}(-Q)M^{-1/2}) of a square
+    block Q with weights mu and, with ``vector``, its bottom unit eigenvector
+    (else None): the one eigensolve of a symmetrized generator block.
+
+    Tridiagonal when ``_linalg._tridiagonal`` holds for Q: ``sterf`` for the
+    values and ``eigh_tridiagonal(select='i')`` for the vector, on diagonals
+    formed with ``_symmetrized``'s arithmetic, bit for bit, with no product
+    of two weights to underflow. Dense otherwise: a values-only ``eigh`` and
+    ``eigh(subset_by_index=[0, 0])``, of ``sym`` unmodified or, when it is
+    not given, of a fresh buffer that the values' ``eigh`` overwrites.
+    """
+    if _tridiagonal(_bandwidth(q), q.shape[0]):
+        r = np.sqrt(mu)
+        d, e = -np.diagonal(q), 0.5 * (r[1:] / -r[:-1] * np.diagonal(q, -1) + r[:-1] / -r[1:] * np.diagonal(q, 1))
+        vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1] if vector else None
+        return scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"), vec
+    own = sym is None
+    # exactly symmetric, so its transpose is the same matrix in Fortran order
+    sym = _symmetrized(q, mu).T if own else sym
+    vec = scipy.linalg.eigh(sym, subset_by_index=[0, 0])[1] if vector else None
+    return scipy.linalg.eigh(sym, eigvals_only=True, overwrite_a=own), vec
+
+
 def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
     """Whether diag(mu) m is symmetric (antisymmetric with ``anti``) within
     STRUCTURAL_TOL times max|diag(mu) m|, with no floor, so scaling m or mu
@@ -254,22 +278,12 @@ class Chain:
         """Ascending eigenvalues nu of the pencil sym(A0) v = nu M v (read-only).
 
         They are the eigenvalues of the mu-similarity M^{-1/2} sym(A0) M^{-1/2}
-        = sym(M^{1/2}(-Q)M^{-1/2}) (``_symmetrized``). Under detailed balance
+        = sym(M^{1/2}(-Q)M^{-1/2}), by ``_spectrum``. Under detailed balance
         sym(A0) = M(-Q), so these are also the eigenvalues of -Q in the
         mu-weighted inner product, with the spectral gap nu_1. A non-reversible
         chain reads its lower bound beta0 here too.
-
-        When ``_linalg._tridiagonal`` holds for Q, it holds for the
-        similarity, whose values then come from the tridiagonal ``sterf``;
-        otherwise from a dense standard ``eigh``.
         """
-        if _tridiagonal(_bandwidth(self.q), self.n_states):
-            d, e = _scaled_pencil(self.q, self.mu)
-            return _freeze(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
-        sym = _symmetrized(self.q, self.mu)
-        # exactly symmetric, so its transpose is the same matrix in Fortran
-        # order, which eigh may overwrite uncopied
-        return _freeze(scipy.linalg.eigh(sym.T, eigvals_only=True, overwrite_a=True))
+        return _freeze(_spectrum(self.q, self.mu)[0])
 
     @cached_property
     def beta0(self) -> float:
@@ -305,14 +319,6 @@ class Chain:
     @classmethod
     def from_json(cls, text: str) -> "Chain":
         return cls.from_dict(json.loads(text))
-
-
-def _scaled_pencil(q: np.ndarray, mu: np.ndarray):
-    """Diagonal and subdiagonal of M^{-1/2} sym(A0) M^{-1/2} for a tridiagonal
-    q: sym(A0) has diagonal -q_ii mu_i and entries
-    -(q_{i,i+1} mu_i + q_{i+1,i} mu_{i+1}) / 2 beside it."""
-    below = np.diagonal(q, 1) * mu[:-1] + np.diagonal(q, -1) * mu[1:]
-    return 0.0 - np.diagonal(q), below / (-2.0 * np.sqrt(mu[:-1] * mu[1:]))
 
 
 def dual_generator(chain: Chain) -> Generator:
@@ -416,8 +422,9 @@ class ValidationReport:
 
 
 def _json_float(x: float):
-    """Finite floats pass through; infinities serialize as the string 'inf'."""
-    return x if np.isfinite(x) else ("inf" if x > 0 else "-inf")
+    """The one writer of report floats: a finite float passes through, and a
+    non-finite one is written as the string 'nan', 'inf' or '-inf'."""
+    return x if np.isfinite(x) else repr(float(x))
 
 
 def _markov_violations(matrix: np.ndarray, prefix: str) -> list[tuple[str, float]]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import STRUCTURAL_TOL
-from .forms import Chain, Generator, Measure, _as_vector, _freeze, _is_symmetric, _off_diagonal
+from .forms import Chain, Generator, Measure, _as_vector, _freeze, _is_symmetric, _off_diagonal, _rate_scale
 
 __all__ = [
     "GridModelSpec",
@@ -61,6 +61,7 @@ def complete_graph(n: int, rate: float) -> Chain:
         raise ValueError("rate must be positive")
     q = np.full((n, n), float(rate))
     np.fill_diagonal(q, -(n - 1) * float(rate))
+    q.setflags(write=False)  # adopted by Generator, not copied
     return Chain(Generator(q), Measure.probability(np.ones(n)))
 
 
@@ -109,8 +110,14 @@ def weighted_graph(conductances, measure) -> Chain:
         raise ValueError("conductances must be nonnegative")
     meas = measure if isinstance(measure, Measure) else Measure(_as_vector(measure, c.shape[0]))
     q = c / meas.weights[:, None]
+    # a subnormal rate lost the precision detailed balance needs: its row drops
+    # it both ways, 32 rows at a time so the mask stays small
+    for lo in range(0, c.shape[0], 32):
+        drop = q[lo : lo + 32] < np.finfo(float).tiny
+        q[lo : lo + 32][drop] = q[:, lo : lo + 32].T[drop] = 0.0
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
+    q.setflags(write=False)  # adopted by Generator, not copied
     return Chain(Generator(q), meas)
 
 
@@ -176,6 +183,12 @@ def cycle_flow(n: int = 3, rate: float = 1.0):
     Returns (chain, flow). For n = 3 the ring coincides with the complete
     graph at the same rate.
     """
+    chain = _ring(n, rate)
+    return chain, flow_from_cycles([list(range(n))], chain.measure)
+
+
+def _ring(n: int, rate: float = 1.0) -> Chain:
+    """The chain of ``cycle_flow`` alone, which the config builder returns."""
     if n < 3:
         raise ValueError("cycle needs at least three states")
     if rate <= 0:
@@ -185,9 +198,8 @@ def cycle_flow(n: int = 3, rate: float = 1.0):
         q[i, (i + 1) % n] += rate
         q[i, (i - 1) % n] += rate
     np.fill_diagonal(q, -q.sum(axis=1))
-    meas = Measure(np.ones(n))
-    chain = Chain(Generator(q), meas)
-    return chain, flow_from_cycles([list(range(n))], meas)
+    q.setflags(write=False)  # adopted by Generator, not copied
+    return Chain(Generator(q), Measure(np.ones(n)))
 
 
 def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
@@ -208,11 +220,11 @@ def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
     # of doubles is made
     q = np.abs(flow.gamma)
     off = _off_diagonal(q)
-    active = off > STRUCTURAL_TOL
+    active = off > STRUCTURAL_TOL * q.max(initial=0.0)
     np.divide(_off_diagonal(base.q), off, out=off, where=active)
     k_max = float(np.min(off, where=active, initial=np.inf))
     del active
-    if abs(k) > k_max + STRUCTURAL_TOL:
+    if abs(k) > k_max * (1.0 + STRUCTURAL_TOL):
         raise ValueError(
             f"flow strength |k|={abs(k):g} exceeds k_max={k_max:g} "
             "(off-diagonal rate would turn negative)"
@@ -220,7 +232,7 @@ def antisym_perturb(base: Chain, flow: FlowMatrix, k: float) -> Chain:
     np.multiply(flow.gamma, k, out=q)
     q += base.q
     # at |k| = k_max an off-diagonal hits zero; clear rounding dust
-    dust = off > -STRUCTURAL_TOL
+    dust = off > -STRUCTURAL_TOL * _rate_scale(base.q)
     dust &= off < 0
     off[dust] = 0.0
     q.setflags(write=False)  # a fresh array, adopted by Generator uncopied
@@ -553,7 +565,7 @@ BUILDERS = {
     "complete_graph": lambda params: complete_graph(**params),
     "birth_death": lambda params: birth_death(**params),
     "weighted_graph": lambda params: weighted_graph(**params),
-    "cycle_flow": lambda params: cycle_flow(**params)[0],
+    "cycle_flow": lambda params: _ring(**params),
     "grid_jump_diffusion": lambda params: discretize_jump_diffusion(GridModelSpec(**params)),
 }
 

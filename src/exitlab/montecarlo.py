@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import STRUCTURAL_TOL
-from .forms import Chain, _freeze
+from .forms import Chain, _freeze, _json_float
 from .poisson import DomainMask
 
 __all__ = [
@@ -348,17 +348,13 @@ class McEstimate:
             "mean": list(self.mean),
             "laplace": {repr(b): list(v) for b, v in self.laplace.items()},
             "exp_moment": {
-                repr(b): [_finite_or_inf(v[0]), _finite_or_inf(v[1]), v[2]]
+                repr(b): [_json_float(v[0]), _json_float(v[1]), v[2]]
                 for b, v in self.exp_moment.items()
             },
             "n_paths": self.n_paths,
             "n_censored": self.n_censored,
             "exp_moment_lower_bound": self.exp_moment_lower_bound,
         }
-
-
-def _finite_or_inf(x: float):
-    return x if np.isfinite(x) else "inf"
 
 
 def _mean_se(values: np.ndarray):
@@ -386,7 +382,8 @@ def estimate_exit_functionals(samples: ExitSamples, betas, exp_betas=()) -> McEs
         est, se = _mean_se(w)
         top = max(1, int(np.ceil(HEAVY_TAIL_TOP_FRACTION * w.shape[0])))
         top_mass = float(np.sort(w)[-top:].sum() / w.sum())
-        exp_moment[float(b)] = (est, se, top_mass > HEAVY_TAIL_MASS_LIMIT)
+        # a NaN mass (an overflowed inf / inf) is heavy-tailed too
+        exp_moment[float(b)] = (est, se, not top_mass <= HEAVY_TAIL_MASS_LIMIT)
     return McEstimate(
         mean=mean,
         laplace=laplace,

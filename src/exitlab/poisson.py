@@ -20,11 +20,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth, _tridiagonal
+from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float, _symmetrized
+from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float, _spectrum, _symmetrized
 
 __all__ = [
     "DomainMask",
@@ -204,7 +203,7 @@ class DomainSystem:
     @cached_property
     def sym_bandwidth(self) -> int:
         """Bandwidth of ``sym_d`` in the domain's state order, which picks the
-        kernels of its factors and of its eigensolve."""
+        kernels of its factors."""
         return _bandwidth(self.sym_d)
 
     def _require_exit(self) -> None:
@@ -308,18 +307,11 @@ class DomainSystem:
 
     @cached_property
     def dirichlet(self) -> Dirichlet:
-        """Every eigenvalue of ``sym_d`` and the bottom eigenvector: by the
-        tridiagonal drivers (``sterf`` for the values) when
-        ``_linalg._tridiagonal`` holds for ``sym_d``, by a dense ``eigh``
-        otherwise."""
+        """Every eigenvalue of ``sym_d`` and the bottom eigenvector, by
+        ``_spectrum``."""
         if not self.reversible:
             raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
-        if _tridiagonal(self.sym_bandwidth, self.mask.size):
-            d, e = np.diagonal(self.sym_d), np.diagonal(self.sym_d, -1)
-            lam = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
-            _, vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        else:
-            lam, vec = scipy.linalg.eigh(self.sym_d)
+        lam, vec = _spectrum(self.q_d, self.mu_d, self.sym_d, vector=True)
         # a backward-stable eigensolve rounds a zero eigenvalue to a few
         # eps * |lambda_max|, so lambda0 >= 0 is checked at that scale
         rounding = 16.0 * np.finfo(float).eps * abs(lam[-1])

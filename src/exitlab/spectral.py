@@ -72,6 +72,8 @@ def spectral_gap(chain: Chain) -> float:
     # order of the largest one, and no floor, so c*Q keeps the verdict
     if abs(nu[0]) > WEAK_IDENTITY_TOL * abs(nu[-1]):
         raise AssertionError(f"bottom eigenvalue of a conservative chain is {nu[0]:.3e}, not 0")
+    if nu[1] <= (rounding := 16.0 * np.finfo(float).eps * abs(nu[-1])):
+        raise ValueError(f"spectral gap {nu[1]:.3e} is at or below the eigensolve's rounding {rounding:.3e}")
     return float(nu[1])
 
 
@@ -208,17 +210,13 @@ class BoundLedger:
                 [
                     e.name,
                     "" if e.beta is None else repr(float(e.beta)),
-                    "" if e.lhs is None else _csv_float(e.lhs),
-                    "" if e.rhs is None else _csv_float(e.rhs),
-                    "" if e.slack is None else _csv_float(e.slack),
+                    "" if e.lhs is None else _json_float(e.lhs),
+                    "" if e.rhs is None else _json_float(e.rhs),
+                    "" if e.slack is None else _json_float(e.slack),
                     status,
                 ]
             )
         return buf.getvalue()
-
-
-def _csv_float(x: float) -> str:
-    return "inf" if np.isinf(x) else repr(float(x))
 
 
 def bounds_report(chain: Chain, mask: DomainMask, betas, lyapunov=None) -> BoundLedger:

@@ -21,8 +21,10 @@ from exitlab import (
     Generator,
     Measure,
     NonReversibleError,
+    antisym_perturb,
     birth_death,
     bounds_report,
+    cycle_flow,
     exit_exp_moment,
     exit_mean,
     exp_moment_inf,
@@ -102,6 +104,16 @@ def test_flow_and_conductance_verdicts_do_not_depend_on_their_scale(d):
         assert _verdict(lambda: weighted_graph(d * c, ones)) == _verdict(lambda: weighted_graph(c, ones))
         if _verdict(lambda: weighted_graph(d * c, ones)):
             assert weighted_graph(d * c, ones).reversible
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-13, 1e13])
+def test_flow_strength_verdict_does_not_depend_on_the_time_scale(c):
+    # killing rate 1 at every state; k = 1.5 exceeds k_max = 1 at every c,
+    # where absolute thresholds let c = 1e-13 through with clipped rates
+    base, flow = cycle_flow(5, 1.0)
+    killed = Chain(Generator(c * (base.q - np.eye(5))), base.measure)
+    with pytest.raises(ValueError, match=r"flow strength \|k\|=1.5 exceeds k_max=1 "):
+        antisym_perturb(killed, FlowMatrix(c * flow.gamma), 1.5)
 
 
 def _scaled(chain, c):

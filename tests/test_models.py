@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exitlab import (
@@ -67,6 +67,24 @@ def test_birth_death_matches_the_loop_and_builds_one_n_by_n_array():
     assert peak <= 1.1 * n * n * 8
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda n, c: build_chain({"builder": "cycle_flow", "params": {"n": n}}),
+     lambda n, c: complete_graph(n, 1.0),
+     lambda n, c: weighted_graph(c, np.full(n, 0.5))],
+    ids=["cycle_flow_config", "complete_graph", "weighted_graph"],
+)
+def test_builders_hold_one_copy_of_the_generator(build):
+    n = 400
+    c = np.random.default_rng(3).uniform(0.0, 1.0, (n, n))
+    c += c.T  # the conductances are the builder's input, made before tracing
+    chain, peak = traced_peak(lambda: build(n, c))
+    assert chain.n_states == n and chain.reversible
+    # q is built once and adopted by Generator; the config builder's dropped
+    # flow read 5.0 n^2, a copy of a writable q 2.05 n^2
+    assert peak <= 1.1 * n * n * 8
+
+
 def test_weighted_graph_detailed_balance(rng):
     n = 5
     c = rng.uniform(0.0, 1.0, (n, n))
@@ -87,6 +105,9 @@ def test_weighted_graph_detailed_balance(rng):
     upper=st.lists(st.floats(0.0, 5.0), min_size=6, max_size=6),
     weights=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
 )
+# c / mu underflows to 0 one way; both rates are subnormal, with their precision lost
+@example(upper=[0.0, 0.0, 0.0, 0.0, 0.0, 5e-324], weights=[1.0, 1.0, 1.0, 2.0])
+@example(upper=[0.0, 0.0, 0.0, 0.0, 0.0, 1e-320], weights=[1.0, 1.0, 1.0, 3.0])
 def test_weighted_graph_reversible_for_any_inputs(upper, weights):
     c = np.zeros((4, 4))
     c[np.triu_indices(4, 1)] = upper

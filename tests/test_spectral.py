@@ -8,6 +8,7 @@ from exitlab import (
     Generator,
     Measure,
     NonReversibleError,
+    birth_death,
     bounds_report,
     complete_graph,
     dirichlet_pair,
@@ -17,8 +18,10 @@ from exitlab import (
     spectral_gap,
 )
 from exitlab.poisson import DomainSystem
-from exitlab.spectral import _checked
+from exitlab.forms import _json_float
+from exitlab.spectral import BoundLedger, _checked
 from conftest import (
+    chain_of,
     make_chain,
     mu_dot,
     random_nonsymmetric_chain,
@@ -212,6 +215,49 @@ def test_spectral_gap_checks_the_bottom_eigenvalue_at_the_chain_scale(monkeypatc
         spectral_gap(chain)
 
 
+@pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+def test_dirichlet_of_the_full_domain_is_the_bottom_of_the_form_spectrum(kind):
+    # one eigensolve routine: on a killed reversible chain the Dirichlet
+    # problem of the whole state space is the chain's own form spectrum
+    rng = np.random.default_rng(7)
+    n = 40
+    if kind == "tridiagonal":
+        bd = birth_death(rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.1, 3.0, n - 1))
+        chain = make_chain(bd.q - np.diag(rng.uniform(0.1, 0.6, n)), bd.mu)
+    else:
+        chain = random_reversible_chain(rng, n, killing=True)
+    lam0 = DomainSystem(chain, DomainMask.full(n)).dirichlet.lambda0
+    assert lam0 > 0 and lam0 == chain.form_spectrum[0]
+
+
+def test_dirichlet_on_a_dense_block_computes_one_eigenvector(monkeypatch):
+    chain = random_reversible_chain(np.random.default_rng(8), 30, killing=True)
+    lam, vec = scipy.linalg.eigh(DomainSystem(chain, DomainMask.full(30)).sym_d)
+    eigh = scipy.linalg.eigh
+
+    def one_vector_eigh(a, *args, **kwargs):
+        if not kwargs.get("eigvals_only") and kwargs.get("subset_by_index") != [0, 0]:
+            raise AssertionError("eigh computed every eigenvector")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", one_vector_eigh)
+    lam0, phi, multiplicity = DomainSystem(chain, DomainMask.full(30)).dirichlet
+    # a backward-stable eigensolve is good to a few eps * lambda_max
+    assert abs(lam0 - lam[0]) <= 64 * np.finfo(float).eps * lam[-1] and multiplicity == 1
+    np.testing.assert_allclose(np.abs(phi * np.sqrt(chain.mu)), np.abs(vec[:, 0]), atol=1e-12)
+
+
+def test_spectral_gap_below_the_eigensolve_rounding_is_no_gap():
+    # mu reaches 2.7e-167, so a product of two weights underflows: the
+    # gap nu_1 = -2.2e-17 is rounding, and the ledger skips what reads it
+    chain = chain_of(80, 14, 70)
+    with pytest.raises(ValueError, match="at or below the eigensolve's rounding"):
+        spectral_gap(chain)
+    ledger = bounds_report(chain, DomainMask.from_states([1, 2], 80), [1e-3])
+    gap_entries = [e for e in ledger.entries if e.name in ("exp_moment_upper_gap", "lambda0_vs_gap")]
+    assert len(gap_entries) == 2 and all(e.skipped and "rounding" in e.reason for e in gap_entries)
+
+
 def test_ledger_slack_is_relative_to_the_larger_side():
     # an upper bound of 1e-9 against an lhs of 2e-9 is off by half
     assert not _checked("upper", None, 2e-9, 1e-9, +1).satisfied
@@ -221,6 +267,13 @@ def test_ledger_slack_is_relative_to_the_larger_side():
     # an infinite shortfall never passes; an infinite surplus always does
     assert not _checked("upper", None, np.inf, 1.0, +1).satisfied
     assert _checked("lower", None, np.inf, 1.0, -1).satisfied
+
+
+def test_ledger_writes_each_non_finite_float_as_itself():
+    entry = _checked("upper", None, np.inf, 1.0, +1)  # slack 1 - inf
+    assert entry.to_dict()["slack"] == "-inf"
+    assert BoundLedger((entry,), {}).to_csv().splitlines()[1] == "upper,,inf,1.0,-inf,violated"
+    assert [_json_float(x) for x in (np.nan, np.inf, -np.inf, 0.5)] == ["nan", "inf", "-inf", 0.5]
 
 
 def test_spectral_gap_rejects_a_single_state():
