@@ -37,7 +37,6 @@ from .montecarlo import McConfig, McEstimate, estimate_exit_functionals, simulat
 from .poisson import (
     DomainMask,
     ExitFunctionals,
-    ExitImpossibleError,
     NonReversibleError,
     RecurrentRestrictionError,
     exit_exp_moment,
@@ -81,7 +80,6 @@ __all__ = [
     "exit_functionals",
     "SingularSystemError",
     "RecurrentRestrictionError",
-    "ExitImpossibleError",
     "NonReversibleError",
     "DegenerateSourceError",
     "SaddleSolution",

@@ -84,7 +84,7 @@ class ExperimentConfig:
     xi: tuple | None
     sweep: SweepConfig | None
     mc: McConfig | None
-    mc_start_pi: bool = False  # start from the normalized measure, read off the chain
+    mc_start_pi: bool = False  # start from mu / mu(E), read off the chain
 
 
 def load_config(path: str):
@@ -349,14 +349,14 @@ def _cmd_validate(prep, cfg):
 
 def _cmd_exit(prep, cfg):
     system = prep.system
-    chain = system.chain
-    lam0 = system.dirichlet.lambda0 if chain.reversible else None
+    labels = system.chain.state_labels()
+    lam0 = system.dirichlet.lambda0 if system.reversible else None
     blocks = {}
     csv_parts = []
     for beta in cfg.betas:
         fns = system.functionals(beta, xi=None, lambda0=lam0)
-        blocks[repr(beta)] = fns.to_dict(labels=chain.state_labels())
-        csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=chain.state_labels()))
+        blocks[repr(beta)] = fns.to_dict(labels=labels)
+        csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=labels))
     return True, {"exit_functionals": blocks, "lambda0": lam0}, "".join(csv_parts)
 
 
@@ -388,12 +388,13 @@ def _cmd_variational(prep, cfg):
 def _cmd_expmoment(prep, cfg):
     system = prep.system
     lam0 = system.dirichlet.lambda0
+    pi = system.chain.mu / system.chain.mu.sum()
     ok = True
     blocks = {}
     for beta in cfg.betas:
         inf_value = exp_moment_route(system, beta, lam0)
         moments = system.exp_moment(beta, lam0)
-        agg = float(np.sum(system.chain.mu * moments))
+        agg = float(np.sum(pi * moments))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
         agree = _agree(inf_value, via_exit)
         blocks[repr(beta)] = {"inf_value": inf_value, "via_exit_route": via_exit, "agree": agree}
@@ -554,13 +555,9 @@ def _line_chart_svg(xs, series: dict, title: str = "") -> str:
 def _skip_reason(cmd: str, system) -> str | None:
     """Why a command does not apply to the chain, or None when it does: the
     exponential-moment formulas and the bound ledger are stated for
-    reversible chains with a probability measure."""
-    if cmd not in ("expmoment", "bounds"):
-        return None
-    if not system.reversible:
+    reversible chains, with pi = mu / mu(E)."""
+    if cmd in ("expmoment", "bounds") and not system.reversible:
         return "needs a reversible chain"
-    if not system.chain.measure.normalized:
-        return "needs a normalized (probability) measure"
     return None
 
 

@@ -103,6 +103,13 @@ def _spectrum(q: np.ndarray, mu: np.ndarray, sym: np.ndarray | None = None, vect
     return scipy.linalg.eigh(sym, eigvals_only=True, overwrite_a=own), vec
 
 
+def _eig_rounding(values: np.ndarray) -> float:
+    """Rounding of an ascending spectrum from a backward-stable eigensolve:
+    it returns a zero eigenvalue as a few eps * |largest eigenvalue|, so an
+    eigenvalue within 16 eps * |values[-1]| of zero is read as zero."""
+    return 16.0 * np.finfo(float).eps * abs(values[-1])
+
+
 def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
     """Whether diag(mu) m is symmetric (antisymmetric with ``anti``) within
     STRUCTURAL_TOL times max|diag(mu) m|, with no floor, so scaling m or mu
@@ -158,14 +165,10 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Strictly positive reference weights, one per state.
-
-    ``normalized`` marks a probability measure (weights sum to one); the
-    flag is validated, not inferred.
-    """
+    """Strictly positive reference weights, one per state: any positive
+    measure, a probability or not."""
 
     weights: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         w = _as_vector(self.weights, name="measure weights")
@@ -175,15 +178,13 @@ class Measure:
             raise ValueError("measure weights must be finite")
         if np.any(w <= 0):
             raise ValueError("measure weights must be strictly positive")
-        if self.normalized and abs(w.sum() - 1.0) > STRUCTURAL_TOL:
-            raise ValueError("normalized measure must sum to 1 within 1e-12")
         object.__setattr__(self, "weights", _freeze(w))
 
     @classmethod
     def probability(cls, weights) -> "Measure":
         """Normalize arbitrary positive weights into a probability measure."""
         w = _as_vector(weights, name="measure weights")
-        return cls(w / w.sum(), normalized=True)
+        return cls(w / w.sum())
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -288,8 +289,12 @@ class Chain:
     @cached_property
     def beta0(self) -> float:
         """Smallest shift making the symmetric part of the form nonnegative:
-        0 for a reversible chain's Dirichlet form, max(0, -nu_0) otherwise."""
-        return 0.0 if self.reversible else float(max(0.0, -self.form_spectrum[0]))
+        0 for a reversible chain's Dirichlet form, and otherwise -nu_0 where
+        that exceeds the eigensolve's rounding (``_eig_rounding``), else 0."""
+        if self.reversible:
+            return 0.0
+        nu = self.form_spectrum
+        return float(-nu[0]) if -nu[0] > _eig_rounding(nu) else 0.0
 
     def is_conservative(self) -> bool:
         """Every row sums to zero within STRUCTURAL_TOL * |q_xx|."""
@@ -307,12 +312,10 @@ class Chain:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Chain":
-        mu = _as_vector(doc["mu"], name="mu")
-        normalized = abs(mu.sum() - 1.0) <= STRUCTURAL_TOL
         labels = tuple(str(s) for s in doc["states"]) if "states" in doc else None
         return cls(
             generator=Generator(np.asarray(doc["Q"], dtype=float)),
-            measure=Measure(mu, normalized=normalized),
+            measure=Measure(_as_vector(doc["mu"], name="mu")),
             labels=labels,
         )
 

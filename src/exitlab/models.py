@@ -69,7 +69,7 @@ def birth_death(up, down, measure=None) -> Chain:
     """Nearest-neighbour chain from up rates (i -> i+1) and down rates (i+1 -> i).
 
     Without an explicit measure the detailed-balance weights are built from
-    the rate ratios and normalized, so the chain is reversible by
+    the rate ratios and divided by their sum, so the chain is reversible by
     construction.
     """
     up = _as_vector(up, name="up rates")

@@ -378,10 +378,12 @@ def estimate_exit_functionals(samples: ExitSamples, betas, exp_betas=()) -> McEs
         laplace[float(b)] = _mean_se(np.exp(-float(b) * tau))
     exp_moment = {}
     for b in exp_betas:
-        w = np.exp(float(b) * tau)
-        est, se = _mean_se(w)
-        top = max(1, int(np.ceil(HEAVY_TAIL_TOP_FRACTION * w.shape[0])))
-        top_mass = float(np.sort(w)[-top:].sum() / w.sum())
+        # an overflow is written as it is: inf, with an SE (inf - inf) of NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(float(b) * tau)
+            est, se = _mean_se(w)
+            top = max(1, int(np.ceil(HEAVY_TAIL_TOP_FRACTION * w.shape[0])))
+            top_mass = float(np.sort(w)[-top:].sum() / w.sum())
         # a NaN mass (an overflowed inf / inf) is heavy-tailed too
         exp_moment[float(b)] = (est, se, not top_mass <= HEAVY_TAIL_MASS_LIMIT)
     return McEstimate(

@@ -23,14 +23,13 @@ import numpy as np
 
 from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _freeze, _is_conservative, _json_float, _spectrum, _symmetrized
+from .forms import Chain, _as_vector, _eig_rounding, _freeze, _json_float, _spectrum, _symmetrized
 
 __all__ = [
     "DomainMask",
     "ExitFunctionals",
     "SingularSystemError",
     "RecurrentRestrictionError",
-    "ExitImpossibleError",
     "NonReversibleError",
     "solve_poisson",
     "exit_laplace",
@@ -43,10 +42,6 @@ __all__ = [
 
 class RecurrentRestrictionError(SingularSystemError):
     """The restricted generator is singular: exit is not almost sure."""
-
-
-class ExitImpossibleError(ValueError):
-    """Full-state domain on a conservative generator: the exit time is infinite."""
 
 
 class NonReversibleError(ValueError):
@@ -89,9 +84,6 @@ class DomainMask:
     @property
     def size(self) -> int:
         return int(self.inside.sum())
-
-    def is_full(self) -> bool:
-        return bool(self.inside.all())
 
 
 def embed(mask: DomainMask, values, fill: float = 0.0) -> np.ndarray:
@@ -139,8 +131,8 @@ class Dirichlet(NamedTuple):
 class DomainSystem:
     """The restricted system (s*I - Q_D) u = xi of one chain and domain.
 
-    Package-internal. Computes Q_D, mu_D, whether exit is possible and the
-    shift-free sums of the Cholesky route at most once, on first use.
+    Package-internal. Computes Q_D, mu_D and the shift-free sums of the
+    Cholesky route at most once, on first use.
     Caches, per instance, the solution of
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
     eigendecomposition; factors never outlive their solve.
@@ -182,11 +174,6 @@ class DomainSystem:
         return self.chain.reversible
 
     @cached_property
-    def exit_possible(self) -> bool:
-        # on a full mask Q_D is the whole generator
-        return not (self.mask.is_full() and _is_conservative(self.q_d))
-
-    @cached_property
     def sym_d(self) -> np.ndarray:
         """M^{1/2}(-Q_D)M^{-1/2}, symmetrized (read-only): the Cholesky route
         and the Dirichlet eigensolve share it."""
@@ -205,13 +192,6 @@ class DomainSystem:
         """Bandwidth of ``sym_d`` in the domain's state order, which picks the
         kernels of its factors."""
         return _bandwidth(self.sym_d)
-
-    def _require_exit(self) -> None:
-        if not self.exit_possible:
-            raise ExitImpossibleError(
-                "domain covers every state of a conservative generator; "
-                "the exit time is infinite"
-            )
 
     def _factor(self, shift: float):
         """Factors of shift*I - Q_D: Cholesky for a reversible system where
@@ -255,14 +235,12 @@ class DomainSystem:
     def laplace(self, beta: float) -> np.ndarray:
         if beta <= 0:
             raise ValueError("exit_laplace needs beta > 0")
-        self._require_exit()
         lap = 1.0 - beta * self.resolvent_one(beta)
         if lap.min() < -STRUCTURAL_TOL or lap.max() > 1.0 + STRUCTURAL_TOL:
             raise AssertionError("Laplace transform left [0, 1] beyond tolerance")
         return embed(self.mask, np.clip(lap, 0.0, 1.0), fill=1.0)
 
     def mean(self) -> np.ndarray:
-        self._require_exit()
         try:
             m = self.resolvent_one(0.0)
         except SingularSystemError as err:
@@ -280,7 +258,6 @@ class DomainSystem:
             raise ValueError("exit_exp_moment needs beta > 0")
         if not self.reversible:
             raise NonReversibleError("exponential moments need a reversible chain")
-        self._require_exit()
         if not _below_edge(beta, lambda0):
             return embed(self.mask, np.full(self.mask.size, np.inf), fill=1.0)
         return embed(self.mask, 1.0 + beta * self.resolvent_one(-beta), fill=1.0)
@@ -314,7 +291,7 @@ class DomainSystem:
         lam, vec = _spectrum(self.q_d, self.mu_d, self.sym_d, vector=True)
         # a backward-stable eigensolve rounds a zero eigenvalue to a few
         # eps * |lambda_max|, so lambda0 >= 0 is checked at that scale
-        rounding = 16.0 * np.finfo(float).eps * abs(lam[-1])
+        rounding = _eig_rounding(lam)
         if lam[0] < -rounding:
             raise AssertionError(f"Dirichlet eigenvalue turned negative: {lam[0]:.3e}")
         phi_d = vec[:, 0] / np.sqrt(self.mu_d)

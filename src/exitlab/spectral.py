@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .defaults import COMPARISON_RTOL, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
-from .forms import Chain, _as_vector, _json_float
+from .forms import Chain, _as_vector, _eig_rounding, _json_float
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 def dirichlet_pair(chain: Chain, mask: DomainMask):
     """Smallest eigenvalue of -L on the domain and its eigenfunction.
 
-    Returns (lambda0, phi) with phi extended by zero, normalized to
+    Returns (lambda0, phi) with phi extended by zero, scaled to
     <phi, phi>_mu = 1, and signed so that <phi, 1>_mu >= 0.
     """
     lam0, phi, _ = DomainSystem(chain, mask).dirichlet
@@ -48,10 +48,10 @@ def dirichlet_pair(chain: Chain, mask: DomainMask):
 def spectral_gap(chain: Chain) -> float:
     """Second-smallest eigenvalue of -L in the mu-weighted inner product.
 
-    Requires a reversible, irreducible, conservative chain carrying a
-    probability measure; the smallest eigenvalue is then 0 with constant
-    eigenfunction, and the gap is the optimal constant c in
-    c * pi(f^2) <= form0(f, f) over pi(f) = 0. Both eigenvalues come from
+    Requires a reversible, irreducible, conservative chain, with mu of any
+    scale; the smallest eigenvalue is then 0 with constant eigenfunction,
+    and the gap is the optimal constant c in c * pi(f^2) <= <-Q f, f>_pi
+    over pi(f) = 0, pi = mu / mu(E). Both eigenvalues come from
     ``chain.form_spectrum``, the eigensolve that also gives beta0. A rate
     q_xy is an edge of the chain when it exceeds STRUCTURAL_TOL * |q_xx|,
     so reducibility does not depend on the time scale of Q.
@@ -60,8 +60,6 @@ def spectral_gap(chain: Chain) -> float:
         raise NonReversibleError("spectral gap needs a reversible chain")
     if not chain.is_conservative():
         raise ValueError("spectral gap needs a conservative generator")
-    if not chain.measure.normalized:
-        raise ValueError("spectral gap needs a normalized (probability) measure")
     n_comp = _component_count(chain.q)
     if n_comp > 1:
         raise ValueError(f"chain is reducible ({n_comp} components); no unique invariant law")
@@ -72,7 +70,7 @@ def spectral_gap(chain: Chain) -> float:
     # order of the largest one, and no floor, so c*Q keeps the verdict
     if abs(nu[0]) > WEAK_IDENTITY_TOL * abs(nu[-1]):
         raise AssertionError(f"bottom eigenvalue of a conservative chain is {nu[0]:.3e}, not 0")
-    if nu[1] <= (rounding := 16.0 * np.finfo(float).eps * abs(nu[-1])):
+    if nu[1] <= (rounding := _eig_rounding(nu)):
         raise ValueError(f"spectral gap {nu[1]:.3e} is at or below the eigensolve's rounding {rounding:.3e}")
     return float(nu[1])
 
@@ -237,13 +235,12 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     chain, mask = system.chain, system.mask
     if not system.reversible:
         raise NonReversibleError("the bound ledger needs a reversible chain")
-    if not chain.measure.normalized:
-        raise ValueError("the bound ledger needs a normalized (probability) measure")
     lam0, phi, multiplicity = system.dirichlet
-    mu = chain.mu
-    pi_out = float(np.sum(mu[~mask.inside]))
-    pi_phi = float(np.sum(mu * phi))
-    pi_phi2 = float(np.sum(mu * phi * phi))
+    # every bound is stated for the probability pi for which Q is symmetric
+    pi = chain.mu / chain.mu.sum()
+    pi_out = float(np.sum(pi[~mask.inside]))
+    pi_phi = float(np.sum(pi * phi))
+    pi_phi2 = float(np.sum(pi * phi * phi))
     ratio = pi_phi**2 / pi_phi2
     try:
         lam1 = spectral_gap(chain)
@@ -254,14 +251,14 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     # each bound's spectral edge: (label, its value or the reason it is missing)
     edge0, edge_gap = ("lambda0", lam0), ("lambda1 * pi(complement)", gap)
     edge_lyap = ("delta", "no Lyapunov function" if delta is None else delta)
-    mean_pi = float(np.sum(mu * system.mean()))
+    mean_pi = float(np.sum(pi * system.mean()))
 
     entries: list[BoundEntry] = []
     for beta in betas:
         beta = float(beta)
         # +inf at or past the edge; below it, one cached solve serves every entry
-        exp_pi = float(np.sum(mu * system.exp_moment(beta, lam0)))
-        lap_pi = float(np.sum(mu * system.laplace(beta)))
+        exp_pi = float(np.sum(pi * system.exp_moment(beta, lam0)))
+        lap_pi = float(np.sum(pi * system.laplace(beta)))
         rows = [
             ("exp_moment_upper_lambda0", edge0, exp_pi, lambda e: 1 + beta / (e - beta), +1),
             ("exp_moment_lower_eigenfunction", edge0, exp_pi, lambda e: 1 + beta * ratio / (e - beta), -1),
@@ -281,8 +278,8 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     entries += [_entry(name, None, *row) for name, *row in rows]
     # evaluated at beta = 1, so its two solves are paid only where it applies
     if _below_edge(1.0, lam0):
-        exp_one = float(np.sum(mu * system.exp_moment(1.0, lam0)))
-        lap_one = float(np.sum(mu * system.laplace(1.0)))
+        exp_one = float(np.sum(pi * system.exp_moment(1.0, lam0)))
+        lap_one = float(np.sum(pi * system.laplace(1.0)))
         odd = (exp_one - lap_one) / 2.0, lam0 / ((lam0 - 1.0) * (lam0 + 1.0))
         entries.append(_checked("odd_moment_series", None, *odd, +1))
     else:

@@ -323,24 +323,23 @@ def symmetric_route(a, c) -> float:
 
 
 def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> float:
-    """inf of form0(f,f) - beta*pi(f^2) over {pi(f) = 1, f = 0 outside},
+    """inf of <-Q f, f>_pi - beta*pi(f^2) over {pi(f) = 1, f = 0 outside},
+    for pi = mu / mu(E), the probability for which Q is symmetric,
 
     hinged at zero: for beta at or past the Dirichlet eigenvalue of the
-    restriction the infimum is 0. Requires a reversible chain with a
-    probability measure.
+    restriction the infimum is 0. Requires a reversible chain.
     """
     return exp_moment_route(DomainSystem(chain, mask), beta, lambda0)
 
 
 def exp_moment_route(system: DomainSystem, beta: float, lambda0: float) -> float:
-    """``exp_moment_inf`` on a system, from its Q_D and mu_D."""
+    """``exp_moment_inf`` on a system, from its Q_D and pi_D = mu_D / mu(E)."""
     if beta <= 0:
         raise ValueError("exp_moment_inf needs beta > 0")
     if not system.reversible:
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
-    if not system.chain.measure.normalized:
-        raise ValueError("exp_moment_inf needs a normalized (probability) measure")
     if not _below_edge(beta, lambda0):
         return 0.0
-    s = form_matrix(system.q_d, system.mu_d, -beta)
-    return max(_symmetric_minimum(s, system.mu_d, "exponential-moment infimum solve"), 0.0)
+    pi_d = system.mu_d / system.chain.mu.sum()
+    s = form_matrix(system.q_d, pi_d, -beta)
+    return max(_symmetric_minimum(s, pi_d, "exponential-moment infimum solve"), 0.0)

@@ -20,8 +20,8 @@ from exitlab import (
 )
 
 
-def make_chain(q, mu, normalized=False) -> Chain:
-    return Chain(Generator(np.asarray(q, dtype=float)), Measure(np.asarray(mu, dtype=float), normalized=normalized))
+def make_chain(q, mu) -> Chain:
+    return Chain(Generator(np.asarray(q, dtype=float)), Measure(np.asarray(mu, dtype=float)))
 
 
 def single_state_chain() -> Chain:
@@ -62,7 +62,7 @@ def random_reversible_chain(rng, n, killing=False, normalized=True) -> Chain:
     np.fill_diagonal(q, -q.sum(axis=1))
     if killing:
         q[np.diag_indices(n)] -= rng.uniform(0.1, 0.6, size=n)
-    return Chain(Generator(q), Measure(w, normalized=normalized))
+    return Chain(Generator(q), Measure(w))
 
 
 def random_flow(rng, chain: Chain) -> FlowMatrix:

@@ -164,7 +164,7 @@ def test_criterion_05_bounds_ledger():
             if trial % 2 == 0:
                 # rescale time so lambda0 > 1 and the series bound applies
                 lam0 = dirichlet_pair(rchain, rmask)[0]
-                rchain = make_chain((1.5 / lam0) * rchain.q, rchain.mu, normalized=True)
+                rchain = make_chain((1.5 / lam0) * rchain.q, rchain.mu)
             lam0 = dirichlet_pair(rchain, rmask)[0]
             betas = [0.4 * lam0, 0.9 * lam0, 1.5 * lam0]
             lyap = exit_mean(rchain, rmask)

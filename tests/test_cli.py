@@ -728,12 +728,13 @@ def conservative_parts(monkeypatch, jump_conservative):
 
 def test_full_mask_sweep_of_conservative_parts_cannot_exit(tmp_path, monkeypatch):
     from exitlab.cli import load_config, run
-    from exitlab.poisson import ExitImpossibleError
+    from exitlab.poisson import RecurrentRestrictionError
 
     conservative_parts(monkeypatch, jump_conservative=True)
     path = write_config(tmp_path / "exp.json", scale_sweep_config(tmp_path, "all", [1.0], [0.5]))
     cfg, digest = load_config(path)
-    with pytest.raises(ExitImpossibleError):
+    # exit is impossible: the mean exit time does not exist
+    with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
         run(cfg, digest, tmp_path / "out")
 
 
@@ -800,7 +801,7 @@ def test_a_run_restricts_once(tmp_path, monkeypatch):
 
 def grid_config(tmp_path, drift):
     """A 1D grid with killing: non-reversible with a drift, and reversible
-    without one; its measure is h, not a probability."""
+    without one; its measure is h per point, not a probability."""
     params = {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 0.125, "k": 1.0}
     if drift:
         params["b"] = [1.0]
@@ -814,9 +815,7 @@ def grid_config(tmp_path, drift):
     }
 
 
-@pytest.mark.parametrize(
-    "drift, reason", [(True, "needs a reversible chain"), (False, "needs a normalized (probability) measure")]
-)
+@pytest.mark.parametrize("drift, reason", [(True, "needs a reversible chain")])
 def test_commands_that_do_not_apply_are_skipped(tmp_path, drift, reason):
     assert main(["run", "--config", write_config(tmp_path / "exp.json", grid_config(tmp_path, drift))]) == 0
     out = tmp_path / "out"
@@ -832,6 +831,26 @@ def test_commands_that_do_not_apply_are_skipped(tmp_path, drift, reason):
     assert report["passed"] is True
     variational = json.loads((out / "variational.json").read_text())
     assert ("symmetric_inf" in variational["saddle"]["0.5"]) is not drift
+
+
+def test_a_reversible_grid_runs_expmoment_and_bounds(tmp_path):
+    # the ledger and the exponential moment read pi = mu / mu(E), so a grid's
+    # measure h per point needs no renormalized copy of the chain
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", grid_config(tmp_path, False))]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "run_report.json").read_text())
+    assert "skipped" not in report
+    assert report["commands"] == dict.fromkeys(["bounds", "exit", "expmoment", "validate", "variational"], True)
+    expmoment = json.loads((out / "expmoment.json").read_text())
+    assert expmoment["passed"] is True
+    assert [b["agree"] for b in expmoment["exp_moment"].values()] == [True, True]
+    bounds = json.loads((out / "bounds.json").read_text())
+    assert bounds["passed"] is True
+    checked = [e for e in bounds["ledger"]["entries"] if not e["skipped"]]
+    assert len(checked) == 11 and all(e["satisfied"] for e in checked)
+    # a killed chain has no spectral gap, and no Lyapunov function was given
+    reasons = {e["reason"] for e in bounds["ledger"]["entries"] if e["skipped"]}
+    assert reasons == {"spectral gap needs a conservative generator", "no Lyapunov function"}
 
 
 def test_a_failed_check_beside_skipped_commands_fails_the_run(tmp_path, monkeypatch):

@@ -10,10 +10,12 @@ from exitlab import (
     Chain,
     DomainMask,
     Generator,
+    GridModelSpec,
     Measure,
     antisym_perturb,
     birth_death,
     cycle_flow,
+    discretize_jump_diffusion,
     dual_generator,
     eval_form,
     exit_mean,
@@ -183,7 +185,7 @@ def test_measure_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         Measure(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        Measure(np.array([0.3, 0.3]), normalized=True)
+        Measure(np.array([0.3, -0.3]))
 
 
 def test_chain_json_round_trip(rng):
@@ -225,7 +227,7 @@ def test_row_sum_check_scales_with_the_diagonal_only():
 def test_row_sums_read_killing_at_any_time_scale(c):
     # kills at 10% of its rate; a row-sum scale floored at 1 read c*Q as
     # conservative at c = 1e-12 and its exit as impossible
-    chain = make_chain(c * np.array([[-1.1, 1.0], [1.0, -1.0]]), [0.5, 0.5], normalized=True)
+    chain = make_chain(c * np.array([[-1.1, 1.0], [1.0, -1.0]]), [0.5, 0.5])
     assert not chain.is_conservative()
     np.testing.assert_allclose(exit_mean(chain, DomainMask.full(2)), [20.0 / c, 21.0 / c], rtol=1e-9)
 
@@ -330,6 +332,25 @@ def test_reversible_validation_makes_no_eigensolve(rng, monkeypatch):
         assert report.sector_constant == 1.0
         assert report.beta0_estimate == 0.0
         assert "form_spectrum" not in vars(chain)
+
+
+DRIFT_GRID = GridModelSpec(dimension=1, domain_box=((0.0, 1.0),), mesh_h=0.125, b=(1.0,), k=1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: antisym_perturb(*cycle_flow(40), 0.5), lambda: antisym_perturb(*cycle_flow(200), 0.5),
+     lambda: discretize_jump_diffusion(DRIFT_GRID)],
+    ids=["ring40", "ring200", "drift_grid"],
+)
+def test_beta0_reads_the_eigensolves_rounding_as_zero(build):
+    # a ring's flow keeps mu invariant, so sym(A0) 1 = 0 and nu_0 = 0 exactly,
+    # which the eigensolve returns as about -1e-15; the drift grid's nu_0 is
+    # positive, so its form is nonnegative with no shift
+    chain = build()
+    assert not chain.reversible
+    assert chain.beta0 == 0.0
+    assert validate_assumption_a(chain, 1.0).beta0_estimate == 0.0
 
 
 def test_form_spectrum_is_cached_read_only_and_gives_beta0():

@@ -267,7 +267,7 @@ def _z_matrix_route(route: str, banded: bool):
         return lambda: symmetric_inf(system.chain, system.mask, 0.5, np.ones(system.mask.size))
     # a probability measure with the same generator, so still reversible
     mu = system.chain.mu
-    chain = Chain(system.chain.generator, Measure(mu / mu.sum(), normalized=True))
+    chain = Chain(system.chain.generator, Measure(mu / mu.sum()))
     lambda0 = DomainSystem(chain, system.mask).dirichlet.lambda0
     return lambda: exp_moment_inf(chain, system.mask, lambda0 / 2.0, lambda0)
 

@@ -4,7 +4,9 @@ relabelling the states.
 
 Pointwise functionals do not read the measure's scale, detailed balance holds
 for d*mu exactly when it holds for mu, and the form scales by d, so the
-saddle value of the scaled chain is the original value divided by d. A flow
+saddle value of the scaled chain is the original value divided by d. The
+spectral gap, the exponential-moment infimum and the bound ledger read
+pi = mu / mu(E) and do not move. A flow
 or a conductance matrix scaled by d is valid exactly when it is at d = 1.
 Under Q -> c*Q the Dirichlet eigenvalue scales by c, and the exponential
 moment at c*beta does not move. Relabelling permutes every vector and
@@ -29,6 +31,7 @@ from exitlab import (
     exit_mean,
     exp_moment_inf,
     saddle_value,
+    spectral_gap,
     symmetric_inf,
     weighted_graph,
 )
@@ -44,7 +47,15 @@ CHAINS = {
 }
 
 
-@pytest.mark.parametrize("d", [1e-20, 1e20])
+def _same(a, b, exact):
+    """a == b bit for bit when ``exact``, else within 1e-12 of the larger
+    magnitude; None (a skipped entry's side) only matches None."""
+    if a is None or b is None or exact:
+        return a == b
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("d", [1e-20, 4.0, 1e20])
 @pytest.mark.parametrize("kind", sorted(CHAINS))
 def test_measure_scaling(kind, d):
     chain = CHAINS[kind]()
@@ -61,12 +72,31 @@ def test_measure_scaling(kind, d):
             value, rel=1e-12, abs=0.0
         )
 
-    if chain.reversible:
-        value = symmetric_inf(chain, MASK, 1.0, XI)
-        assert d * symmetric_inf(scaled, MASK, 1.0, XI) == pytest.approx(value, rel=1e-12, abs=0.0)
-    else:
+    if not chain.reversible:
         with pytest.raises(NonReversibleError):
             symmetric_inf(scaled, MASK, 1.0, XI)
+        return
+    value = symmetric_inf(chain, MASK, 1.0, XI)
+    assert d * symmetric_inf(scaled, MASK, 1.0, XI) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    # the gap, the exponential-moment infimum and the ledger read pi = mu / mu(E);
+    # a power of four scales sqrt(mu) and every sum exactly and leaves pi as is
+    exact = d == 4.0
+    assert _same(spectral_gap(scaled), spectral_gap(chain), exact)
+    lam0 = DomainSystem(chain, MASK).dirichlet.lambda0
+    lam0_d = DomainSystem(scaled, MASK).dirichlet.lambda0
+    assert _same(lam0_d, lam0, exact)
+    inf_value = exp_moment_inf(chain, MASK, 0.5 * lam0, lam0)
+    assert _same(exp_moment_inf(scaled, MASK, 0.5 * lam0, lam0_d), inf_value, exact)
+    # shifts below and past lambda0, and beta = 1 below it for the odd moments
+    betas, lyapunov = [0.25 * lam0, 0.5 * lam0, 2.0 * lam0, 1.0], exit_mean(chain, MASK)
+    entries = bounds_report(chain, MASK, betas, lyapunov).entries
+    scaled_entries = bounds_report(scaled, MASK, betas, lyapunov).entries
+    assert sum(not e.skipped for e in entries) == 29
+    for e, f in zip(entries, scaled_entries, strict=True):
+        assert (f.name, f.satisfied, f.skipped, f.reason) == (e.name, e.satisfied, e.skipped, e.reason)
+        for side in ("lhs", "rhs", "slack"):
+            assert _same(getattr(f, side), getattr(e, side), exact), (e.name, e.beta, side)
 
 
 def _verdict(build):
@@ -178,7 +208,7 @@ def test_dirichlet_rejects_a_negative_bottom_eigenvalue():
 
 def _relabelled(chain, mask, perm):
     """The chain and domain with new state k the old state perm[k]."""
-    relabelled = Chain(Generator(chain.q[np.ix_(perm, perm)]), Measure(chain.mu[perm], normalized=True))
+    relabelled = Chain(Generator(chain.q[np.ix_(perm, perm)]), Measure(chain.mu[perm]))
     return relabelled, DomainMask(mask.inside[perm])
 
 

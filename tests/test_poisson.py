@@ -7,7 +7,6 @@ import pytest
 from exitlab import (
     DomainMask,
     GridModelSpec,
-    ExitImpossibleError,
     SingularSystemError,
     NonReversibleError,
     RecurrentRestrictionError,
@@ -154,12 +153,16 @@ def test_exit_mean_rejects_recurrent_restriction():
     assert err.value.cond_estimate > 1e12
 
 
-def test_full_domain_on_conservative_chain_rejected():
+def test_full_domain_on_conservative_chain_never_exits():
+    # a closed domain like any other: the Laplace transform is 0, the
+    # exponential moment infinite (lambda0 = 0), and the mean does not exist
     chain = complete_graph(3, 1.0)
-    with pytest.raises(ExitImpossibleError):
-        exit_mean(chain, DomainMask.full(3))
-    with pytest.raises(ExitImpossibleError):
-        exit_laplace(chain, DomainMask.full(3), 1.0)
+    full = DomainMask.full(3)
+    assert np.all(exit_laplace(chain, full, 1.0) <= 4 * np.finfo(float).eps)
+    lam0 = dirichlet_pair(chain, full)[0]
+    assert np.all(exit_exp_moment(chain, full, 0.5, lam0) == np.inf)
+    with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
+        exit_mean(chain, full)
 
 
 def test_exit_exp_moment_values():

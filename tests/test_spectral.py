@@ -114,7 +114,7 @@ def test_spectral_gap_two_state_rates(rng):
     for _ in range(5):
         a, b = rng.uniform(0.3, 2.0, 2)
         q = np.array([[-a, a], [b, -b]])
-        chain = make_chain(q, np.array([b, a]) / (a + b), normalized=True)
+        chain = make_chain(q, np.array([b, a]) / (a + b))
         assert spectral_gap(chain) == pytest.approx(a + b, rel=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_spectral_gap_rejects_reducible():
     q[0, 1] = q[1, 0] = 1.0
     q[2, 3] = q[3, 2] = 1.0
     np.fill_diagonal(q, -q.sum(axis=1))
-    chain = make_chain(q, np.full(4, 0.25), normalized=True)
+    chain = make_chain(q, np.full(4, 0.25))
     with pytest.raises(ValueError, match="reducible"):
         spectral_gap(chain)
 
@@ -156,7 +156,7 @@ def test_spectral_gap_counts_components_across_row_tiles():
     c = c + c.T
     np.fill_diagonal(c, 0.0)
     np.fill_diagonal(c, -c.sum(axis=1))
-    chain = make_chain(c, np.full(n, 1.0 / n), normalized=True)
+    chain = make_chain(c, np.full(n, 1.0 / n))
     with pytest.raises(ValueError, match=r"reducible \(3 components\)"):
         spectral_gap(chain)
 
@@ -209,7 +209,7 @@ def test_spectral_gap_reducibility_does_not_depend_on_the_time_scale(c):
 def test_spectral_gap_checks_the_bottom_eigenvalue_at_the_chain_scale(monkeypatch):
     # a bottom eigenvalue at a tenth of the top one is no rounding; a floor
     # of 1 on the scale let it through once the rates were small
-    chain = Chain(Generator(1e-12 * C3.q), Measure(C3.mu, normalized=True))
+    chain = Chain(Generator(1e-12 * C3.q), Measure(C3.mu))
     monkeypatch.setitem(chain.__dict__, "form_spectrum", 1e-12 * np.array([0.3, 3.0, 3.0]))
     with pytest.raises(AssertionError, match="bottom eigenvalue"):
         spectral_gap(chain)
@@ -277,7 +277,7 @@ def test_ledger_writes_each_non_finite_float_as_itself():
 
 
 def test_spectral_gap_rejects_a_single_state():
-    chain = make_chain([[0.0]], [1.0], normalized=True)
+    chain = make_chain([[0.0]], [1.0])
     with pytest.raises(ValueError, match="two states"):
         spectral_gap(chain)
 
@@ -285,7 +285,7 @@ def test_spectral_gap_rejects_a_single_state():
 def test_spectral_gap_rejects_killed_chain():
     with pytest.raises(ValueError, match="conservative"):
         spectral_gap(
-            make_chain([[-3.0, 1.0], [1.0, -3.0]], [0.5, 0.5], normalized=True)
+            make_chain([[-3.0, 1.0], [1.0, -3.0]], [0.5, 0.5])
         )
 
 
@@ -369,7 +369,7 @@ def test_bounds_report_odd_moment_series(rng):
     mask = random_proper_mask(rng, 6)
     lam0, _ = dirichlet_pair(chain, mask)
     scale = 1.7 / lam0
-    scaled = make_chain(scale * chain.q, chain.mu, normalized=True)
+    scaled = make_chain(scale * chain.q, chain.mu)
     ledger = bounds_report(scaled, mask, [0.5])
     entry = next(e for e in ledger.entries if e.name == "odd_moment_series")
     assert not entry.skipped

@@ -223,13 +223,14 @@ def test_exp_moment_inf_matches_exit_route(rng):
         assert value == pytest.approx(beta / (agg - 1.0), rel=1e-9)
 
 
-def test_exp_moment_inf_rejects_non_reversible_or_unnormalized(rng):
+def test_exp_moment_inf_rejects_non_reversible_and_takes_any_measure(rng):
     chain = random_nonsymmetric_chain(rng, 4)
     with pytest.raises(NonReversibleError):
         exp_moment_inf(chain, DomainMask.from_states([0], 4), 0.5, 1.0)
-    unnorm = two_state_killed_chain()
-    with pytest.raises(ValueError):
-        exp_moment_inf(unnorm, FULL2, 0.5, 2.0)
+    # mu = (1, 1), so pi = (1/2, 1/2); tau ~ Exp(2) from either state, and
+    # beta / (pi(E[e^{beta tau}]) - 1) = 2 - beta
+    killed = two_state_killed_chain()
+    assert exp_moment_inf(killed, FULL2, 0.5, 2.0) == pytest.approx(1.5, rel=1e-12, abs=0.0)
 
 
 def test_source_scaling_covariance(rng):
