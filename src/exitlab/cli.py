@@ -293,7 +293,7 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             _check_shared_measure(mu, jump_mu)
         family = (mu, mu[mask.indices], diff_d, jump_d)
     if cfg.mc is not None:
-        mc = replace(cfg.mc, start=(chain.mu / chain.mu.sum()).tolist()) if cfg.mc_start_pi else cfg.mc
+        mc = replace(cfg.mc, start=chain.pi.tolist()) if cfg.mc_start_pi else cfg.mc
         with _at("$.mc.start"):
             weights = mc.start_weights(n)
     return Prepared(system, mask, xi, family, mc, weights)
@@ -354,7 +354,7 @@ def _cmd_exit(prep, cfg):
     blocks = {}
     csv_parts = []
     for beta in cfg.betas:
-        fns = system.functionals(beta, xi=None, lambda0=lam0)
+        fns = system.functionals(beta)
         blocks[repr(beta)] = fns.to_dict(labels=labels)
         csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=labels))
     return True, {"exit_functionals": blocks, "lambda0": lam0}, "".join(csv_parts)
@@ -387,19 +387,16 @@ def _cmd_variational(prep, cfg):
 
 def _cmd_expmoment(prep, cfg):
     system = prep.system
-    lam0 = system.dirichlet.lambda0
-    pi = system.chain.mu / system.chain.mu.sum()
     ok = True
     blocks = {}
     for beta in cfg.betas:
-        inf_value = exp_moment_route(system, beta, lam0)
-        moments = system.exp_moment(beta, lam0)
-        agg = float(np.sum(pi * moments))
+        inf_value = exp_moment_route(system, beta)
+        agg = float(np.sum(system.chain.pi * system.exp_moment(beta)))
         via_exit = 0.0 if np.isinf(agg) else beta / (agg - 1.0)
         agree = _agree(inf_value, via_exit)
         blocks[repr(beta)] = {"inf_value": inf_value, "via_exit_route": via_exit, "agree": agree}
         ok = ok and agree
-    return ok, {"lambda0": lam0, "exp_moment": blocks, "passed": ok}, None
+    return ok, {"lambda0": system.dirichlet.lambda0, "exp_moment": blocks, "passed": ok}, None
 
 
 def _cmd_bounds(prep, cfg):

@@ -264,6 +264,12 @@ class Chain:
     def mu(self) -> np.ndarray:
         return self.measure.weights
 
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """The probability mu / mu(E) (read-only), for which the exit-time
+        formulas of a reversible chain are stated."""
+        return _freeze(self.mu / self.mu.sum())
+
     def state_labels(self) -> tuple[str, ...]:
         if self.labels is not None:
             return self.labels

@@ -94,7 +94,8 @@ def embed(mask: DomainMask, values, fill: float = 0.0) -> np.ndarray:
 
 
 def _restrict_source(mask: DomainMask, xi, n_states: int) -> np.ndarray:
-    """Accept a finite source of domain length, or full length vanishing outside."""
+    """Accept a finite source of domain length, or full length vanishing
+    outside to STRUCTURAL_TOL relative to max|xi|."""
     v = _as_vector(xi, name="xi")
     if not np.all(np.isfinite(v)):
         raise ValueError("source xi must be finite")
@@ -102,7 +103,7 @@ def _restrict_source(mask: DomainMask, xi, n_states: int) -> np.ndarray:
         return v
     if v.shape[0] == n_states:
         outside = v[~mask.inside]
-        if outside.size and np.abs(outside).max() > STRUCTURAL_TOL:
+        if outside.size and np.abs(outside).max() > STRUCTURAL_TOL * np.abs(v).max():
             raise ValueError("source xi must vanish outside the domain")
         return v[mask.indices]
     raise ValueError(
@@ -137,7 +138,8 @@ class DomainSystem:
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
     eigendecomposition; factors never outlive their solve.
     Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
-    1 + beta*u_{-beta}.
+    1 + beta*u_{-beta} for beta below the cached Dirichlet eigenvalue
+    lambda0, and infinite from that edge on.
 
     A reversible system factors the symmetrized M^{1/2}(s*I - Q_D)M^{-1/2}
     by Cholesky and falls back to LU where that is not positive definite
@@ -253,16 +255,16 @@ class DomainSystem:
             raise AssertionError("mean exit time turned negative beyond tolerance")
         return embed(self.mask, np.maximum(m, 0.0), fill=0.0)
 
-    def exp_moment(self, beta: float, lambda0: float) -> np.ndarray:
+    def exp_moment(self, beta: float) -> np.ndarray:
         if beta <= 0:
             raise ValueError("exit_exp_moment needs beta > 0")
         if not self.reversible:
             raise NonReversibleError("exponential moments need a reversible chain")
-        if not _below_edge(beta, lambda0):
+        if not _below_edge(beta, self.dirichlet.lambda0):
             return embed(self.mask, np.full(self.mask.size, np.inf), fill=1.0)
         return embed(self.mask, 1.0 + beta * self.resolvent_one(-beta), fill=1.0)
 
-    def functionals(self, beta: float, xi=None, lambda0: float | None = None) -> ExitFunctionals:
+    def functionals(self, beta: float, xi=None) -> ExitFunctionals:
         if beta <= 0:
             raise ValueError("exit_functionals needs beta > 0")
         xi_d = 1.0 if xi is None else _restrict_source(self.mask, xi, self.mask.inside.shape[0])
@@ -270,15 +272,12 @@ class DomainSystem:
         # derive u_beta from the stored transform so the identity
         # u_beta == (1 - laplace)/beta holds to the last bit even at tiny beta
         u_beta = (1.0 - laplace) / beta
-        exp_m = None
-        if lambda0 is not None and self.reversible:
-            exp_m = self.exp_moment(beta, lambda0)
         return ExitFunctionals(
             beta=float(beta),
             u_beta=u_beta,
             laplace=laplace,
             mean=self.mean(),
-            exp_moment=exp_m,
+            exp_moment=self.exp_moment(beta) if self.reversible else None,
             aggregate_mu=float(np.sum(self.mu_d * xi_d * u_beta[self.mask.indices])),
         )
 
@@ -338,16 +337,16 @@ def exit_mean(chain: Chain, mask: DomainMask) -> np.ndarray:
     return DomainSystem(chain, mask).mean()
 
 
-def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> np.ndarray:
+def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float) -> np.ndarray:
     """E_x[exp(+beta * exit time)]; +inf marker on the domain at or past lambda0.
 
-    Requires a reversible chain. ``lambda0`` is the smallest Dirichlet
-    eigenvalue of the restriction (see the spectral module); for beta
-    within SPECTRAL_EDGE_MARGIN * lambda0 of it the moment is reported
-    infinite.
+    Requires a reversible chain. The edge lambda0, the smallest Dirichlet
+    eigenvalue of the restriction, is read from the system's own
+    eigensolve; for beta within SPECTRAL_EDGE_MARGIN * lambda0 of it the
+    moment is reported infinite, so no moment is below 1.
     Outside the domain the exit time is 0 and the moment is 1.
     """
-    return DomainSystem(chain, mask).exp_moment(beta, lambda0)
+    return DomainSystem(chain, mask).exp_moment(beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,9 +355,8 @@ class ExitFunctionals:
 
     Vectors are full length: ``u_beta`` vanishes outside the domain,
     ``laplace`` is 1 there, ``mean`` is 0, ``exp_moment`` is 1.
-    ``exp_moment`` is None when the chain is not reversible or no
-    Dirichlet eigenvalue was supplied. ``aggregate_mu`` is <xi, u_beta>_mu
-    for the supplied source.
+    ``exp_moment`` is None exactly when the chain is not reversible.
+    ``aggregate_mu`` is <xi, u_beta>_mu for the supplied source.
     """
 
     beta: float
@@ -413,16 +411,11 @@ class ExitFunctionals:
         return buf.getvalue()
 
 
-def exit_functionals(
-    chain: Chain,
-    mask: DomainMask,
-    beta: float,
-    xi=None,
-    lambda0: float | None = None,
-) -> ExitFunctionals:
+def exit_functionals(chain: Chain, mask: DomainMask, beta: float, xi=None) -> ExitFunctionals:
     """Bundle the exact functionals of one domain at one shift.
 
     ``xi`` defaults to the indicator of the domain. The exponential moment
-    is included when the chain is reversible and ``lambda0`` is supplied.
+    is included exactly when the chain is reversible; its edge lambda0 is
+    read from the system's Dirichlet eigensolve.
     """
-    return DomainSystem(chain, mask).functionals(beta, xi, lambda0)
+    return DomainSystem(chain, mask).functionals(beta, xi)

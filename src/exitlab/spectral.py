@@ -110,13 +110,13 @@ def lyapunov_delta(chain: Chain, mask: DomainMask, varphi) -> float:
     """delta = -max over inside states of (L varphi)(x) / varphi(x).
 
     ``varphi`` must be strictly positive inside the domain and zero
-    outside.
+    outside, to STRUCTURAL_TOL relative to max|varphi|.
     """
     phi = _as_vector(varphi, chain.n_states, "varphi")
     inside = mask.inside
     if np.any(phi[inside] <= 0):
         raise ValueError("Lyapunov function must be strictly positive inside the domain")
-    if np.any(np.abs(phi[~inside]) > STRUCTURAL_TOL):
+    if np.any(np.abs(phi[~inside]) > STRUCTURAL_TOL * np.abs(phi).max()):
         raise ValueError("Lyapunov function must vanish outside the domain")
     lphi = chain.q @ phi
     return float(-np.max(lphi[inside] / phi[inside]))
@@ -236,8 +236,10 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     if not system.reversible:
         raise NonReversibleError("the bound ledger needs a reversible chain")
     lam0, phi, multiplicity = system.dirichlet
-    # every bound is stated for the probability pi for which Q is symmetric
-    pi = chain.mu / chain.mu.sum()
+    # every bound is stated for the probability pi for which Q is symmetric;
+    # phi is scaled from <phi, phi>_mu = 1 to pi(phi^2) = 1, whatever mu(E)
+    pi = chain.pi
+    phi = phi * np.sqrt(chain.mu.sum())
     pi_out = float(np.sum(pi[~mask.inside]))
     pi_phi = float(np.sum(pi * phi))
     pi_phi2 = float(np.sum(pi * phi * phi))
@@ -257,7 +259,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     for beta in betas:
         beta = float(beta)
         # +inf at or past the edge; below it, one cached solve serves every entry
-        exp_pi = float(np.sum(pi * system.exp_moment(beta, lam0)))
+        exp_pi = float(np.sum(pi * system.exp_moment(beta)))
         lap_pi = float(np.sum(pi * system.laplace(beta)))
         rows = [
             ("exp_moment_upper_lambda0", edge0, exp_pi, lambda e: 1 + beta / (e - beta), +1),
@@ -278,7 +280,7 @@ def bounds_ledger(system: DomainSystem, betas, lyapunov=None) -> BoundLedger:
     entries += [_entry(name, None, *row) for name, *row in rows]
     # evaluated at beta = 1, so its two solves are paid only where it applies
     if _below_edge(1.0, lam0):
-        exp_one = float(np.sum(pi * system.exp_moment(1.0, lam0)))
+        exp_one = float(np.sum(pi * system.exp_moment(1.0)))
         lap_one = float(np.sum(pi * system.laplace(1.0)))
         odd = (exp_one - lap_one) / 2.0, lam0 / ((lam0 - 1.0) * (lam0 + 1.0))
         entries.append(_checked("odd_moment_series", None, *odd, +1))

@@ -322,24 +322,24 @@ def symmetric_route(a, c) -> float:
     return _symmetric_minimum(a.copy(), c, "symmetric infimum solve")
 
 
-def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float, lambda0: float) -> float:
+def exp_moment_inf(chain: Chain, mask: DomainMask, beta: float) -> float:
     """inf of <-Q f, f>_pi - beta*pi(f^2) over {pi(f) = 1, f = 0 outside},
     for pi = mu / mu(E), the probability for which Q is symmetric,
 
-    hinged at zero: for beta at or past the Dirichlet eigenvalue of the
-    restriction the infimum is 0. Requires a reversible chain.
+    hinged at zero: for beta at or past the system's own Dirichlet eigenvalue
+    lambda0 of the restriction the infimum is 0. Requires a reversible chain.
     """
-    return exp_moment_route(DomainSystem(chain, mask), beta, lambda0)
+    return exp_moment_route(DomainSystem(chain, mask), beta)
 
 
-def exp_moment_route(system: DomainSystem, beta: float, lambda0: float) -> float:
-    """``exp_moment_inf`` on a system, from its Q_D and pi_D = mu_D / mu(E)."""
+def exp_moment_route(system: DomainSystem, beta: float) -> float:
+    """``exp_moment_inf`` on a system, from its Q_D, pi_D and lambda0."""
     if beta <= 0:
         raise ValueError("exp_moment_inf needs beta > 0")
     if not system.reversible:
         raise NonReversibleError("exp_moment_inf needs a reversible chain")
-    if not _below_edge(beta, lambda0):
+    if not _below_edge(beta, system.dirichlet.lambda0):
         return 0.0
-    pi_d = system.mu_d / system.chain.mu.sum()
+    pi_d = system.chain.pi[system.mask.indices]
     s = form_matrix(system.q_d, pi_d, -beta)
     return max(_symmetric_minimum(s, pi_d, "exponential-moment infimum solve"), 0.0)

@@ -118,14 +118,13 @@ def test_criterion_04_exponential_moment_formula():
     with criterion(4, "exponential-moment infimum matches the exact moment route"):
         chain = complete_graph(3, 1.0)
         mask = DomainMask.from_states([0, 1], 3)
-        lam0 = dirichlet_pair(chain, mask)[0]
-        value = exp_moment_inf(chain, mask, 0.5, lam0)
+        value = exp_moment_inf(chain, mask, 0.5)
         assert value == pytest.approx(0.75, abs=1e-12)
-        agg = mu_dot(chain, exit_exp_moment(chain, mask, 0.5, lam0))
+        agg = mu_dot(chain, exit_exp_moment(chain, mask, 0.5))
         assert agg == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert 0.5 / (agg - 1.0) == pytest.approx(0.75, abs=1e-12)
         for beta in (1.0, 1.5, 4.0):
-            assert exp_moment_inf(chain, mask, beta, lam0) == 0.0
+            assert exp_moment_inf(chain, mask, beta) == 0.0
 
         rng = np.random.default_rng(404)
         for trial in range(20):
@@ -134,8 +133,8 @@ def test_criterion_04_exponential_moment_formula():
             rmask = random_proper_mask(rng, n)
             rlam0 = dirichlet_pair(rchain, rmask)[0]
             beta = 0.5 * rlam0
-            left = exp_moment_inf(rchain, rmask, beta, rlam0)
-            agg = mu_dot(rchain, exit_exp_moment(rchain, rmask, beta, rlam0))
+            left = exp_moment_inf(rchain, rmask, beta)
+            agg = mu_dot(rchain, exit_exp_moment(rchain, rmask, beta))
             assert left == pytest.approx(beta / (agg - 1.0), rel=RTOL)
 
 
@@ -298,9 +297,9 @@ def test_criterion_09_spectral_edge():
             mask = random_proper_mask(rng, n)
             lam0 = dirichlet_pair(chain, mask)[0]
             assert lam0 > 1e-3
-            below = exit_exp_moment(chain, mask, lam0 - 1e-3, lam0)
+            below = exit_exp_moment(chain, mask, lam0 - 1e-3)
             assert np.all(np.isfinite(below))
-            at_edge = exit_exp_moment(chain, mask, lam0, lam0)
+            at_edge = exit_exp_moment(chain, mask, lam0)
             assert np.all(np.isinf(at_edge[mask.inside]))
             lam1 = spectral_gap(chain)
             pi_out = float(np.sum(chain.mu[~mask.inside]))

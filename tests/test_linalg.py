@@ -269,7 +269,7 @@ def _z_matrix_route(route: str, banded: bool):
     mu = system.chain.mu
     chain = Chain(system.chain.generator, Measure(mu / mu.sum()))
     lambda0 = DomainSystem(chain, system.mask).dirichlet.lambda0
-    return lambda: exp_moment_inf(chain, system.mask, lambda0 / 2.0, lambda0)
+    return lambda: exp_moment_inf(chain, system.mask, lambda0 / 2.0)
 
 
 @pytest.mark.parametrize("banded", [False, True])

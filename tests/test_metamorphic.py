@@ -86,17 +86,22 @@ def test_measure_scaling(kind, d):
     lam0 = DomainSystem(chain, MASK).dirichlet.lambda0
     lam0_d = DomainSystem(scaled, MASK).dirichlet.lambda0
     assert _same(lam0_d, lam0, exact)
-    inf_value = exp_moment_inf(chain, MASK, 0.5 * lam0, lam0)
-    assert _same(exp_moment_inf(scaled, MASK, 0.5 * lam0, lam0_d), inf_value, exact)
+    inf_value = exp_moment_inf(chain, MASK, 0.5 * lam0)
+    assert _same(exp_moment_inf(scaled, MASK, 0.5 * lam0), inf_value, exact)
     # shifts below and past lambda0, and beta = 1 below it for the odd moments
     betas, lyapunov = [0.25 * lam0, 0.5 * lam0, 2.0 * lam0, 1.0], exit_mean(chain, MASK)
-    entries = bounds_report(chain, MASK, betas, lyapunov).entries
-    scaled_entries = bounds_report(scaled, MASK, betas, lyapunov).entries
+    ledger = bounds_report(chain, MASK, betas, lyapunov)
+    scaled_ledger = bounds_report(scaled, MASK, betas, lyapunov)
+    entries, scaled_entries = ledger.entries, scaled_ledger.entries
     assert sum(not e.skipped for e in entries) == 29
     for e, f in zip(entries, scaled_entries, strict=True):
         assert (f.name, f.satisfied, f.skipped, f.reason) == (e.name, e.satisfied, e.skipped, e.reason)
         for side in ("lhs", "rhs", "slack"):
             assert _same(getattr(f, side), getattr(e, side), exact), (e.name, e.beta, side)
+    # the meta too: pi(phi) and pi(phi^2) read phi scaled to pi(phi^2) = 1
+    assert scaled_ledger.meta.keys() == ledger.meta.keys()
+    for key, value in ledger.meta.items():
+        assert _same(scaled_ledger.meta[key], value, exact), key
 
 
 def _verdict(build):
@@ -159,12 +164,12 @@ def test_exp_moment_edge_does_not_depend_on_the_time_scale(c):
     lam0_c = DomainSystem(scaled, mask).dirichlet.lambda0
     assert lam0_c == pytest.approx(c * lam0, rel=1e-12)
     beta = 0.3 * lam0_c
-    moment = exit_exp_moment(scaled, mask, beta, lam0_c)
-    expected = exit_exp_moment(chain, mask, 0.3 * lam0, lam0)
+    moment = exit_exp_moment(scaled, mask, beta)
+    expected = exit_exp_moment(chain, mask, 0.3 * lam0)
     assert np.all(np.isfinite(moment))
     np.testing.assert_allclose(moment, expected, rtol=1e-10)
-    inf_value = exp_moment_inf(scaled, mask, beta, lam0_c)
-    assert inf_value == pytest.approx(c * exp_moment_inf(chain, mask, 0.3 * lam0, lam0), rel=1e-10)
+    inf_value = exp_moment_inf(scaled, mask, beta)
+    assert inf_value == pytest.approx(c * exp_moment_inf(chain, mask, 0.3 * lam0), rel=1e-10)
     # every verdict and skip reason of the ledger, with a Lyapunov function
     # (the mean exit time, so delta scales by c) and shifts below, at and
     # past lambda0; odd_moment_series is evaluated at beta = 1, not at a
@@ -248,7 +253,7 @@ def test_relabelling_a_banded_chain_moves_it_onto_the_dense_kernels():
     xi = rng.uniform(0.5, 2.0, n) * mask.inside
     betas = [0.3 * lam0, 0.9 * lam0, 2.0 * lam0]
     for beta in betas:
-        f, f_o = system.functionals(beta, xi, lam0), other_system.functionals(beta, xi[perm], lam0_o)
+        f, f_o = system.functionals(beta, xi), other_system.functionals(beta, xi[perm])
         for name in ("u_beta", "laplace", "mean", "exp_moment"):
             _close(getattr(f_o, name), getattr(f, name)[perm])
         assert f_o.aggregate_mu == pytest.approx(f.aggregate_mu, rel=1e-10)
@@ -260,8 +265,8 @@ def test_relabelling_a_banded_chain_moves_it_onto_the_dense_kernels():
         assert symmetric_inf(other, other_mask, beta, xi[perm]) == pytest.approx(
             symmetric_inf(chain, mask, beta, xi), rel=1e-10
         )
-        assert exp_moment_inf(other, other_mask, beta, lam0_o) == pytest.approx(
-            exp_moment_inf(chain, mask, beta, lam0), rel=1e-10, abs=0.0
+        assert exp_moment_inf(other, other_mask, beta) == pytest.approx(
+            exp_moment_inf(chain, mask, beta), rel=1e-10, abs=0.0
         )
 
     ledger, ledger_o = bounds_report(chain, mask, betas), bounds_report(other, other_mask, betas)

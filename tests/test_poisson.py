@@ -19,6 +19,7 @@ from exitlab import (
     exit_functionals,
     exit_laplace,
     exit_mean,
+    lyapunov_delta,
     solve_poisson,
 )
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
@@ -159,8 +160,7 @@ def test_full_domain_on_conservative_chain_never_exits():
     chain = complete_graph(3, 1.0)
     full = DomainMask.full(3)
     assert np.all(exit_laplace(chain, full, 1.0) <= 4 * np.finfo(float).eps)
-    lam0 = dirichlet_pair(chain, full)[0]
-    assert np.all(exit_exp_moment(chain, full, 0.5, lam0) == np.inf)
+    assert np.all(exit_exp_moment(chain, full, 0.5) == np.inf)
     with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
         exit_mean(chain, full)
 
@@ -170,20 +170,20 @@ def test_exit_exp_moment_values():
     mask = DomainMask.full(1)
     lam0 = dirichlet_pair(chain, mask)[0]
     assert lam0 == pytest.approx(2.0, abs=1e-12)
-    assert exit_exp_moment(chain, mask, 1.0, lam0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert exit_exp_moment(chain, mask, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
 
     pair = two_state_killed_chain()
     lam0 = dirichlet_pair(pair, FULL2)[0]
     assert lam0 == pytest.approx(2.0, abs=1e-12)
-    np.testing.assert_allclose(exit_exp_moment(pair, FULL2, 1.0, lam0), [2.0, 2.0], atol=1e-12)
-    assert np.all(np.isinf(exit_exp_moment(pair, FULL2, 2.0, lam0)))
+    np.testing.assert_allclose(exit_exp_moment(pair, FULL2, 1.0), [2.0, 2.0], atol=1e-12)
+    assert np.all(np.isinf(exit_exp_moment(pair, FULL2, 2.0)))
 
 
 def test_exit_exp_moment_rejects_non_reversible(rng):
     chain = random_nonsymmetric_chain(rng, 5)
     mask = random_proper_mask(rng, 5)
     with pytest.raises(NonReversibleError):
-        exit_exp_moment(chain, mask, 0.5, 1.0)
+        exit_exp_moment(chain, mask, 0.5)
 
 
 def test_resolvent_positivity(rng):
@@ -207,8 +207,7 @@ def test_limit_identity_small_beta():
 def test_exit_functionals_container():
     chain = complete_graph(3, 1.0)
     mask = DomainMask.from_states([0, 1], 3)
-    lam0 = dirichlet_pair(chain, mask)[0]
-    fns = exit_functionals(chain, mask, 0.5, lambda0=lam0)
+    fns = exit_functionals(chain, mask, 0.5)
     np.testing.assert_allclose(fns.u_beta, (1.0 - fns.laplace) / 0.5, atol=1e-14)
     assert np.all((fns.laplace >= 0) & (fns.laplace <= 1))
     assert np.all(fns.mean >= 0)
@@ -223,7 +222,7 @@ def test_exit_functionals_container():
 
 def test_exit_functionals_infinite_moment_serializes():
     chain = two_state_killed_chain()
-    fns = exit_functionals(chain, FULL2, 3.0, lambda0=2.0)
+    fns = exit_functionals(chain, FULL2, 3.0)
     assert np.all(np.isinf(fns.exp_moment))
     assert "inf" in fns.to_csv()
     assert fns.to_dict()["exp_moment"] == ["inf", "inf"]
@@ -252,12 +251,21 @@ def test_functionals_csv_equals_the_row_by_row_writer():
     labels = chain.state_labels()
     assert "," in labels[0]  # "(x,y)" labels are quoted
     lam0 = dirichlet_pair(chain, mask)[0]
-    for beta, lambda0 in ((0.5, None), (0.5 * lam0, lam0), (2.0 * lam0, lam0)):
-        fns = exit_functionals(chain, mask, beta, lambda0=lambda0)
+    for beta in (0.5, 0.5 * lam0, 2.0 * lam0):
+        fns = exit_functionals(chain, mask, beta)
         for names in (labels, None):
             assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
     assert np.isinf(fns.exp_moment).all()
     assert fns.to_csv().splitlines()[1].endswith(",inf")
+    # a drift grid is not reversible: no moments, and every moment cell empty
+    drift = discretize_jump_diffusion(
+        GridModelSpec(dimension=1, domain_box=((0.0, 1.0),), mesh_h=0.125, b=(1.0,), k=1.0)
+    )
+    fns = exit_functionals(drift, DomainMask.full(drift.n_states), 0.5)
+    assert fns.exp_moment is None
+    for names in (drift.state_labels(), None):
+        assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
+    assert all(line.endswith(",") for line in fns.to_csv().splitlines()[1:])
 
 
 def test_exit_functionals_identity_holds_at_tiny_beta():
@@ -285,6 +293,21 @@ def test_solve_poisson_rejects_bad_source_length():
     # full-length sources must vanish outside the domain
     with pytest.raises(ValueError):
         solve_poisson(chain, mask, 1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("check", ["xi", "varphi"])
+def test_vanishing_outside_is_judged_at_the_vectors_own_scale(check, c):
+    # an outside entry at 1e-3 of the scale is data, one at 1e-15 rounding
+    chain = complete_graph(3, 1.0)
+    mask = DomainMask.from_states([0, 1], 3)
+    judge = {
+        "xi": lambda v: solve_poisson(chain, mask, 1.0, v),
+        "varphi": lambda v: lyapunov_delta(chain, mask, v),
+    }[check]
+    with pytest.raises(ValueError, match="vanish outside the domain"):
+        judge(c * np.array([1.0, 1.0, 1e-3]))
+    judge(c * np.array([1.0, 1.0, 1e-15]))
 
 
 def _lu_route(system, shift, xi_d):

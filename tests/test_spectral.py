@@ -14,6 +14,7 @@ from exitlab import (
     dirichlet_pair,
     exit_exp_moment,
     exit_mean,
+    exp_moment_inf,
     lyapunov_delta,
     spectral_gap,
 )
@@ -394,13 +395,19 @@ def test_exp_moment_finite_below_edge_infinite_at_edge(rng):
         mask = random_proper_mask(rng, n)
         lam0, _ = dirichlet_pair(chain, mask)
         assert lam0 > 1e-3
-        below = exit_exp_moment(chain, mask, lam0 - 1e-3, lam0)
+        below = exit_exp_moment(chain, mask, lam0 - 1e-3)
         assert np.all(np.isfinite(below))
-        at_edge = exit_exp_moment(chain, mask, lam0, lam0)
+        at_edge = exit_exp_moment(chain, mask, lam0)
         assert np.all(np.isinf(at_edge[mask.inside]))
         lam1 = spectral_gap(chain)
         pi_out = float(np.sum(chain.mu[~mask.inside]))
         assert lam0 >= lam1 * pi_out - 1e-10
+    # past the edge on a walk whose restriction is not positive definite
+    # there: no moment below 1 comes out of the solve, and the infimum is 0
+    walk, inner = birth_death([1.0] * 9, [1.0] * 9), DomainMask.from_states(range(1, 9), 10)
+    beta = 1.5 * dirichlet_pair(walk, inner)[0]
+    assert np.all(np.isinf(exit_exp_moment(walk, inner, beta)[inner.inside]))
+    assert exp_moment_inf(walk, inner, beta) == 0.0
 
 
 def test_bounds_report_rejects_non_reversible(rng):

@@ -184,9 +184,9 @@ def test_exp_moment_inf_three_state_example():
     mask = DomainMask.from_states([0, 1], 3)
     lam0 = dirichlet_pair(chain, mask)[0]
     assert lam0 == pytest.approx(1.0, abs=1e-12)
-    assert exp_moment_inf(chain, mask, 0.5, lam0) == pytest.approx(0.75, abs=1e-12)
-    assert exp_moment_inf(chain, mask, 1.5, lam0) == 0.0
-    assert exp_moment_inf(chain, mask, 1.0, lam0) == 0.0
+    assert exp_moment_inf(chain, mask, 0.5) == pytest.approx(0.75, abs=1e-12)
+    assert exp_moment_inf(chain, mask, 1.5) == 0.0
+    assert exp_moment_inf(chain, mask, 1.0) == 0.0
 
 
 def test_exp_moment_inf_brute_force_two_state():
@@ -196,7 +196,7 @@ def test_exp_moment_inf_brute_force_two_state():
     mask = DomainMask.from_states([0, 1], 4)
     lam0 = dirichlet_pair(chain, mask)[0]
     beta = 0.4 * lam0
-    value = exp_moment_inf(chain, mask, beta, lam0)
+    value = exp_moment_inf(chain, mask, beta)
 
     mu = chain.mu
     a0 = -(chain.q.T * mu[None, :])
@@ -218,19 +218,19 @@ def test_exp_moment_inf_matches_exit_route(rng):
         mask = random_proper_mask(rng, n)
         lam0 = dirichlet_pair(chain, mask)[0]
         beta = 0.5 * lam0
-        value = exp_moment_inf(chain, mask, beta, lam0)
-        agg = mu_dot(chain, exit_exp_moment(chain, mask, beta, lam0))
+        value = exp_moment_inf(chain, mask, beta)
+        agg = mu_dot(chain, exit_exp_moment(chain, mask, beta))
         assert value == pytest.approx(beta / (agg - 1.0), rel=1e-9)
 
 
 def test_exp_moment_inf_rejects_non_reversible_and_takes_any_measure(rng):
     chain = random_nonsymmetric_chain(rng, 4)
     with pytest.raises(NonReversibleError):
-        exp_moment_inf(chain, DomainMask.from_states([0], 4), 0.5, 1.0)
+        exp_moment_inf(chain, DomainMask.from_states([0], 4), 0.5)
     # mu = (1, 1), so pi = (1/2, 1/2); tau ~ Exp(2) from either state, and
     # beta / (pi(E[e^{beta tau}]) - 1) = 2 - beta
     killed = two_state_killed_chain()
-    assert exp_moment_inf(killed, FULL2, 0.5, 2.0) == pytest.approx(1.5, rel=1e-12, abs=0.0)
+    assert exp_moment_inf(killed, FULL2, 0.5) == pytest.approx(1.5, rel=1e-12, abs=0.0)
 
 
 def test_source_scaling_covariance(rng):
@@ -340,7 +340,7 @@ def test_variational_routes_hold_no_n_by_n_array():
         "closed_form": lambda: saddle_value(chain, mask, 1.0, xi, mode="closed_form"),
         "iterative": lambda: saddle_value(chain, mask, 1.0, xi, mode="iterative"),
         "symmetric_inf": lambda: symmetric_inf(chain, mask, 1.0, xi),
-        "exp_moment_inf": lambda: exp_moment_inf(chain, mask, lam0 / 2.0, lam0),
+        "exp_moment_inf": lambda: exp_moment_inf(chain, mask, lam0 / 2.0),
     }
     for name, route in routes.items():
         tracemalloc.start()
@@ -519,8 +519,8 @@ def test_exp_moment_inf_matches_the_exit_route_where_the_measure_spans_many_deca
     chain, mask = chain_of(n, s, seed), _inner(n)
     lam0 = dirichlet_pair(chain, mask)[0]
     beta = lam0 / 2.0
-    agg = mu_dot(chain, exit_exp_moment(chain, mask, beta, lam0))
-    assert _agree(exp_moment_inf(chain, mask, beta, lam0), beta / (agg - 1.0))
+    agg = mu_dot(chain, exit_exp_moment(chain, mask, beta))
+    assert _agree(exp_moment_inf(chain, mask, beta), beta / (agg - 1.0))
 
 
 def _flow_ring(n, s, rng):
