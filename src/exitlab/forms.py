@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-# Side of a square tile of the symmetry test: two 128 x 128 buffers at a time.
+# Side of a square tile of the symmetry test: a few 128 x 128 buffers at a time.
 _SYMMETRY_TILE = 128
 
 
@@ -111,39 +111,41 @@ def _eig_rounding(values: np.ndarray) -> float:
 
 
 def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
-    """Whether diag(mu) m is symmetric (antisymmetric with ``anti``) within
-    STRUCTURAL_TOL times max|diag(mu) m|, with no floor, so scaling m or mu
-    leaves the verdict unchanged. No mu means mu = 1.
-
-    Checked over square tile pairs, tile (I, J) against tile (J, I)^T for
-    I <= J, so no n x n temporary is made and both tiles are read along
-    their rows; each entry is still d_xy - d_yx (d_xy + d_yx), and the
-    verdict that of the whole matrix at once.
-    """
+    """Whether d = diag(mu) m (mu = 1 if None) is symmetric (antisymmetric with
+    ``anti``) pair by pair: |d_xy - d_yx| (|d_xy + d_yx|) <= STRUCTURAL_TOL *
+    max(|d_xy|, |d_yx|) for x != y. No diagonal and no scale shared between
+    pairs, so a pair's verdict moves with neither the other states nor D d D.
+    Read tile (I, J) against (J, I)^T, I <= J: no n x n temporary is made."""
     n = m.shape[0]
-    if mu is None:
-        mu = np.ones(n)
-    scale = worst = 0.0
+    mu = np.ones(n) if mu is None else mu
     for lo in range(0, n, _SYMMETRY_TILE):
         rows = slice(lo, lo + _SYMMETRY_TILE)
         for col in range(lo, n, _SYMMETRY_TILE):
             cols = slice(col, col + _SYMMETRY_TILE)
             d = mu[rows, None] * m[rows, cols]
-            mirror = mu[cols, None] * m[cols, rows]
-            # np.maximum, not max(), so a NaN from an overflowed product propagates
-            for tile in (d, mirror):
-                scale = np.maximum(scale, np.maximum(tile.max(), -tile.min()))
-            if anti:
-                d += mirror.T
-            else:
-                d -= mirror.T
-            worst = np.maximum(worst, np.abs(d, out=d).max())
-    return bool(worst <= STRUCTURAL_TOL * scale)
+            # tile (J, I)^T, gathered in C order so every pass below runs along rows
+            mirror = np.multiply(m[cols, rows].T, mu[cols], order="C")
+            size = np.abs(mirror)
+            np.maximum(size, np.abs(d), out=size)
+            size *= STRUCTURAL_TOL
+            diff = np.abs((np.add if anti else np.subtract)(d, mirror, out=d), out=d)
+            if col == lo:
+                np.fill_diagonal(diff, 0.0)
+            # a NaN from an overflowed product compares false, and fails
+            if not np.all(diff <= size):
+                return False
+    return True
 
 
 def _is_conservative(q: np.ndarray) -> bool:
     """Every row sums to zero within STRUCTURAL_TOL * |q_xx|."""
     return bool(np.all(np.abs(q.sum(axis=1)) <= STRUCTURAL_TOL * _row_scale(q)))
+
+
+def _edges(q: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Which q_xy (x in ``rows``, y in ``cols``) are edges, q_xy > STRUCTURAL_TOL *
+    |q_xx|: unfloored, so c*Q has the edges of Q at every time scale c."""
+    return q[rows, cols] > STRUCTURAL_TOL * np.abs(np.diagonal(q)[rows, None])
 
 
 def _off_diagonal(q: np.ndarray) -> np.ndarray:
@@ -277,7 +279,7 @@ class Chain:
 
     @cached_property
     def reversible(self) -> bool:
-        """Detailed balance: diag(mu) Q symmetric, by ``_is_symmetric``."""
+        """Detailed balance, mu_x q_xy = mu_y q_yx at each pair's own size (``_is_symmetric``)."""
         return _is_symmetric(self.q, self.mu)
 
     @cached_property

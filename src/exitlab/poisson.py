@@ -23,7 +23,7 @@ import numpy as np
 
 from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _eig_rounding, _freeze, _json_float, _spectrum, _symmetrized
+from .forms import Chain, _as_vector, _edges, _eig_rounding, _freeze, _json_float, _spectrum, _symmetrized
 
 __all__ = [
     "DomainMask",
@@ -242,10 +242,25 @@ class DomainSystem:
             raise AssertionError("Laplace transform left [0, 1] beyond tolerance")
         return embed(self.mask, np.clip(lap, 0.0, 1.0), fill=1.0)
 
+    def exits_surely(self) -> bool:
+        """Whether every state of D reaches, along ``_edges``, one whose exit or
+        killing rate (minus the row sum of Q_D) exceeds STRUCTURAL_TOL * |q_xx|."""
+        q = self.q_d
+        reached = -q.sum(axis=1) > STRUCTURAL_TOL * np.abs(np.diagonal(q))
+        todo = np.flatnonzero(reached)  # a search back from those, 16 columns at a time
+        while todo.size:
+            new = _edges(q, cols=todo[:16]).any(axis=1) & ~reached
+            reached |= new
+            todo = np.concatenate((todo[16:], np.flatnonzero(new)))
+        return bool(reached.all())
+
     def mean(self) -> np.ndarray:
+        """A failed shift-0 solve is recurrence only where ``exits_surely`` fails."""
         try:
             m = self.resolvent_one(0.0)
         except SingularSystemError as err:
+            if self.exits_surely():
+                raise
             raise RecurrentRestrictionError(
                 "restricted generator is singular: exit from the domain is not "
                 "almost sure (recurrent restriction)",
@@ -331,8 +346,8 @@ def exit_laplace(chain: Chain, mask: DomainMask, beta: float) -> np.ndarray:
 def exit_mean(chain: Chain, mask: DomainMask) -> np.ndarray:
     """E_x[exit time] for every state; 0 outside the domain.
 
-    Fails with RecurrentRestrictionError when the restriction is singular,
-    i.e. some inside communicating class cannot exit.
+    Fails with RecurrentRestrictionError when some inside state cannot reach
+    exit or killing along the chain's edges, else with the solve's own error.
     """
     return DomainSystem(chain, mask).mean()
 

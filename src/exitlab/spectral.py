@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .defaults import COMPARISON_RTOL, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
-from .forms import Chain, _as_vector, _eig_rounding, _json_float
+from .forms import Chain, _as_vector, _edges, _eig_rounding, _json_float
 from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge
 
 __all__ = [
@@ -81,8 +81,7 @@ _EDGE_TILE_ROWS = 16
 
 
 def _component_count(q: np.ndarray) -> int:
-    """Connected components of the graph joining x and y where
-    q_xy > STRUCTURAL_TOL * |q_xx|, read a tile of rows at a time.
+    """Connected components of the graph of ``_edges``, a tile of rows at a time.
 
     A tile's edges are kept as state pairs. Once a tile's worth of them has
     gathered (and after the last tile), one ``connected_components`` call
@@ -90,12 +89,11 @@ def _component_count(q: np.ndarray) -> int:
     made and a sparse chain makes one call.
     """
     n = q.shape[0]
-    threshold = STRUCTURAL_TOL * np.abs(np.diagonal(q))
     labels = np.arange(n)
     xs, ys = [], []
     for lo in range(0, n, _EDGE_TILE_ROWS):
         hi = lo + _EDGE_TILE_ROWS
-        rows, cols = np.nonzero(q[lo:hi] > threshold[lo:hi, None])
+        rows, cols = np.nonzero(_edges(q, slice(lo, hi)))
         xs.append(rows + lo)
         ys.append(cols)
         if sum(x.size for x in xs) >= _EDGE_TILE_ROWS * n or hi >= n:

@@ -833,6 +833,26 @@ def test_commands_that_do_not_apply_are_skipped(tmp_path, drift, reason):
     assert ("symmetric_inf" in variational["saddle"]["0.5"]) is not drift
 
 
+def test_a_weak_drift_on_a_weak_axis_is_not_reversible(tmp_path):
+    # the y-edges of this grid carry rates near 1e-10, twelve decades below
+    # the x-edges, and are 56% asymmetric per pair: judged pair by pair, the
+    # chain is not reversible, so the exponential moments are not written
+    cfg = grid_config(tmp_path, False)
+    cfg["model"]["params"] = {
+        "dimension": 2, "domain_box": [[0.0, 1.0], [0.0, 1.0]], "mesh_h": 0.125,
+        "a": [1.0, 1e-12], "b": [0.0, 1e-11], "k": 1.0,
+    }
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["skipped"] == dict.fromkeys(["expmoment", "bounds"], "needs a reversible chain")
+    exit_doc = json.loads((out / "exit.json").read_text())
+    assert exit_doc["lambda0"] is None
+    assert all(block["exp_moment"] is None for block in exit_doc["exit_functionals"].values())
+    variational = json.loads((out / "variational.json").read_text())
+    assert all("symmetric_inf" not in block for block in variational["saddle"].values())
+
+
 def test_a_reversible_grid_runs_expmoment_and_bounds(tmp_path):
     # the ledger and the exponential moment read pi = mu / mu(E), so a grid's
     # measure h per point needs no renormalized copy of the chain

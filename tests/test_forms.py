@@ -497,18 +497,17 @@ def test_generator_adopts_an_owned_read_only_array_without_a_copy():
 
 
 def _dense_reversible(chain) -> bool:
-    """Detailed balance over the whole matrix at once, the formula the tiled
-    check must reproduce."""
-    mq = chain.mu[:, None] * chain.q
-    return bool(np.abs(mq - mq.T).max() <= STRUCTURAL_TOL * np.abs(mq).max())
+    """Detailed balance over the whole matrix at once, pair by pair, the
+    formula the tiled check must reproduce."""
+    return _dense_is_symmetric(chain.q, chain.mu, anti=False)
 
 
 def _unbalanced(chain, x, y, ratio):
     """The chain with q_xy raised (and q_xx lowered) so that
-    |mu_x q_xy - mu_y q_yx| grows by ``ratio`` times the detailed-balance
-    threshold; x and y lie in different row tiles."""
-    mq = chain.mu[:, None] * chain.q
-    delta = ratio * STRUCTURAL_TOL * np.abs(mq).max() / chain.mu[x]
+    |mu_x q_xy - mu_y q_yx| grows by ``ratio`` times the pair's own
+    detailed-balance threshold; x and y lie in different row tiles."""
+    d_xy, d_yx = chain.mu[x] * chain.q[x, y], chain.mu[y] * chain.q[y, x]
+    delta = ratio * STRUCTURAL_TOL * max(abs(d_xy), abs(d_yx)) / chain.mu[x]
     q = chain.q.copy()
     q[x, y] += delta
     q[x, x] -= delta
@@ -549,10 +548,19 @@ def test_detailed_balance_check_holds_no_n_by_n_temporary():
 
 
 def _dense_is_symmetric(m, mu, anti) -> bool:
-    """The symmetry test over the whole matrix at once."""
+    """The symmetry test over the whole matrix at once: every off-diagonal
+    pair against its own size, max(|d_xy|, |d_yx|)."""
     d = m if mu is None else mu[:, None] * m
-    diff = d + d.T if anti else d - d.T
-    return bool(np.abs(diff).max() <= STRUCTURAL_TOL * np.abs(d).max())
+    diff = np.abs(d + d.T if anti else d - d.T)
+    size = np.maximum(np.abs(d), np.abs(d.T))
+    off = ~np.eye(d.shape[0], dtype=bool)
+    return bool(np.all(diff[off] <= STRUCTURAL_TOL * size[off]))
+
+
+def _pair_threshold(m, mu, i, j) -> float:
+    """STRUCTURAL_TOL times the size of pair (i, j) of diag(mu) m."""
+    w = np.ones(m.shape[0]) if mu is None else mu
+    return STRUCTURAL_TOL * max(abs(w[i] * m[i, j]), abs(w[j] * m[j, i]))
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
@@ -566,9 +574,8 @@ def test_tiled_symmetry_test_matches_the_dense_formula(n, anti, weighted, ratio)
     mu = rng.uniform(0.5, 2.0, n) if weighted else None
     m = d if mu is None else d / mu[:, None]
     # move one entry of the last row tile, mirrored in the first, by
-    # ``ratio`` times the threshold
-    dm = m if mu is None else mu[:, None] * m
-    m[n - 1, 0] += ratio * STRUCTURAL_TOL * np.abs(dm).max() / (1.0 if mu is None else mu[n - 1])
+    # ``ratio`` times its pair's threshold
+    m[n - 1, 0] += ratio * _pair_threshold(m, mu, n - 1, 0) / (1.0 if mu is None else mu[n - 1])
     verdict = _is_symmetric(m, mu, anti)
     assert verdict == _dense_is_symmetric(m, mu, anti)
     assert verdict == (ratio < 1.0)
@@ -589,8 +596,28 @@ def test_tiled_symmetry_test_agrees_with_the_whole_matrix(n, seed, anti, weighte
     d = a - a.T if anti else a + a.T
     mu = rng.uniform(0.5, 2.0, n) if weighted else None
     m = d if mu is None else d / mu[:, None]
-    threshold = STRUCTURAL_TOL * np.abs(d).max()
-    # move a few entries, anywhere, by about ``ratio`` times the threshold
+    # move a few entries, anywhere, by about ``ratio`` times their pair's threshold
     for i, j in rng.integers(0, n, (moved, 2)):
-        m[i, j] += rng.choice([-1.0, 1.0]) * ratio * threshold / (1.0 if mu is None else mu[i])
+        m[i, j] += rng.choice([-1.0, 1.0]) * ratio * _pair_threshold(m, mu, i, j) / (1.0 if mu is None else mu[i])
     assert _is_symmetric(m, mu, anti) == _dense_is_symmetric(m, mu, anti)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_symmetry_test_reads_each_pair_alone(anti, weighted):
+    # a diagonal 1e6 times the off-diagonal entries takes no part, one weak
+    # pair asymmetric by 2x is seen at 1e-20 of the rest, and a diagonal
+    # similarity over ten decades moves no verdict
+    rng = np.random.default_rng(11)
+    n = _SYMMETRY_TILE + 2
+    a = rng.uniform(0.5, 1.0, (n, n))
+    d = a - a.T if anti else a + a.T
+    np.fill_diagonal(d, 1e6)
+    weak = d.copy()
+    weak[0, n - 1], weak[n - 1, 0] = 2e-20, -1e-20 if anti else 1e-20
+    mu = rng.uniform(0.5, 2.0, n) if weighted else None
+    scale = 10.0 ** rng.uniform(-5, 5, n)
+    for dm, verdict in ((d, True), (weak, False)):
+        m = dm if mu is None else dm / mu[:, None]
+        assert _is_symmetric(m, mu, anti) is verdict
+        assert _is_symmetric(scale[:, None] * m * scale, mu, anti) is verdict

@@ -405,6 +405,9 @@ def test_flow_antisymmetry_has_no_floor():
 def test_conductance_check_has_no_floor():
     with pytest.raises(ValueError, match="symmetric"):
         weighted_graph(1e-20 * np.array([[0.0, 1.0], [2.0, 0.0]]), [1.0, 1.0])
+    # one pair asymmetric by 2x at 1e-20 of the largest conductance
+    with pytest.raises(ValueError, match="symmetric"):
+        weighted_graph(np.array([[0.0, 1.0, 1e-20], [1.0, 0.0, 1.0], [2e-20, 1.0, 0.0]]), np.ones(3))
 
 
 def test_antisym_perturb_zero_is_identity():

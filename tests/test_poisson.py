@@ -25,6 +25,7 @@ from exitlab import (
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
 from exitlab.poisson import DomainSystem
 from conftest import (
+    chain_of,
     example_cases,
     make_chain,
     mu_dot,
@@ -152,6 +153,24 @@ def test_exit_mean_rejects_recurrent_restriction():
     with pytest.raises(RecurrentRestrictionError) as err:
         exit_mean(chain, DomainMask.from_states([0, 1], 4))
     assert err.value.cond_estimate > 1e12
+
+
+@pytest.mark.parametrize("n, s, seed", [(60, 10, 1), (60, 10, 2), (80, 14, 1)])
+def test_ill_conditioned_chain_that_exits_surely_is_not_called_recurrent(n, s, seed):
+    # every inside state reaches an end of the domain, so exit is almost
+    # sure; the solve's gate fails on the condition number alone
+    with pytest.raises(SingularSystemError) as err:
+        exit_mean(chain_of(n, s, seed), DomainMask.from_states(range(1, n - 1), n))
+    assert not isinstance(err.value, RecurrentRestrictionError)
+    assert "condition estimate" in str(err.value) and "almost sure" not in str(err.value)
+
+
+def test_one_way_edge_into_a_closed_class_is_recurrent():
+    # state 0 exits, but state 1 only feeds state 2, which cannot leave
+    q = np.array([[-2.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    system = DomainSystem(make_chain(q, np.ones(3)), DomainMask.full(3))
+    assert not system.exits_surely()
+    assert DomainSystem(make_chain(q, np.ones(3)), DomainMask.from_states([0, 1], 3)).exits_surely()
 
 
 def test_full_domain_on_conservative_chain_never_exits():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from exitlab import (
     DegenerateSourceError,
     DomainMask,
+    GridModelSpec,
     Measure,
     NonReversibleError,
     antisym_perturb,
@@ -16,6 +17,7 @@ from exitlab import (
     complete_graph,
     construct_optimizers,
     dirichlet_pair,
+    discretize_jump_diffusion,
     eval_form,
     exit_exp_moment,
     exit_laplace,
@@ -523,11 +525,11 @@ def test_exp_moment_inf_matches_the_exit_route_where_the_measure_spans_many_deca
     assert _agree(exp_moment_inf(chain, mask, beta), beta / (agg - 1.0))
 
 
-def _flow_ring(n, s, rng):
+def _flow_ring(n, s, rng, fraction=None):
     """A non-reversible ring: a measure and conductances log-uniform over s
     decades, each conductance times the smaller measure of its two states so
-    that every rate is at most 1, and the unit cycle flow at a random
-    fraction of its largest admissible strength."""
+    that every rate is at most 1, and the unit cycle flow at ``fraction``
+    (by default a random one) of its largest admissible strength."""
     mu = 10.0 ** rng.uniform(-s, 0, n)
     ring = (np.arange(n), (np.arange(n) + 1) % n)
     cond = np.zeros((n, n))
@@ -535,7 +537,55 @@ def _flow_ring(n, s, rng):
     cond += cond.T
     measure = Measure(mu)
     flow = flow_from_cycles([list(range(n))], measure)
-    return antisym_perturb(weighted_graph(cond, measure), flow, rng.uniform(0.2, 0.8) * cond[ring].min())
+    fraction = rng.uniform(0.2, 0.8) if fraction is None else fraction
+    return antisym_perturb(weighted_graph(cond, measure), flow, fraction * cond[ring].min())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    s=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+    log_fraction=st.floats(-9.0, np.log10(0.8)),
+)
+def test_every_flow_ring_is_judged_non_reversible(n, s, seed, log_fraction):
+    # the circulation is bounded by the weakest conductance, far below the
+    # largest rate once rates span many decades; each pair is judged at its
+    # own size, so a flow on it is seen whatever the rest of the chain holds
+    assert not _flow_ring(n, s, np.random.default_rng(seed), 10.0**log_fraction).reversible
+
+
+def _dense_graph(n, s, seed):
+    """``weighted_graph`` on dense conductances and a measure, each
+    log-uniform over s decades."""
+    rng = np.random.default_rng(seed)
+    c = np.triu(10.0 ** rng.uniform(-s, 0, (n, n)), 1)
+    return weighted_graph(c + c.T, 10.0 ** rng.uniform(-s, 0, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    build=st.sampled_from([lambda n, s, seed: chain_of(n, min(s, 14.0), seed), _dense_graph]),
+    n=st.integers(2, 30),
+    s=st.floats(0.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_reversible_builder_is_judged_reversible(build, n, s, seed):
+    assert build(n, s, seed).reversible
+
+
+def _jump_grid(dimension, alpha):
+    return discretize_jump_diffusion(GridModelSpec(dimension, ((0.0, 1.0),) * dimension, 1 / 8, alpha=alpha, epsilon=1.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: complete_graph(50, 1.0)]
+    + [lambda d=d, alpha=alpha: _jump_grid(d, alpha) for d in (1, 2) for alpha in (0.5, 1.0, 1.5)],
+    ids=["complete_graph"] + [f"grid{d}d_alpha{alpha}" for d in (1, 2) for alpha in (0.5, 1.0, 1.5)],
+)
+def test_reversible_grids_and_complete_graph_are_judged_reversible(build):
+    assert build().reversible
 
 
 @settings(max_examples=40, deadline=None)
