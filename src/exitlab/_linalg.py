@@ -141,14 +141,16 @@ class RefinedLU(_Refined):
         return lu_solve(self._factors, b, trans=int(trans), check_finite=False)
 
 
-def _lower_band(s: np.ndarray, b: int, shift: float = 0.0) -> np.ndarray:
-    """s + shift*I for an exactly symmetric s of bandwidth b, in LAPACK's
-    lower band storage (b+1, m): row k holds diagonal -k, s[j+k, j] at
-    column j. s is read only on its band."""
+def _lower_band(s: np.ndarray, b: int, shift: float = 0.0, negate: bool = False) -> np.ndarray:
+    """s + shift*I, or -s + shift*I with ``negate``, for an exactly
+    symmetric s of bandwidth b, in LAPACK's lower band storage (b+1, m): row
+    k holds diagonal -k, s[j+k, j] at column j. s is read only on its band."""
     m = s.shape[0]
     band = np.zeros((b + 1, m), order="F")
     for k in range(b + 1):
         band[k, : m - k] = np.diagonal(s, -k)
+        if negate:
+            np.negative(band[k, : m - k], out=band[k, : m - k])
     band[0] += shift
     return band
 
@@ -158,22 +160,25 @@ class _Cholesky(_Refined):
     Subclasses build the factor through ``_factorize`` and supply ``_apply``
     and ``_anorm``."""
 
-    def _factorize(self, s: np.ndarray, band: int | None, shift: float = 0.0) -> int:
-        """Factor s + shift*I, for an exactly symmetric s, by Cholesky in a
-        buffer of its own, keep the factor and its solver, and return
-        LAPACK's info. s is not modified.
+    def _factorize(self, s: np.ndarray, band: int | None, shift: float = 0.0, negate: bool = False) -> int:
+        """Factor s + shift*I, or -s + shift*I with ``negate``, for an exactly
+        symmetric s, by Cholesky in a buffer of its own, keep the factor and
+        its solver, and return LAPACK's info. s is not modified.
 
-        Dense when ``band`` is None: s is copied C-ordered, and its transpose,
-        Fortran-ordered and the same matrix, is factored in place. Banded
-        otherwise: s, of bandwidth ``band``, is read on its band into
-        ``_lower_band`` storage, so the factor allocates no m x m buffer.
+        Dense when ``band`` is None: s is copied C-ordered (and negated in
+        place), and its transpose, Fortran-ordered and the same matrix, is
+        factored in place. Banded otherwise: s, of bandwidth ``band``, is
+        read on its band into ``_lower_band`` storage, so the factor
+        allocates no m x m buffer.
         """
         self._is_band = band is not None
         if self._is_band:
             pbtrf, self._potrs = get_lapack_funcs(("pbtrf", "pbtrs"), (s,))
-            self._factor, info = pbtrf(_lower_band(s, band, shift), lower=1, overwrite_ab=1)
+            self._factor, info = pbtrf(_lower_band(s, band, shift, negate), lower=1, overwrite_ab=1)
             return info
         buf = np.array(s, dtype=float)
+        if negate:
+            np.negative(buf, out=buf)
         buf.flat[:: buf.shape[0] + 1] += shift
         potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (buf,))
         self._factor, info = potrf(buf.T, lower=True, clean=False, overwrite_a=True)
@@ -234,7 +239,9 @@ class ShiftFree(NamedTuple):
     none of it changed by the shift: the diagonal of q and the sums of its
     off-diagonal entries by column and by row, and the diagonal of sym and
     the sums of its off-diagonal entries by column. O(m) to keep, O(m^2)
-    once to compute. Without q, those of q = -sym."""
+    once to compute. Without q, those of q = -sym; without sym, those of
+    sym = -q, which are q's negated bit for bit (rounding is symmetric in
+    sign)."""
 
     q_diag: np.ndarray
     q_col_off: np.ndarray
@@ -243,10 +250,14 @@ class ShiftFree(NamedTuple):
     sym_col_off: np.ndarray
 
     @classmethod
-    def of(cls, sym: np.ndarray, q: np.ndarray | None = None) -> "ShiftFree":
-        sym_diag = np.diag(sym)
+    def of(cls, sym: np.ndarray | None, q: np.ndarray | None = None) -> "ShiftFree":
         # an infinite diagonal entry leaves a NaN sum, which the gate rejects
         with np.errstate(invalid="ignore"):
+            if sym is None:
+                q_diag = np.diag(q)
+                q_col_off = q.sum(axis=0) - q_diag
+                return cls(q_diag, q_col_off, q.sum(axis=1) - q_diag, -q_diag, -q_col_off)
+            sym_diag = np.diag(sym)
             sym_col_off = sym.sum(axis=0) - sym_diag
             if q is None:
                 return cls(-sym_diag, -sym_col_off, -sym_col_off, sym_diag, sym_col_off)
@@ -264,7 +275,9 @@ class RefinedCholesky(_Cholesky):
     transpose, when R (shift*I - q) R^{-1} = S for R = diag(root) (R = I
     when ``root`` is not given), as for a reversible generator block q:
     x = R^{-1} S^{-1} R b and, for the transpose, x = R S^{-1} R^{-1} b,
-    refined against q itself.
+    refined against q itself. ``sym`` may be None when ``q`` is exactly
+    symmetric: then sym = -q, as for a reversible block whose measure is
+    constant, and S is formed from q with no copy of sym kept anywhere.
     S is factored in a buffer of its own, on its band when
     b * BAND_FRACTION < m for ``bandwidth`` b, the bandwidth of ``sym``
     (found when not given), and dense otherwise.
@@ -290,9 +303,10 @@ class RefinedCholesky(_Cholesky):
         pivot = np.abs(shift - sums.q_diag)
         self._norms = (float((sums.q_col_off + pivot).max()), float((sums.q_row_off + pivot).max()))
         self._norm = float((np.abs(sums.sym_diag + shift) - sums.sym_col_off).max())
-        m = sym.shape[0]
-        b = _bandwidth(sym) if bandwidth is None else bandwidth
-        info = self._factorize(sym, b if _banded(b, m) else None, shift)
+        s = q if sym is None else sym  # S is -q + shift*I when sym is None
+        m = s.shape[0]
+        b = _bandwidth(s) if bandwidth is None else bandwidth
+        info = self._factorize(s, b if _banded(b, m) else None, shift, negate=sym is None)
         self.sym, self.shift, self.root, self.q = sym, shift, root, q
         ok = info == 0 and math.isfinite(self._norm)
         y_max = float(np.abs(super()._direct(np.ones(m), False)).max()) if ok else 0.0

@@ -33,8 +33,9 @@ from .forms import validate_assumption_a
 from .models import (
     BUILDERS,
     GridModelSpec,
-    _check_family_part,
+    _check_grid_part,
     _check_shared_measure,
+    _grid_part,
     antisym_perturb,
     build_chain,
     discretize_jump_diffusion,
@@ -236,13 +237,15 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
     """Build the chain, domain, source, sweep family and Monte Carlo
     settings of a config, with no solve and no eigensolve.
 
-    A scale sweep's family is its two parts, assembled at unit scale and
-    restricted to the domain, so when it is the only command no chain is
-    built: the domain needs only the grid points. A flow sweep's family is
-    the run system's Q_D and the flow restricted to the domain; the chain
-    perturbed once at the largest strength judges every strength, and is
-    dropped. A TypeError or ValueError raised while a config part becomes
-    its object is a ConfigError anchored at that part.
+    A scale sweep's family is its two parts at unit scale, each assembled
+    on the domain alone (``models._grid_part``) and checked as its whole
+    chain would be, with no n x n array. When the sweep is the only command
+    no chain is built at all: the domain needs only the grid points, and
+    the family holds the two D x D blocks and the measure. A flow sweep's
+    family is the run system's Q_D and the flow restricted to the domain;
+    the chain perturbed once at the largest strength judges every strength,
+    and is dropped. A TypeError or ValueError raised while a config part
+    becomes its object is a ConfigError anchored at that part.
     """
     scale_only = set(cfg.commands) == {"sweep"} and cfg.sweep.kind == "scale"
     chain = pts = None
@@ -267,7 +270,6 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         if "variational" in cfg.commands:
             _nonvanishing(xi)
     system = None if chain is None else DomainSystem(chain, mask)
-    block = np.ix_(mask.indices, mask.indices)
     family = mc = weights = None
     if cfg.sweep is not None and cfg.sweep.kind == "flow":
         with _at("$.sweep.cycle"):
@@ -276,18 +278,17 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         # reversible base only a strength can fail
         with _at("$.sweep.values" if chain.reversible else "$.sweep"):
             antisym_perturb(chain, flow, max(abs(k) for k in cfg.sweep.values))
-        family = (chain.mu, system.mu_d, system.q_d, flow.gamma[block])
+        family = (chain.mu, system.mu_d, system.q_d, flow.gamma[np.ix_(mask.indices, mask.indices)])
     elif cfg.sweep is not None:
-        # one part is assembled at a time: it is checked, its measure and
-        # restricted block kept, and the whole chain dropped before the next
+        # each part is assembled on D alone and checked as its whole chain
+        # would be: no n x n array and no chain is made
         parts = []
         for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
             with _at("$.model.params"):
-                part = discretize_jump_diffusion(replace(cfg.spec, **scales))
+                grid, generator, measure = _grid_part(replace(cfg.spec, **scales), mask.indices)
             with _at("$.sweep"):
-                _check_family_part(part)
-            parts.append((part.mu, part.q[block]))
-            del part
+                _check_grid_part(grid)
+            parts.append((measure.weights, generator.matrix))
         (mu, diff_d), (jump_mu, jump_d) = parts
         with _at("$.sweep"):
             _check_shared_measure(mu, jump_mu)
@@ -436,7 +437,9 @@ def _cmd_sweep(prep, cfg):
     def aggregates(c0, c1, reversible):
         """<laplace, 1>_mu per beta and <mean, 1>_mu at the point
         c0*first + c1*second, whose system is freed before the next point."""
-        system = DomainSystem.from_restricted(prep.mask, c0 * first + c1 * second, mu_d, reversible)
+        q_d = np.multiply(first, c0)
+        q_d += np.multiply(second, c1)  # c0*first + c1*second, with one temporary
+        system = DomainSystem.from_restricted(prep.mask, q_d, mu_d, reversible)
         lap = {beta: float(np.sum(mu * system.laplace(beta))) for beta in cfg.betas}
         return lap, float(np.sum(mu * system.mean()))
 

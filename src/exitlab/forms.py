@@ -110,12 +110,24 @@ def _eig_rounding(values: np.ndarray) -> float:
     return 16.0 * np.finfo(float).eps * abs(values[-1])
 
 
+def _balanced(d_xy: np.ndarray, d_yx: np.ndarray, anti: bool = False) -> np.ndarray:
+    """The rule of ``_is_symmetric`` for each pair alone, elementwise:
+    |d_xy - d_yx| (|d_xy + d_yx| with ``anti``) <= STRUCTURAL_TOL *
+    max(|d_xy|, |d_yx|). A NaN, as from an overflowed product, compares
+    false, and fails."""
+    size = np.abs(d_yx)
+    np.maximum(size, np.abs(d_xy), out=size)
+    size *= STRUCTURAL_TOL
+    diff = (np.add if anti else np.subtract)(d_xy, d_yx)
+    return np.abs(diff, out=diff) <= size
+
+
 def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = False) -> bool:
     """Whether d = diag(mu) m (mu = 1 if None) is symmetric (antisymmetric with
-    ``anti``) pair by pair: |d_xy - d_yx| (|d_xy + d_yx|) <= STRUCTURAL_TOL *
-    max(|d_xy|, |d_yx|) for x != y. No diagonal and no scale shared between
-    pairs, so a pair's verdict moves with neither the other states nor D d D.
-    Read tile (I, J) against (J, I)^T, I <= J: no n x n temporary is made."""
+    ``anti``) pair by pair, by ``_balanced`` for every x != y. No diagonal
+    and no scale shared between pairs, so a pair's verdict moves with
+    neither the other states nor D d D. Read tile (I, J) against (J, I)^T,
+    I <= J: no n x n temporary is made."""
     n = m.shape[0]
     mu = np.ones(n) if mu is None else mu
     for lo in range(0, n, _SYMMETRY_TILE):
@@ -125,16 +137,19 @@ def _is_symmetric(m: np.ndarray, mu: np.ndarray | None = None, anti: bool = Fals
             d = mu[rows, None] * m[rows, cols]
             # tile (J, I)^T, gathered in C order so every pass below runs along rows
             mirror = np.multiply(m[cols, rows].T, mu[cols], order="C")
-            size = np.abs(mirror)
-            np.maximum(size, np.abs(d), out=size)
-            size *= STRUCTURAL_TOL
-            diff = np.abs((np.add if anti else np.subtract)(d, mirror, out=d), out=d)
+            ok = _balanced(d, mirror, anti)
             if col == lo:
-                np.fill_diagonal(diff, 0.0)
-            # a NaN from an overflowed product compares false, and fails
-            if not np.all(diff <= size):
+                np.fill_diagonal(ok, True)
+            if not ok.all():
                 return False
     return True
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """Whether m equals its transpose entry for entry, read a strip of
+    ``_SYMMETRY_TILE`` rows against the same columns at a time."""
+    t = _SYMMETRY_TILE
+    return all(np.array_equal(m[lo : lo + t, lo:], m[lo:, lo : lo + t].T) for lo in range(0, m.shape[0], t))
 
 
 def _is_conservative(q: np.ndarray) -> bool:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .defaults import STRUCTURAL_TOL
-from .forms import Chain, Generator, Measure, _as_vector, _freeze, _is_symmetric, _off_diagonal, _rate_scale
+from .forms import Chain, Generator, Measure, _as_vector, _balanced, _freeze, _is_symmetric, _off_diagonal, _rate_scale
 
 __all__ = [
     "GridModelSpec",
@@ -438,10 +439,11 @@ def _jump_table(spec: GridModelSpec, shape):
 
     ``rates[|d0|, |d1|]`` is the midpoint-rule rate of the cell at lattice
     offset (d0, d1), zero at the origin and beyond the cutoff radius, for
-    every offset smaller than the grid. ``nn_fix`` is the singular cell's
-    second moment spread over the nearest neighbours, and ``total`` is each
-    row's off-diagonal mass: the whole cutoff disc, the nearest-neighbour
-    fix and the analytic tail beyond the cutoff.
+    every offset smaller than the grid and every nearest-neighbour offset.
+    ``nn_fix`` is the singular cell's second moment spread over the nearest
+    neighbours, and ``total`` is each row's off-diagonal mass: the whole
+    cutoff disc, the nearest-neighbour fix and the analytic tail beyond the
+    cutoff.
     """
     d, h, alpha = spec.dimension, spec.mesh_h, spec.alpha
     c = fractional_kernel_constant(d, alpha)
@@ -466,75 +468,104 @@ def _jump_table(spec: GridModelSpec, shape):
         tail = 2 * math.pi * c * r_cut ** (-alpha) / alpha
     nn_fix = (second_moment / 2) / h**2
     total = disc[disc > 0].sum() + tail + 2 * d * nn_fix
-    return rates[: shape[0], : shape[1]], nn_fix, total
+    return rates, nn_fix, total
 
 
-def _add_steps(q, coord, shape, axis, step, rate) -> None:
-    """q[x, x + step*e_axis] += rate(x) for every cell x whose target is on
-    the grid; a zero step adds nothing."""
-    step = np.broadcast_to(step, coord[axis].shape)
-    rate = np.broadcast_to(rate, coord[axis].shape)
-    target = coord[axis] + step
-    src = np.flatnonzero((step != 0) & (target >= 0) & (target < shape[axis]))
-    q[src, src + step[src] * math.prod(shape[axis + 1 :])] += rate[src]
+# Rows of the jump block gathered at a time: two 16 x m index buffers.
+_GATHER_ROWS = 16
 
 
-def _add_block_toeplitz(q, table) -> None:
-    """q[(i0, i1), (j0, j1)] += table[|i0 - j0|, |i1 - j1|], one block
-    diagonal at a time."""
-    n0, n1 = table.shape
-    i1 = np.arange(n1)
-    blocks = table[:, np.abs(i1[:, None] - i1)]
-    q4 = q.reshape(n0, n1, n0, n1)
-    for off in range(1 - n0, n0):
-        i0 = np.arange(max(0, -off), n0 - max(0, off))
-        q4[i0, :, i0 + off, :] += blocks[abs(off)]
+class _Grid(NamedTuple):
+    """One assembly of the grid jump diffusion, by ``_assemble``."""
+
+    pts: np.ndarray  # every interior point, shape (n, dimension)
+    mu: np.ndarray  # the cell volume h^d at every point
+    q: np.ndarray  # the generator's block on the states assembled, read-only
+    diag: np.ndarray  # q_xx at every point
+    near: np.ndarray  # (d, 2, n0, n1): q[x, x - e_axis] and q[x, x + e_axis], 0 off the grid
 
 
-def _assemble(spec: GridModelSpec):
-    """Interior points and generator of the grid jump diffusion.
+def _assemble(spec: GridModelSpec, states=None) -> _Grid:
+    """The grid jump diffusion's generator on ``states`` (sorted distinct
+    flat indices; every interior point when None), and what the checks of
+    the whole grid read, each of size O(n).
 
     Cells are numbered row-major on the lattice shape (n0, n1), with n1 = 1
-    on a 1D grid. Terms are added diffusion (axis 0 then 1, lower face then
-    upper), upwind drift (axis 0 then 1), jump block, nearest-neighbour
-    fix; the diagonal takes them off in the same order and is written
-    last. Every step that lands off the grid goes only to the diagonal.
+    on a 1D grid. The rate of a step to a nearest neighbour adds up, in this
+    order, the diffusion rate of the face between them, the upwind drift
+    rate, the jump rate at that offset and the nearest-neighbour fix; any
+    other pair holds its jump rate alone. The diagonal takes off every rate
+    of the point, steps off the grid or off ``states`` included, in the
+    order diffusion (axis 0 then 1, lower face then upper), drift (axis 0
+    then 1), jump, and is written last. Only the |states| x |states| block
+    is made, and it equals the block of the whole generator on those states
+    bit for bit: the whole chain is the case ``states=None``.
     """
     d, h = spec.dimension, spec.mesh_h
     axes = [_axis_points(lo, hi, h) for lo, hi in spec.domain_box]
     shape = tuple(ax.size for ax in axes) + (1,) * (2 - d)
     pts = grid_points(spec)
     n = pts.shape[0]
-    coord = np.indices(shape).reshape(2, n)
-    q = np.zeros((n, n))
+    near = np.zeros((d, 2) + shape)
+    steps = near.reshape(d, 2, n)  # the same rates, by flat index
     diag = np.zeros(n)
 
     if spec.kappa > 0:
         for axis in range(d):
             face = spec.kappa * _face_values(spec, axes, axis) / h**2
-            for step, side in ((-1, slice(None, -1)), (+1, slice(1, None))):
-                rate = face[(slice(None),) * axis + (side,)].ravel()
-                _add_steps(q, coord, shape, axis, step, rate)
+            for side, faces in enumerate((slice(None, -1), slice(1, None))):
+                rate = face[(slice(None),) * axis + (faces,)].ravel()
+                steps[axis, side] += rate
                 diag -= rate
 
     if spec.k != 0.0 and spec.b is not None:
         vel = -spec.k * np.array([_drift_values(spec, p) for p in pts])
         for axis in range(d):
             rate = np.abs(vel[:, axis]) / h
-            _add_steps(q, coord, shape, axis, np.sign(vel[:, axis]).astype(int), rate)
+            steps[axis, 0] += np.where(vel[:, axis] < 0, rate, 0.0)
+            steps[axis, 1] += np.where(vel[:, axis] > 0, rate, 0.0)
             diag -= rate
 
     if spec.epsilon > 0:
         rates, nn_fix, total = _jump_table(spec, shape)
-        _add_block_toeplitz(q, spec.epsilon * rates)
+        rates = spec.epsilon * rates
         for axis in range(d):
-            for step in (-1, +1):
-                _add_steps(q, coord, shape, axis, step, spec.epsilon * nn_fix)
+            steps[axis] += rates[(1, 0) if axis == 0 else (0, 1)]
+            steps[axis] += spec.epsilon * nn_fix
         diag -= spec.epsilon * total
 
-    np.fill_diagonal(q, diag)
+    for axis in range(d):  # a step off the grid went to the diagonal alone
+        near[(axis, 0) + (slice(None),) * axis + (0,)] = 0.0
+        near[(axis, 1) + (slice(None),) * axis + (-1,)] = 0.0
+
+    states = np.arange(n) if states is None else np.asarray(states)
+    m = states.size
+    coord = np.indices(shape).reshape(2, n)[:, states]
+    q = np.zeros((m, m))
+    if spec.epsilon > 0:  # the jump rate of every pair, a slab of rows at a time
+        flat = rates.ravel()
+        for lo in range(0, m, _GATHER_ROWS):
+            rows = slice(lo, lo + _GATHER_ROWS)
+            at = np.subtract(coord[0, rows, None], coord[0])
+            np.abs(at, out=at)
+            at *= rates.shape[1]
+            off1 = np.subtract(coord[1, rows, None], coord[1])
+            at += np.abs(off1, out=off1)
+            # every offset lies in the table; "clip" writes out unbuffered
+            np.take(flat, at, out=q[rows], mode="clip")
+    local = np.full(n, -1)
+    local[states] = np.arange(m)
+    for axis in range(d):
+        stride = math.prod(shape[axis + 1 :])
+        for side, step in enumerate((-1, 1)):
+            target = coord[axis] + step
+            rows = np.flatnonzero((target >= 0) & (target < shape[axis]))
+            cols = local[states[rows] + step * stride]
+            rows, cols = rows[cols >= 0], cols[cols >= 0]
+            q[rows, cols] = steps[axis, side, states[rows]]
+    q.flat[:: m + 1] = diag[states]
     q.setflags(write=False)  # handed to Generator, which adopts it uncopied
-    return pts, q
+    return _Grid(pts, np.full(n, h**d), q, diag, near)
 
 
 def discretize_jump_diffusion(spec: GridModelSpec) -> Chain:
@@ -544,10 +575,38 @@ def discretize_jump_diffusion(spec: GridModelSpec) -> Chain:
     every off-diagonal rate nonnegative at any drift strength; the sign
     structure is checked once, by ``Generator``.
     """
-    pts, q = _assemble(spec)
-    _check_ellipticity(spec, pts)
-    h_d = spec.mesh_h**spec.dimension
-    return Chain(Generator(q), Measure(np.full(pts.shape[0], h_d)), _point_labels(pts))
+    grid, generator, measure = _grid_part(spec, None)
+    return Chain(generator, measure, _point_labels(grid.pts))
+
+
+def _grid_part(spec: GridModelSpec, states) -> tuple[_Grid, Generator, Measure]:
+    """The grid jump diffusion assembled on ``states`` (every point when
+    None) by ``_assemble``, with the generator and measure of its block,
+    checked as the whole chain is but with no n x n array: ellipticity over
+    the whole grid, finite rates by the whole grid's diagonal (it sums every
+    rate of its point, and none is negative), the block's signs and exit
+    rates by ``Generator``, and the measure."""
+    grid = _assemble(spec, states)
+    _check_ellipticity(spec, grid.pts)
+    if not np.isfinite(grid.diag).all():
+        raise ValueError("generator rates must be finite")
+    return grid, Generator(grid.q), Measure(grid.mu)
+
+
+def _check_grid_part(grid: _Grid) -> None:
+    """``_check_family_part`` of a part from ``_grid_part``, without its
+    chain: detailed balance, weighed as ``Chain.reversible`` weighs it, on
+    the pairs of nearest neighbours over the whole grid. Under the constant
+    measure h^d every other pair holds one jump rate both ways, and its
+    rates are finite once ``_grid_part`` has passed, so the verdict is the
+    whole chain's."""
+    mu = grid.mu.reshape(grid.near.shape[2:])
+    for axis, (down, up) in enumerate(grid.near):
+        below = (slice(None),) * axis + (slice(None, -1),)
+        above = (slice(None),) * axis + (slice(1, None),)
+        # mu_x q[x, x + e] against q[x + e, x] mu_{x + e}
+        if not _balanced(mu[below] * up[below], down[above] * mu[above]).all():
+            raise ValueError("both parts must be reversible")
 
 
 def _point_labels(pts: np.ndarray) -> tuple[str, ...]:

@@ -23,7 +23,17 @@ import numpy as np
 
 from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
-from .forms import Chain, _as_vector, _edges, _eig_rounding, _freeze, _json_float, _spectrum, _symmetrized
+from .forms import (
+    Chain,
+    _as_vector,
+    _edges,
+    _eig_rounding,
+    _exactly_symmetric,
+    _freeze,
+    _json_float,
+    _spectrum,
+    _symmetrized,
+)
 
 __all__ = [
     "DomainMask",
@@ -144,7 +154,10 @@ class DomainSystem:
     A reversible system factors the symmetrized M^{1/2}(s*I - Q_D)M^{-1/2}
     by Cholesky and falls back to LU where that is not positive definite
     (s at or below -lambda0, or a singular restriction); any other system
-    factors by LU.
+    factors by LU. When mu_D is constant and Q_D exactly symmetric, as on
+    every reversible grid block, that symmetrization is s*I - Q_D bit for
+    bit: ``sym_d`` is then None and the Cholesky route factors from Q_D, so
+    a system holds Q_D and, while it solves, one factor buffer.
     """
 
     chain: Chain | None
@@ -176,10 +189,15 @@ class DomainSystem:
         return self.chain.reversible
 
     @cached_property
-    def sym_d(self) -> np.ndarray:
-        """M^{1/2}(-Q_D)M^{-1/2}, symmetrized (read-only): the Cholesky route
-        and the Dirichlet eigensolve share it."""
-        sym = _symmetrized(self.q_d, self.mu_d)
+    def sym_d(self) -> np.ndarray | None:
+        """M^{1/2}(-Q_D)M^{-1/2}, symmetrized (read-only), which the Cholesky
+        route and the Dirichlet eigensolve share; None when mu_D is constant
+        and Q_D exactly symmetric, for then it is -Q_D bit for bit and both
+        read Q_D instead."""
+        mu = self.mu_d
+        if (mu == mu[0]).all() and _exactly_symmetric(self.q_d):
+            return None
+        sym = _symmetrized(self.q_d, mu)
         sym.setflags(write=False)
         return sym
 
@@ -191,9 +209,9 @@ class DomainSystem:
 
     @cached_property
     def sym_bandwidth(self) -> int:
-        """Bandwidth of ``sym_d`` in the domain's state order, which picks the
-        kernels of its factors."""
-        return _bandwidth(self.sym_d)
+        """Bandwidth of ``sym_d`` (of Q_D when it is None) in the domain's
+        state order, which picks the kernels of its factors."""
+        return _bandwidth(self.q_d if self.sym_d is None else self.sym_d)
 
     def _factor(self, shift: float):
         """Factors of shift*I - Q_D: Cholesky for a reversible system where
@@ -299,7 +317,8 @@ class DomainSystem:
     @cached_property
     def dirichlet(self) -> Dirichlet:
         """Every eigenvalue of ``sym_d`` and the bottom eigenvector, by
-        ``_spectrum``."""
+        ``_spectrum``, which symmetrizes into a transient buffer of its own
+        when ``sym_d`` is None."""
         if not self.reversible:
             raise NonReversibleError("Dirichlet eigenproblem needs a reversible chain")
         lam, vec = _spectrum(self.q_d, self.mu_d, self.sym_d, vector=True)

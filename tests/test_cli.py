@@ -181,10 +181,11 @@ def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
     status, peak = traced_peak(lambda: main(["run", "--config", path]))
     assert status == 0
     n = 39 * 39
-    # one part's n^2 generator and the two restricted blocks at a time; both
-    # parts alive through every point, with their detailed-balance
-    # temporaries, read 4.0 n^2
-    assert peak <= 1.7 * n * n * 8
+    # the two parts on D (|D| = 841), and per point its Q_D and one temporary
+    # or one factor buffer: 4.03 |D|^2 = 1.231 n^2. Assembling each part as
+    # a whole chain and restricting it read 1.63 n^2; both whole parts alive
+    # through every point, with their detailed-balance temporaries, 4.0 n^2
+    assert peak <= 1.24 * n * n * 8
 
 
 @pytest.mark.parametrize("omega, bound", [("even", 5.5), ("all-but-0", 6.5)])
@@ -517,18 +518,21 @@ def test_route_agreement_is_relative_at_any_time_scale(tmp_path, monkeypatch, c)
 
 
 def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch):
+    import exitlab.cli
     from exitlab.forms import Chain
 
-    checked, seen = [], []
+    checked, seen, chains = [], [], []
+    original = exitlab.cli._check_grid_part
+
+    def counting(grid):
+        seen.append(grid)  # held, so a freed part's id is never reused
+        checked.append(id(grid))
+        return original(grid)
+
+    monkeypatch.setattr(exitlab.cli, "_check_grid_part", counting)
     prop = vars(Chain)["reversible"]
-    original = prop.func
-
-    def counting(chain):
-        seen.append(chain)  # held, so a freed part's id is never reused
-        checked.append(id(chain))
-        return original(chain)
-
-    monkeypatch.setattr(prop, "func", counting)
+    chain_check = prop.func
+    monkeypatch.setattr(prop, "func", lambda chain: chains.append(chain) or chain_check(chain))
     cfg = {
         "model": {
             "builder": "grid_jump_diffusion",
@@ -542,22 +546,24 @@ def test_scale_sweep_checks_detailed_balance_once_per_part(tmp_path, monkeypatch
         "formats": ["json"],
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
-    # the sweep checks the diffusion and the jump part once each, and
-    # every point inherits detailed balance from them
+    # the sweep checks the diffusion and the jump part once each, and every
+    # point inherits detailed balance from them; no chain is judged
     assert len(checked) == 2 and len(set(checked)) == 2
+    assert chains == []
 
 
 def test_scale_sweep_assembles_only_its_two_parts(tmp_path, monkeypatch):
-    import exitlab.cli
+    import exitlab.models
 
-    assembled = []
-    original = exitlab.cli.discretize_jump_diffusion
+    assembled, sizes = [], []
+    original = exitlab.models._assemble
 
-    def counting(spec):
+    def counting(spec, states=None):
         assembled.append((spec.kappa, spec.epsilon))
-        return original(spec)
+        sizes.append(None if states is None else len(states))
+        return original(spec, states)
 
-    monkeypatch.setattr(exitlab.cli, "discretize_jump_diffusion", counting)
+    monkeypatch.setattr(exitlab.models, "_assemble", counting)
     cfg = {
         "model": {
             "builder": "grid_jump_diffusion",
@@ -572,6 +578,8 @@ def test_scale_sweep_assembles_only_its_two_parts(tmp_path, monkeypatch):
     }
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
     assert assembled == [(1.0, 0.0), (0.0, 1.0)]
+    # each on the domain alone: x in {0.25, 0.5, 0.75}, y in {0.5, 0.75}
+    assert sizes == [6, 6]
 
 
 def grid_box_config(tmp_path, dimension, box):
@@ -708,22 +716,23 @@ def test_flow_sweep_solves_restricted_blocks_without_building_chains(tmp_path, m
 def conservative_parts(monkeypatch, jump_conservative):
     """Replace the grid parts by a conservative reversible diffusion part on
     the grid's states and measure, and a jump part that is conservative too
-    or the grid's own (killed at the boundary)."""
+    or the grid's own (killed at the boundary). The sweeps below take every
+    state as the domain, so a part's block is its whole generator."""
     import exitlab.cli
-    from exitlab.forms import Chain, Generator
+    from exitlab.forms import Generator
 
-    original = exitlab.cli.discretize_jump_diffusion
+    original = exitlab.cli._grid_part
 
-    def parts(spec):
-        chain = original(spec)
+    def parts(spec, states):
+        grid, generator, measure = original(spec, states)
         if spec.epsilon and not jump_conservative:
-            return chain
-        n = chain.n_states
-        q = np.full((n, n), 1.0 + spec.epsilon)
-        np.fill_diagonal(q, -(n - 1) * (1.0 + spec.epsilon))
-        return Chain(Generator(q), chain.measure)
+            return grid, generator, measure
+        m = len(states)
+        q = np.full((m, m), 1.0 + spec.epsilon)
+        np.fill_diagonal(q, -(m - 1) * (1.0 + spec.epsilon))
+        return grid, Generator(q), measure
 
-    monkeypatch.setattr(exitlab.cli, "discretize_jump_diffusion", parts)
+    monkeypatch.setattr(exitlab.cli, "_grid_part", parts)
 
 
 def test_full_mask_sweep_of_conservative_parts_cannot_exit(tmp_path, monkeypatch):
@@ -1014,6 +1023,21 @@ _COMMAND_ERRORS = {
     ),
     "scale-sweep-on-a-drift-grid": (
         {"model": grid_1d(b=[1.0], k=1.0), "commands": ["sweep"], "sweep": {"kind": "scale", "kappa": [1.0], "epsilon": [1.0]}},
+        "$.sweep",
+    ),
+    # the drift unbalances only the y-edges, twelve decades below the x-edges
+    "scale-sweep-on-a-weak-axis-drift-grid": (
+        {
+            "model": {
+                "builder": "grid_jump_diffusion",
+                "params": {
+                    "dimension": 2, "domain_box": [[0.0, 1.0], [0.0, 1.0]], "mesh_h": 0.25,
+                    "a": [1.0, 1e-12], "b": [0.0, 1e-11], "k": 1.0,
+                },
+            },
+            "commands": ["sweep"],
+            "sweep": {"kind": "scale", "kappa": [1.0], "epsilon": [1.0]},
+        },
         "$.sweep",
     ),
 }

@@ -640,3 +640,134 @@ def test_grid_labels_are_the_formatted_points():
 def test_point_labels_match_the_f_string_formula(pts):
     pts = np.asarray(pts, dtype=float)
     assert _point_labels(pts) == _f_string_labels(pts)
+
+
+# Diffusion fields of the assembler's property test, by name: constants, a
+# smooth isotropic and a per-axis callable, one that vanishes inside the box
+# and an infinite one.
+A_FIELDS = {
+    "one": lambda d: 1.0,
+    "axes": lambda d: (0.5, 2.0)[:d],
+    "smooth": lambda d: lambda *p: 1.0 + sum(v * v for v in p),
+    "per_axis": lambda d: lambda *p: [1.0 + 0.5 * v for v in p],
+    "vanishing": lambda d: lambda *p: p[0] - 0.5,
+    "infinite": lambda d: lambda *p: math.inf,
+}
+
+# Drifts (b, k): none, constant, a callable field, and one twelve decades
+# below the rates on the last axis.
+DRIFTS = {
+    "none": lambda d: (None, 0.0),
+    "constant": lambda d: ((1.0,) * d, 0.5),
+    "field": lambda d: (lambda *p: [v - 0.5 for v in p], 2.0),
+    "weak": lambda d: ((0.0,) * (d - 1) + (1e-11,), 1.0),
+}
+
+
+def _sweep_verdict(step):
+    """(exit status, message) of ``exitlab validate``'s handling of one step."""
+    from exitlab.cli import ConfigError
+
+    try:
+        step()
+    except ConfigError as err:
+        return 2, str(err)
+    except Exception as err:  # noqa: BLE001 - the verdict is what is compared
+        return 3, repr(err)
+    return 0, None
+
+
+def _old_sweep_route(spec):
+    """The scale sweep's checks made on each part's whole chain: its
+    assembly, detailed balance on every pair and the shared measure."""
+    from dataclasses import replace
+
+    from exitlab.cli import _at
+    from exitlab.models import _check_family_part, _check_shared_measure
+
+    mus = []
+    for scales in ({"kappa": 1.0, "epsilon": 0.0}, {"kappa": 0.0, "epsilon": 1.0}):
+        with _at("$.model.params"):
+            part = discretize_jump_diffusion(replace(spec, **scales))
+        with _at("$.sweep"):
+            _check_family_part(part)
+        mus.append(part.mu)
+    with _at("$.sweep"):
+        _check_shared_measure(*mus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_assembly_on_a_domain_is_the_restricted_assembly_bit_for_bit(data):
+    from exitlab.cli import ExperimentConfig, SweepConfig, prepare
+    from exitlab.models import _assemble
+
+    d = data.draw(st.sampled_from([1, 2]), label="dimension")
+    h = data.draw(st.sampled_from([0.25, 0.125] if d == 2 else [0.125, 0.0625]), label="h")
+    box = ((0.0, 1.0),) * d if d == 1 else ((0.0, 1.0), data.draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5)])))
+    b, k = DRIFTS[data.draw(st.sampled_from(sorted(DRIFTS)), label="drift")](d)
+    kappa, epsilon = data.draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.7, 0.3)]), label="scales")
+    spec = GridModelSpec(
+        dimension=d,
+        domain_box=box,
+        mesh_h=h,
+        a=A_FIELDS[data.draw(st.sampled_from(sorted(A_FIELDS)), label="a")](d),
+        b=b,
+        k=k,
+        alpha=data.draw(st.sampled_from([0.5, 1.0, 1.5]), label="alpha"),
+        kappa=kappa,
+        epsilon=epsilon,
+        jump_cutoff_radius=data.draw(st.sampled_from([None, 0.3]), label="cutoff"),
+        ellipticity=data.draw(st.sampled_from([None, (0.1, 10.0), (1.5, 10.0)]), label="ellipticity"),
+    )
+    pts = grid_points(spec)
+    n = pts.shape[0]
+    kind = data.draw(st.sampled_from(["all", "box", "states", "one", "apart"]), label="domain")
+    if kind == "box":
+        lo, hi = data.draw(st.tuples(st.floats(0.0, 0.6), st.floats(0.4, 1.0)).filter(lambda e: e[0] < e[1]))
+        omega = {"box": [[lo, hi]] * d}
+        inside = ((pts > lo) & (pts < hi)).all(axis=1)
+    else:
+        chosen = {
+            "all": range(n),
+            "states": data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)),
+            "one": [data.draw(st.integers(0, n - 1))],
+            "apart": [0, n - 1],  # disconnected wherever the grid has more than two points
+        }[kind]
+        inside = np.zeros(n, dtype=bool)
+        inside[list(chosen)] = True
+        omega = "all" if kind == "all" else sorted(set(chosen))
+    if not inside.any():
+        return
+    states = np.flatnonzero(inside)
+
+    full, block = _sweep_verdict(lambda: _assemble(spec)), _sweep_verdict(lambda: _assemble(spec, states))
+    assert full == block  # an assembly that fails, fails alike on the domain
+    if full[0] == 0:
+        whole, part = _assemble(spec), _assemble(spec, states)
+        assert np.array_equal(part.q, whole.q[np.ix_(states, states)])
+        assert np.array_equal(part.diag, whole.diag) and np.array_equal(part.near, whole.near)
+
+    cfg = ExperimentConfig(
+        model={"builder": "grid_jump_diffusion", "params": {}},
+        spec=spec,
+        omega=omega,
+        betas=(1.0,),
+        commands=("sweep",),
+        output=None,
+        formats=("json",),
+        xi=None,
+        sweep=SweepConfig("scale", kappa=(1.0,), epsilon=(1.0,)),
+        mc=None,
+    )
+    assert _sweep_verdict(lambda: prepare(cfg)) == _sweep_verdict(lambda: _old_sweep_route(spec))
+
+
+def test_a_part_on_a_domain_rejects_an_infinite_rate_off_the_domain():
+    from exitlab.models import _grid_part
+
+    # the block on states 0-2 is finite; the whole grid's diagonal is not
+    spec = GridModelSpec(1, ((0.0, 1.0),), 0.125, a=lambda x: math.inf if x > 0.8 else 1.0)
+    for build in (lambda: discretize_jump_diffusion(spec), lambda: _grid_part(spec, [0, 1, 2])):
+        with pytest.raises(ValueError, match="generator rates must be finite"):
+            build()

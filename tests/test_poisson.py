@@ -23,6 +23,7 @@ from exitlab import (
     solve_poisson,
 )
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
+from exitlab.forms import _symmetrized
 from exitlab.poisson import DomainSystem
 from conftest import (
     chain_of,
@@ -451,3 +452,26 @@ def test_refined_spd_solves_on_a_view_without_changing_it():
     x = spd.lower_solve(rhs.copy())
     np.testing.assert_allclose(lower @ x, rhs, rtol=0.0, atol=1e-13)
     assert 1.0 <= spd.cond < 1e3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridModelSpec(2, ((0.0, 1.0), (0.0, 1.0)), 0.125, alpha=1.0, kappa=1.0, epsilon=1.0),
+        GridModelSpec(1, ((0.0, 1.0),), 1 / 64, kappa=1.0, epsilon=0.0),  # banded and tridiagonal
+    ],
+)
+def test_a_uniform_measure_grid_system_keeps_no_symmetrized_copy(spec):
+    chain = discretize_jump_diffusion(spec)
+    mask = DomainMask.from_states(range(5, chain.n_states - 7), chain.n_states)
+    system = DomainSystem(chain, mask)
+    answers = [system.laplace(0.5), system.mean(), system.exp_moment(0.5), *system.dirichlet[:2]]
+    assert vars(system)["sym_d"] is None
+    # the same bits as the route through M^{1/2}(-Q_D)M^{-1/2}, made and kept
+    ref = DomainSystem(chain, mask)
+    ref.__dict__["sym_d"] = _symmetrized(ref.q_d, ref.mu_d)
+    expected = [ref.laplace(0.5), ref.mean(), ref.exp_moment(0.5), *ref.dirichlet[:2]]
+    for got, want in zip(answers, expected):
+        np.testing.assert_array_equal(got, want)
+    assert system._factor(0.5).cond == ref._factor(0.5).cond
+    assert system.sym_bandwidth == ref.sym_bandwidth
