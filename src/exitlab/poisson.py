@@ -158,6 +158,12 @@ class DomainSystem:
     every reversible grid block, that symmetrization is s*I - Q_D bit for
     bit: ``sym_d`` is then None and the Cholesky route factors from Q_D, so
     a system holds Q_D and, while it solves, one factor buffer.
+
+    When mu_D and Q_D are exactly invariant under the mirror i -> m-1-i of
+    D's order, as on a box domain of a constant-coefficient grid,
+    ``resolvent_one`` solves on the ``lumped`` system of the ceil(m/2)
+    orbits, an eighth of the flops of the dense factor; ``solve``,
+    ``_factor`` and ``dirichlet`` stay full-size.
     """
 
     chain: Chain | None
@@ -244,10 +250,53 @@ class DomainSystem:
             for side in sides
         )
 
+    @cached_property
+    def lumped(self) -> "DomainSystem | None":
+        """This system lumped onto the orbits of the mirror J, the map from
+        state i to m-1-i in D's order, when mu_D and Q_D are exactly invariant
+        under it (J Q_D J = Q_D bit for bit), as on a box domain of a
+        constant-coefficient grid; None otherwise, and for a single state.
+
+        The O(m) test of mu_D and the diagonal comes first, so a chain of
+        unequal rates pays for no O(m^2) scan. The lumped block is the fold
+        F = Q_11 + Q_12 J on the k = ceil(m/2) orbit representatives, the
+        centre state of odd m kept alone, with weights 2*mu per pair and mu
+        for the centre: again a generator block with the same exit rates,
+        reversible when Q_D is. Its solution x of (s*I - F) x = 1 unfolds to
+        that of (s*I - Q_D) u = 1 as u = [x; Jx], and its blocks are singular
+        exactly when Q_D's are, for an invariant M-matrix block has an even
+        Perron vector. It is a system of its own, so it lumps again when F
+        is invariant in turn.
+        """
+        q, mu = self.q_d, self.mu_d
+        m = mu.shape[0]
+        if m < 2 or not (np.array_equal(mu, mu[::-1]) and np.array_equal(np.diagonal(q), np.diagonal(q)[::-1])):
+            return None
+        k, pairs = (m + 1) // 2, m // 2
+        if not np.array_equal(q[:k], q[::-1, ::-1][:k]):
+            return None
+        fold = q[:k, :k].copy()
+        fold[:, :pairs] += q[:k, ::-1][:, :pairs]
+        weights = mu[:k].copy()
+        weights[:pairs] *= 2.0
+        return DomainSystem.from_restricted(DomainMask.full(k), fold, weights, self.reversible)
+
     def resolvent_one(self, shift: float) -> np.ndarray:
-        """Cached solution of (shift*I - Q_D) u = 1 on the inside states."""
+        """Cached solution of (shift*I - Q_D) u = 1 on the inside states, the
+        one solve behind Laplace, the mean and the exponential moment.
+
+        Solved on the ``lumped`` system when there is one, and unfolded, so u
+        is then exactly palindromic; every other solve (``solve``,
+        ``_factor``, and so the saddle routes) and the Dirichlet eigensolve
+        stay full-size.
+        """
         if shift not in self._ones:
-            (u,) = self.solve(shift, np.ones(self.mask.size))
+            lumped = self.lumped
+            if lumped is None:
+                (u,) = self.solve(shift, np.ones(self.mask.size))
+            else:
+                x = lumped.resolvent_one(shift)
+                u = np.concatenate((x, x[: self.mask.size // 2][::-1]))
             u.setflags(write=False)  # shared by every functional that reads this shift
             self._ones[shift] = u
         return self._ones[shift]

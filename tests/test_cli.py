@@ -182,10 +182,13 @@ def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
     assert status == 0
     n = 39 * 39
     # the two parts on D (|D| = 841), and per point its Q_D and one temporary
-    # or one factor buffer: 4.03 |D|^2 = 1.231 n^2. Assembling each part as
-    # a whole chain and restricting it read 1.63 n^2; both whole parts alive
-    # through every point, with their detailed-balance temporaries, 4.0 n^2
-    assert peak <= 1.24 * n * n * 8
+    # while Q_D is built: 4.01 |D|^2 = 1.226 n^2. Its solves then hold the
+    # lumped half of Q_D, that half symmetrized (|D| is odd) and a factor of
+    # it, |D|^2 / 4 each. Solving at full size read 1.231 n^2; assembling
+    # each part as a whole chain and restricting it 1.63 n^2; both whole
+    # parts alive through every point, with their detailed-balance
+    # temporaries, 4.0 n^2
+    assert peak <= 1.23 * n * n * 8
 
 
 @pytest.mark.parametrize("omega, bound", [("even", 5.5), ("all-but-0", 6.5)])
@@ -646,7 +649,7 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
     from_restricted = DomainSystem.from_restricted.__func__
 
     def capturing(cls, mask, q_d, mu_d, reversible):
-        blocks.append((mask.indices, q_d, mu_d))
+        blocks.append((mask, q_d, mu_d))
         assert reversible is True
         return from_restricted(cls, mask, q_d, mu_d, reversible=True)
 
@@ -659,6 +662,9 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
     diff = discretize_jump_diffusion(GridModelSpec(**spec, kappa=1.0, epsilon=0.0))
     jump = discretize_jump_diffusion(GridModelSpec(**spec, kappa=0.0, epsilon=1.0))
     points = [(kap, eps) for kap in kappas for eps in epsilons]
+    # a point's system has a mask over the grid; the lumped systems that its
+    # solves fold to (``DomainSystem.lumped``) have masks of their own size
+    blocks = [(mask.indices, q_d, mu_d) for mask, q_d, mu_d in blocks if mask.inside.size == diff.n_states]
     assert len(blocks) == len(points)
     for (kap, eps), (idx, q_d, mu_d) in zip(points, blocks):
         assert 0 < idx.size < diff.n_states

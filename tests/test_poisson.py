@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab import (
     DomainMask,
@@ -10,6 +12,7 @@ from exitlab import (
     SingularSystemError,
     NonReversibleError,
     RecurrentRestrictionError,
+    birth_death,
     complete_graph,
     dirichlet_pair,
     discretize_jump_diffusion,
@@ -19,11 +22,13 @@ from exitlab import (
     exit_functionals,
     exit_laplace,
     exit_mean,
+    grid_points,
     lyapunov_delta,
     solve_poisson,
 )
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
 from exitlab.forms import _symmetrized
+import exitlab.poisson
 from exitlab.poisson import DomainSystem
 from conftest import (
     chain_of,
@@ -475,3 +480,184 @@ def test_a_uniform_measure_grid_system_keeps_no_symmetrized_copy(spec):
         np.testing.assert_array_equal(got, want)
     assert system._factor(0.5).cond == ref._factor(0.5).cond
     assert system.sym_bandwidth == ref.sym_bandwidth
+
+
+def _mirror_chain(seed: int, m: int, reversible: bool):
+    """A chain on m states, with killing, whose generator and measure are
+    exactly invariant under the mirror i -> m-1-i: a random one averaged with
+    its reflection. The average keeps detailed balance, since the measure is
+    invariant before it."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.5, 2.0, m)
+    mu = (mu + mu[::-1]) / 2.0
+    c = rng.uniform(0.2, 1.0, (m, m)) * (rng.random((m, m)) < 0.7)
+    if reversible:
+        q = (c + c.T) / mu[:, None]
+    else:
+        q = c / mu[:, None]
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1) - rng.uniform(0.1, 0.6, m))
+    return make_chain((q + q[::-1, ::-1]) / 2.0, mu)
+
+
+def _edge(system: DomainSystem) -> float:
+    """The bottom of the real parts of the spectrum of -Q_D, by a dense eigensolve."""
+    return float(np.linalg.eigvals(-system.q_d).real.min())
+
+
+def _functionals(system: DomainSystem, beta: float) -> list:
+    """Laplace, the mean, the resolvent of 1 at minus half the edge and, on a
+    reversible system, the exponential moment there."""
+    below = 0.5 * _edge(system)
+    got = [system.laplace(beta), system.mean(), system.resolvent_one(-below)]
+    return got + [system.exp_moment(below)] if system.reversible else got
+
+
+def _from_solves(system: DomainSystem, beta: float) -> list:
+    """What ``_functionals`` reads, from full-size solves of (s*I - Q_D) u = 1."""
+    ones, below = np.ones(system.mask.size), 0.5 * _edge(system)
+    (lap,) = system.solve(beta, ones)
+    (mean,) = system.solve(0.0, ones)
+    (u,) = system.solve(-below, ones)
+    want = [np.clip(1.0 - beta * lap, 0.0, 1.0), np.maximum(mean, 0.0), u]
+    return want + [1.0 + below * u] if system.reversible else want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 17),
+    reversible=st.booleans(),
+    beta=st.sampled_from([1e-3, 0.5, 4.0]),
+    broken=st.sampled_from(["q", "mu"]),
+)
+def test_a_mirror_invariant_system_solves_on_its_lumped_half(seed, m, reversible, beta, broken):
+    reversible = reversible or m == 2  # a mirror-invariant pair is symmetric
+    chain = _mirror_chain(seed, m, reversible)
+    assert chain.reversible is reversible  # the Cholesky route, or LU
+    system = DomainSystem(chain, DomainMask.full(m))
+    lumped = system.lumped
+    assert lumped is not None and lumped.mask.size == (m + 1) // 2
+    for x, ref in zip(_functionals(system, beta), _from_solves(system, beta), strict=True):
+        assert _rel(x, ref) <= 1e-12
+        np.testing.assert_array_equal(x, x[::-1])
+    # one ulp off the mirror, in Q_D or mu_D, and every solve is full-size
+    q, mu = chain.q.copy(), chain.mu.copy()
+    if broken == "q":
+        j = np.random.default_rng(seed).integers(m)
+        q[0, j] = np.nextafter(q[0, j], np.inf)
+    else:
+        mu[0] = np.nextafter(mu[0], np.inf)
+    off = DomainSystem(make_chain(q, mu), DomainMask.full(m))
+    assert off.lumped is None
+    for x, ref in zip(_functionals(off, beta), _from_solves(off, beta)):
+        np.testing.assert_array_equal(x, ref)
+
+
+def _factored_sizes(monkeypatch) -> list:
+    """The order of every matrix that ``RefinedCholesky`` or ``RefinedLU``
+    factors through ``exitlab.poisson`` from now on, tagged by route."""
+    sizes = []
+
+    def counting(cls, name):
+        def factor(a, *args):
+            # a restricted Cholesky is given sym = None and q = args[2] on a grid
+            sizes.append((name, (a if a is not None else args[2]).shape[0]))
+            return cls(a, *args)
+
+        return factor
+
+    monkeypatch.setattr(exitlab.poisson, "RefinedCholesky", counting(RefinedCholesky, "cholesky"))
+    monkeypatch.setattr(exitlab.poisson, "RefinedLU", counting(RefinedLU, "lu"))
+    return sizes
+
+
+def test_a_complete_graph_lumps_again_at_each_level(monkeypatch):
+    # D = 8 of 9 states: every state leaves D at rate 1, so the mean is 1
+    system = DomainSystem(complete_graph(9, 1.0), DomainMask.from_states(range(8), 9))
+    sizes = _factored_sizes(monkeypatch)
+    np.testing.assert_allclose(system.mean()[:8], 1.0, rtol=1e-15)
+    np.testing.assert_allclose(system.laplace(0.5)[:8], 1.0 / 1.5, rtol=1e-15)
+    assert sizes == [("cholesky", 1), ("cholesky", 1)]
+    level, orders = system, []
+    while level is not None:
+        orders.append(level.mask.size)
+        level = level.lumped
+    assert orders == [8, 4, 2, 1]
+
+
+def test_two_mirror_image_closed_classes_are_still_recurrent():
+    q = np.zeros((6, 6))
+    q[0, 1] = q[1, 0] = q[1, 2] = q[2, 1] = 1.0
+    q[5, 4] = q[4, 5] = q[4, 3] = q[3, 4] = 1.0
+    np.fill_diagonal(q, -q.sum(axis=1))
+    system = DomainSystem(make_chain(q, np.ones(6)), DomainMask.full(6))
+    assert system.lumped is not None
+    with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
+        system.mean()
+
+
+def test_a_single_state_block_is_not_lumped():
+    system = DomainSystem(single_state_chain(), DomainMask.full(1))
+    assert system.lumped is None
+    np.testing.assert_array_equal(system.mean(), system.solve(0.0, np.ones(1))[0])
+    assert system.mean()[0] == pytest.approx(0.5, rel=1e-15)
+
+
+def _box_mask(spec, box) -> DomainMask:
+    pts = grid_points(spec)
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        inside &= (pts[:, axis] > lo) & (pts[:, axis] < hi)
+    return DomainMask(inside)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize(
+    "grid, box",
+    [
+        ((1, ((0.0, 1.0),), 1 / 32), [(0.2, 0.8)]),  # 19 states
+        ((1, ((0.0, 1.0),), 1 / 32), [(0.1, 0.6)]),  # 16 states
+        ((2, ((-1.0, 1.0), (-1.0, 1.0)), 0.125), [(-0.6, 0.9), (-0.3, 0.3)]),  # 12 x 5
+        ((2, ((0.0, 1.0), (0.0, 1.0)), 0.125), [(0.1, 0.9), (0.3, 0.9)]),  # 7 x 5
+    ],
+)
+def test_exit_functionals_of_a_box_domain_factor_half_the_block(monkeypatch, alpha, grid, box):
+    spec = GridModelSpec(*grid, alpha=alpha, kappa=1.0, epsilon=1.0)
+    chain = discretize_jump_diffusion(spec)
+    mask = _box_mask(spec, box)
+    system = DomainSystem(chain, mask)
+    lam0 = system.dirichlet.lambda0
+    sizes = _factored_sizes(monkeypatch)
+    system.laplace(0.5), system.mean(), system.exp_moment(0.5 * lam0)
+    assert sizes == [("cholesky", (mask.size + 1) // 2)] * 3
+
+
+def _l_shaped():
+    """The states of a 9 x 9 grid in the two arms of an L, three wide."""
+    ij = np.indices((9, 9)).reshape(2, -1)
+    return np.flatnonzero(((ij[0] < 3) | (ij[1] < 3)) & (ij[0] > 0) & (ij[1] > 0))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["l-shaped list", "callable a", "random birth-death"],
+)
+def test_exit_functionals_without_a_mirror_factor_the_whole_block(monkeypatch, case):
+    if case == "random birth-death":
+        chain = birth_death(*np.random.default_rng(5).uniform(0.5, 2.0, (2, 39)))
+        mask = DomainMask.from_states(range(1, 39), 40)
+    else:
+        a = 1.0 if case == "l-shaped list" else (lambda x, y: 1.0 + 0.5 * x**2)
+        spec = GridModelSpec(2, ((0.0, 1.0), (0.0, 1.0)), 0.1, a=a, kappa=1.0, epsilon=1.0)
+        chain = discretize_jump_diffusion(spec)
+        if case == "l-shaped list":
+            mask = DomainMask.from_states(_l_shaped(), chain.n_states)
+        else:
+            mask = _box_mask(spec, [(0.1, 0.9), (0.1, 0.9)])
+    system = DomainSystem(chain, mask)
+    lam0 = system.dirichlet.lambda0
+    sizes = _factored_sizes(monkeypatch)
+    system.laplace(0.5), system.mean(), system.exp_moment(0.5 * lam0)
+    assert system.lumped is None
+    assert sizes == [("cholesky", mask.size)] * 3
