@@ -4,7 +4,6 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
@@ -51,21 +50,12 @@ def _tridiagonal(b: int, m: int) -> bool:
 
 
 class SingularSystemError(ValueError):
-    """Linear system is numerically singular.
-
-    Carries ``cond_estimate``, the 1-norm condition estimate of the matrix
-    at the point of failure.
-    """
+    """Linear system is numerically singular; ``cond_estimate`` is the
+    condition number, bound or estimate that its factor's gate read."""
 
     def __init__(self, message: str, cond_estimate: float = float("inf")):
         super().__init__(message)
         self.cond_estimate = cond_estimate
-
-
-def _finite(factor: np.ndarray) -> bool:
-    """Whether every entry of a factor is finite; min and max propagate NaN,
-    so this tests every entry without a mask."""
-    return bool(np.isfinite(factor.min()) and np.isfinite(factor.max()))
 
 
 def _gate(context: str, kind: str, size: int, rcond: float, ok: bool = True) -> float:
@@ -99,11 +89,11 @@ class _Refined:
         b = np.asarray(b, dtype=float)
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must be finite")
-        anorm = self._anorm(trans)
         x = self._direct(b, trans)
         for _ in range(REFINE_MAX_SWEEPS):
             r = b - self._apply(x, trans)
-            if np.max(np.abs(r)) <= REFINE_TARGET * max(1.0, anorm * np.max(np.abs(x))):
+            # relative and unfloored, so the verdict does not move with the scale of b
+            if np.max(np.abs(r)) <= REFINE_TARGET * self._anorm(trans) * np.max(np.abs(x)):
                 break
             x = x + self._direct(r, trans)
         return x
@@ -127,7 +117,8 @@ class RefinedLU(_Refined):
         lu = self._factors[0]
         (gecon,) = get_lapack_funcs(("gecon",), (self.a,))
         rcond, _ = gecon(lu, self._norms[False], norm="1")
-        self.cond = _gate(context, "numerically singular", lu.shape[0], rcond, _finite(lu))
+        finite = bool(np.isfinite(lu.min()) and np.isfinite(lu.max()))  # min and max propagate NaN
+        self.cond = _gate(context, "numerically singular", lu.shape[0], rcond, finite)
 
     def _anorm(self, trans: bool) -> float:
         if trans not in self._norms:
@@ -141,48 +132,73 @@ class RefinedLU(_Refined):
         return lu_solve(self._factors, b, trans=int(trans), check_finite=False)
 
 
-def _lower_band(s: np.ndarray, b: int, shift: float = 0.0, negate: bool = False) -> np.ndarray:
-    """s + shift*I, or -s + shift*I with ``negate``, for an exactly
-    symmetric s of bandwidth b, in LAPACK's lower band storage (b+1, m): row
-    k holds diagonal -k, s[j+k, j] at column j. s is read only on its band."""
+def _lower_band(s: np.ndarray, b: int, negate: bool = False) -> np.ndarray:
+    """s, or -s with ``negate``, for an exactly symmetric s of bandwidth b,
+    in LAPACK's lower band storage (b+1, m): row k holds diagonal -k, s[j+k, j]
+    at column j. s is read only on its band."""
     m = s.shape[0]
     band = np.zeros((b + 1, m), order="F")
     for k in range(b + 1):
         band[k, : m - k] = np.diagonal(s, -k)
-        if negate:
-            np.negative(band[k, : m - k], out=band[k, : m - k])
-    band[0] += shift
+    if negate:
+        # in one contiguous pass: numpy 2.4 negates a row of an 8-row band,
+        # strided by 64 bytes, from the wrong addresses
+        np.negative(band, out=band)
     return band
+
+
+def _band_column_sums(band: np.ndarray) -> np.ndarray:
+    """Column sums of the symmetric matrix in lower band storage ``band``,
+    added in row order as numpy sums a C-ordered matrix's columns: the same bits."""
+    b, m = band.shape[0] - 1, band.shape[1]
+    col = np.zeros(m)
+    for k in range(b, -1, -1):  # rows above the diagonal, s[j-k, j] = s[j, j-k], then the diagonal
+        col[k:] += band[k, : m - k]
+    for k in range(1, b + 1):
+        col[: m - k] += band[k, : m - k]
+    return col
 
 
 class _Cholesky(_Refined):
     """A Cholesky factor L L^T, its solves and its triangular solve.
-    Subclasses build the factor through ``_factorize`` and supply ``_apply``
-    and ``_anorm``."""
+    Subclasses build the factor through ``_factorize``, set the 1-norm
+    ``_norm`` of the matrix factored and supply ``_apply``."""
 
-    def _factorize(self, s: np.ndarray, band: int | None, shift: float = 0.0, negate: bool = False) -> int:
-        """Factor s + shift*I, or -s + shift*I with ``negate``, for an exactly
-        symmetric s, by Cholesky in a buffer of its own, keep the factor and
-        its solver, and return LAPACK's info. s is not modified.
+    def _factorize(self, s: np.ndarray, band: int | None, shift: float = 0.0, negate: bool = False):
+        """Factor S = s + shift*I, or -s + shift*I with ``negate``, for an
+        exactly symmetric s, by Cholesky in a buffer of its own, and keep the
+        factor and its solver; s is not modified. Returns LAPACK's info, the
+        diagonal of S and the sums of its off-diagonal entries by column, read
+        off the buffer before it is factored (NaN for an infinite diagonal).
 
         Dense when ``band`` is None: s is copied C-ordered (and negated in
         place), and its transpose, Fortran-ordered and the same matrix, is
-        factored in place. Banded otherwise: s, of bandwidth ``band``, is
-        read on its band into ``_lower_band`` storage, so the factor
-        allocates no m x m buffer.
+        factored in place. Banded otherwise, in ``_lower_band`` storage.
         """
         self._is_band = band is not None
         if self._is_band:
-            pbtrf, self._potrs = get_lapack_funcs(("pbtrf", "pbtrs"), (s,))
-            self._factor, info = pbtrf(_lower_band(s, band, shift, negate), lower=1, overwrite_ab=1)
-            return info
-        buf = np.array(s, dtype=float)
-        if negate:
-            np.negative(buf, out=buf)
-        buf.flat[:: buf.shape[0] + 1] += shift
-        potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (buf,))
-        self._factor, info = potrf(buf.T, lower=True, clean=False, overwrite_a=True)
-        return info
+            buf = _lower_band(s, band, negate)
+            diag, col = buf[0], _band_column_sums(buf)
+        else:
+            buf = np.array(s, dtype=float)
+            if negate:
+                np.negative(buf, out=buf)
+            diag, col = buf.diagonal(), buf.sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            off = col - diag
+        diag = diag + shift  # a copy: the factor overwrites the buffer
+        if self._is_band:
+            buf[0] = diag
+            pbtrf, self._potrs = get_lapack_funcs(("pbtrf", "pbtrs"), (buf,))
+            self._factor, info = pbtrf(buf, lower=1, overwrite_ab=1)
+        else:
+            buf.flat[:: buf.shape[0] + 1] = diag
+            potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), (buf,))
+            self._factor, info = potrf(buf.T, lower=True, clean=False, overwrite_a=True)
+        return info, diag, off
+
+    def _anorm(self, trans: bool) -> float:
+        return self._norm
 
     def _direct(self, b, trans: bool) -> np.ndarray:
         # potrs and pbtrs take the same arguments
@@ -209,60 +225,27 @@ class _Cholesky(_Refined):
 class RefinedSPD(_Cholesky):
     """Cholesky factor L L^T of a symmetric positive definite matrix ``a`` that
     need not be a Z-matrix, as the nested saddle's reflected blocks are not,
-    and ``pocon``'s 1-norm condition estimate ``cond``.
+    and ``cond`` = ||a||_1 / ``min_eig`` for ``min_eig`` <= a's smallest
+    eigenvalue: an upper bound on the 2-norm condition number, as ||a||_2 <=
+    ||a||_1, that reads a's bits alone, not a LAPACK estimate that moves
+    with heap layout. A smaller bound only makes the gate stricter.
 
-    ``a`` must be exactly symmetric. It may be a view; it is not modified,
-    and solves of a x = b refine against it. The kernels are the dense ones
-    whatever the bandwidth: a reflected block is dense. Raises
-    SingularSystemError when the factorization fails, the factor is not
-    finite, or the reciprocal condition falls below SINGULAR_RCOND.
+    ``a`` must be exactly symmetric; it may be a view, is not modified, and
+    solves refine against it. The kernels are dense: a reflected block is.
+    Raises SingularSystemError when the factorization fails, ||a||_1 is not
+    finite, ``min_eig`` is not positive, or 1/cond is below SINGULAR_RCOND.
     """
 
-    def __init__(self, a: np.ndarray, context: str = "solve"):
+    def __init__(self, a: np.ndarray, min_eig: float, context: str = "solve"):
         self.a = a
-        pocon, lange = get_lapack_funcs(("pocon", "lange"), (a,))
+        (lange,) = get_lapack_funcs(("lange",), (a,))
         self._norm = lange("1", a.T)
-        info = self._factorize(a, None)
-        rcond = pocon(self._factor, self._norm, uplo="L")[0] if info == 0 else 0.0
-        ok = info == 0 and _finite(self._factor)
+        ok = self._factorize(a, None)[0] == 0 and math.isfinite(self._norm) and min_eig > 0
+        rcond = min_eig / self._norm if ok else 0.0
         self.cond = _gate(context, "not numerically positive definite", a.shape[0], rcond, ok)
-
-    def _anorm(self, trans: bool) -> float:
-        return self._norm
 
     def _apply(self, x, trans: bool) -> np.ndarray:
         return self.a @ x
-
-
-class ShiftFree(NamedTuple):
-    """What a RefinedCholesky reads of ``sym`` and ``q`` besides the factor,
-    none of it changed by the shift: the diagonal of q and the sums of its
-    off-diagonal entries by column and by row, and the diagonal of sym and
-    the sums of its off-diagonal entries by column. O(m) to keep, O(m^2)
-    once to compute. Without q, those of q = -sym; without sym, those of
-    sym = -q, which are q's negated bit for bit (rounding is symmetric in
-    sign)."""
-
-    q_diag: np.ndarray
-    q_col_off: np.ndarray
-    q_row_off: np.ndarray
-    sym_diag: np.ndarray
-    sym_col_off: np.ndarray
-
-    @classmethod
-    def of(cls, sym: np.ndarray | None, q: np.ndarray | None = None) -> "ShiftFree":
-        # an infinite diagonal entry leaves a NaN sum, which the gate rejects
-        with np.errstate(invalid="ignore"):
-            if sym is None:
-                q_diag = np.diag(q)
-                q_col_off = q.sum(axis=0) - q_diag
-                return cls(q_diag, q_col_off, q.sum(axis=1) - q_diag, -q_diag, -q_col_off)
-            sym_diag = np.diag(sym)
-            sym_col_off = sym.sum(axis=0) - sym_diag
-            if q is None:
-                return cls(-sym_diag, -sym_col_off, -sym_col_off, sym_diag, sym_col_off)
-            q_diag = np.diag(q)
-            return cls(q_diag, q.sum(axis=0) - q_diag, q.sum(axis=1) - q_diag, sym_diag, sym_col_off)
 
 
 class RefinedCholesky(_Cholesky):
@@ -284,29 +267,24 @@ class RefinedCholesky(_Cholesky):
 
     ``cond`` is the 1-norm condition number of S from one solve y = S^{-1} 1:
     S is a Z-matrix, so once its Cholesky succeeds it is a nonsingular
-    M-matrix, S^{-1} >= 0, and ||S^{-1}||_1 = max|y|. On such a matrix the
-    number is exact; on one with a positive off-diagonal entry it is only a
-    lower bound, which is why RefinedSPD keeps ``pocon``. The 1-norm of S
-    and those of shift*I - q come from ``sums`` (``ShiftFree.of(sym, q)``
-    when not given) in O(m). Raises SingularSystemError when the
-    factorization fails, the norm of S or y is not finite, max|y| <= 0, or
-    1/cond falls below SINGULAR_RCOND. A finite S that Cholesky factors has
-    a finite factor, since |L_ij| <= sqrt(S_ii).
+    M-matrix, S^{-1} >= 0, and ||S^{-1}||_1 = max|y|, with ||S||_1 in O(m)
+    from the sums ``_factorize`` returns. On a matrix with a positive
+    off-diagonal entry it is only a lower bound, hence RefinedSPD. The
+    refinement stops on norms of shift*I - q, read off q when first needed.
+    Raises SingularSystemError when the factorization fails, the norm of S
+    or y is not finite, max|y| <= 0, or 1/cond falls below SINGULAR_RCOND.
+    A finite S that Cholesky factors has a finite factor: |L_ij| <= sqrt(S_ii).
     """
 
     def __init__(self, sym, shift: float = 0.0, root=None, q=None, context: str = "solve",
-                 bandwidth: int | None = None, sums: ShiftFree | None = None):
-        sums = ShiftFree.of(sym, q) if sums is None else sums
-        # 1-norms of shift*I - q and of its transpose, for the refinement stop,
-        # and of S: both are Z-matrices, so a column's (row's) off-diagonal
-        # magnitudes sum to minus its off-diagonal sum
-        pivot = np.abs(shift - sums.q_diag)
-        self._norms = (float((sums.q_col_off + pivot).max()), float((sums.q_row_off + pivot).max()))
-        self._norm = float((np.abs(sums.sym_diag + shift) - sums.sym_col_off).max())
+                 bandwidth: int | None = None):
         s = q if sym is None else sym  # S is -q + shift*I when sym is None
         m = s.shape[0]
         b = _bandwidth(s) if bandwidth is None else bandwidth
-        info = self._factorize(s, b if _banded(b, m) else None, shift, negate=sym is None)
+        info, diag, off = self._factorize(s, b if _banded(b, m) else None, shift, negate=sym is None)
+        # S is a Z-matrix: a column's off-diagonal magnitudes sum to minus its off-diagonal sum
+        self._norm = float((np.abs(diag) - off).max())
+        self._norms = {}
         self.sym, self.shift, self.root, self.q = sym, shift, root, q
         ok = info == 0 and math.isfinite(self._norm)
         y_max = float(np.abs(super()._direct(np.ones(m), False)).max()) if ok else 0.0
@@ -318,6 +296,12 @@ class RefinedCholesky(_Cholesky):
         self.cond = _gate(context, "not numerically positive definite", m, rcond, ok)
 
     def _anorm(self, trans: bool) -> float:
+        if self.q is None:
+            return self._norm
+        if trans not in self._norms:  # shift*I - q is a Z-matrix, as S is
+            q_diag = np.diag(self.q)
+            with np.errstate(invalid="ignore"):
+                self._norms[trans] = float((self.q.sum(axis=int(trans)) - q_diag + np.abs(self.shift - q_diag)).max())
         return self._norms[trans]
 
     def _apply(self, x, trans: bool) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import RefinedCholesky, RefinedLU, ShiftFree, SingularSystemError, _bandwidth
+from ._linalg import RefinedCholesky, RefinedLU, SingularSystemError, _bandwidth
 from .defaults import COMPARISON_RTOL, SPECTRAL_EDGE_MARGIN, STRUCTURAL_TOL
 from .forms import (
     Chain,
@@ -142,8 +142,8 @@ class Dirichlet(NamedTuple):
 class DomainSystem:
     """The restricted system (s*I - Q_D) u = xi of one chain and domain.
 
-    Package-internal. Computes Q_D, mu_D and the shift-free sums of the
-    Cholesky route at most once, on first use.
+    Package-internal. Computes Q_D, mu_D and the bandwidth that picks the
+    Cholesky route's kernels at most once, on first use.
     Caches, per instance, the solution of
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
     eigendecomposition; factors never outlive their solve.
@@ -208,12 +208,6 @@ class DomainSystem:
         return sym
 
     @cached_property
-    def shift_free(self) -> ShiftFree:
-        """The sums of ``q_d`` and ``sym_d`` that every shift's Cholesky
-        factor reads, computed once for all of them."""
-        return ShiftFree.of(self.sym_d, self.q_d)
-
-    @cached_property
     def sym_bandwidth(self) -> int:
         """Bandwidth of ``sym_d`` (of Q_D when it is None) in the domain's
         state order, which picks the kernels of its factors."""
@@ -225,9 +219,7 @@ class DomainSystem:
         context = f"restricted solve (beta={shift:g})"
         if self.reversible:
             try:
-                return RefinedCholesky(
-                    self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth, self.shift_free
-                )
+                return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth)
             except SingularSystemError:
                 pass
         a = np.negative(self.q_d)

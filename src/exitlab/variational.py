@@ -258,7 +258,8 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     On A' symmetric within STRUCTURAL_TOL (``_is_symmetric``), K^ is
     rounding alone and the supremum is at g = 0: H^ = S^, and the outer
     solve reuses L.
-    Returns (f, g, value, smallest eigenvalue of S^_22).
+    The smallest eigenvalue of S^_22, taken first, gates both factors, as
+    H^_22 = S^_22 + W^T W >= S^_22. Returns (f, g, value, that eigenvalue).
     """
     ah = a.copy()
     d = _equilibrate(ah)
@@ -267,7 +268,11 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     ah = _reflect_both_sides(v, tau, ah)
     sh = ah + ah.T
     sh *= 0.5
-    inner = RefinedSPD(sh[1:, 1:], "inner saddle")
+    try:
+        lam = float(scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0])
+    except np.linalg.LinAlgError:  # a block that is not finite, which the gate refuses
+        lam = np.nan
+    inner = RefinedSPD(sh[1:, 1:], lam, "inner saddle")
     if symmetric:
         del ah
         hh, outer = sh, inner
@@ -277,7 +282,7 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
         hh = w.T @ w
         del ah, w
         hh += sh
-        outer = RefinedSPD(hh[1:, 1:], "outer saddle")
+        outer = RefinedSPD(hh[1:, 1:], lam, "outer saddle")
     fh = np.empty(c.shape[0])
     fh[0] = 1.0 / sigma
     fh[1:] = outer.solve(hh[1:, 0] * -fh[0])
@@ -288,9 +293,7 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     gh = np.zeros_like(fh)
     gh[1:] = inner.solve(kf[1:])
     g_d = d * _reflect(v, tau, gh)
-    # finite: its Cholesky factor passed the gate
-    lam = scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)
-    return f_d, g_d, value, float(lam[0])
+    return f_d, g_d, value, lam
 
 
 def _symmetric_minimum(s: np.ndarray, c: np.ndarray, context: str) -> float:

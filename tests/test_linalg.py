@@ -1,7 +1,8 @@
 """The symmetric factors: the bandwidth that picks the kernels of a
 Z-matrix Cholesky, the gate, solves and triangular solve of its banded
-kernels against the dense ones on the same matrix, and the gate of each
-factor class."""
+kernels against the dense ones on the same matrix, the gate of each
+factor class, the refinement stop, and conditions that heap layout does
+not move."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -179,7 +180,7 @@ def test_restricted_cholesky_condition_is_the_exact_one_norm_condition(seed, ban
     shift = {"half_lambda0_below": -system.dirichlet.lambda0 / 2.0, "zero": 0.0, "half": 0.5}[where]
     s = system.sym_d + shift * np.eye(system.mask.size)
     exact = np.linalg.cond(s, 1)
-    # by the cached sums of the system, and from sym and q alone
+    # through the system, with its cached bandwidth, and from sym and q alone
     for factors in (
         system._factor(shift),
         RefinedCholesky(system.sym_d, shift, np.sqrt(system.mu_d), system.q_d),
@@ -240,11 +241,13 @@ def test_restricted_cholesky_asks_lapack_for_no_condition_estimator(banded, monk
     system = _killed_restriction(banded)
     RefinedCholesky(system.sym_d, 0.5, np.sqrt(system.mu_d), system.q_d)
     assert requested and not {"pocon", "lange", "gbtrf", "gbcon"} & set(requested)
-    # the symmetric factor of a general matrix keeps its estimator, at any bandwidth
+    # the symmetric factor of a general matrix is dense at any bandwidth and
+    # gates on the eigenvalue bound it is given, with no estimator either
     requested.clear()
-    RefinedSPD(system.sym_d + 0.5 * np.eye(system.mask.size))
-    assert {"pocon", "lange"} <= set(requested)
-    assert not {"pbtrf", "gbtrf", "gbcon"} & set(requested)
+    s = system.sym_d + 0.5 * np.eye(system.mask.size)
+    RefinedSPD(s, np.linalg.eigvalsh(s)[0])
+    assert "lange" in requested
+    assert not {"pocon", "pbtrf", "gbtrf", "gbcon"} & set(requested)
 
 
 def _tridiagonal_drift_chain(m: int = 40) -> Chain:
@@ -309,5 +312,71 @@ def test_refined_spd_rejects_a_tiny_eigenvalue_that_one_solve_cannot_see():
     one_solve = np.linalg.norm(s, 1) * np.abs(np.linalg.solve(s, np.ones(2))).max()
     assert one_solve < 2.0
     with pytest.raises(SingularSystemError, match="inner saddle") as err:
-        RefinedSPD(s, "inner saddle")
+        RefinedSPD(s, np.linalg.eigvalsh(s)[0], "inner saddle")
     assert 1e16 < err.value.cond_estimate < np.inf
+
+
+def _grid_block(width: int, height: int) -> np.ndarray:
+    """The 5-point generator block of a width x height grid in row order,
+    killed at its edges: exactly symmetric, of bandwidth ``width``."""
+    m = width * height
+    q = np.zeros((m, m))
+    right = np.arange(m - 1)[np.arange(m - 1) % width != width - 1]
+    q[right, right + 1] = q[right + 1, right] = 1.0
+    q[np.arange(m - width), np.arange(width, m)] = q[np.arange(width, m), np.arange(m - width)] = 1.0
+    q[np.diag_indices(m)] = -4.0
+    return q
+
+
+@pytest.mark.parametrize("width", [6, 7, 8])
+def test_negated_band_is_the_band_of_minus_q(width):
+    # a band of 8 rows (width 7) strides its rows by 64 bytes, where numpy
+    # 2.4's in-place negative reads the wrong addresses
+    q = _grid_block(width, 10)
+    m = q.shape[0]
+    band = linalg._lower_band(q, width, negate=True)
+    for k in range(width + 1):
+        np.testing.assert_array_equal(band[k, : m - k], -np.diagonal(q, -k))
+    system = DomainSystem.from_restricted(DomainMask.full(m), q, np.ones(m), reversible=True)
+    assert system.sym_d is None and _banded(system.sym_bandwidth, m)
+    factors = system._factor(0.5)
+    assert isinstance(factors, RefinedCholesky) and factors._is_band
+    assert factors.cond == pytest.approx(np.linalg.cond(0.5 * np.eye(m) - q, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+def test_refinement_stop_is_relative_at_every_scale_of_b(scale, trans):
+    # the factor is of the unperturbed symmetrization, so the direct solve
+    # is off by about 1e-9 and only refinement against q brings it back; the
+    # stop reads max|r| against ||a|| max|x|, with no floor that would pass
+    # the first residual of a tiny b
+    rng = np.random.default_rng(7)
+    system = DomainSystem(random_reversible_chain(rng, 50, killing=True, normalized=False), DomainMask.full(50))
+    q = system.q_d * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (50, 50)))
+    factors = RefinedCholesky(system.sym_d, 0.5, np.sqrt(system.mu_d), q)
+    a = 0.5 * np.eye(50) - q
+    b = scale * rng.uniform(0.5, 1.5, 50)
+    want = np.linalg.solve(a.T if trans else a, b)
+    assert np.abs(factors.solve(b, trans) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_conditions_and_solves_do_not_move_with_heap_layout():
+    # the recipe on which pocon's estimate took two values; each pad shifts
+    # the small allocations LAPACK's work arrays come from
+    a = np.random.default_rng(5).standard_normal((400, 400))
+    s = a @ a.T / 400 + 0.05 * np.eye(400)
+    block = s[1:, 1:]  # s >= 0.05 I, and so is the block
+    z = -np.abs(s)
+    np.fill_diagonal(z, 0.0)
+    np.fill_diagonal(z, 0.05 - z.sum(axis=1))
+    b = np.linspace(-1.0, 1.0, 400)
+    seen = {"spd": set(), "cholesky": set(), "solves": set()}
+    for k in range(0, 130, 13):
+        pad = np.empty(k * 1024 + 7, np.uint8)
+        spd, chol = RefinedSPD(block, 0.05), RefinedCholesky(z)
+        seen["spd"].add(repr(spd.cond))
+        seen["cholesky"].add(repr(chol.cond))
+        seen["solves"].add(spd.solve(b[1:]).tobytes() + chol.solve(b).tobytes())
+        del pad
+    assert {key: len(values) for key, values in seen.items()} == {"spd": 1, "cholesky": 1, "solves": 1}

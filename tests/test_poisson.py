@@ -432,13 +432,13 @@ def test_non_finite_source_is_rejected(bad, reversible, side):
 
 def test_refined_spd_names_its_context_and_condition():
     with pytest.raises(SingularSystemError, match="outer saddle") as err:
-        RefinedSPD(np.diag([1.0, -1.0]), "outer saddle")
+        RefinedSPD(np.diag([1.0, -1.0]), -1.0, "outer saddle")
     assert err.value.cond_estimate == np.inf
     with pytest.raises(SingularSystemError, match="inner saddle") as err:
-        RefinedSPD(np.diag([1.0, 1e-17]), "inner saddle")
+        RefinedSPD(np.diag([1.0, 1e-17]), 1e-17, "inner saddle")
     assert 1e14 < err.value.cond_estimate < np.inf
     with pytest.raises(SingularSystemError):
-        RefinedSPD(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+        RefinedSPD(np.array([[2.0, np.nan], [np.nan, 2.0]]), 1.0)
 
 
 def test_refined_spd_solves_on_a_view_without_changing_it():
@@ -447,7 +447,7 @@ def test_refined_spd_solves_on_a_view_without_changing_it():
     whole = x @ x.T + 9.0 * np.eye(9)
     before = whole.copy()
     block = whole[1:, 1:]
-    spd = RefinedSPD(block)
+    spd = RefinedSPD(block, np.linalg.eigvalsh(block)[0])
     b = rng.standard_normal(8)
     y = spd.solve(b)
     np.testing.assert_array_equal(whole, before)

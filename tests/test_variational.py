@@ -12,6 +12,7 @@ from exitlab import (
     GridModelSpec,
     Measure,
     NonReversibleError,
+    SingularSystemError,
     antisym_perturb,
     birth_death,
     complete_graph,
@@ -451,6 +452,15 @@ def test_iterative_route_makes_no_lu_and_no_null_space(monkeypatch):
     xi = rng.uniform(0.2, 1.0, mask.size)
     sol = saddle_value(chain, mask, 1.0, xi, mode="iterative")
     assert sol.residuals["subspace_min_eig"] > 0.0
+
+
+def test_nested_route_refuses_a_form_that_overflows_at_unit_diagonal():
+    # finite, but scaled to unit diagonal its off-diagonal entries pass the
+    # largest double: the eigensolve that feeds both gates fails on the
+    # block, and the route still raises its own error for the inner factor
+    a = np.array([[1e-300, 1e300, 0.0], [-1e300, 1e-300, 0.0], [0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystemError, match="inner saddle"):
+        nested_route(DomainMask.full(3), a, np.array([1.0, 2.0, 3.0]))
 
 
 def test_symmetric_nested_route_factors_once(monkeypatch):
