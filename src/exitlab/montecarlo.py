@@ -66,8 +66,8 @@ class McConfig:
             object.__setattr__(self, name, int(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if isinstance(self.max_time, bool) or not (isinstance(self.max_time, numbers.Real) and self.max_time > 0):
-            raise ValueError(f"max_time must be a positive number, got {self.max_time!r}")
+        if isinstance(self.max_time, bool) or not (isinstance(self.max_time, numbers.Real) and 0 < self.max_time < np.inf):
+            raise ValueError(f"max_time must be a positive finite number, got {self.max_time!r}")
         start = self.start
         if isinstance(start, bool) or not (isinstance(start, (int, np.integer)) or np.ndim(start) == 1):
             raise ValueError(f"start must be an integer state index or a distribution, got {start!r}")

@@ -76,8 +76,10 @@ class DomainMask:
 
     @classmethod
     def from_states(cls, states, n_states: int) -> "DomainMask":
-        ind = np.zeros(n_states, dtype=bool)
-        idx = np.asarray(list(states), dtype=int)
+        states = list(states)
+        if bad := [s for s in states if isinstance(s, bool) or not isinstance(s, (int, np.integer))]:
+            raise ValueError(f"domain states must be integer indices, got {bad[0]!r}")
+        ind, idx = np.zeros(n_states, dtype=bool), np.asarray(states, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= n_states):
             raise ValueError("domain state index out of range")
         ind[idx] = True

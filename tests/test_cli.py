@@ -753,6 +753,23 @@ def test_full_mask_sweep_of_conservative_parts_cannot_exit(tmp_path, monkeypatch
         run(cfg, digest, tmp_path / "out")
 
 
+def test_mc_on_a_closed_domain_raises_before_simulating(tmp_path, monkeypatch):
+    import exitlab.cli
+    from exitlab.cli import load_config, run
+    from exitlab.poisson import RecurrentRestrictionError
+
+    def never(*args):
+        raise AssertionError("simulated paths that can never exit")
+
+    monkeypatch.setattr(exitlab.cli, "simulate_exit_times", never)
+    # a conservative chain on all its states: no path ever leaves, so the
+    # exact mean, which the run computes first, does not exist
+    cfg = small_config(tmp_path, omega="all", **mc_part())
+    cfg, digest = load_config(write_config(tmp_path / "exp.json", cfg))
+    with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
+        run(cfg, digest, tmp_path / "out")
+
+
 def test_full_mask_sweep_exits_through_a_weighted_killed_part(tmp_path, monkeypatch):
     conservative_parts(monkeypatch, jump_conservative=False)
     cfg = scale_sweep_config(tmp_path, "all", [0.5, 1.0], [0.5, 1.0])
@@ -977,6 +994,7 @@ _BUILD_ERRORS = {
     "n_paths-not-a-number": (mc_part(n_paths="abc"), "$.mc"),
     "n_paths-zero": (mc_part(n_paths=0), "$.mc"),
     "max_time-not-a-number": (mc_part(max_time="x"), "$.mc"),
+    "max_time-infinite": (mc_part(max_time=1e400), "$.mc"),
     "seed-not-an-integer": (mc_part(seed=1.7), "$.mc"),
     "start-out-of-range": (mc_part(start=7), "$.mc.start"),
     "start-distribution-of-strings": (mc_part(start=["a", 1, 2]), "$.mc.start"),

@@ -463,6 +463,7 @@ def test_config_validation():
         ("start", None),
         ("start", {"0": 1.0}),
         ("start", [[0.5, 0.5]]),
+        ("max_time", float("inf")),
     ],
 )
 def test_config_checks_its_own_fields(field, value):

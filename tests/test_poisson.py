@@ -179,6 +179,20 @@ def test_one_way_edge_into_a_closed_class_is_recurrent():
     assert DomainSystem(make_chain(q, np.ones(3)), DomainMask.from_states([0, 1], 3)).exits_surely()
 
 
+@pytest.mark.parametrize("states", [[0.5, 2.9], [True], [1, True], np.array([True, False]), ["1"]])
+def test_domain_states_must_be_integers(states):
+    # a float or a bool was cast to an index: [0.5, 2.9] gave {0, 2}, [True] gave {1}
+    with pytest.raises(ValueError, match="integer indices"):
+        DomainMask.from_states(states, 4)
+
+
+def test_domain_states_of_any_integer_kind():
+    for states in ([3, 1], range(1, 4, 2), np.array([1, 3], dtype=np.int32), [np.int64(3), 1]):
+        assert DomainMask.from_states(states, 4).indices.tolist() == [1, 3]
+    with pytest.raises(ValueError, match="at least one state"):
+        DomainMask.from_states([], 4)
+
+
 def test_full_domain_on_conservative_chain_never_exits():
     # a closed domain like any other: the Laplace transform is 0, the
     # exponential moment infinite (lambda0 = 0), and the mean does not exist

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab import (
     Chain,
@@ -178,6 +180,55 @@ def test_component_count_matches_the_whole_graph(n, density):
     np.fill_diagonal(q, -q.sum(axis=1) - 1.0)
     whole = q > 1e-12 * np.abs(np.diag(q))[:, None]
     assert _component_count(q) == connected_components(csr_matrix(whole), directed=False)[0]
+
+
+def _labelled_graph(family, n, rng):
+    """Intended edges (x, y) of a graph family on n states, as two index arrays."""
+    if family == "path":  # consecutive states of a random labelling
+        order = rng.permutation(n)
+    elif family == "sawtooth":  # a path through runs of w labels, each descending: w-1..0, 2w-1..w, ...
+        w = int(rng.integers(2, 8))
+        order = np.concatenate([np.arange(lo, min(lo + w, n))[::-1] for lo in range(0, n, w)])
+    if family in ("path", "sawtooth"):
+        x, y = order[:-1], order[1:]
+    elif family == "star":  # the hub has the largest label
+        x, y = np.full(n - 1, n - 1), np.arange(n - 1)
+    else:  # dense blocks of a random partition
+        block = rng.integers(0, max(1, n // 8), n)
+        x, y = np.nonzero((block[:, None] == block[None, :]) & ~np.eye(n, dtype=bool))
+    keep = rng.uniform(size=x.size) < 0.9  # a few cuts, so some graphs fall apart
+    return x[keep], y[keep]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["path", "sawtooth", "star", "blocks"]),
+    n=st.integers(1, 60),
+    one_way=st.booleans(),
+    dust=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_component_count_on_adversarial_labellings(family, n, one_way, dust, seed):
+    # roots hook in label order, so labellings that run against it (a random
+    # path, a hub above its leaves, descending runs) take several rounds
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from exitlab.defaults import STRUCTURAL_TOL
+    from exitlab.spectral import _component_count
+
+    rng = np.random.default_rng(seed)
+    x, y = _labelled_graph(family, n, rng)
+    if not one_way:  # else each edge has a rate in one direction only
+        x, y = np.concatenate([x, y]), np.concatenate([y, x])
+    q = np.zeros((n, n))
+    q[x, y] = rng.uniform(0.1, 1.0, x.size)
+    np.fill_diagonal(q, -q.sum(axis=1) - rng.uniform(0.0, 1.0, n))
+    if dust:  # rates at STRUCTURAL_TOL * |q_xx| exactly are no edges
+        none = (q == 0.0) & (rng.uniform(size=(n, n)) < 0.5)
+        q = np.where(none, STRUCTURAL_TOL * np.abs(np.diagonal(q))[:, None], q)
+    whole = csr_matrix((np.ones(x.size), (x, y)), shape=(n, n))
+    assert _component_count(q) == connected_components(whole, directed=False)[0]
 
 
 def test_spectral_gap_peak_memory_at_n_400():
