@@ -51,29 +51,43 @@ def _tridiagonal(b: int, m: int) -> bool:
 
 class SingularSystemError(ValueError):
     """Linear system is numerically singular; ``cond_estimate`` is the
-    condition number, bound or estimate that its factor's gate read."""
+    condition number, bound or estimate that its factor's gate read, and
+    ``edge_gap`` the bound of ``_certify`` on its bottom eigenvalue, or 0."""
 
-    def __init__(self, message: str, cond_estimate: float = float("inf")):
+    def __init__(self, message: str, cond_estimate: float = float("inf"), edge_gap: float = 0.0):
         super().__init__(message)
         self.cond_estimate = cond_estimate
+        self.edge_gap = edge_gap
 
 
-def _gate(context: str, kind: str, size: int, rcond: float, ok: bool = True) -> float:
+def _gate(context: str, kind: str, size: int, rcond: float, ok: bool = True, edge_gap: float = 0.0) -> float:
     """The condition estimate 1/rcond of a factored matrix of order ``size``.
 
-    Raises SingularSystemError, saying the matrix is ``kind``, when ``ok``
-    is false (the factorization failed, or what the caller checked is not
-    finite) or rcond falls below SINGULAR_RCOND.
+    Raises SingularSystemError, saying the matrix is ``kind``, with
+    ``edge_gap``, when ``ok`` is false (the factorization failed, or what
+    the caller checked is not finite) or rcond falls below SINGULAR_RCOND.
     """
     cond = float("inf") if rcond == 0 else 1.0 / float(rcond)
     if not ok or rcond < SINGULAR_RCOND:
         raise SingularSystemError(
-            f"{context}: matrix of size {size} is {kind} "
-            f"(condition estimate ~ {cond:.3e})",
-            cond_estimate=cond,
+            f"{context}: matrix of size {size} is {kind} (condition estimate ~ {cond:.3e})", cond, edge_gap
         )
     log.debug("%s: n=%d cond~%.3e", context, size, cond)
     return cond
+
+
+def _certify(context: str, kind: str, size: int, norm: float, y: np.ndarray | None) -> float:
+    """The gated 1-norm condition number of a Z-matrix A (off-diagonal
+    entries <= 0) of 1-norm ``norm``, from y = A^{-T} 1, None when A did not
+    factor. y finite and > 0 certifies a nonsingular M-matrix: A^{-1} >= 0,
+    so the condition number is exactly ``norm`` * max y, and by
+    Collatz-Wielandt lambda_min(A) <= 1/min y, the ``edge_gap`` of a failed gate."""
+    lo, hi = (float(y.min()), float(y.max())) if y is not None else (0.0, 0.0)
+    ok = lo > 0 and math.isfinite(hi) and math.isfinite(norm)  # min and max propagate NaN
+    cond = norm * hi if ok else math.inf
+    # a zero norm comes only from positive off-diagonal entries; it reads as
+    # singular, as an overflowed product does through 1/inf
+    return _gate(context, kind, size, 1.0 / cond if cond else 0.0, ok, 1.0 / lo if ok else 0.0)
 
 
 class _Refined:
@@ -100,11 +114,12 @@ class _Refined:
 
 
 class RefinedLU(_Refined):
-    """LU factors of a square matrix and its 1-norm condition estimate ``cond``.
+    """LU factors of a square Z-matrix, such as shift*I - Q_D, and its 1-norm
+    condition number ``cond`` from one transposed solve (``_certify``).
 
     Solves a x = b, or a^T x = b with ``trans=True``, for a vector or matrix b,
     refining against the matrix. Raises SingularSystemError when the matrix is
-    not finite or the reciprocal condition falls below SINGULAR_RCOND.
+    no numerically nonsingular M-matrix or 1/cond falls below SINGULAR_RCOND.
     """
 
     def __init__(self, a: np.ndarray, context: str = "solve"):
@@ -112,13 +127,10 @@ class RefinedLU(_Refined):
         self._norms = {False: np.linalg.norm(self.a, 1)}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            # a non-finite matrix gives a non-finite factor, which the gate rejects
+            # a non-finite or singular matrix gives a non-finite y, which the gate rejects
             self._factors = lu_factor(self.a, check_finite=False)
-        lu = self._factors[0]
-        (gecon,) = get_lapack_funcs(("gecon",), (self.a,))
-        rcond, _ = gecon(lu, self._norms[False], norm="1")
-        finite = bool(np.isfinite(lu.min()) and np.isfinite(lu.max()))  # min and max propagate NaN
-        self.cond = _gate(context, "numerically singular", lu.shape[0], rcond, finite)
+        y = self._direct(np.ones(self.a.shape[0]), True)
+        self.cond = _certify(context, "not a numerically nonsingular M-matrix", y.shape[0], self._norms[False], y)
 
     def _anorm(self, trans: bool) -> float:
         if trans not in self._norms:
@@ -265,15 +277,11 @@ class RefinedCholesky(_Cholesky):
     b * BAND_FRACTION < m for ``bandwidth`` b, the bandwidth of ``sym``
     (found when not given), and dense otherwise.
 
-    ``cond`` is the 1-norm condition number of S from one solve y = S^{-1} 1:
-    S is a Z-matrix, so once its Cholesky succeeds it is a nonsingular
-    M-matrix, S^{-1} >= 0, and ||S^{-1}||_1 = max|y|, with ||S||_1 in O(m)
-    from the sums ``_factorize`` returns. On a matrix with a positive
-    off-diagonal entry it is only a lower bound, hence RefinedSPD. The
-    refinement stops on norms of shift*I - q, read off q when first needed.
-    Raises SingularSystemError when the factorization fails, the norm of S
-    or y is not finite, max|y| <= 0, or 1/cond falls below SINGULAR_RCOND.
-    A finite S that Cholesky factors has a finite factor: |L_ij| <= sqrt(S_ii).
+    ``cond`` is the 1-norm condition number of S gated by ``_certify`` on
+    one solve y = S^{-1} 1, with ||S||_1 in O(m) from the sums
+    ``_factorize`` returns; y certifies nothing when S has a positive
+    off-diagonal entry, hence RefinedSPD. The refinement stops on norms of
+    shift*I - q, read off q when first needed.
     """
 
     def __init__(self, sym, shift: float = 0.0, root=None, q=None, context: str = "solve",
@@ -286,14 +294,8 @@ class RefinedCholesky(_Cholesky):
         self._norm = float((np.abs(diag) - off).max())
         self._norms = {}
         self.sym, self.shift, self.root, self.q = sym, shift, root, q
-        ok = info == 0 and math.isfinite(self._norm)
-        y_max = float(np.abs(super()._direct(np.ones(m), False)).max()) if ok else 0.0
-        ok = ok and math.isfinite(y_max) and y_max > 0
-        cond = self._norm * y_max if ok else math.inf
-        # a zero norm can only come from positive off-diagonal entries; it
-        # reads as singular, as an overflowed product does through 1/inf
-        rcond = 1.0 / cond if cond else 0.0
-        self.cond = _gate(context, "not numerically positive definite", m, rcond, ok)
+        y = super()._direct(np.ones(m), False) if info == 0 else None
+        self.cond = _certify(context, "not numerically positive definite", m, self._norm, y)
 
     def _anorm(self, trans: bool) -> float:
         if self.q is None:

@@ -8,8 +8,8 @@ set (jumps to outside states and killing alike). Solving
 
 on the inside states yields the weak solution of the shifted Poisson
 equation with Dirichlet data, and from it the Laplace transform, the mean,
-and (for reversible chains below the Dirichlet eigenvalue) the exponential
-moment of the exit time.
+and the exponential moment of the exit time, finite exactly below the
+bottom lambda0 of the spectrum of -L_D.
 """
 from __future__ import annotations
 
@@ -65,7 +65,9 @@ class DomainMask:
     inside: np.ndarray
 
     def __post_init__(self):
-        ind = np.asarray(self.inside, dtype=bool)
+        ind = np.asarray(self.inside)
+        if ind.dtype != bool:
+            raise ValueError(f"inside indicator must be boolean, got {ind.dtype}; for state indices use from_states")
         if ind.ndim != 1:
             raise ValueError("inside indicator must be one-dimensional")
         if not ind.any():
@@ -150,16 +152,16 @@ class DomainSystem:
     (s*I - Q_D) u = 1 for each shift s asked for and one Dirichlet
     eigendecomposition; factors never outlive their solve.
     Laplace is 1 - beta*u_beta, the mean u_0, the exponential moment
-    1 + beta*u_{-beta} for beta below the cached Dirichlet eigenvalue
-    lambda0, and infinite from that edge on.
+    1 + beta*u_{-beta} for beta below the bottom lambda0 of the spectrum of
+    -Q_D, and infinite from that edge on.
 
     A reversible system factors the symmetrized M^{1/2}(s*I - Q_D)M^{-1/2}
-    by Cholesky and falls back to LU where that is not positive definite
-    (s at or below -lambda0, or a singular restriction); any other system
-    factors by LU. When mu_D is constant and Q_D exactly symmetric, as on
-    every reversible grid block, that symmetrization is s*I - Q_D bit for
-    bit: ``sym_d`` is then None and the Cholesky route factors from Q_D, so
-    a system holds Q_D and, while it solves, one factor buffer.
+    by Cholesky, any other s*I - Q_D by LU; each certifies a nonsingular
+    M-matrix, so for s <= -lambda0 both refuse. When mu_D is constant and
+    Q_D exactly symmetric, as on every reversible grid block, that
+    symmetrization is s*I - Q_D bit for bit: ``sym_d`` is then None and the
+    Cholesky route factors from Q_D, so a system holds Q_D and, while it
+    solves, one factor buffer.
 
     When mu_D and Q_D are exactly invariant under the mirror i -> m-1-i of
     D's order, as on a box domain of a constant-coefficient grid,
@@ -216,14 +218,11 @@ class DomainSystem:
         return _bandwidth(self.q_d if self.sym_d is None else self.sym_d)
 
     def _factor(self, shift: float):
-        """Factors of shift*I - Q_D: Cholesky for a reversible system where
-        that is positive definite, LU otherwise."""
+        """Factors of shift*I - Q_D: Cholesky for a reversible system, LU
+        otherwise; either raises SingularSystemError past -lambda0."""
         context = f"restricted solve (beta={shift:g})"
         if self.reversible:
-            try:
-                return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth)
-            except SingularSystemError:
-                pass
+            return RefinedCholesky(self.sym_d, shift, np.sqrt(self.mu_d), self.q_d, context, self.sym_bandwidth)
         a = np.negative(self.q_d)
         a.flat[:: self.mask.size + 1] += shift
         return RefinedLU(a, context)
@@ -332,13 +331,18 @@ class DomainSystem:
         return embed(self.mask, np.maximum(m, 0.0), fill=0.0)
 
     def exp_moment(self, beta: float) -> np.ndarray:
+        """1 + beta*u_{-beta}; infinite when the factor at -beta has no
+        certificate, or a weak one whose bound lambda0 <= beta + edge_gap puts
+        beta within SPECTRAL_EDGE_MARGIN of it. Other failures raise."""
         if beta <= 0:
             raise ValueError("exit_exp_moment needs beta > 0")
-        if not self.reversible:
-            raise NonReversibleError("exponential moments need a reversible chain")
-        if not _below_edge(beta, self.dirichlet.lambda0):
-            return embed(self.mask, np.full(self.mask.size, np.inf), fill=1.0)
-        return embed(self.mask, 1.0 + beta * self.resolvent_one(-beta), fill=1.0)
+        try:
+            u = self.resolvent_one(-beta)
+        except SingularSystemError as err:
+            if _below_edge(beta, beta + err.edge_gap):
+                raise
+            u = np.full(self.mask.size, np.inf)
+        return embed(self.mask, 1.0 + beta * u, fill=1.0)
 
     def functionals(self, beta: float, xi=None) -> ExitFunctionals:
         if beta <= 0:
@@ -353,7 +357,7 @@ class DomainSystem:
             u_beta=u_beta,
             laplace=laplace,
             mean=self.mean(),
-            exp_moment=self.exp_moment(beta) if self.reversible else None,
+            exp_moment=self.exp_moment(beta),
             aggregate_mu=float(np.sum(self.mu_d * xi_d * u_beta[self.mask.indices])),
         )
 
@@ -392,8 +396,9 @@ def solve_poisson(chain: Chain, mask: DomainMask, beta: float, xi, side: str = "
     side : "primal" solves with L_D, "dual" with the adjoint restriction.
 
     Returns the solution on the inside states (callers extend by zero).
-    Raises SingularSystemError, with a condition estimate, when beta sits
-    at a Dirichlet eigenvalue of the restriction.
+    beta must lie above -lambda0, the bottom of the spectrum of -L_D, where
+    beta*I - L_D is a nonsingular M-matrix, as each factor certifies; else,
+    or when that is nearly singular, raises SingularSystemError.
     """
     rhs = _restrict_source(mask, xi, chain.n_states)
     (u,) = DomainSystem(chain, mask).solve(beta, rhs, (side,))
@@ -417,10 +422,10 @@ def exit_mean(chain: Chain, mask: DomainMask) -> np.ndarray:
 def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float) -> np.ndarray:
     """E_x[exp(+beta * exit time)]; +inf marker on the domain at or past lambda0.
 
-    Requires a reversible chain. The edge lambda0, the smallest Dirichlet
-    eigenvalue of the restriction, is read from the system's own
-    eigensolve; for beta within SPECTRAL_EDGE_MARGIN * lambda0 of it the
-    moment is reported infinite, so no moment is below 1.
+    Any chain. lambda0, the Perron root of -L_D, is not computed: the factor
+    of -beta*I - L_D certifies a nonsingular M-matrix exactly below it, so
+    the moment is finite, and at least 1, where that certificate holds. A
+    weak one raises unless it puts beta at lambda0 (``DomainSystem.exp_moment``).
     Outside the domain the exit time is 0 and the moment is 1.
     """
     return DomainSystem(chain, mask).exp_moment(beta)
@@ -432,7 +437,6 @@ class ExitFunctionals:
 
     Vectors are full length: ``u_beta`` vanishes outside the domain,
     ``laplace`` is 1 there, ``mean`` is 0, ``exp_moment`` is 1.
-    ``exp_moment`` is None exactly when the chain is not reversible.
     ``aggregate_mu`` is <xi, u_beta>_mu for the supplied source.
     """
 
@@ -440,14 +444,12 @@ class ExitFunctionals:
     u_beta: np.ndarray
     laplace: np.ndarray
     mean: np.ndarray
-    exp_moment: np.ndarray | None
+    exp_moment: np.ndarray
     aggregate_mu: float
 
     def __post_init__(self):
-        for name in ("u_beta", "laplace", "mean"):
+        for name in ("u_beta", "laplace", "mean", "exp_moment"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        if self.exp_moment is not None:
-            object.__setattr__(self, "exp_moment", _freeze(self.exp_moment))
         resid = np.abs(self.u_beta - (1.0 - self.laplace) / self.beta).max()
         if resid > STRUCTURAL_TOL:
             raise AssertionError(
@@ -455,9 +457,8 @@ class ExitFunctionals:
             )
 
     def to_dict(self, labels=None) -> dict:
-        moments = self.exp_moment
-        if moments is not None:  # a finite vector converts in one tolist
-            moments = moments.tolist() if np.isfinite(moments).all() else [_json_float(x) for x in moments]
+        moments = self.exp_moment  # a finite vector converts in one tolist
+        moments = moments.tolist() if np.isfinite(moments).all() else [_json_float(x) for x in moments]
         doc = {
             "beta": self.beta,
             "u_beta": self.u_beta.tolist(),
@@ -474,25 +475,20 @@ class ExitFunctionals:
         """CSV with one row per state: state, laplace, mean, exp_moment.
 
         Each column is formatted at once; an infinite moment reads ``inf``
-        (the moment is at least 1), and a missing one leaves its cell empty.
+        (the moment is at least 1).
         """
         n = self.laplace.shape[0]
         names = labels if labels is not None else map(str, range(n))
-        moments = [""] * n if self.exp_moment is None else map(repr, self.exp_moment.tolist())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["state", "laplace", "mean", "exp_moment"])
-        writer.writerows(
-            zip(names, map(repr, self.laplace.tolist()), map(repr, self.mean.tolist()), moments)
-        )
+        writer.writerows(zip(names, *(map(repr, v.tolist()) for v in (self.laplace, self.mean, self.exp_moment))))
         return buf.getvalue()
 
 
 def exit_functionals(chain: Chain, mask: DomainMask, beta: float, xi=None) -> ExitFunctionals:
     """Bundle the exact functionals of one domain at one shift.
 
-    ``xi`` defaults to the indicator of the domain. The exponential moment
-    is included exactly when the chain is reversible; its edge lambda0 is
-    read from the system's Dirichlet eigensolve.
+    ``xi`` defaults to the indicator of the domain. No eigensolve is made.
     """
     return DomainSystem(chain, mask).functionals(beta, xi)

@@ -1,8 +1,8 @@
-"""The symmetric factors: the bandwidth that picks the kernels of a
-Z-matrix Cholesky, the gate, solves and triangular solve of its banded
-kernels against the dense ones on the same matrix, the gate of each
-factor class, the refinement stop, and conditions that heap layout does
-not move."""
+"""The factors: the bandwidth that picks the kernels of a Z-matrix
+Cholesky, the gate, solves and triangular solve of its banded kernels
+against the dense ones on the same matrix, the gate of each factor class
+and the M-matrix certificate of the Z-matrix gates, the refinement stop,
+and conditions that heap layout does not move."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +12,7 @@ import exitlab.forms
 import exitlab.variational
 from conftest import random_nonsymmetric_chain, random_reversible_chain
 from exitlab import Chain, DomainMask, Generator, Measure, RecurrentRestrictionError, SingularSystemError
-from exitlab._linalg import RefinedCholesky, RefinedSPD, _banded, _bandwidth, _tridiagonal
+from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD, _banded, _bandwidth, _tridiagonal
 from exitlab.forms import _sector_sigma
 from exitlab.poisson import DomainSystem
 from exitlab.variational import exp_moment_inf, symmetric_inf
@@ -380,3 +380,31 @@ def test_conditions_and_solves_do_not_move_with_heap_layout():
         seen["solves"].add(spd.solve(b[1:]).tobytes() + chol.solve(b).tobytes())
         del pad
     assert {key: len(values) for key, values in seen.items()} == {"spd": 1, "cholesky": 1, "solves": 1}
+
+
+@pytest.mark.parametrize(
+    "y, edge_gap",
+    [(None, 0.0), ([0.0, 1.0], 0.0), ([-1e-300, 1.0], 0.0), ([np.nan, 1.0], 0.0), ([1.0, np.inf], 0.0),
+     ([1e15, 2e15], 1e-15)],
+)
+def test_a_certificate_is_finite_positive_and_strong(y, edge_gap):
+    # y = A^{-T} 1 certifies a nonsingular M-matrix only when finite and > 0;
+    # one too weak for the gate carries 1/min y, its bound on lambda_min(A)
+    with pytest.raises(SingularSystemError) as err:
+        linalg._certify("probe", "a Z-matrix", 2, 1.0, None if y is None else np.array(y))
+    assert err.value.edge_gap == edge_gap
+    assert linalg._certify("probe", "a Z-matrix", 2, 4.0, np.array([0.5, 2.0])) == 8.0
+
+
+def test_the_lu_condition_is_exact_and_does_not_move_with_heap_layout():
+    a = np.random.default_rng(5).standard_normal((400, 400))
+    w = -np.abs(a)  # a Z-matrix, not symmetric
+    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(w, 0.05 - w.sum(axis=1))
+    seen = set()
+    for k in range(0, 130, 13):
+        pad = np.empty(k * 1024 + 7, np.uint8)
+        seen.add(repr(RefinedLU(w).cond))
+        del pad
+    assert len(seen) == 1
+    assert float(seen.pop()) == pytest.approx(np.linalg.cond(w, 1), rel=1e-12)

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,11 @@ from exitlab import (
     DomainMask,
     GridModelSpec,
     SingularSystemError,
-    NonReversibleError,
     RecurrentRestrictionError,
+    antisym_perturb,
     birth_death,
     complete_graph,
+    cycle_flow,
     dirichlet_pair,
     discretize_jump_diffusion,
     dual_generator,
@@ -186,6 +188,14 @@ def test_domain_states_must_be_integers(states):
         DomainMask.from_states(states, 4)
 
 
+@pytest.mark.parametrize("inside", [np.array([0, 2, 3, 1]), [0.5, 0.0, 2.0, 0.0]])
+def test_domain_indicator_must_be_boolean(inside):
+    # a non-boolean indicator was cast to truth values: [0, 2, 3, 1] gave
+    # {1, 2, 3} and [0.5, 0.0, 2.0, 0.0] gave {0, 2}
+    with pytest.raises(ValueError, match="from_states"):
+        DomainMask(inside)
+
+
 def test_domain_states_of_any_integer_kind():
     for states in ([3, 1], range(1, 4, 2), np.array([1, 3], dtype=np.int32), [np.int64(3), 1]):
         assert DomainMask.from_states(states, 4).indices.tolist() == [1, 3]
@@ -218,11 +228,31 @@ def test_exit_exp_moment_values():
     assert np.all(np.isinf(exit_exp_moment(pair, FULL2, 2.0)))
 
 
-def test_exit_exp_moment_rejects_non_reversible(rng):
-    chain = random_nonsymmetric_chain(rng, 5)
-    mask = random_proper_mask(rng, 5)
-    with pytest.raises(NonReversibleError):
-        exit_exp_moment(chain, mask, 0.5)
+def _dense_moment(q_d: np.ndarray, beta: float) -> np.ndarray:
+    """1 + beta*u for (-beta*I - Q_D) u = 1, by numpy.linalg.solve."""
+    return 1.0 + beta * np.linalg.solve(-beta * np.eye(q_d.shape[0]) - q_d, np.ones(q_d.shape[0]))
+
+
+def test_exit_exp_moment_of_a_non_reversible_chain_matches_a_dense_solve(rng):
+    cases = [(random_nonsymmetric_chain(rng, 8), random_proper_mask(rng, 8)) for _ in range(5)]
+    # a flow ring, far from reversible: on states 0-7 the Perron root of -Q_D
+    # is 1.7349, and its symmetrized part's lambda0, 0.1206, is no edge
+    ring, ring_mask = antisym_perturb(*cycle_flow(12), 0.99), DomainMask.from_states(range(8), 12)
+    cases.append((ring, ring_mask))
+    for chain, mask in cases:
+        assert not chain.reversible
+        system = DomainSystem(chain, mask)
+        q_d, edge = system.q_d, _edge(system)
+        for beta in (0.5 * edge, 0.99 * edge) + ((0.9277,) if chain is ring else ()):
+            moment = exit_exp_moment(chain, mask, beta)
+            assert np.isfinite(moment).all() and (moment >= 1.0).all()
+            assert _rel(moment[mask.indices], _dense_moment(q_d, beta)) <= 1e-12
+            np.testing.assert_array_equal(moment[~mask.inside], 1.0)
+        assert np.isinf(exit_exp_moment(chain, mask, 1.01 * edge)[mask.indices]).all()
+    ring_system = DomainSystem(ring, ring_mask)
+    assert _edge(ring_system) == pytest.approx(1.7349, abs=1e-4)
+    assert np.linalg.eigvalsh(_symmetrized(ring_system.q_d, ring_system.mu_d))[0] == pytest.approx(0.1206, abs=1e-4)
+    assert 150.0 < exit_exp_moment(ring, ring_mask, 0.9277).max() < 160.0
 
 
 def test_resolvent_positivity(rng):
@@ -259,6 +289,22 @@ def test_exit_functionals_container():
     assert len(csv_text.splitlines()) == 4
 
 
+def test_exit_functionals_make_no_eigensolve(monkeypatch):
+    # the factor at -beta certifies the moment's edge, so neither a moment
+    # below lambda0 nor one past it reads a Dirichlet eigensolve
+    rng = np.random.default_rng(30)
+    chain, mask = random_reversible_chain(rng, 30), DomainMask.from_states(range(20), 30)
+    lam0 = dirichlet_pair(chain, mask)[0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exit_functionals made an eigensolve")
+
+    for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    below, past = exit_functionals(chain, mask, 0.5 * lam0), exit_functionals(chain, mask, 2.0 * lam0)
+    assert np.isfinite(below.exp_moment).all() and np.isinf(past.exp_moment[mask.inside]).all()
+
+
 def test_exit_functionals_infinite_moment_serializes():
     chain = two_state_killed_chain()
     fns = exit_functionals(chain, FULL2, 3.0)
@@ -275,10 +321,8 @@ def _csv_row_by_row(fns, labels=None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["state", "laplace", "mean", "exp_moment"])
     for i in range(n):
-        exp_cell = ""
-        if fns.exp_moment is not None:
-            x = fns.exp_moment[i]
-            exp_cell = "inf" if np.isinf(x) else repr(float(x))
+        x = fns.exp_moment[i]
+        exp_cell = "inf" if np.isinf(x) else repr(float(x))
         writer.writerow([names[i], repr(float(fns.laplace[i])), repr(float(fns.mean[i])), exp_cell])
     return buf.getvalue()
 
@@ -296,15 +340,18 @@ def test_functionals_csv_equals_the_row_by_row_writer():
             assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
     assert np.isinf(fns.exp_moment).all()
     assert fns.to_csv().splitlines()[1].endswith(",inf")
-    # a drift grid is not reversible: no moments, and every moment cell empty
+    # a drift grid is not reversible; its moments below the Perron root
+    # 10.57 are finite, and past it infinite, like any other chain's
     drift = discretize_jump_diffusion(
         GridModelSpec(dimension=1, domain_box=((0.0, 1.0),), mesh_h=0.125, b=(1.0,), k=1.0)
     )
-    fns = exit_functionals(drift, DomainMask.full(drift.n_states), 0.5)
-    assert fns.exp_moment is None
-    for names in (drift.state_labels(), None):
-        assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
-    assert all(line.endswith(",") for line in fns.to_csv().splitlines()[1:])
+    assert not drift.reversible
+    for beta in (0.5, 11.0):
+        fns = exit_functionals(drift, DomainMask.full(drift.n_states), beta)
+        for names in (drift.state_labels(), None):
+            assert fns.to_csv(labels=names) == _csv_row_by_row(fns, names)
+        cells = [float(line.rsplit(",", 1)[1]) for line in fns.to_csv().splitlines()[1:]]
+        assert all(1.0 < x < np.inf for x in cells) if beta < 10.57 else cells == [np.inf] * drift.n_states
 
 
 def test_exit_functionals_identity_holds_at_tiny_beta():
@@ -377,19 +424,35 @@ def test_cholesky_route_matches_the_lu_route(n, fraction):
     assert _rel(ut, ut_lu) <= 1e-12
 
 
-def test_shift_below_minus_lambda0_falls_back_to_lu():
+@pytest.mark.parametrize("reversible", [True, False])
+def test_a_shift_below_minus_lambda0_is_refused_with_no_certificate(monkeypatch, reversible):
+    # past -lambda0 shift*I - Q_D is no M-matrix: a Cholesky fails, and an LU
+    # solves, but a^{-T} 1 has an entry <= 0; a failed Cholesky tries no LU
     rng = np.random.default_rng(7)
-    chain = random_reversible_chain(rng, 50)
-    mask = DomainMask.from_states(range(30), 50)
-    system = DomainSystem(chain, mask)
-    lam = np.linalg.eigvalsh(system.sym_d)
+    chain = (random_reversible_chain if reversible else random_nonsymmetric_chain)(rng, 50)
+    system = DomainSystem(chain, DomainMask.from_states(range(30), 50))
+    if reversible:
+        monkeypatch.setattr(exitlab.poisson, "RefinedLU", None)
+    lam = np.sort(np.linalg.eigvals(-system.q_d).real)
     shift = -(lam[0] + lam[1]) / 2.0  # below -lambda0, between two eigenvalues
-    assert isinstance(system._factor(shift), RefinedLU)
-    xi_d = rng.uniform(0.2, 1.0, mask.size)
-    u, ut = system.solve(shift, xi_d, ("primal", "dual"))
-    u_lu, ut_lu = _lu_route(system, shift, xi_d)
-    np.testing.assert_array_equal(u, u_lu)
-    np.testing.assert_array_equal(ut, ut_lu)
+    with pytest.raises(SingularSystemError, match="beta=-") as err:
+        system._factor(shift)
+    assert err.value.edge_gap == 0.0 and err.value.cond_estimate == np.inf
+    with pytest.raises(SingularSystemError):
+        system.solve(shift, np.ones(30))
+
+
+def test_a_weak_certificate_below_the_edge_is_raised_not_read_as_infinite():
+    # lambda0 is 8.9e-11, and at (1 - 1e-6) * lambda0 the restriction's
+    # condition is near 1e16: the Cholesky factor certifies an M-matrix, but
+    # too weakly to solve, and its bound lambda0 <= beta + edge_gap lies far
+    # above beta, so the moment can be certified neither finite nor infinite
+    n = 40
+    chain, mask = chain_of(n, 6, 1), DomainMask.from_states(range(1, n - 1), n)
+    lam0 = dirichlet_pair(chain, mask)[0]
+    with pytest.raises(SingularSystemError) as err:
+        exit_exp_moment(chain, mask, (1.0 - 1e-6) * lam0)
+    assert err.value.edge_gap > 1e-3 * lam0
 
 
 def _restricted_cholesky_inputs(n=600, m=400):
@@ -423,7 +486,7 @@ def test_non_finite_matrices_are_rejected(bad):
     a[1, 2] = bad
     with pytest.raises(SingularSystemError):
         RefinedLU(a)
-    # a reversible restricted system tries Cholesky first, then falls back
+    # nor does a reversible restricted system's Cholesky certify it
     q_d = -a
     system = DomainSystem.from_restricted(DomainMask.full(3), q_d, np.ones(3), reversible=True)
     with pytest.raises(SingularSystemError):
@@ -520,11 +583,10 @@ def _edge(system: DomainSystem) -> float:
 
 
 def _functionals(system: DomainSystem, beta: float) -> list:
-    """Laplace, the mean, the resolvent of 1 at minus half the edge and, on a
-    reversible system, the exponential moment there."""
+    """Laplace, the mean, the resolvent of 1 at minus half the edge and the
+    exponential moment there."""
     below = 0.5 * _edge(system)
-    got = [system.laplace(beta), system.mean(), system.resolvent_one(-below)]
-    return got + [system.exp_moment(below)] if system.reversible else got
+    return [system.laplace(beta), system.mean(), system.resolvent_one(-below), system.exp_moment(below)]
 
 
 def _from_solves(system: DomainSystem, beta: float) -> list:
@@ -533,8 +595,7 @@ def _from_solves(system: DomainSystem, beta: float) -> list:
     (lap,) = system.solve(beta, ones)
     (mean,) = system.solve(0.0, ones)
     (u,) = system.solve(-below, ones)
-    want = [np.clip(1.0 - beta * lap, 0.0, 1.0), np.maximum(mean, 0.0), u]
-    return want + [1.0 + below * u] if system.reversible else want
+    return [np.clip(1.0 - beta * lap, 0.0, 1.0), np.maximum(mean, 0.0), u, 1.0 + below * u]
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,6 +670,28 @@ def test_two_mirror_image_closed_classes_are_still_recurrent():
     assert system.lumped is not None
     with pytest.raises(RecurrentRestrictionError, match="exit from the domain is not almost sure"):
         system.mean()
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_a_lumped_system_refuses_past_the_edge_as_the_full_block_does(reversible):
+    # the fold F has the Perron root of Q_D: its certificate fails where the
+    # full block's does, and on two mirror-image closed classes (lambda0 = 0)
+    # at every beta
+    chain = _mirror_chain(3, 9, reversible)
+    system = DomainSystem(chain, DomainMask.full(9))
+    edge = _edge(system)
+    assert system.lumped is not None and _edge(system.lumped) == pytest.approx(edge, rel=1e-12)
+    for beta in (1.01 * edge, 2.0 * edge):
+        assert np.isinf(system.exp_moment(beta)).all()
+        with pytest.raises(SingularSystemError) as err:
+            system.solve(-beta, np.ones(9))
+        assert err.value.edge_gap == 0.0
+    q = np.zeros((6, 6))
+    q[0, 1] = q[1, 0] = q[1, 2] = q[2, 1] = 1.0
+    q[5, 4] = q[4, 5] = q[4, 3] = q[3, 4] = 1.0
+    np.fill_diagonal(q, -q.sum(axis=1))
+    closed = DomainSystem(make_chain(q, np.ones(6)), DomainMask.full(6))
+    assert closed.lumped is not None and np.isinf(closed.exp_moment(1e-3)).all()
 
 
 def test_a_single_state_block_is_not_lumped():
