@@ -351,14 +351,13 @@ def _cmd_validate(prep, cfg):
 def _cmd_exit(prep, cfg):
     system = prep.system
     labels = system.chain.state_labels()
-    lam0 = system.dirichlet.lambda0 if system.reversible else None
     blocks = {}
     csv_parts = []
     for beta in cfg.betas:
         fns = system.functionals(beta)
         blocks[repr(beta)] = fns.to_dict(labels=labels)
         csv_parts.append(f"# beta={beta!r}\n" + fns.to_csv(labels=labels))
-    return True, {"exit_functionals": blocks, "lambda0": lam0}, "".join(csv_parts)
+    return True, {"exit_functionals": blocks}, "".join(csv_parts)
 
 
 def _agree(a: float, b: float) -> bool:

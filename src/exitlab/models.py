@@ -157,13 +157,16 @@ def flow_from_cycles(cycles, measure: Measure, weights=None) -> FlowMatrix:
 
     Each cycle is a state sequence (v0, v1, ..., v_{m-1}) traversed
     v0 -> v1 -> ... -> v0; the increment along an edge is weight / mu at
-    the departing state, the reverse edge gets the negative. Square
-    plaquettes on a grid are 4-cycles of flat indices.
+    the departing state, the reverse edge gets the negative. ``weights``
+    holds one weight per cycle, 1 each by default. Square plaquettes on a
+    grid are 4-cycles of flat indices.
     """
     n = len(measure)
     mg = np.zeros((n, n))
     if weights is None:
         weights = [1.0] * len(cycles)
+    elif len(weights) != len(cycles):
+        raise ValueError(f"flow_from_cycles got {len(weights)} weights for {len(cycles)} cycles")
     for cyc, w in zip(cycles, weights):
         cyc = [int(v) for v in cyc]
         if len(cyc) < 3:

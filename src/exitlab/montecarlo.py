@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaults import STRUCTURAL_TOL
 from .forms import Chain, _freeze, _json_float
-from .poisson import DomainMask
+from .poisson import DomainMask, _check_mask
 
 __all__ = [
     "McConfig",
@@ -313,6 +313,7 @@ def simulate_exit_times(chain: Chain, mask: DomainMask, config: McConfig) -> Exi
     block. A start outside the domain yields zero samples and sets the flag
     instead of raising.
     """
+    _check_mask(mask, chain.n_states)
     weights = config.start_weights(chain.n_states)
     if np.ndim(config.start) == 0:
         start_state, start_cum = int(config.start), None

@@ -100,6 +100,12 @@ class DomainMask:
         return int(self.inside.sum())
 
 
+def _check_mask(mask: DomainMask, n_states: int) -> None:
+    """Raise ValueError unless the mask has one entry per state of the chain."""
+    if mask.inside.shape[0] != n_states:
+        raise ValueError(f"domain mask has length {mask.inside.shape[0]}, but the chain has {n_states} states")
+
+
 def embed(mask: DomainMask, values, fill: float = 0.0) -> np.ndarray:
     """Extend a vector on the domain to the full state space."""
     out = np.full(mask.inside.shape[0], fill, dtype=float)
@@ -173,6 +179,10 @@ class DomainSystem:
     chain: Chain | None
     mask: DomainMask
     _ones: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.chain is not None:
+            _check_mask(self.mask, self.chain.n_states)
 
     @classmethod
     def from_restricted(cls, mask: DomainMask, q_d: np.ndarray, mu_d: np.ndarray, reversible: bool) -> "DomainSystem":

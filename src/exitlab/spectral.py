@@ -21,7 +21,7 @@ import numpy as np
 
 from .defaults import COMPARISON_RTOL, STRUCTURAL_TOL, WEAK_IDENTITY_TOL
 from .forms import Chain, _as_vector, _edges, _eig_rounding, _json_float
-from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge
+from .poisson import DomainMask, DomainSystem, NonReversibleError, _below_edge, _check_mask
 
 __all__ = [
     "BoundEntry",
@@ -107,6 +107,7 @@ def lyapunov_delta(chain: Chain, mask: DomainMask, varphi) -> float:
     ``varphi`` must be strictly positive inside the domain and zero
     outside, to STRUCTURAL_TOL relative to max|varphi|.
     """
+    _check_mask(mask, chain.n_states)
     phi = _as_vector(varphi, chain.n_states, "varphi")
     inside = mask.inside
     if np.any(phi[inside] <= 0):

@@ -880,10 +880,40 @@ def test_a_weak_drift_on_a_weak_axis_is_not_reversible(tmp_path):
     report = json.loads((out / "run_report.json").read_text())
     assert report["skipped"] == dict.fromkeys(["expmoment", "bounds"], "needs a reversible chain")
     exit_doc = json.loads((out / "exit.json").read_text())
-    assert exit_doc["lambda0"] is None
+    assert "lambda0" not in exit_doc
     assert all(1.0 < m < 2.0 for block in exit_doc["exit_functionals"].values() for m in block["exp_moment"])
     variational = json.loads((out / "variational.json").read_text())
     assert all("symmetric_inf" not in block for block in variational["saddle"].values())
+
+
+@pytest.mark.parametrize(
+    "model, omega, betas",
+    [
+        # birth-death on 12 states, |D| = 10: the tridiagonal drivers; lambda0 = 0.081
+        ({"builder": "birth_death", "params": {"up": [1.0] * 11, "down": [1.0] * 11}}, list(range(1, 11)), [0.05, 0.5]),
+        # complete graph on 4 states, D = {0, 1}: the dense drivers; lambda0 = 2
+        ({"builder": "complete_graph", "params": {"n": 4, "rate": 1.0}}, [0, 1], [0.5, 3.0]),
+    ],
+    ids=["tridiagonal", "dense"],
+)
+def test_exit_alone_makes_no_eigensolve(tmp_path, monkeypatch, model, omega, betas):
+    # the factor at -beta certifies the moment's edge, so exit reads no
+    # Dirichlet eigensolve below lambda0 or past it, and reports no lambda0
+    import scipy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exit made an eigensolve")
+
+    for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    cfg = {"model": model, "omega": omega, "betas": betas, "commands": ["exit"],
+           "output": str(tmp_path / "out"), "formats": ["json"]}
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "exit.json").read_text())
+    assert "lambda0" not in doc
+    below, past = (doc["exit_functionals"][repr(beta)]["exp_moment"] for beta in betas)
+    assert all(1.0 < below[x] < float("inf") for x in omega)
+    assert all(past[x] == "inf" for x in omega)
 
 
 def test_a_reversible_grid_runs_expmoment_and_bounds(tmp_path):

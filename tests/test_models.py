@@ -334,6 +334,13 @@ def test_flow_from_cycles_structure(rng):
     assert flow.is_antisymmetric_for(chain.measure)
 
 
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0]])
+def test_flow_from_cycles_needs_one_weight_per_cycle(rng, weights):
+    chain = random_reversible_chain(rng, 6, normalized=False)
+    with pytest.raises(ValueError, match=f"{len(weights)} weights for 2 cycles"):
+        flow_from_cycles([[0, 1, 2], [1, 2, 3]], chain.measure, weights=weights)
+
+
 def test_plaquette_flow_on_2d_grid():
     # oriented square plaquettes of flat indices are 4-cycles; on the
     # uniform-cell grid they give admissible divergence-free perturbations

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from exitlab import (
     DomainMask,
     GridModelSpec,
+    McConfig,
     SingularSystemError,
     RecurrentRestrictionError,
     antisym_perturb,
     birth_death,
+    bounds_report,
     complete_graph,
     cycle_flow,
     dirichlet_pair,
@@ -24,9 +26,13 @@ from exitlab import (
     exit_functionals,
     exit_laplace,
     exit_mean,
+    exp_moment_inf,
     grid_points,
     lyapunov_delta,
+    saddle_value,
+    simulate_exit_times,
     solve_poisson,
+    symmetric_inf,
 )
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
 from exitlab.forms import _symmetrized
@@ -201,6 +207,32 @@ def test_domain_states_of_any_integer_kind():
         assert DomainMask.from_states(states, 4).indices.tolist() == [1, 3]
     with pytest.raises(ValueError, match="at least one state"):
         DomainMask.from_states([], 4)
+
+
+# every entry point that takes a chain and a mask, on complete_graph(4, 1.0)
+# with D = {0, 1}
+MASKED_CALLS = {
+    "solve_poisson": lambda chain, mask: solve_poisson(chain, mask, 0.5, [1.0, 1.0]),
+    "exit_laplace": lambda chain, mask: exit_laplace(chain, mask, 0.5),
+    "exit_mean": exit_mean,
+    "exit_exp_moment": lambda chain, mask: exit_exp_moment(chain, mask, 0.5),
+    "exit_functionals": lambda chain, mask: exit_functionals(chain, mask, 0.5),
+    "dirichlet_pair": dirichlet_pair,
+    "saddle_value": lambda chain, mask: saddle_value(chain, mask, 0.5, [1.0, 1.0]),
+    "symmetric_inf": lambda chain, mask: symmetric_inf(chain, mask, 0.5, [1.0, 1.0]),
+    "exp_moment_inf": lambda chain, mask: exp_moment_inf(chain, mask, 0.5),
+    "bounds_report": lambda chain, mask: bounds_report(chain, mask, [0.5]),
+    "lyapunov_delta": lambda chain, mask: lyapunov_delta(chain, mask, [1.0, 1.0, 0.0, 0.0]),
+    "simulate_exit_times": lambda chain, mask: simulate_exit_times(chain, mask, McConfig(n_paths=10, seed=1, start=0)),
+}
+
+
+@pytest.mark.parametrize("n_mask", [3, 6])
+@pytest.mark.parametrize("name", list(MASKED_CALLS))
+def test_a_mask_must_have_the_chains_length(name, n_mask):
+    chain, mask = complete_graph(4, 1.0), DomainMask.from_states([0, 1], n_mask)
+    with pytest.raises(ValueError, match=f"domain mask has length {n_mask}, but the chain has 4 states"):
+        MASKED_CALLS[name](chain, mask)
 
 
 def test_full_domain_on_conservative_chain_never_exits():
