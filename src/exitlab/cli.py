@@ -145,6 +145,8 @@ def _parse(doc) -> ExperimentConfig:
     if not isinstance(betas, list) or not betas or any(not _finite_number(b) or b <= 0 for b in betas):
         raise ConfigError("$.betas: must be a nonempty list of finite positive numbers")
     betas = tuple(float(b) for b in betas)
+    if repeated := sorted({b for b in betas if betas.count(b) > 1}):
+        raise ConfigError(f"$.betas: shift {repeated[0]!r} is listed more than once; each report keys its blocks by shift")
 
     commands = doc.get("commands", [])
     if not isinstance(commands, list) or not commands:

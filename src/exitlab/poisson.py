@@ -343,7 +343,9 @@ class DomainSystem:
     def exp_moment(self, beta: float) -> np.ndarray:
         """1 + beta*u_{-beta}; infinite when the factor at -beta has no
         certificate, or a weak one whose bound lambda0 <= beta + edge_gap puts
-        beta within SPECTRAL_EDGE_MARGIN of it. Other failures raise."""
+        beta within SPECTRAL_EDGE_MARGIN of it, and the mean is certified or
+        infinite (lambda0 = 0). Other failures raise, the mean's among them:
+        a block numerically singular at 0 puts no edge above beta."""
         if beta <= 0:
             raise ValueError("exit_exp_moment needs beta > 0")
         try:
@@ -351,6 +353,10 @@ class DomainSystem:
         except SingularSystemError as err:
             if _below_edge(beta, beta + err.edge_gap):
                 raise
+            try:
+                self.mean()
+            except RecurrentRestrictionError:
+                pass
             u = np.full(self.mask.size, np.inf)
         return embed(self.mask, 1.0 + beta * u, fill=1.0)
 
@@ -436,7 +442,10 @@ def exit_exp_moment(chain: Chain, mask: DomainMask, beta: float) -> np.ndarray:
     of -beta*I - L_D certifies a nonsingular M-matrix exactly below it, so
     the moment is finite, and at least 1, where that certificate holds. A
     weak one raises unless it puts beta at lambda0 (``DomainSystem.exp_moment``).
-    Outside the domain the exit time is 0 and the moment is 1.
+    A refused factor reads +inf only where the mean is certified, or
+    infinite because the domain never exits (lambda0 = 0); where the
+    restriction is numerically singular at 0, the moment raises as
+    ``exit_mean`` does. Outside the domain the exit time is 0 and the moment is 1.
     """
     return DomainSystem(chain, mask).exp_moment(beta)
 

@@ -1,7 +1,8 @@
 """Exact evaluation of the inf-sup identities for exit-time functionals.
 
-For a domain D, a source xi supported in D, and a shift beta above the
-lower-bound estimate,
+For a domain D, a source xi supported in D, and a shift beta >= 0 at
+which the symmetric part of the form on D is positive definite on the
+vectors f with <xi,f>_mu = 0,
 
     1 / <xi, u_beta>_mu
        = inf over {<xi,f>_mu = 1} sup over {<xi,g>_mu = 0} form(f+g, f-g),
@@ -111,15 +112,12 @@ def _nonvanishing(xi_d: np.ndarray) -> np.ndarray:
 
 
 def saddle_form(system: DomainSystem, beta: float, xi):
-    """Admissibility, then the data every route reads and none writes: the
-    form matrix on D at beta (read-only), the source on D and c = mu_D xi_D."""
-    chain = system.chain
-    if beta <= chain.beta0:
-        raise ValueError(
-            f"shift beta={beta:g} must exceed the lower-bound estimate "
-            f"{chain.beta0:g}; the inner quadratic is indefinite otherwise"
-        )
-    xi_d = _nonvanishing(_restrict_source(system.mask, xi, chain.n_states))
+    """The data every route reads and none writes: the form matrix on D at
+    beta >= 0 (read-only), the source on D and c = mu_D xi_D. Whether the
+    identity holds at beta is each route's own gate (``_subspace_factor``)."""
+    if not beta >= 0:
+        raise ValueError(f"shift beta={beta:g} must be nonnegative")
+    xi_d = _nonvanishing(_restrict_source(system.mask, xi, system.chain.n_states))
     a = form_matrix(system.q_d, system.mu_d, beta)
     a.setflags(write=False)
     return a, xi_d, system.mu_d * xi_d
@@ -179,9 +177,13 @@ def saddle_value(
     first coordinate. The inner supremum over {<xi,g>_mu = 0} is then a
     Cholesky solve with the symmetric part on the constraint subspace, and
     the outer infimum over {<xi,f>_mu = 1} a Cholesky solve of the reduced
-    quadratic. The two routes agree to solver accuracy whenever beta
-    exceeds the lower-bound estimate (which makes the symmetric part
-    positive definite).
+    quadratic.
+
+    Both routes admit beta >= 0 exactly where the symmetric part of the
+    form on D is positive definite on {<xi,g>_mu = 0}, the identity's
+    range, each by a factor of its own copy of that block (the closed form
+    on a non-reversible chain only), and agree to solver accuracy there;
+    elsewhere they raise SingularSystemError.
     """
     if mode == "iterative":
         # the nested route reads only the form: the system and its Q_D end with saddle_form
@@ -195,6 +197,8 @@ def saddle_value(
 
 def closed_form_route(system: DomainSystem, beta: float, a, xi_d, c) -> SaddleSolution:
     """The closed form of ``saddle_value`` from ``saddle_form(system, beta, xi)``."""
+    if not system.reversible and c.shape[0] > 1:
+        _subspace_factor(_reflected_form(a, c)[1], "saddle certificate")
     u_d, ut_d = system.solve(beta, xi_d, ("primal", "dual"))
     f_d, g_d = _optimizers(u_d, ut_d, xi_d, system.mu_d)
     value = 1.0 / float(c @ u_d)
@@ -244,9 +248,38 @@ def _reflect_both_sides(v: np.ndarray, tau: float, a: np.ndarray) -> np.ndarray:
     return at.T
 
 
+def _reflected_form(a: np.ndarray, c: np.ndarray):
+    """A^ = P A' P and its symmetric part S^, for A' = D A D and c' = D c
+    (``_equilibrate``, of a copy of a) and P c' = sigma e_1 (``_reflector``).
+
+    Returns (A^, S^, d, (v, tau, sigma), whether A' is symmetric within
+    STRUCTURAL_TOL by ``_is_symmetric``). S^_22, the block after the first
+    coordinate, is the symmetric part of A' on {c'}-orthogonal vectors.
+    """
+    ah = a.copy()
+    d = _equilibrate(ah)
+    symmetric = _is_symmetric(ah)
+    v, tau, sigma = _reflector(d * c)
+    ah = _reflect_both_sides(v, tau, ah)
+    sh = ah + ah.T
+    sh *= 0.5
+    return ah, sh, d, (v, tau, sigma), symmetric
+
+
+def _subspace_factor(sh: np.ndarray, context: str):
+    """The saddle's gate: the smallest eigenvalue of S^_22 = sh[1:, 1:] and
+    its RefinedSPD factor, which raises SingularSystemError unless S^_22 is
+    numerically positive definite. Returns (that eigenvalue, the factor)."""
+    try:
+        lam = float(scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0])
+    except np.linalg.LinAlgError:  # a block that is not finite, which the gate refuses
+        lam = np.nan
+    return lam, RefinedSPD(sh[1:, 1:], lam, context)
+
+
 def _nested_saddle(a: np.ndarray, c: np.ndarray):
     """The inf-sup on one reflector, for a domain of two or more states, on
-    A' = D A D and c' = D c (``_equilibrate``, of a copy of A), f = D f'.
+    A' = D A D and c' = D c (``_reflected_form``), f = D f'.
 
     With P c' = sigma e_1 and A^ = P A' P, both constraints fix the first
     coordinate: f^_1 = 1/sigma and g^_1 = 0. Index 2 marks the coordinates
@@ -261,18 +294,8 @@ def _nested_saddle(a: np.ndarray, c: np.ndarray):
     The smallest eigenvalue of S^_22, taken first, gates both factors, as
     H^_22 = S^_22 + W^T W >= S^_22. Returns (f, g, value, that eigenvalue).
     """
-    ah = a.copy()
-    d = _equilibrate(ah)
-    symmetric = _is_symmetric(ah)
-    v, tau, sigma = _reflector(d * c)
-    ah = _reflect_both_sides(v, tau, ah)
-    sh = ah + ah.T
-    sh *= 0.5
-    try:
-        lam = float(scipy.linalg.eigh(sh[1:, 1:], eigvals_only=True, subset_by_index=[0, 0], check_finite=False)[0])
-    except np.linalg.LinAlgError:  # a block that is not finite, which the gate refuses
-        lam = np.nan
-    inner = RefinedSPD(sh[1:, 1:], lam, "inner saddle")
+    ah, sh, d, (v, tau, sigma), symmetric = _reflected_form(a, c)
+    lam, inner = _subspace_factor(sh, "inner saddle")
     if symmetric:
         del ah
         hh, outer = sh, inner

@@ -231,6 +231,29 @@ def test_mc_command(tmp_path):
     assert (tmp_path / "out" / "mc.csv").exists()
 
 
+def test_mc_start_pi_runs_as_the_explicit_stationary_start(tmp_path):
+    from exitlab import birth_death
+
+    params = {"up": [1.0, 2.0, 0.5, 1.0], "down": [0.5, 1.0, 2.0, 1.0]}
+    docs = {}
+    for name, start in (("pi", "pi"), ("list", birth_death(**params).pi.tolist())):
+        cfg = {
+            "model": {"builder": "birth_death", "params": params},
+            "omega": [1, 2, 3],
+            "betas": [0.5],
+            "commands": ["mc"],
+            "mc": {"n_paths": 500, "seed": 7, "start": start},
+            "output": str(tmp_path / name),
+            "formats": ["json", "csv"],
+        }
+        assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        doc = json.loads((tmp_path / name / "mc.json").read_text())
+        assert doc["passed"] is True
+        docs[name] = ({k: v for k, v in doc.items() if k not in ("timestamp", "config_sha256")},
+                      (tmp_path / name / "mc.csv").read_text())
+    assert docs["pi"] == docs["list"]
+
+
 def test_mc_check_has_no_absolute_floor():
     from exitlab.cli import _within_3_se
 
@@ -360,6 +383,7 @@ def test_bad_betas_rejected(tmp_path, capsys):
         ("betas", [float("nan")]),
         ("betas", [0.5, float("inf")]),
         ("betas", [True]),
+        ("betas", [0.5, 2.0, 0.5]),
         ("xi", ["a", 1]),
         ("xi", [float("nan"), 1.0, 1.0]),
         ("xi", [1.0, float("-inf"), 1.0]),
@@ -777,6 +801,29 @@ def test_full_mask_sweep_exits_through_a_weighted_killed_part(tmp_path, monkeypa
     # with the killed part at weight 0, only the conservative part is left
     cfg = scale_sweep_config(tmp_path, "all", [1.0], [0.0, 1.0])
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 3
+
+
+def non_excessive_config(tmp_path, **changes):
+    """A birth-death chain on 6 states with unit rates and the measure
+    (1, 4, 1, 4, 1, 4), which is not excessive: its beta0 is 0.4254."""
+    params = {"up": [1.0] * 5, "down": [1.0] * 5, "measure": [1, 4, 1, 4, 1, 4]}
+    fields = {"model": {"builder": "birth_death", "params": params}, "omega": [1, 2, 3, 4],
+              "betas": [0.05, 0.2, 2.0], "commands": ["exit", "variational"]}
+    return small_config(tmp_path, **{**fields, **changes})
+
+
+def test_variational_runs_below_beta0_and_ends_where_the_identity_does_not_hold(tmp_path, capsys):
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", non_excessive_config(tmp_path))]) == 0
+    doc = json.loads((tmp_path / "out" / "variational.json").read_text())
+    values = {beta: entry["closed_form"]["value"] for beta, entry in doc["saddle"].items()}
+    assert doc["passed"] is True and all(entry["modes_agree"] for entry in doc["saddle"].values())
+    assert values == pytest.approx({"0.05": 0.0451961, "0.2": 0.0607407, "2.0": 0.244444}, rel=1e-5)
+    # with this signed source the form's symmetric part is indefinite on
+    # {c}-orthogonal vectors at beta = 0.01: the closed form's certificate
+    # refuses the shift, and the run ends as for any refused factor
+    cfg = non_excessive_config(tmp_path, xi=[1, 1, -1, -1], betas=[0.01], commands=["variational"], output=str(tmp_path / "bad"))
+    assert main(["run", "--config", write_config(tmp_path / "bad.json", cfg)]) == 3
+    assert "saddle certificate: matrix of size 3 is not numerically positive definite" in capsys.readouterr().err
 
 
 def ledger_config(tmp_path, seed=1):

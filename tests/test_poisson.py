@@ -487,6 +487,44 @@ def test_a_weak_certificate_below_the_edge_is_raised_not_read_as_infinite():
     assert err.value.edge_gap > 1e-3 * lam0
 
 
+@pytest.mark.parametrize("n, s, seed", [(60, 10, 1), (60, 10, 2), (40, 6, 1), (40, 6, 2), (40, 6, 3), (40, 8, 1)])
+def test_a_refused_factor_reads_infinite_only_where_the_mean_is_certified(n, s, seed):
+    # lambda0 is 1.6e-17 and 8.9e-19 on the 60-state chains: the block is
+    # numerically singular at 0, so exit_mean raises, and so does the moment
+    # at every shift, rather than read inf below the edge. On the 40-state
+    # chains the mean is certified, and the moment is finite below lambda0,
+    # but at 0.9 lambda0 on (40, 8, 1), where the certificate is weak, and
+    # inf past it
+    chain, mask = chain_of(n, s, seed), DomainMask.from_states(range(1, n - 1), n)
+    lam0 = dirichlet_pair(chain, mask)[0]
+    fractions = (0.1, 0.5, 0.9, 1.5, 10.0, 1e6)
+    if n == 60:
+        with pytest.raises(SingularSystemError) as err:
+            exit_mean(chain, mask)
+        assert not isinstance(err.value, RecurrentRestrictionError)
+        for fraction in fractions:
+            with pytest.raises(SingularSystemError):
+                exit_exp_moment(chain, mask, fraction * lam0)
+        return
+    for fraction in fractions:
+        if (n, s, fraction) == (40, 8, 0.9):
+            with pytest.raises(SingularSystemError):
+                exit_exp_moment(chain, mask, fraction * lam0)
+            continue
+        moment = exit_exp_moment(chain, mask, fraction * lam0)[mask.indices]
+        assert (np.isfinite(moment) & (moment >= 1.0)).all() if fraction < 1.0 else np.isinf(moment).all()
+
+
+def test_a_domain_that_never_exits_has_every_moment_infinite():
+    # two conservative components; the domain covers one, so lambda0 = 0
+    q = np.zeros((4, 4))
+    q[0, 1] = q[1, 0] = 1.0
+    q[2, 3] = q[3, 2] = 1.0
+    np.fill_diagonal(q, -q.sum(axis=1))
+    moment = exit_exp_moment(make_chain(q, np.ones(4)), DomainMask.from_states([0, 1], 4), 0.5)
+    assert moment.tolist() == [np.inf, np.inf, 1.0, 1.0]
+
+
 def _restricted_cholesky_inputs(n=600, m=400):
     rng = np.random.default_rng(12)
     chain = random_reversible_chain(rng, n, killing=True)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exitlab import (
@@ -147,10 +147,91 @@ def test_saddle_inequalities_under_perturbation(rng):
         assert val_f >= sol.value - 1e-8
 
 
-def test_saddle_rejects_shift_below_lower_bound():
-    chain = complete_graph(3, 1.0)
-    with pytest.raises(ValueError):
-        saddle_value(chain, DomainMask.from_states([0, 1], 3), 0.0, np.ones(2))
+def test_saddle_at_zero_shift_is_the_reciprocal_mean_exit_time():
+    # beta = 0 is in the identity's range on a transient domain: the value is
+    # 1 / <mu, E tau>, with mu = 1/3 per state and E tau = 1 from either state
+    chain, mask = complete_graph(3, 1.0), DomainMask.from_states([0, 1], 3)
+    for mode in ("closed_form", "iterative"):
+        assert saddle_value(chain, mask, 0.0, np.ones(2), mode=mode).value == pytest.approx(1.5, rel=1e-14)
+        with pytest.raises(ValueError, match="nonnegative"):
+            saddle_value(chain, mask, -0.1, np.ones(2), mode=mode)
+
+
+# mu = (1, 2, 1) is not excessive for this chain: its beta0 is 1.266. On
+# D = {0, 1} with the signed source (1, -1), S^_22, the unit-diagonal
+# symmetric part of the form on {c}-orthogonal vectors (c = mu_D xi), is
+# (6 beta - 5) / (6 beta + 11): -1/7 at beta = 0.5 and 1/41 at 0.9. The
+# symmetric part on all of D, [[beta + 1/2, -4], [-4, 2 beta + 9]], is
+# indefinite up to beta = 0.964
+INDEFINITE = make_chain([[-0.5, 0.0, 0.5], [4.0, -4.5, 0.5], [1.0, 1.0, -2.0]], [1.0, 2.0, 1.0])
+INDEFINITE_D, INDEFINITE_XI = DomainMask.from_states([0, 1], 3), np.array([1.0, -1.0])
+
+
+def test_both_routes_refuse_a_shift_where_the_subspace_block_is_indefinite():
+    for mode in ("closed_form", "iterative"):
+        with pytest.raises(SingularSystemError, match="not numerically positive definite"):
+            saddle_value(INDEFINITE, INDEFINITE_D, 0.5, INDEFINITE_XI, mode=mode)
+
+
+def test_both_routes_admit_a_shift_below_beta0_where_only_the_subspace_block_is_definite():
+    beta = 0.9
+    idx = INDEFINITE_D.indices
+    a = form_matrix(INDEFINITE.q[np.ix_(idx, idx)], INDEFINITE.mu[idx], beta)
+    assert beta < INDEFINITE.beta0 and np.linalg.eigvalsh((a + a.T) / 2.0)[0] < -0.07
+    closed = saddle_value(INDEFINITE, INDEFINITE_D, beta, INDEFINITE_XI)
+    iterative = saddle_value(INDEFINITE, INDEFINITE_D, beta, INDEFINITE_XI, mode="iterative")
+    assert iterative.residuals["subspace_min_eig"] > 0.0
+    # u = (5/7, 13/37.8) solves (0.9 I - Q_D) u = xi, and 1 / <xi, u>_mu = 37.8
+    assert closed.value == pytest.approx(37.8, rel=1e-13)
+    assert iterative.value == pytest.approx(closed.value, rel=1e-12)
+
+
+def _non_excessive_chain(rng, n):
+    """Random rates, a third of them zero, killing at every state, so that
+    every domain exits, and a measure drawn apart from the rates, so that
+    mu Q <= 0 fails and beta0 > 0 on most draws."""
+    q = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 2.0 / 3.0)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1) - rng.uniform(0.05, 0.2, n))
+    return make_chain(q, rng.uniform(0.2, 2.0, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.0, 1.0, exclude_min=True))
+def test_routes_answer_alike_below_beta0(n, seed, fraction):
+    # the saddle's range is S^_22 > 0 alone, which both routes certify by a
+    # factor of their own; beta0 of the whole chain plays no part
+    rng = np.random.default_rng(seed)
+    chain = _non_excessive_chain(rng, n)
+    assume(not chain.reversible and chain.beta0 > 0.0)
+    mask = DomainMask.from_states(rng.permutation(n)[: int(rng.integers(2, n))], n)
+    xi = rng.uniform(0.2, 1.0, mask.size)
+    beta = fraction * chain.beta0
+    values = []
+    for mode in ("closed_form", "iterative"):
+        try:
+            values.append(saddle_value(chain, mask, beta, xi, mode=mode).value)
+        except SingularSystemError:
+            values.append(None)
+    if values[1] is None:
+        assert values[0] is None
+    else:
+        assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0.0)
+
+
+def test_saddle_value_reads_no_spectrum_of_the_chain(monkeypatch):
+    from exitlab.forms import Chain
+
+    def refuse(self):
+        raise AssertionError("a saddle route read the chain's form spectrum")
+
+    monkeypatch.setattr(Chain, "form_spectrum", property(refuse))
+    chain = random_nonsymmetric_chain(np.random.default_rng(17), 9)
+    mask = random_proper_mask(np.random.default_rng(18), 9)
+    for mode in ("closed_form", "iterative"):
+        assert saddle_value(chain, mask, 0.7, np.ones(mask.size), mode=mode).value > 0.0
+    for mode in ("closed_form", "iterative"):
+        saddle_value(INDEFINITE, INDEFINITE_D, 0.9, INDEFINITE_XI, mode=mode)
 
 
 def test_saddle_rejects_zero_source():
