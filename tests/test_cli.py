@@ -383,11 +383,11 @@ def test_bad_betas_rejected(tmp_path, capsys):
         ("betas", [float("nan")]),
         ("betas", [0.5, float("inf")]),
         ("betas", [True]),
-        ("betas", [0.5, 2.0, 0.5]),
         ("xi", ["a", 1]),
         ("xi", [float("nan"), 1.0, 1.0]),
         ("xi", [1.0, float("-inf"), 1.0]),
         ("xi", [True, 1.0, 1.0]),
+        ("betas", [0.5, 2.0, 0.5]),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
