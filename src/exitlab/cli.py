@@ -43,7 +43,7 @@ from .models import (
     grid_points,
 )
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
-from .poisson import DomainMask, DomainSystem, _restrict_source
+from .poisson import DomainMask, DomainSystem, _restrict_source, embed, mirror_fold
 from .spectral import bounds_ledger
 from .variational import _nonvanishing, closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
 
@@ -169,7 +169,10 @@ def _parse(doc) -> ExperimentConfig:
             values = raw.get(key)
             if not (isinstance(values, list) and values and all(_finite_number(v) for v in values)):
                 raise ConfigError(f"$.sweep.{key}: must be a nonempty list of finite numbers")
-            return tuple(float(v) for v in values)
+            values = tuple(float(v) for v in values)
+            if repeated := sorted({v for v in values if values.count(v) > 1}):
+                raise ConfigError(f"$.sweep.{key}: value {repeated[0]!r} is listed more than once; each point is solved and written once")
+            return values
 
         if raw["kind"] == "flow":
             cycle = raw.get("cycle")
@@ -230,7 +233,10 @@ class Prepared:
     system: DomainSystem | None  # None when a scale sweep is the only command
     mask: DomainMask
     xi: np.ndarray  # the variational source on the domain
-    family: tuple | None  # a sweep's (mu, mu_D, first, second): each point is c0*first + c1*second on D
+    # a sweep's (mu, mask, weights, first, second, unfold): each point is the
+    # system c0*first + c1*second on ``mask`` with ``weights``, and ``unfold``
+    # indexes its vectors on that mask by D's states; see ``prepare``
+    family: tuple | None
     mc: McConfig | None
     mc_weights: np.ndarray | None  # the start distribution of mc
 
@@ -242,12 +248,16 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
     A scale sweep's family is its two parts at unit scale, each assembled
     on the domain alone (``models._grid_part``) and checked as its whole
     chain would be, with no n x n array. When the sweep is the only command
-    no chain is built at all: the domain needs only the grid points, and
-    the family holds the two D x D blocks and the measure. A flow sweep's
-    family is the run system's Q_D and the flow restricted to the domain;
-    the chain perturbed once at the largest strength judges every strength,
-    and is dropped. A TypeError or ValueError raised while a config part
-    becomes its object is a ConfigError anchored at that part.
+    no chain is built at all: the domain needs only the grid points. When
+    mu_D and both parts are exactly invariant under the mirror of D's order
+    (``mirror_fold``), each part is folded once onto the ceil(|D|/2) orbits
+    and the family holds the two folds, their weights and the unfold
+    u = [x; Jx]; the D x D parts are dropped. Otherwise it holds the two
+    parts on D, mu_D and the identity. A flow sweep's family is the run
+    system's Q_D and the flow restricted to the domain, with mu_D and the
+    identity; the chain perturbed once at the largest strength judges every
+    strength, and is dropped. A TypeError or ValueError raised while a
+    config part becomes its object is a ConfigError anchored at that part.
     """
     scale_only = set(cfg.commands) == {"sweep"} and cfg.sweep.kind == "scale"
     chain = pts = None
@@ -280,7 +290,8 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         # reversible base only a strength can fail
         with _at("$.sweep.values" if chain.reversible else "$.sweep"):
             antisym_perturb(chain, flow, max(abs(k) for k in cfg.sweep.values))
-        family = (chain.mu, system.mu_d, system.q_d, flow.gamma[np.ix_(mask.indices, mask.indices)])
+        gamma_d = flow.gamma[np.ix_(mask.indices, mask.indices)]
+        family = (chain.mu, mask, system.mu_d, system.q_d, gamma_d, mask.indices)
     elif cfg.sweep is not None:
         # each part is assembled on D alone and checked as its whole chain
         # would be: no n x n array and no chain is made
@@ -294,7 +305,11 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         (mu, diff_d), (jump_mu, jump_d) = parts
         with _at("$.sweep"):
             _check_shared_measure(mu, jump_mu)
-        family = (mu, mu[mask.indices], diff_d, jump_d)
+        mu_d = mu[mask.indices]
+        family = (mu, mask, mu_d, diff_d, jump_d, mask.indices)
+        if (folded := mirror_fold(mu_d, diff_d, jump_d)) is not None:
+            orbit_mu, (diff_f, jump_f), unfold = folded
+            family = (mu, DomainMask.full(orbit_mu.shape[0]), orbit_mu, diff_f, jump_f, unfold)
     if cfg.mc is not None:
         mc = replace(cfg.mc, start=chain.pi.tolist()) if cfg.mc_start_pi else cfg.mc
         with _at("$.mc.start"):
@@ -433,16 +448,21 @@ def _sweep_csv(keys, rows, betas) -> str:
 
 def _cmd_sweep(prep, cfg):
     sweep = cfg.sweep
-    mu, mu_d, first, second = prep.family
+    mu, mask, weights, first, second, unfold = prep.family
 
     def aggregates(c0, c1, reversible):
         """<laplace, 1>_mu per beta and <mean, 1>_mu at the point
-        c0*first + c1*second, whose system is freed before the next point."""
-        q_d = np.multiply(first, c0)
-        q_d += np.multiply(second, c1)  # c0*first + c1*second, with one temporary
-        system = DomainSystem.from_restricted(prep.mask, q_d, mu_d, reversible)
-        lap = {beta: float(np.sum(mu * system.laplace(beta))) for beta in cfg.betas}
-        return lap, float(np.sum(mu * system.mean()))
+        c0*first + c1*second, whose system is freed before the next point;
+        its vectors are unfolded onto D and summed over every state."""
+        q = np.multiply(first, c0)
+        q += np.multiply(second, c1)  # c0*first + c1*second, with one temporary
+        system = DomainSystem.from_restricted(mask, q, weights, reversible)
+
+        def total(v, fill):
+            return float(np.sum(mu * embed(prep.mask, v[unfold], fill)))
+
+        lap = {beta: total(system.laplace(beta), 1.0) for beta in cfg.betas}
+        return lap, total(system.mean(), 0.0)
 
     rows = []
     ok = True

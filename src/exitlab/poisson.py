@@ -148,6 +148,41 @@ class Dirichlet(NamedTuple):
     multiplicity: int
 
 
+def mirror_fold(mu_d: np.ndarray, *blocks: np.ndarray) -> tuple | None:
+    """Lump generator blocks on D onto the orbits of the mirror J, the map
+    from state i to m-1-i in D's order: (weights, folds, unfold), or None unless
+    mu_D and every block are exactly invariant under J (J Q J = Q bit for
+    bit), as on a box domain of a constant-coefficient grid, and m >= 2.
+
+    The O(m) test of mu_D and the diagonals comes first, so a chain of
+    unequal rates pays for no O(m^2) scan. Each fold is F = Q_11 + Q_12 J on
+    the k = ceil(m/2) orbit representatives, the centre state of odd m kept
+    alone, with weights 2*mu per pair and mu for the centre: again a
+    generator block with the same exit rates, reversible when Q is. Its
+    solution x of (s*I - F) x = 1 unfolds to that of (s*I - Q) u = 1 as
+    u = [x; Jx] = x[unfold], and its blocks are singular exactly when Q's
+    are, for an invariant M-matrix block has an even Perron vector. The
+    fold is linear in Q, so the folds of a family's parts fold each of its
+    points.
+    """
+    m = mu_d.shape[0]
+    if m < 2 or not np.array_equal(mu_d, mu_d[::-1]):
+        return None
+    if not all(np.array_equal(np.diagonal(q), np.diagonal(q)[::-1]) for q in blocks):
+        return None
+    k, pairs = (m + 1) // 2, m // 2
+    if not all(np.array_equal(q[:k], q[::-1, ::-1][:k]) for q in blocks):
+        return None
+    folds = []
+    for q in blocks:
+        fold = q[:k, :k].copy()
+        fold[:, :pairs] += q[:k, ::-1][:, :pairs]
+        folds.append(fold)
+    weights = mu_d[:k].copy()
+    weights[:pairs] *= 2.0
+    return weights, folds, np.concatenate((np.arange(k), np.arange(pairs)[::-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class DomainSystem:
     """The restricted system (s*I - Q_D) u = xi of one chain and domain.
@@ -253,36 +288,20 @@ class DomainSystem:
             for side in sides
         )
 
-    @cached_property
+    @property
     def lumped(self) -> "DomainSystem | None":
         """This system lumped onto the orbits of the mirror J, the map from
-        state i to m-1-i in D's order, when mu_D and Q_D are exactly invariant
-        under it (J Q_D J = Q_D bit for bit), as on a box domain of a
-        constant-coefficient grid; None otherwise, and for a single state.
-
-        The O(m) test of mu_D and the diagonal comes first, so a chain of
-        unequal rates pays for no O(m^2) scan. The lumped block is the fold
-        F = Q_11 + Q_12 J on the k = ceil(m/2) orbit representatives, the
-        centre state of odd m kept alone, with weights 2*mu per pair and mu
-        for the centre: again a generator block with the same exit rates,
-        reversible when Q_D is. Its solution x of (s*I - F) x = 1 unfolds to
-        that of (s*I - Q_D) u = 1 as u = [x; Jx], and its blocks are singular
-        exactly when Q_D's are, for an invariant M-matrix block has an even
-        Perron vector. It is a system of its own, so it lumps again when F
-        is invariant in turn.
+        state i to m-1-i in D's order, by ``mirror_fold``; None when mu_D or
+        Q_D is not exactly invariant under it. A fresh system on each read,
+        not cached: ``resolvent_one`` keeps each unfolded solution, so the
+        fold and its factor are freed once it has solved. It is a system of
+        its own, so it lumps again when F is invariant in turn.
         """
-        q, mu = self.q_d, self.mu_d
-        m = mu.shape[0]
-        if m < 2 or not (np.array_equal(mu, mu[::-1]) and np.array_equal(np.diagonal(q), np.diagonal(q)[::-1])):
+        folded = mirror_fold(self.mu_d, self.q_d)
+        if folded is None:
             return None
-        k, pairs = (m + 1) // 2, m // 2
-        if not np.array_equal(q[:k], q[::-1, ::-1][:k]):
-            return None
-        fold = q[:k, :k].copy()
-        fold[:, :pairs] += q[:k, ::-1][:, :pairs]
-        weights = mu[:k].copy()
-        weights[:pairs] *= 2.0
-        return DomainSystem.from_restricted(DomainMask.full(k), fold, weights, self.reversible)
+        weights, (fold,), _ = folded
+        return DomainSystem.from_restricted(DomainMask.full(weights.shape[0]), fold, weights, self.reversible)
 
     def resolvent_one(self, shift: float) -> np.ndarray:
         """Cached solution of (shift*I - Q_D) u = 1 on the inside states, the

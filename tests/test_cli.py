@@ -181,14 +181,15 @@ def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
     status, peak = traced_peak(lambda: main(["run", "--config", path]))
     assert status == 0
     n = 39 * 39
-    # the two parts on D (|D| = 841), and per point its Q_D and one temporary
-    # while Q_D is built: 4.01 |D|^2 = 1.226 n^2. Its solves then hold the
-    # lumped half of Q_D, that half symmetrized (|D| is odd) and a factor of
-    # it, |D|^2 / 4 each. Solving at full size read 1.231 n^2; assembling
-    # each part as a whole chain and restricting it 1.63 n^2; both whole
-    # parts alive through every point, with their detailed-balance
-    # temporaries, 4.0 n^2
-    assert peak <= 1.23 * n * n * 8
+    # the two parts on D (|D| = 841), 0.611 n^2, while each is folded onto
+    # the 421 orbits of the mirror, |D|^2 / 4 = 0.077 n^2 a fold: 0.786 n^2
+    # in all. The parts are then dropped, and a point holds the two folds, its
+    # block and the temporary that builds it, that block symmetrized (|D| is
+    # odd) and a factor of it, |D|^2 / 4 each. Building a whole D x D block
+    # per point and lumping it in its solves read 1.226 n^2; solving at full
+    # size 1.231 n^2; assembling each part as a whole chain and restricting
+    # it 1.63 n^2
+    assert peak <= 0.82 * n * n * 8
 
 
 @pytest.mark.parametrize("omega, bound", [("even", 5.5), ("all-but-0", 6.5)])
@@ -659,7 +660,7 @@ def scale_sweep_config(tmp_path, omega, kappa, epsilon):
 def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, monkeypatch):
     import exitlab.cli
     import exitlab.models
-    from exitlab.models import GridModelSpec, discretize_jump_diffusion, scaled_family
+    from exitlab.models import GridModelSpec, discretize_jump_diffusion, grid_points, scaled_family
     from exitlab.poisson import DomainSystem
 
     families, blocks = [], []
@@ -679,22 +680,112 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
 
     monkeypatch.setattr(DomainSystem, "from_restricted", classmethod(capturing))
     kappas, epsilons = [0.5, 1.0, 2.0], [0.0, 0.5, 1.0]
-    cfg = scale_sweep_config(tmp_path, {"box": [[0.1, 0.9], [0.3, 0.9]]}, kappas, epsilons)
-    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
-    assert families == []
     spec = dict(dimension=2, domain_box=((0.0, 1.0), (0.0, 1.0)), mesh_h=0.125)
     diff = discretize_jump_diffusion(GridModelSpec(**spec, kappa=1.0, epsilon=0.0))
     jump = discretize_jump_diffusion(GridModelSpec(**spec, kappa=0.0, epsilon=1.0))
     points = [(kap, eps) for kap in kappas for eps in epsilons]
-    # a point's system has a mask over the grid; the lumped systems that its
-    # solves fold to (``DomainSystem.lumped``) have masks of their own size
-    blocks = [(mask.indices, q_d, mu_d) for mask, q_d, mu_d in blocks if mask.inside.size == diff.n_states]
-    assert len(blocks) == len(points)
-    for (kap, eps), (idx, q_d, mu_d) in zip(points, blocks):
-        assert 0 < idx.size < diff.n_states
-        chain = scaled_family(diff, jump, kap, eps)
-        assert np.array_equal(q_d, chain.q[np.ix_(idx, idx)])
-        assert np.array_equal(mu_d, chain.mu[idx])
+    pts = grid_points(GridModelSpec(**spec))
+    box = np.flatnonzero((pts[:, 0] > 0.1) & (pts[:, 0] < 0.9) & (pts[:, 1] > 0.3) & (pts[:, 1] < 0.9))
+    # the 7 x 5 box is mirror-symmetric in D's order, so every point solves
+    # on the fold of its block; without its last state it is not, and every
+    # point solves on its block over the grid
+    for omega, idx, folded in (({"box": [[0.1, 0.9], [0.3, 0.9]]}, box, True), (box[:-1].tolist(), box[:-1], False)):
+        blocks.clear()
+        cfg = scale_sweep_config(tmp_path, omega, kappas, epsilons)
+        assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+        assert families == []
+        assert len(blocks) == len(points)
+        m, k = idx.size, (idx.size + 1) // 2
+        # the orbits of the mirror i -> m-1-i: Q S = S F lumps Q to F = (Q S)[:k]
+        orbits = np.zeros((m, k))
+        orbits[np.arange(m), np.minimum(np.arange(m), np.arange(m)[::-1])] = 1.0
+        for (kap, eps), (mask, q_d, mu_d) in zip(points, blocks):
+            chain = scaled_family(diff, jump, kap, eps)
+            ref, mu = chain.q[np.ix_(idx, idx)], chain.mu[idx]
+            if folded:
+                assert mask.inside.size == mask.size == k
+                np.testing.assert_array_equal(mu_d, orbits.T @ mu)
+                # each part folded once, then scaled: a few roundings off folding the point
+                assert np.abs(q_d - (ref @ orbits)[:k]).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+            else:
+                assert mask.inside.size == diff.n_states and np.array_equal(mask.indices, idx)
+                assert np.array_equal(q_d, ref)
+                assert np.array_equal(mu_d, mu)
+
+
+def grid_sweep_config(tmp_path, case):
+    """A scale sweep on a mirror-symmetric box: of 19 and of 16 states on a
+    1D grid at h = 1/32, and of 7 x 5 on a 2D grid at h = 1/8."""
+    if case == "2d":
+        return scale_sweep_config(tmp_path, {"box": [[0.1, 0.9], [0.3, 0.9]]}, [0.5, 2.0], [0.25, 1.0])
+    cfg = scale_sweep_config(tmp_path, {"box": [[0.2, 0.8]] if case == "1d-odd" else [[0.1, 0.6]]}, [0.5, 2.0], [0.25, 1.0])
+    cfg["model"]["params"] = {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 1 / 32}
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["1d-odd", "1d-even", "2d"])
+def test_folded_scale_sweep_matches_full_size_solves(tmp_path, case):
+    from exitlab.cli import load_config, prepare
+    from exitlab.models import GridModelSpec, discretize_jump_diffusion, scaled_family
+    from exitlab.poisson import DomainSystem, embed
+
+    path = write_config(tmp_path / "exp.json", grid_sweep_config(tmp_path, case))
+    assert main(["run", "--config", path]) == 0
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+    cfg, _ = load_config(path)
+    mask = prepare(cfg).mask
+    assert mask.size == {"1d-odd": 19, "1d-even": 16, "2d": 35}[case]
+    diff, jump = (discretize_jump_diffusion(GridModelSpec(**cfg.model["params"], kappa=a, epsilon=b)) for a, b in ((1.0, 0.0), (0.0, 1.0)))
+    ones = np.ones(mask.size)
+    for row in rows:
+        # the whole point's chain, solved full-size on D
+        chain = scaled_family(diff, jump, row["kappa"], row["epsilon"])
+        system = DomainSystem(chain, mask)
+        for beta in cfg.betas:
+            (u,) = system.solve(beta, ones)
+            ref = float(np.sum(chain.mu * embed(mask, 1.0 - beta * u, 1.0)))
+            assert row["laplace"][repr(beta)] == pytest.approx(ref, rel=1e-12)
+        (u,) = system.solve(0.0, ones)
+        assert row["mean"] == pytest.approx(float(np.sum(chain.mu[mask.indices] * u)), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["box", "corner", "jump part one ulp off"])
+def test_scale_sweep_factors_half_of_a_mirror_box(tmp_path, monkeypatch, case):
+    import exitlab.cli
+    import exitlab.poisson
+    from exitlab.forms import Generator
+    from exitlab.models import GridModelSpec, grid_points
+
+    sizes = []
+
+    class CountingCholesky(exitlab.poisson.RefinedCholesky):
+        def __init__(self, sym, shift, *args):
+            sizes.append((sym if sym is not None else args[1]).shape[0])  # q = args[1] when sym is None
+            super().__init__(sym, shift, *args)
+
+    monkeypatch.setattr(exitlab.poisson, "RefinedCholesky", CountingCholesky)
+    original = exitlab.cli._grid_part
+
+    def broken(spec, states):
+        grid, generator, measure = original(spec, states)
+        if not spec.epsilon:
+            return grid, generator, measure
+        q = generator.matrix.copy()  # a far pair, which the diffusion part does not join
+        q[0, -1] = np.nextafter(q[0, -1], 0.0)
+        return grid, Generator(q), measure
+
+    if case == "jump part one ulp off":
+        monkeypatch.setattr(exitlab.cli, "_grid_part", broken)
+    omega = {"box": [[0.1, 0.9], [0.3, 0.9]]}
+    if case == "corner":  # the box without its last state
+        pts = grid_points(GridModelSpec(2, ((0.0, 1.0), (0.0, 1.0)), 0.125))
+        omega = np.flatnonzero((pts[:, 0] > 0.1) & (pts[:, 0] < 0.9) & (pts[:, 1] > 0.3) & (pts[:, 1] < 0.9))[:-1].tolist()
+    kappas, epsilons = [0.5, 2.0], [1.0]
+    cfg = scale_sweep_config(tmp_path, omega, kappas, epsilons)
+    assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
+    m = 34 if case == "corner" else 35
+    # two Laplace shifts and the mean at each point
+    assert sizes == [(m + 1) // 2 if case == "box" else m] * 3 * len(kappas) * len(epsilons)
 
 
 def random_graph(n, seed):
@@ -1015,6 +1106,10 @@ def test_a_failed_check_beside_skipped_commands_fails_the_run(tmp_path, monkeypa
         ({"kind": "scale", "kappa": [1.0], "epsilon": []}, "$.sweep.epsilon"),
         ({"kind": "scale", "kappa": [1.0], "epsilon": None}, "$.sweep.epsilon"),
         ({"kind": "scale", "kappa": [0.0, 1.0], "epsilon": [1.0, 0]}, "$.sweep"),
+        # a repeated point would be solved again and written twice
+        ({"kind": "scale", "kappa": [0.5, 1.0, 0.5], "epsilon": [1.0]}, "$.sweep.kappa"),
+        ({"kind": "scale", "kappa": [1.0], "epsilon": [2, 2.0]}, "$.sweep.epsilon"),
+        ({"kind": "flow", "values": [0.25, 0.5, 0.25]}, "$.sweep.values"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
