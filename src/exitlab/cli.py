@@ -36,6 +36,7 @@ from .models import (
     _check_grid_part,
     _check_shared_measure,
     _grid_part,
+    _lattice_mirrors,
     antisym_perturb,
     build_chain,
     discretize_jump_diffusion,
@@ -43,7 +44,7 @@ from .models import (
     grid_points,
 )
 from .montecarlo import McConfig, estimate_exit_functionals, simulate_exit_times
-from .poisson import DomainMask, DomainSystem, _restrict_source, embed, mirror_fold
+from .poisson import DomainMask, DomainSystem, _restrict_source, embed, orbit_fold
 from .spectral import bounds_ledger
 from .variational import _nonvanishing, closed_form_route, exp_moment_route, nested_route, saddle_form, symmetric_route
 
@@ -234,8 +235,9 @@ class Prepared:
     mask: DomainMask
     xi: np.ndarray  # the variational source on the domain
     # a sweep's (mu, mask, weights, first, second, unfold): each point is the
-    # system c0*first + c1*second on ``mask`` with ``weights``, and ``unfold``
-    # indexes its vectors on that mask by D's states; see ``prepare``
+    # system c0*first + c1*second on ``mask`` with ``weights`` (the orbits of
+    # D's lattice group when the parts fold, else D), and ``unfold`` indexes
+    # its vectors on that mask by D's states; see ``prepare``
     family: tuple | None
     mc: McConfig | None
     mc_weights: np.ndarray | None  # the start distribution of mc
@@ -248,12 +250,15 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
     A scale sweep's family is its two parts at unit scale, each assembled
     on the domain alone (``models._grid_part``) and checked as its whole
     chain would be, with no n x n array. When the sweep is the only command
-    no chain is built at all: the domain needs only the grid points. When
-    mu_D and both parts are exactly invariant under the mirror of D's order
-    (``mirror_fold``), each part is folded once onto the ceil(|D|/2) orbits
-    and the family holds the two folds, their weights and the unfold
-    u = [x; Jx]; the D x D parts are dropped. Otherwise it holds the two
-    parts on D, mu_D and the identity. A flow sweep's family is the run
+    no chain is built at all: the domain needs only the grid points. The
+    candidate symmetries are the mirrors of D's lattice bounding box and, on
+    a square one, the swap of the axes (``models._lattice_mirrors``). When
+    mu_D and both parts are exactly invariant under some of them
+    (``orbit_fold``), each part is folded once onto the orbits of the group
+    those generate, 120 of 841 states on the 29 x 29 box of D4, and the
+    family holds the two folds, the orbit weights and the orbit of each state
+    of D as the unfold; the D x D parts are dropped. Otherwise it holds the
+    two parts on D, mu_D and the identity. A flow sweep's family is the run
     system's Q_D and the flow restricted to the domain, with mu_D and the
     identity; the chain perturbed once at the largest strength judges every
     strength, and is dropped. A TypeError or ValueError raised while a
@@ -307,7 +312,7 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             _check_shared_measure(mu, jump_mu)
         mu_d = mu[mask.indices]
         family = (mu, mask, mu_d, diff_d, jump_d, mask.indices)
-        if (folded := mirror_fold(mu_d, diff_d, jump_d)) is not None:
+        if (folded := orbit_fold(mu_d, _lattice_mirrors(cfg.spec, mask.indices), diff_d, jump_d)) is not None:
             orbit_mu, (diff_f, jump_f), unfold = folded
             family = (mu, DomainMask.full(orbit_mu.shape[0]), orbit_mu, diff_f, jump_f, unfold)
     if cfg.mc is not None:

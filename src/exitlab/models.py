@@ -612,6 +612,31 @@ def _check_grid_part(grid: _Grid) -> None:
             raise ValueError("both parts must be reversible")
 
 
+def _lattice_mirrors(spec: GridModelSpec, states) -> list[np.ndarray]:
+    """Candidate symmetries of the grid points ``states`` (sorted distinct
+    flat indices), each as the map of their positions i -> g[i]: the mirror
+    of their lattice bounding box along each axis and, in 2D when its two
+    extents are equal, the swap of the axes. A map is a candidate only when
+    it sends the states onto themselves and moves one; whether the generator
+    keeps it is ``poisson.orbit_fold``'s exact test."""
+    axes = [_axis_points(lo, hi, spec.mesh_h) for lo, hi in spec.domain_box]
+    shape = tuple(ax.size for ax in axes) + (1,) * (2 - spec.dimension)
+    states = np.asarray(states)
+    coord = np.indices(shape).reshape(2, -1)[:, states]
+    lo, hi = coord.min(axis=1, keepdims=True), coord.max(axis=1, keepdims=True)
+    images = []
+    for axis in range(spec.dimension):
+        image = coord.copy()
+        image[axis] = lo[axis] + hi[axis] - coord[axis]
+        images.append(image)
+    if spec.dimension == 2 and hi[0] - lo[0] == hi[1] - lo[1]:
+        images.append((coord - lo)[::-1] + lo)
+    local = np.full(math.prod(shape), -1)
+    local[states] = np.arange(states.size)
+    maps = [local[np.ravel_multi_index(image, shape)] for image in images]
+    return [g for g in maps if (g >= 0).all() and (g != np.arange(states.size)).any()]
+
+
 def _point_labels(pts: np.ndarray) -> tuple[str, ...]:
     """"(x,y,...)" per row of pts, each coordinate as f"{v:.10g}" writes it,
     formatted by one % over all the rows."""

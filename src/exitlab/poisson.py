@@ -148,39 +148,66 @@ class Dirichlet(NamedTuple):
     multiplicity: int
 
 
-def mirror_fold(mu_d: np.ndarray, *blocks: np.ndarray) -> tuple | None:
-    """Lump generator blocks on D onto the orbits of the mirror J, the map
-    from state i to m-1-i in D's order: (weights, folds, unfold), or None unless
-    mu_D and every block are exactly invariant under J (J Q J = Q bit for
-    bit), as on a box domain of a constant-coefficient grid, and m >= 2.
+def _keeps(q: np.ndarray, g: np.ndarray) -> bool:
+    """Whether Q[g, g] = Q bit for bit for an involution g, read on the rows
+    i <= g[i] alone, since (i, j) and (g[i], g[j]) make the same comparison,
+    16 rows at a time."""
+    rows = np.flatnonzero(np.arange(g.size) <= g)
+    return all(
+        np.array_equal(q.take(g[at], axis=0).take(g, axis=1), q[at])
+        for at in (rows[lo : lo + 16] for lo in range(0, rows.size, 16))
+    )
 
-    The O(m) test of mu_D and the diagonals comes first, so a chain of
-    unequal rates pays for no O(m^2) scan. Each fold is F = Q_11 + Q_12 J on
-    the k = ceil(m/2) orbit representatives, the centre state of odd m kept
-    alone, with weights 2*mu per pair and mu for the centre: again a
-    generator block with the same exit rates, reversible when Q is. Its
-    solution x of (s*I - F) x = 1 unfolds to that of (s*I - Q) u = 1 as
-    u = [x; Jx] = x[unfold], and its blocks are singular exactly when Q's
-    are, for an invariant M-matrix block has an even Perron vector. The
-    fold is linear in Q, so the folds of a family's parts fold each of its
-    points.
+
+def orbit_fold(mu_d: np.ndarray, maps, *blocks: np.ndarray) -> tuple | None:
+    """Lump generator blocks on D onto the orbits of the group that the
+    candidate involutions ``maps`` of D's indices generate, each map kept
+    only when mu_D and every block are exactly invariant under it (Q[g, g] = Q
+    bit for bit), as a box domain of a constant-coefficient grid is under its
+    mirrors: (weights, folds, unfold), or None when no kept map joins two
+    states.
+
+    The O(m) tests come first: that g is an involution, and that it keeps
+    mu_D and the diagonals. So a chain of unequal rates pays for no O(m^2)
+    scan (``_keeps``), which reads 16 rows at a time, never an m x m
+    temporary. The orbits are found by propagating the least label along
+    every kept map until nothing moves; each is represented by its least
+    state. Each fold F is Q on the representatives' rows with its columns
+    summed over each orbit, in D's order, and the weights are the sums of mu
+    over each orbit: again a generator block with the same exit rates,
+    reversible when Q is, for Q is strongly lumpable on the orbits of a
+    group that keeps it. Its solution x of (s*I - F) x = 1 unfolds to that
+    of (s*I - Q) u = 1 as u = x[unfold], and its blocks are singular exactly
+    when Q's are, for the group average of a Perron vector of an invariant
+    M-matrix block is an invariant Perron vector. The fold is linear in Q,
+    so the folds of a family's parts fold each of its points. Under the
+    reversal i -> m-1-i alone, F = Q_11 + Q_12 J on the first ceil(m/2)
+    states, with weights 2*mu per pair and mu for the centre.
     """
-    m = mu_d.shape[0]
-    if m < 2 or not np.array_equal(mu_d, mu_d[::-1]):
+    states, diagonals = np.arange(mu_d.shape[0]), [np.diagonal(q) for q in blocks]
+    kept = [
+        g for g in maps
+        if np.array_equal(g[g], states) and np.array_equal(mu_d[g], mu_d) and all(np.array_equal(d[g], d) for d in diagonals)
+    ]
+    kept = [g for g in kept if all(_keeps(q, g) for q in blocks)]
+    label, before = states, None
+    while not np.array_equal(label, before):  # labels only fall, so this ends
+        before = label
+        for g in kept:
+            label = np.minimum(label, label[g])
+    reps = np.flatnonzero(label == states)
+    if reps.size == states.size:
         return None
-    if not all(np.array_equal(np.diagonal(q), np.diagonal(q)[::-1]) for q in blocks):
-        return None
-    k, pairs = (m + 1) // 2, m // 2
-    if not all(np.array_equal(q[:k], q[::-1, ::-1][:k]) for q in blocks):
-        return None
+    unfold = np.searchsorted(reps, label)
+    order = np.argsort(unfold, kind="stable")
+    starts = np.searchsorted(unfold[order], np.arange(reps.size))
     folds = []
     for q in blocks:
-        fold = q[:k, :k].copy()
-        fold[:, :pairs] += q[:k, ::-1][:, :pairs]
+        fold = np.empty((reps.size, reps.size))
+        for lo in range(0, reps.size, 16):
+            fold[lo : lo + 16] = np.add.reduceat(q.take(reps[lo : lo + 16], axis=0).take(order, axis=1), starts, axis=1)
         folds.append(fold)
-    weights = mu_d[:k].copy()
-    weights[:pairs] *= 2.0
-    return weights, folds, np.concatenate((np.arange(k), np.arange(pairs)[::-1]))
+    return np.add.reduceat(mu_d[order], starts), folds, unfold
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +231,12 @@ class DomainSystem:
     Cholesky route factors from Q_D, so a system holds Q_D and, while it
     solves, one factor buffer.
 
-    When mu_D and Q_D are exactly invariant under the mirror i -> m-1-i of
-    D's order, as on a box domain of a constant-coefficient grid,
-    ``resolvent_one`` solves on the ``lumped`` system of the ceil(m/2)
+    When mu_D and Q_D are exactly invariant under the reversal i -> m-1-i
+    of D's order, as on a box domain of a constant-coefficient grid,
+    ``resolvent_one`` solves on the ``lumped`` system of its ceil(m/2)
     orbits, an eighth of the flops of the dense factor; ``solve``,
-    ``_factor`` and ``dirichlet`` stay full-size.
+    ``_factor`` and ``dirichlet`` stay full-size. A scale sweep lumps further,
+    onto the orbits of the box's whole lattice group (``cli.prepare``).
     """
 
     chain: Chain | None
@@ -290,14 +318,14 @@ class DomainSystem:
 
     @property
     def lumped(self) -> "DomainSystem | None":
-        """This system lumped onto the orbits of the mirror J, the map from
-        state i to m-1-i in D's order, by ``mirror_fold``; None when mu_D or
-        Q_D is not exactly invariant under it. A fresh system on each read,
+        """This system lumped by ``orbit_fold`` onto the orbits of the
+        reversal J, the map from state i to m-1-i in D's order; None when mu_D
+        or Q_D is not exactly invariant under it. A fresh system on each read,
         not cached: ``resolvent_one`` keeps each unfolded solution, so the
         fold and its factor are freed once it has solved. It is a system of
         its own, so it lumps again when F is invariant in turn.
         """
-        folded = mirror_fold(self.mu_d, self.q_d)
+        folded = orbit_fold(self.mu_d, [np.arange(self.mask.size)[::-1]], self.q_d)
         if folded is None:
             return None
         weights, (fold,), _ = folded

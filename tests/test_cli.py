@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab.cli import _agree, _dumps, main
+from exitlab.forms import Generator
 from conftest import metastable_rates, traced_peak
 
 
@@ -181,15 +182,18 @@ def test_scale_sweep_peak_memory_on_the_benchmark_grid(tmp_path):
     status, peak = traced_peak(lambda: main(["run", "--config", path]))
     assert status == 0
     n = 39 * 39
-    # the two parts on D (|D| = 841), 0.611 n^2, while each is folded onto
-    # the 421 orbits of the mirror, |D|^2 / 4 = 0.077 n^2 a fold: 0.786 n^2
-    # in all. The parts are then dropped, and a point holds the two folds, its
-    # block and the temporary that builds it, that block symmetrized (|D| is
-    # odd) and a factor of it, |D|^2 / 4 each. Building a whole D x D block
-    # per point and lumping it in its solves read 1.226 n^2; solving at full
+    # the peak, 0.656 n^2, is reached while the jump part is assembled: the
+    # diffusion part and the jump part on D (|D| = 841), 0.306 n^2 each, and
+    # the jump table over the cutoff disc and its gather buffers, 0.04 n^2.
+    # Folding both parts onto the 120 orbits of the box's D4 adds two
+    # 120 x 120 folds, 0.012 n^2, and 16-row slabs; the parts are then
+    # dropped, and a point holds its 120 x 120 block, its symmetrized copy
+    # and a factor. The bound is that peak and 5% of it. Folding onto the 421
+    # orbits of the reversal alone read 0.786 n^2; building a whole D x D
+    # block per point and lumping it in its solves 1.226 n^2; solving at full
     # size 1.231 n^2; assembling each part as a whole chain and restricting
     # it 1.63 n^2
-    assert peak <= 0.82 * n * n * 8
+    assert peak <= 0.69 * n * n * 8
 
 
 @pytest.mark.parametrize("omega, bound", [("even", 5.5), ("all-but-0", 6.5)])
@@ -686,27 +690,31 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
     points = [(kap, eps) for kap in kappas for eps in epsilons]
     pts = grid_points(GridModelSpec(**spec))
     box = np.flatnonzero((pts[:, 0] > 0.1) & (pts[:, 0] < 0.9) & (pts[:, 1] > 0.3) & (pts[:, 1] < 0.9))
-    # the 7 x 5 box is mirror-symmetric in D's order, so every point solves
-    # on the fold of its block; without its last state it is not, and every
-    # point solves on its block over the grid
+    # the 7 x 5 box is invariant under both mirrors of its lattice (not the
+    # swap of the axes: its extents differ), so every point solves on the
+    # fold of its block onto their 12 orbits; without its last state it is
+    # not, and every point solves on its block over the grid
     for omega, idx, folded in (({"box": [[0.1, 0.9], [0.3, 0.9]]}, box, True), (box[:-1].tolist(), box[:-1], False)):
         blocks.clear()
         cfg = scale_sweep_config(tmp_path, omega, kappas, epsilons)
         assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
         assert families == []
         assert len(blocks) == len(points)
-        m, k = idx.size, (idx.size + 1) // 2
-        # the orbits of the mirror i -> m-1-i: Q S = S F lumps Q to F = (Q S)[:k]
-        orbits = np.zeros((m, k))
-        orbits[np.arange(m), np.minimum(np.arange(m), np.arange(m)[::-1])] = 1.0
+        m = idx.size
+        # box state (i, j), row-major, lies on the orbit (min(i, 6-i), min(j, 4-j)),
+        # whose least state is its own: Q S = S F lumps Q to F = (Q S)[reps]
+        i, j = np.divmod(np.arange(m), 5)
+        _, reps, orbit = np.unique(np.minimum(i, 6 - i) * 5 + np.minimum(j, 4 - j), return_index=True, return_inverse=True)
+        orbits = np.zeros((m, reps.size))
+        orbits[np.arange(m), orbit] = 1.0
         for (kap, eps), (mask, q_d, mu_d) in zip(points, blocks):
             chain = scaled_family(diff, jump, kap, eps)
             ref, mu = chain.q[np.ix_(idx, idx)], chain.mu[idx]
             if folded:
-                assert mask.inside.size == mask.size == k
+                assert mask.inside.size == mask.size == 12
                 np.testing.assert_array_equal(mu_d, orbits.T @ mu)
                 # each part folded once, then scaled: a few roundings off folding the point
-                assert np.abs(q_d - (ref @ orbits)[:k]).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+                assert np.abs(q_d - (ref @ orbits)[reps]).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
             else:
                 assert mask.inside.size == diff.n_states and np.array_equal(mask.indices, idx)
                 assert np.array_equal(q_d, ref)
@@ -714,27 +722,63 @@ def test_scale_sweep_solves_restricted_blocks_without_building_chains(tmp_path, 
 
 
 def grid_sweep_config(tmp_path, case):
-    """A scale sweep on a mirror-symmetric box: of 19 and of 16 states on a
-    1D grid at h = 1/32, and of 7 x 5 on a 2D grid at h = 1/8."""
-    if case == "2d":
-        return scale_sweep_config(tmp_path, {"box": [[0.1, 0.9], [0.3, 0.9]]}, [0.5, 2.0], [0.25, 1.0])
+    """A scale sweep on a box that its lattice's mirrors keep: of 19 and of
+    16 states on a 1D grid at h = 1/32, and of 7 x 5 and 7 x 7 on a 2D grid
+    at h = 1/8."""
+    if case.startswith("2d"):
+        box = [[0.1, 0.9], [0.3, 0.9] if case == "2d" else [0.1, 0.9]]
+        return scale_sweep_config(tmp_path, {"box": box}, [0.5, 2.0], [0.25, 1.0])
     cfg = scale_sweep_config(tmp_path, {"box": [[0.2, 0.8]] if case == "1d-odd" else [[0.1, 0.6]]}, [0.5, 2.0], [0.25, 1.0])
     cfg["model"]["params"] = {"dimension": 1, "domain_box": [[0.0, 1.0]], "mesh_h": 1 / 32}
     return cfg
 
 
-@pytest.mark.parametrize("case", ["1d-odd", "1d-even", "2d"])
-def test_folded_scale_sweep_matches_full_size_solves(tmp_path, case):
+def off_the_swap(grid_part):
+    """``_grid_part`` on a 7 x 7 grid with the jump rate between lattice
+    points (0, 0) and (1, 3), both ways, and between every mirror image of
+    that pair one ulp smaller: the jump part keeps both mirrors of the grid
+    but not the swap of its axes."""
+    flips = (lambda t: t, lambda t: 6 - t)
+    pairs = {((fx(0), fy(0)), (fx(1), fy(3))) for fx in flips for fy in flips}
+    assert len(pairs) == 4
+
+    def nudged(spec, states):
+        grid, generator, measure = grid_part(spec, states)
+        if not spec.epsilon:
+            return grid, generator, measure
+        states = np.arange(49) if states is None else np.asarray(states)
+        local = np.full(49, -1)
+        local[states] = np.arange(states.size)
+        q = generator.matrix.copy()
+        for a, b in pairs:
+            x, y = local[a[0] * 7 + a[1]], local[b[0] * 7 + b[1]]
+            q[x, y], q[y, x] = np.nextafter(q[x, y], 0.0), np.nextafter(q[y, x], 0.0)
+        return grid, Generator(q), measure
+
+    return nudged
+
+
+@pytest.mark.parametrize("case", ["1d-odd", "1d-even", "2d", "2d square", "2d square, swap broken"])
+def test_folded_scale_sweep_matches_full_size_solves(tmp_path, monkeypatch, case):
+    import exitlab.cli
+    import exitlab.models
     from exitlab.cli import load_config, prepare
     from exitlab.models import GridModelSpec, discretize_jump_diffusion, scaled_family
     from exitlab.poisson import DomainSystem, embed
 
+    if case == "2d square, swap broken":  # the chains of the reference too
+        monkeypatch.setattr(exitlab.models, "_grid_part", off_the_swap(exitlab.models._grid_part))
+        monkeypatch.setattr(exitlab.cli, "_grid_part", exitlab.models._grid_part)
     path = write_config(tmp_path / "exp.json", grid_sweep_config(tmp_path, case))
     assert main(["run", "--config", path]) == 0
     rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
     cfg, _ = load_config(path)
-    mask = prepare(cfg).mask
-    assert mask.size == {"1d-odd": 19, "1d-even": 16, "2d": 35}[case]
+    prep = prepare(cfg)
+    mask = prep.mask
+    assert mask.size == {"1d-odd": 19, "1d-even": 16, "2d": 35}.get(case, 49)
+    # the orbits of the box's lattice group: the mirror in 1D, both mirrors
+    # on 7 x 5 and 7 x 7 once the swap is broken, and D4 on 7 x 7
+    assert prep.family[2].size == {"1d-odd": 10, "1d-even": 8, "2d": 12, "2d square": 10}.get(case, 16)
     diff, jump = (discretize_jump_diffusion(GridModelSpec(**cfg.model["params"], kappa=a, epsilon=b)) for a, b in ((1.0, 0.0), (0.0, 1.0)))
     ones = np.ones(mask.size)
     for row in rows:
@@ -749,11 +793,10 @@ def test_folded_scale_sweep_matches_full_size_solves(tmp_path, case):
         assert row["mean"] == pytest.approx(float(np.sum(chain.mu[mask.indices] * u)), rel=1e-12)
 
 
-@pytest.mark.parametrize("case", ["box", "corner", "jump part one ulp off"])
+@pytest.mark.parametrize("case", ["box", "corner", "jump part one ulp off", "square box", "square box, swap broken"])
 def test_scale_sweep_factors_half_of_a_mirror_box(tmp_path, monkeypatch, case):
     import exitlab.cli
     import exitlab.poisson
-    from exitlab.forms import Generator
     from exitlab.models import GridModelSpec, grid_points
 
     sizes = []
@@ -776,16 +819,22 @@ def test_scale_sweep_factors_half_of_a_mirror_box(tmp_path, monkeypatch, case):
 
     if case == "jump part one ulp off":
         monkeypatch.setattr(exitlab.cli, "_grid_part", broken)
-    omega = {"box": [[0.1, 0.9], [0.3, 0.9]]}
+    if case == "square box, swap broken":
+        monkeypatch.setattr(exitlab.cli, "_grid_part", off_the_swap(original))
+    omega = {"box": [[0.1, 0.9], [0.3, 0.9] if case in ("box", "corner", "jump part one ulp off") else [0.1, 0.9]]}
     if case == "corner":  # the box without its last state
         pts = grid_points(GridModelSpec(2, ((0.0, 1.0), (0.0, 1.0)), 0.125))
         omega = np.flatnonzero((pts[:, 0] > 0.1) & (pts[:, 0] < 0.9) & (pts[:, 1] > 0.3) & (pts[:, 1] < 0.9))[:-1].tolist()
     kappas, epsilons = [0.5, 2.0], [1.0]
     cfg = scale_sweep_config(tmp_path, omega, kappas, epsilons)
     assert main(["run", "--config", write_config(tmp_path / "exp.json", cfg)]) == 0
-    m = 34 if case == "corner" else 35
+    # the orbits of the box's lattice group: 12 on the 7 x 5 box (both
+    # mirrors), (r+1)(r+2)/2 = 10 on the (2r+1) x (2r+1) box with r = 3 (D4),
+    # 16 on it once the swap is broken (both mirrors); none on the box
+    # without its last state, nor when the jump part is one ulp off them
+    m = {"box": 12, "corner": 34, "jump part one ulp off": 35, "square box": 10, "square box, swap broken": 16}[case]
     # two Laplace shifts and the mean at each point
-    assert sizes == [(m + 1) // 2 if case == "box" else m] * 3 * len(kappas) * len(epsilons)
+    assert sizes == [m] * 3 * len(kappas) * len(epsilons)
 
 
 def random_graph(n, seed):

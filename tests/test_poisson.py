@@ -37,7 +37,7 @@ from exitlab import (
 from exitlab._linalg import RefinedCholesky, RefinedLU, RefinedSPD
 from exitlab.forms import _symmetrized
 import exitlab.poisson
-from exitlab.poisson import DomainSystem
+from exitlab.poisson import DomainSystem, orbit_fold
 from conftest import (
     chain_of,
     example_cases,
@@ -768,6 +768,129 @@ def test_a_lumped_system_refuses_past_the_edge_as_the_full_block_does(reversible
     np.fill_diagonal(q, -q.sum(axis=1))
     closed = DomainSystem(make_chain(q, np.ones(6)), DomainMask.full(6))
     assert closed.lumped is not None and np.isinf(closed.exp_moment(1e-3)).all()
+    # so does a fold onto the orbits of a larger group: the group average of
+    # a Perron vector of Q_D is an invariant Perron vector, so F keeps its root
+    q, mu, maps = _group_block(1, 16, 3, reversible)  # orbits of 8, 4, 2, 1 and 1
+    weights, (fold,), _ = orbit_fold(mu, maps, q)
+    full = DomainSystem.from_restricted(DomainMask.full(16), q, mu, reversible)
+    lumped = DomainSystem.from_restricted(DomainMask.full(weights.size), fold, weights, reversible)
+    edge = _edge(full)
+    assert weights.size == 5 and _edge(lumped) == pytest.approx(edge, rel=1e-12)
+    for beta in (1.01 * edge, 2.0 * edge):
+        for system in (full, lumped):
+            assert np.isinf(system.exp_moment(beta)).all()
+            with pytest.raises(SingularSystemError) as err:
+                system.solve(-beta, np.ones(system.mask.size))
+            assert err.value.edge_gap == 0.0
+
+
+def _group_block(seed: int, m: int, r: int, reversible: bool = True):
+    """(Q, mu, maps): a block on m states, with killing, and its measure, both
+    exactly invariant under r commuting involutions. The states fall in
+    chunks of 2^s, s <= r; map i acts on a chunk as XOR by a random vector,
+    and the states are then relabelled at random. Each orbit of the group on
+    pairs of states (unordered when ``reversible``) draws one conductance,
+    each orbit of states one weight of mu in {1, 2, 3}, and the diagonal is
+    one constant, so Q = C / mu is invariant bit for bit."""
+    rng = np.random.default_rng(seed)
+    maps, base = np.tile(np.arange(m), (r, 1)), 0
+    while base < m:
+        size = 2 ** int(rng.integers(0, min(r, int(np.log2(m - base))) + 1))
+        for g in maps:
+            g[base : base + size] = base + (np.arange(size) ^ rng.integers(0, size))
+        base += size
+    perm = rng.permutation(m)
+    relabelled = np.empty_like(maps)
+    relabelled[:, perm] = perm[maps]
+    group = [np.arange(m)]
+    for g in relabelled:
+        group += [g[h] for h in group]
+    key = {}
+    for x in range(m):
+        for y in range(m):
+            if x != y:
+                images = [(h[x], h[y]) for h in group] + ([(h[y], h[x]) for h in group] if reversible else [])
+                key[x, y] = min(images)
+    rates = {k: rng.uniform(0.2, 1.0) * (rng.random() < 0.7) for k in sorted(set(key.values()))}
+    weight = {k: float(rng.integers(1, 4)) for k in sorted({min(h[x] for h in group) for x in range(m)})}
+    mu = np.array([weight[min(h[x] for h in group)] for x in range(m)])
+    q = np.zeros((m, m))
+    for (x, y), k in key.items():
+        q[x, y] = rates[k] / mu[x]
+    np.fill_diagonal(q, -q.sum(axis=1).max() - rng.uniform(0.1, 0.6))
+    return q, mu, list(relabelled)
+
+
+def _orbits(m: int, maps) -> list:
+    """The orbits of the group the maps generate, each sorted, by least state."""
+    orbits, seen = [], set()
+    for x in range(m):
+        if x not in seen:
+            orbit, todo = {x}, [x]
+            while todo:
+                y = todo.pop()
+                for g in maps:
+                    if int(g[y]) not in orbit:
+                        orbit.add(int(g[y]))
+                        todo.append(int(g[y]))
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 16), r=st.integers(1, 3), beta=st.sampled_from([1e-3, 0.5, 4.0]))
+def test_an_orbit_fold_solves_on_the_orbits_of_the_maps_that_keep_the_block(seed, m, r, beta):
+    q, mu, maps = _group_block(seed, m, r)
+    # decoys: swaps of two states of unequal orbits and equal mu, which keep
+    # mu and the diagonal but, unless by chance, not Q
+    orbits = _orbits(m, maps)
+    decoys = []
+    for a, b in zip(orbits, orbits[1:]):
+        if mu[a[0]] == mu[b[0]]:
+            g = np.arange(m)
+            g[[a[0], b[0]]] = b[0], a[0]
+            decoys.append(g)
+    candidates = maps + decoys
+    kept = [g for g in candidates if np.array_equal(mu[g], mu) and np.array_equal(q[np.ix_(g, g)], q)]
+    orbits = _orbits(m, kept)
+    folded = orbit_fold(mu, candidates, q)
+    if len(orbits) == m:
+        assert folded is None
+        return
+    weights, (fold,), unfold = folded
+    assert [np.flatnonzero(unfold == a).tolist() for a in range(len(orbits))] == orbits
+    np.testing.assert_array_equal(weights, [mu[o].sum() for o in orbits])
+    full = DomainSystem.from_restricted(DomainMask.full(m), q, mu, True)
+    lumped = DomainSystem.from_restricted(DomainMask.full(len(orbits)), fold, weights, True)
+    edge = _edge(full)
+    assert _edge(lumped) == pytest.approx(edge, rel=1e-12)
+    for shift in (beta, 0.0, -0.5 * edge):
+        (ref,) = full.solve(shift, np.ones(m))
+        assert _rel(lumped.resolvent_one(shift)[unfold], ref) <= 1e-12
+    # the lumped certificate refuses past the same edge as the full block's
+    for shift in (-1.01 * edge, -2.0 * edge):
+        for system in (full, lumped):
+            with pytest.raises(SingularSystemError):
+                system.solve(shift, np.ones(system.mask.size))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 9, 16, 17])
+@pytest.mark.parametrize("reversible", [True, False])
+def test_an_orbit_fold_by_the_reversal_is_q11_plus_q12_j_bit_for_bit(m, reversible):
+    # F = Q_11 + Q_12 J on the first ceil(m/2) states, weights 2*mu per pair
+    # and mu for the centre, and u = [x; Jx]: the fold before the group's
+    chain = _mirror_chain(m, m, reversible)
+    q, mu = chain.q, chain.mu
+    k, pairs = (m + 1) // 2, m // 2
+    weights, (fold,), unfold = orbit_fold(mu, [np.arange(m)[::-1]], q)
+    ref = q[:k, :k].copy()
+    ref[:, :pairs] += q[:k, ::-1][:, :pairs]
+    ref_weights = mu[:k].copy()
+    ref_weights[:pairs] *= 2.0
+    np.testing.assert_array_equal(fold, ref)
+    np.testing.assert_array_equal(weights, ref_weights)
+    np.testing.assert_array_equal(unfold, np.concatenate((np.arange(k), np.arange(pairs)[::-1])))
 
 
 def test_a_single_state_block_is_not_lumped():
